@@ -60,20 +60,12 @@ from .refine import (
     Label,
     RefineConfig,
     RefinementSample,
-    ReplayScorer,
     gen_refinement_dataset,
     pad_interval,
     select_candidate,
 )
 from .seeding import derive_seed
-from .similarity import (
-    EmbedderBackend,
-    Embedding,
-    HttpEmbedder,
-    MockEmbedder,
-    cosine,
-    embed_batch,
-)
+from .similarity import EmbedderBackend, HttpEmbedder, MockEmbedder, embed_batch
 
 __version__ = "0.1.0"
 
@@ -91,7 +83,6 @@ __all__ = [
     "DigestStats",
     "EgologError",
     "EmbedderBackend",
-    "Embedding",
     "EvalReport",
     "HttpEmbedder",
     "HttpLlmBackend",
@@ -111,12 +102,10 @@ __all__ = [
     "RefinementSample",
     "ReplayBackend",
     "ReplayMissError",
-    "ReplayScorer",
     "TransportError",
     "build_nlq_prompt",
     "build_qa_prompt",
     "clamp_answer_to_bounds",
-    "cosine",
     "derive_seed",
     "digest",
     "embed_batch",

@@ -18,7 +18,7 @@ from typing import Sequence
 from .corpus import Caption, CaptionTrack, Query
 from .llm import LlmBackend
 from .errors import EgologError
-from .similarity import EmbedderBackend, cosine, embed_batch
+from .similarity import EmbedderBackend, cosine_matrix, cosine_rows, embed_batch
 
 logger = logging.getLogger(__name__)
 
@@ -123,17 +123,20 @@ def filter_by_relevance(
     backend: EmbedderBackend,
     cfg: DigestConfig,
 ) -> CaptionTrack:
-    """Keep captions whose best cosine against any query clears the threshold."""
+    """Keep captions whose best cosine against any query clears the threshold.
+
+    Captions and queries are embedded in one batch, so they are checked
+    against one embedding dimension.
+    """
     if not queries:
         raise ValueError("filter_by_relevance requires at least one query")
     if not track.captions:
         return track
-    caption_embs = embed_batch(backend, [c.text for c in track.captions])
-    query_embs = embed_batch(backend, [q.text for q in queries])
+    n = len(track.captions)
+    embs = embed_batch(backend, [c.text for c in track.captions] + [q.text for q in queries])
+    best = cosine_matrix(embs[:n], embs[n:]).max(axis=1)
     kept = [
-        cap
-        for cap, emb in zip(track.captions, caption_embs)
-        if max(cosine(emb, q_emb) for q_emb in query_embs) >= cfg.relevance_threshold
+        cap for cap, score in zip(track.captions, best) if score >= cfg.relevance_threshold
     ]
     return track.replace_captions(kept)
 
@@ -151,13 +154,11 @@ def group_consecutive(
     if len(track.captions) < 2:
         return []
     embs = embed_batch(backend, [c.text for c in track.captions])
+    adjacent = cosine_rows(embs[1:], embs[:-1])
     groups: list[MergeGroup] = []
     current = [0]
-    for i in range(1, len(track.captions)):
-        if (
-            cosine(embs[i], embs[i - 1]) >= cfg.adjacency_threshold
-            and len(current) < cfg.max_merge_group
-        ):
+    for i, score in enumerate(adjacent, start=1):
+        if score >= cfg.adjacency_threshold and len(current) < cfg.max_merge_group:
             current.append(i)
         else:
             if len(current) >= 2:

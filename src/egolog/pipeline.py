@@ -52,7 +52,7 @@ from .refine import (
     select_candidate,
 )
 from .seeding import derive_seed
-from .similarity import EmbedderBackend, HttpEmbedder, MockEmbedder
+from .similarity import CachedEmbedder, EmbedderBackend, HttpEmbedder, MockEmbedder
 
 logger = logging.getLogger(__name__)
 
@@ -68,13 +68,14 @@ class UnitFailure:
     error: str
 
 
-def build_embedder(config: PipelineConfig) -> EmbedderBackend:
+def build_embedder(config: PipelineConfig) -> CachedEmbedder:
+    """The configured embedding backend behind the run's per-text cache."""
     if config.embedder_kind == "mock":
         # the mock stands in for a fixed pretrained model, so its features
         # do not vary with the pipeline seed
-        return MockEmbedder(seed=0, dim=config.embedder_dim)
-    return HttpEmbedder(
-        config.embedder_endpoint, auth_env=config.embedder_auth_env
+        return CachedEmbedder(MockEmbedder(seed=0, dim=config.embedder_dim))
+    return CachedEmbedder(
+        HttpEmbedder(config.embedder_endpoint, auth_env=config.embedder_auth_env)
     )
 
 

@@ -1,16 +1,17 @@
 """Interval refinement for localization answers.
 
-Candidate intervals from the model are padded by a fixed margin, clamped
-to clip bounds, and one candidate is selected by a pluggable scorer; an
-NA answer falls back to the full clip. This module also generates the
-balanced positive/negative dataset used to train candidate-selection
-classifiers: ground-truth windows are randomly shifted and scaled, then
-kept as positives (IoU strictly above the positive threshold) or
-negatives (strictly below the negative threshold), equal counts of each.
+Candidate intervals from the model are padded by a fixed margin and
+clamped to clip bounds; a pluggable scorer scores all padded candidates
+of one query in one call and the best one is selected. An NA answer
+falls back to the full clip. This module also generates the balanced
+positive/negative dataset used to train candidate-selection classifiers:
+ground-truth windows are randomly shifted and scaled, then kept as
+positives (IoU strictly above the positive threshold) or negatives
+(strictly below the negative threshold), equal counts of each.
 
 Neural candidate selectors are out of scope; the CandidateScorer protocol
-is the seam they plug into. In scope are a deterministic caption-overlap
-heuristic and a replay scorer for tests.
+is the seam they plug into. In scope is a deterministic caption-overlap
+heuristic.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ import logging
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from .corpus import CaptionTrack, QueryKind
-from .errors import RefineError
+from .errors import EgologError, RefineError
 from .metrics import iou
 from .reasoner import CandidateInterval, LlmAnswer
 from .seeding import derive_seed
-from .similarity import EmbedderBackend, Embedding, cosine, embed_batch
+from .similarity import EmbedderBackend, cosine_matrix, embed_batch
 
 logger = logging.getLogger(__name__)
 
@@ -70,14 +71,15 @@ class RefinementSample:
 
 @runtime_checkable
 class CandidateScorer(Protocol):
-    """Scores a padded candidate window against a query over a track.
+    """Scores the padded candidate windows of one query over a track.
 
-    Implementations must be deterministic per instance. Higher is better.
+    Returns one score per candidate, in the order given. Implementations
+    must be deterministic per instance. Higher is better.
     """
 
     def score(
-        self, query_text: str, interval: CandidateInterval, track: CaptionTrack
-    ) -> float: ...
+        self, query_text: str, intervals: Sequence[CandidateInterval], track: CaptionTrack
+    ) -> list[float]: ...
 
 
 class CaptionOverlapScorer:
@@ -86,7 +88,8 @@ class CaptionOverlapScorer:
     A caption is relevant when its embedding's cosine similarity to the
     query is at or above the threshold; each relevant caption whose span
     positively intersects the candidate window contributes its full
-    duration to the score.
+    duration to the score. Relevance is computed once per call, for all
+    candidates of the query.
     """
 
     def __init__(
@@ -94,52 +97,27 @@ class CaptionOverlapScorer:
     ) -> None:
         self._backend = backend
         self._threshold = relevance_threshold
-        self._cache: dict[str, Embedding] = {}
-
-    def _embeddings(self, texts: Sequence[str]) -> list[Embedding]:
-        missing = [t for t in dict.fromkeys(texts) if t not in self._cache]
-        if missing:
-            for text, emb in zip(missing, embed_batch(self._backend, missing)):
-                self._cache[text] = emb
-        return [self._cache[t] for t in texts]
 
     def score(
-        self, query_text: str, interval: CandidateInterval, track: CaptionTrack
-    ) -> float:
+        self, query_text: str, intervals: Sequence[CandidateInterval], track: CaptionTrack
+    ) -> list[float]:
         if not track.captions:
-            return 0.0
-        texts = [query_text] + [c.text for c in track.captions]
-        embs = self._embeddings(texts)
-        query_emb, caption_embs = embs[0], embs[1:]
-        total = 0.0
-        for caption, emb in zip(track.captions, caption_embs):
-            if cosine(emb, query_emb) < self._threshold:
-                continue
-            if min(caption.end_s, interval.end_s) - max(
-                caption.start_s, interval.start_s
-            ) > 0:
-                total += caption.duration_s
-        return total
-
-
-class ReplayScorer:
-    """Scorer with pinned scores keyed by millisecond-rounded endpoints."""
-
-    def __init__(
-        self,
-        scores: Mapping[tuple[float, float], float],
-        default: float = 0.0,
-    ) -> None:
-        self._scores = {
-            (round(s, 3), round(e, 3)): v for (s, e), v in scores.items()
-        }
-        self._default = default
-
-    def score(
-        self, query_text: str, interval: CandidateInterval, track: CaptionTrack
-    ) -> float:
-        key = (round(interval.start_s, 3), round(interval.end_s, 3))
-        return self._scores.get(key, self._default)
+            return [0.0] * len(intervals)
+        embs = embed_batch(self._backend, [query_text] + [c.text for c in track.captions])
+        relevance = cosine_matrix(embs[1:], embs[:1])[:, 0]
+        relevant = [c for c, r in zip(track.captions, relevance) if r >= self._threshold]
+        scores = []
+        for interval in intervals:
+            # summed left to right in caption order: np.sum adds in another
+            # order, which can change a score's last bit and flip a tie
+            total = 0.0
+            for caption in relevant:
+                if min(caption.end_s, interval.end_s) - max(
+                    caption.start_s, interval.start_s
+                ) > 0:
+                    total += caption.duration_s
+            scores.append(total)
+        return scores
 
 
 def pad_interval(
@@ -171,8 +149,8 @@ def select_candidate(
 
     NA answers map to the full clip. A single candidate is returned
     padded. Among several, all are padded and the best-scoring one wins,
-    ties going to the earliest start; if the scorer fails, the earliest
-    candidate is used with a warning.
+    ties going to the earliest start; if the scorer raises an EgologError,
+    the earliest candidate is used with a warning.
     """
     if answer.kind is not QueryKind.NLQ:
         raise ValueError(f"select_candidate requires an NLQ answer, got {answer.kind}")
@@ -186,8 +164,8 @@ def select_candidate(
         range(len(padded)), key=lambda i: (padded[i].start_s, padded[i].end_s)
     )
     try:
-        scores = [scorer.score(query_text, p, track) for p in padded]
-    except Exception as exc:
+        scores = scorer.score(query_text, padded, track)
+    except EgologError as exc:
         logger.warning(
             "scorer failed for qid %r (%s); falling back to earliest candidate",
             answer.qid,

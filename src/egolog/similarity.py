@@ -1,7 +1,12 @@
 """Text embeddings and cosine similarity.
 
-The digest stages only ever compare texts through this module: a backend
-turns texts into fixed-dimension vectors and `cosine` scores a pair. Two
+The digest stages and the refine scorer only ever compare texts through
+this module. A backend turns a batch of texts into one fixed-dimension
+vector per text; `embed_batch` checks that contract and returns the
+vectors as the rows of one float64 array. `cosine_matrix` scores every
+row of one array against every row of another and `cosine_rows` scores
+paired rows. `CachedEmbedder` is the one per-text embedding cache; the
+pipeline puts it in front of the configured backend for a whole run. Two
 backends ship with the package: a deterministic offline mock (seeded
 feature hashing of character trigrams, for tests and desk runs) and an
 HTTP client for a real embedding service.
@@ -10,11 +15,9 @@ HTTP client for a real embedding service.
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -22,32 +25,15 @@ import numpy as np
 from .errors import BackendProtocolError, ConfigError, TransportError
 from .retry import RetryPolicy, call_with_retries
 
-logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    """A fixed-length real vector for one text."""
-
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.vector, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("embedding vector must be a non-empty 1-D array")
-        arr.setflags(write=False)
-        object.__setattr__(self, "vector", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(self.vector.shape[0])
-
 
 @runtime_checkable
 class EmbedderBackend(Protocol):
-    """Batch text embedder. Same text must map to the same vector within one instance."""
+    """Batch text embedder: one vector per text, as an (n, d) array or a list of rows.
 
-    def embed_texts(self, texts: Sequence[str]) -> list[list[float]]: ...
+    Same text must map to the same vector within one instance.
+    """
+
+    def embed_texts(self, texts: Sequence[str]) -> Sequence[Sequence[float]]: ...
 
 
 class MockEmbedder:
@@ -64,22 +50,11 @@ class MockEmbedder:
             raise ValueError("dim must be positive")
         self._dim = dim
         self._key = int(seed).to_bytes(8, "little", signed=True)
-        self._cache: dict[str, list[float]] = {}
-        self._lock = threading.Lock()
 
-    def embed_texts(self, texts: Sequence[str]) -> list[list[float]]:
-        out = []
-        for text in texts:
-            with self._lock:
-                cached = self._cache.get(text)
-            if cached is None:
-                cached = self._embed(text)
-                with self._lock:
-                    self._cache[text] = cached
-            out.append(cached)
-        return out
+    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        return np.array([self._embed(text) for text in texts])
 
-    def _embed(self, text: str) -> list[float]:
+    def _embed(self, text: str) -> np.ndarray:
         data = b"\x02" + text.encode("utf-8") + b"\x03"
         vec = np.zeros(self._dim)
         for i in range(len(data) - 2):
@@ -96,7 +71,7 @@ class MockEmbedder:
                 hashlib.blake2b(data, key=self._key, digest_size=8).digest(), "little"
             )
             vec[(h >> 8) % self._dim] = 1.0 if h & 1 == 0 else -1.0
-        return vec.tolist()
+        return vec
 
 
 class HttpEmbedder:
@@ -104,7 +79,7 @@ class HttpEmbedder:
 
     POSTs ``{"texts": [...]}`` and expects ``{"embeddings": [[...], ...]}``.
     The bearer token, if any, is read from the environment variable named in
-    the configuration. Responses are cached per exact text.
+    the configuration.
     """
 
     def __init__(
@@ -126,29 +101,14 @@ class HttpEmbedder:
             if token is None:
                 raise ConfigError(f"auth environment variable {auth_env!r} is not set")
             self._token = token
-        self._cache: dict[str, list[float]] = {}
-        self._lock = threading.Lock()
 
     def embed_texts(self, texts: Sequence[str]) -> list[list[float]]:
-        with self._lock:
-            misses = [t for t in texts if t not in self._cache]
-        misses = list(dict.fromkeys(misses))
-        if misses:
-            vectors = call_with_retries(
-                lambda: self._post(misses),
-                policy=self._retry,
-                sleep=self._sleep,
-                what="embedding request",
-            )
-            if len(vectors) != len(misses):
-                raise BackendProtocolError(
-                    f"count mismatch: sent {len(misses)} texts, got {len(vectors)} embeddings"
-                )
-            with self._lock:
-                for text, vec in zip(misses, vectors):
-                    self._cache[text] = [float(x) for x in vec]
-        with self._lock:
-            return [self._cache[t] for t in texts]
+        return call_with_retries(
+            lambda: self._post(list(texts)),
+            policy=self._retry,
+            sleep=self._sleep,
+            what="embedding request",
+        )
 
     def _post(self, texts: list[str]) -> list[list[float]]:
         import requests
@@ -181,11 +141,39 @@ class HttpEmbedder:
         return vectors
 
 
-def embed_batch(backend: EmbedderBackend, texts: Sequence[str]) -> list[Embedding]:
-    """Embed texts through a backend, enforcing the batch contract.
+class CachedEmbedder:
+    """Thread-safe per-text embedding cache in front of a backend.
 
-    One embedding per text, order preserved, homogeneous dimension, no zero
-    vectors. Count or dimension violations are fatal.
+    Texts not cached yet are de-duplicated and sent to the backend as one
+    batch in first-seen order. Their rows are kept read-only for the
+    wrapper's lifetime; threads racing on one text all get the row stored
+    first.
+    """
+
+    def __init__(self, backend: EmbedderBackend):
+        self.backend = backend
+        self._rows: dict[str, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
+        with self._lock:
+            misses = [t for t in dict.fromkeys(texts) if t not in self._rows]
+        if misses:
+            fresh = embed_batch(self.backend, misses)
+            fresh.setflags(write=False)
+            with self._lock:
+                for text, row in zip(misses, fresh):
+                    self._rows.setdefault(text, row)
+        with self._lock:
+            return [self._rows[t] for t in texts]
+
+
+def embed_batch(backend: EmbedderBackend, texts: Sequence[str]) -> np.ndarray:
+    """Embed texts through a backend as the rows of one (n, d) float64 array.
+
+    This is where the batch contract is enforced: one embedding per text,
+    order preserved, one dimension for the whole batch, no zero vectors.
+    A violation raises BackendProtocolError.
     """
     if len(texts) == 0:
         raise ValueError("embed_batch requires at least one text")
@@ -197,22 +185,39 @@ def embed_batch(backend: EmbedderBackend, texts: Sequence[str]) -> list[Embeddin
         raise BackendProtocolError(
             f"count mismatch: sent {len(texts)} texts, got {len(vectors)} embeddings"
         )
-    embeddings = [Embedding(np.asarray(v, dtype=np.float64)) for v in vectors]
-    dims = {e.dim for e in embeddings}
-    if len(dims) > 1:
-        raise BackendProtocolError(f"dimension mismatch across batch: {sorted(dims)}")
-    for text, emb in zip(texts, embeddings):
-        if not np.any(emb.vector):
-            raise BackendProtocolError(f"zero embedding vector for text {text[:50]!r}")
-    return embeddings
+    try:
+        dims = sorted({len(v) for v in vectors})
+        if len(dims) > 1:
+            raise BackendProtocolError(f"dimension mismatch across batch: {dims}")
+        array = np.array(vectors, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise BackendProtocolError(f"malformed embeddings: {exc}") from exc
+    zero = np.flatnonzero(~array.any(axis=1))
+    if zero.size:
+        raise BackendProtocolError(f"zero embedding vector for text {texts[zero[0]][:50]!r}")
+    return array
 
 
-def cosine(a: Embedding, b: Embedding) -> float:
-    """Cosine similarity in [-1, 1] (up to float slack of ~1e-12)."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    norm_a = float(np.linalg.norm(a.vector))
-    norm_b = float(np.linalg.norm(b.vector))
-    if norm_a == 0.0 or norm_b == 0.0:
+def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine similarity of every row of a against every row of b, shape (len(a), len(b)).
+
+    Computed as (a @ b.T) / (|a| |b|), each norm the square root of the
+    row's sum of squares. Normalising the rows first rounds differently:
+    with integer-valued vectors, whose dot products are exact, that moves
+    scores lying exactly on a threshold to either side of it.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    return (a @ b.T) / np.outer(_norms(a), _norms(b))
+
+
+def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine similarity of each row of a with the same row of b, as in cosine_matrix."""
+    return np.einsum("ij,ij->i", a, b) / (_norms(a) * _norms(b))
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    if not norms.all():
         raise ValueError("cosine undefined for zero-norm vector")
-    return float(np.dot(a.vector, b.vector) / (norm_a * norm_b))
+    return norms

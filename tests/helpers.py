@@ -1,4 +1,4 @@
-"""Shared test utilities: track builders, scripted backends, oracles.
+"""Shared test utilities: track builders, scripted backends and scorers, oracles.
 
 The scripted backends answer by reading the caption log serialized into
 the prompt, so synthetic benchmarks where captions literally determine
@@ -124,6 +124,20 @@ class RecordingBackend:
         with self._lock:
             self.transcripts.setdefault(key, {})[run_key(run_index)] = text
         return text
+
+
+class ReplayScorer:
+    """Candidate scorer with pinned scores keyed by millisecond-rounded endpoints."""
+
+    def __init__(self, scores, default=0.0):
+        self._scores = {(round(s, 3), round(e, 3)): v for (s, e), v in scores.items()}
+        self._default = default
+
+    def score(self, query_text, intervals, track):
+        return [
+            self._scores.get((round(i.start_s, 3), round(i.end_s, 3)), self._default)
+            for i in intervals
+        ]
 
 
 def synth_qa_benchmark(n_items=50, captions_per_video=12, seed=123):

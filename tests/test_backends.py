@@ -22,7 +22,7 @@ from egolog.llm import (
     write_transcripts,
 )
 from egolog.retry import RetryPolicy
-from egolog.similarity import HttpEmbedder
+from egolog.similarity import CachedEmbedder, HttpEmbedder, embed_batch
 
 
 class TestPromptDigest:
@@ -136,9 +136,12 @@ class TestHttpEmbedder:
         out = backend.embed_texts(["alpha", "beta"])
         assert out == [[1.0, 0.0], [0.0, 1.0]]
         assert http_script.requests == [{"texts": ["alpha", "beta"]}]
-        # cached texts are served without a second request
-        assert backend.embed_texts(["beta", "alpha"]) == [[0.0, 1.0], [1.0, 0.0]]
-        assert len(http_script.requests) == 1
+        # the client itself keeps nothing; the pipeline's cache wraps it, and
+        # serves cached texts without a second request
+        cached = CachedEmbedder(backend)
+        assert embed_batch(cached, ["alpha", "beta"]).tolist() == out
+        assert embed_batch(cached, ["beta", "alpha"]).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert len(http_script.requests) == 2
 
     def test_bearer_token_sent(self, http_script, monkeypatch):
         monkeypatch.setenv("EMB_TOKEN", "sesame")
@@ -202,7 +205,7 @@ class TestHttpEmbedder:
         http_script.body = {"embeddings": [[1.0]]}
         backend = HttpEmbedder(http_script.endpoint, sleep=lambda s: None)
         with pytest.raises(BackendProtocolError, match="count mismatch"):
-            backend.embed_texts(["alpha", "beta"])
+            embed_batch(backend, ["alpha", "beta"])
 
     def test_unreachable_endpoint_is_transport_error(self):
         backend = HttpEmbedder(

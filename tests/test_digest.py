@@ -20,7 +20,7 @@ from egolog.digest import (
     group_consecutive,
     merge_groups,
 )
-from egolog.errors import TransportError
+from egolog.errors import BackendProtocolError, TransportError
 from egolog.llm import CallableBackend
 from egolog.similarity import MockEmbedder
 
@@ -53,7 +53,7 @@ def oracle_survivors(track, queries, backend, threshold):
 def oracle_groups(track, backend, threshold, cap):
     """Re-derive greedy adjacent grouping from scratch."""
     vecs = backend.embed_texts([c.text for c in track.captions])
-    runs, current = [], [0] if vecs else []
+    runs, current = [], [0] if len(vecs) else []
     for i in range(1, len(vecs)):
         if oracle_cosine(vecs[i], vecs[i - 1]) >= threshold and len(current) < cap:
             current.append(i)
@@ -277,6 +277,17 @@ class TestDigestPipeline:
             "merge_fallbacks": 0,
             "output_captions": 3,
         }
+
+    def test_caption_query_dimension_skew_is_protocol_error(self):
+        track = make_track(texts=["C chops carrots", "C rinses the board"])
+        query = nlq_query()
+
+        class Skewed:
+            def embed_texts(self, texts):
+                return [[1.0] * (3 if t == query.text else 2) for t in texts]
+
+        with pytest.raises(BackendProtocolError, match="dimension mismatch"):
+            digest(track, [query], Skewed(), None, DigestConfig())
 
     def test_no_queries_skips_relevance(self):
         backend = MockEmbedder(seed=0)

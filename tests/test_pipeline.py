@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from egolog.config import load_config
@@ -17,7 +18,7 @@ from egolog.pipeline import (
     run_gen_refine_data,
     run_localize,
 )
-from egolog.similarity import MockEmbedder
+from egolog.similarity import CachedEmbedder, MockEmbedder
 
 from helpers import (
     RecordingBackend,
@@ -49,7 +50,8 @@ class TestBuildBackends:
         tracks, queries = synth_qa_benchmark(n_items=1)
         config = disk_config(tmp_path, tracks, queries, "[embedder]\ndim = 32\n")
         embedder = build_embedder(config)
-        assert isinstance(embedder, MockEmbedder)
+        assert isinstance(embedder, CachedEmbedder)
+        assert isinstance(embedder.backend, MockEmbedder)
         assert len(embedder.embed_texts(["some text"])[0]) == 32
 
     def test_mock_embedder_ignores_pipeline_seed(self, tmp_path):
@@ -58,7 +60,7 @@ class TestBuildBackends:
         b = build_embedder(
             disk_config(tmp_path, tracks, queries, overrides={"run.seed": "999"})
         )
-        assert a.embed_texts(["same text"]) == b.embed_texts(["same text"])
+        assert np.array_equal(a.embed_texts(["same text"]), b.embed_texts(["same text"]))
 
     def test_replay_llm_requires_transcripts(self, tmp_path):
         tracks, queries = synth_qa_benchmark(n_items=1)
@@ -222,6 +224,24 @@ class TestRunLocalize:
         records, failures = run_localize(config, llm=ScriptedNlqBackend())
         assert len(records) == 2
         assert [f.qid for f in failures] == ["orphan"]
+
+    def test_embedding_dimension_skew_fails_units_not_run(self, tmp_path):
+        # captions and queries embed to different dimensions: every unit
+        # fails with the backend's protocol error instead of a traceback
+        tracks, queries = synth_nlq_benchmark(n_items=4, captions_per_video=8)
+        query_texts = {q.text for q in queries}
+
+        class Skewed:
+            def embed_texts(self, texts):
+                return [[1.0] * (3 if t in query_texts else 2) for t in texts]
+
+        config = disk_config(tmp_path, tracks, queries)
+        records, failures = run_localize(
+            config, embedder=Skewed(), llm=ScriptedNlqBackend()
+        )
+        assert records == []
+        assert [f.qid for f in failures] == [q.qid for q in queries]
+        assert all("dimension mismatch" in f.error for f in failures)
 
     def test_pool_size_does_not_change_output(self, tmp_path):
         tracks, queries = synth_nlq_benchmark(n_items=10, captions_per_video=8)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egolog.corpus import CaptionTrack, QueryKind
-from egolog.errors import RefineError
+from egolog.errors import BackendProtocolError, RefineError
 from egolog.reasoner import CandidateInterval, LlmAnswer
 from egolog.refine import (
     CandidateScorer,
@@ -15,7 +15,6 @@ from egolog.refine import (
     Label,
     RefineConfig,
     RefinementSample,
-    ReplayScorer,
     check_sample,
     gen_refinement_dataset,
     pad_interval,
@@ -24,7 +23,7 @@ from egolog.refine import (
 )
 from egolog.similarity import MockEmbedder
 
-from helpers import make_track, oracle_iou
+from helpers import ReplayScorer, make_track, oracle_iou
 
 
 def nlq_answer(*pairs, qid="q1", confidence=2):
@@ -157,8 +156,8 @@ class TestSelectCandidate:
 
     def test_scorer_failure_falls_back_to_earliest(self, caplog):
         class Broken:
-            def score(self, query_text, interval, track):
-                raise RuntimeError("no model")
+            def score(self, query_text, intervals, track):
+                raise BackendProtocolError("no model")
 
         cfg = RefineConfig(pad_alpha=0.0)
         with caplog.at_level("WARNING", logger="egolog.refine"):
@@ -167,6 +166,20 @@ class TestSelectCandidate:
             )
         assert out.as_pair() == (2.0, 5.0)
         assert any("falling back" in rec.message for rec in caplog.records)
+
+    def test_scorer_programming_error_propagates(self):
+        class Buggy:
+            def score(self, query_text, intervals, track):
+                raise RuntimeError("bug in scorer")
+
+        with pytest.raises(RuntimeError, match="bug in scorer"):
+            select_candidate(
+                nlq_answer((11, 14), (2, 5)),
+                self.track(),
+                Buggy(),
+                RefineConfig(pad_alpha=0.0),
+                query_text="q",
+            )
 
     def test_qa_answer_rejected(self):
         qa = LlmAnswer(qid="q1", kind=QueryKind.QA, choice_idx=0)
@@ -189,27 +202,26 @@ class TestCaptionOverlapScorer:
         track = make_track(texts=texts, step=2.0)
         scorer = CaptionOverlapScorer(MockEmbedder(seed=0), relevance_threshold=0.3)
         query = "C scrubs the frying pan"
-        inside = scorer.score(query, CandidateInterval(0, 5), track)
-        assert inside == 4.0  # two relevant captions of 2 s each
-        assert scorer.score(query, CandidateInterval(0, 8), track) == 6.0
+        scores = scorer.score(query, [CandidateInterval(0, 5), CandidateInterval(0, 8)], track)
+        assert scores == [4.0, 6.0]  # two relevant captions of 2 s each, then three
 
     def test_deterministic_per_instance(self):
         track = make_track(n=5)
         scorer = CaptionOverlapScorer(MockEmbedder(seed=1))
-        window = CandidateInterval(0, 10)
-        assert scorer.score("q text", window, track) == scorer.score(
-            "q text", window, track
+        windows = [CandidateInterval(0, 10)]
+        assert scorer.score("q text", windows, track) == scorer.score(
+            "q text", windows, track
         )
 
     def test_boundary_touch_does_not_count(self):
         track = make_track(texts=["C scrubs the pan"], step=2.0)  # caption 0-2
         scorer = CaptionOverlapScorer(MockEmbedder(seed=0), relevance_threshold=-1.0)
-        assert scorer.score("C scrubs the pan", CandidateInterval(2, 4), track) == 0.0
+        assert scorer.score("C scrubs the pan", [CandidateInterval(2, 4)], track) == [0.0]
 
     def test_empty_track_scores_zero(self):
         track = CaptionTrack.build("v1", [], 0.0, 10.0)
         scorer = CaptionOverlapScorer(MockEmbedder(seed=0))
-        assert scorer.score("anything", CandidateInterval(0, 10), track) == 0.0
+        assert scorer.score("anything", [CandidateInterval(0, 10)], track) == [0.0]
 
 
 class TestCheckSample:
