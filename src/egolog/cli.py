@@ -15,11 +15,13 @@ usage error from argument parsing).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .config import PipelineConfig, config_sha256, load_config, parse_override
 from .corpus import save_captions
@@ -88,16 +90,29 @@ def _split_overrides(extra: Sequence[str]) -> dict[str, str]:
     return overrides
 
 
-def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
+@contextlib.contextmanager
+def _atomic(path: Path) -> Iterator[Path]:
+    """A temporary path next to path, moved over path only if the block succeeds.
+
+    A crash or an exception mid-write leaves the previous file untouched.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
+    with _atomic(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
         for row in rows:
             handle.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+    with _atomic(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True))
         handle.write("\n")
 
@@ -148,7 +163,8 @@ def _finish(
 def _cmd_digest(config: PipelineConfig, args: argparse.Namespace) -> int:
     out_path = _require_out(config)
     digested, stats, failures = run_digest(config)
-    save_captions(digested, out_path)
+    with _atomic(out_path) as tmp:
+        save_captions(digested, tmp)
     _write_json(
         out_path.with_name(out_path.name + ".stats.json"),
         {vid: stats[vid].as_dict() for vid in sorted(stats)},

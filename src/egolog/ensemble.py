@@ -3,15 +3,13 @@
 Each QA question is asked several times; the answer whose self-rated
 confidence is highest wins. Ties among maximal-confidence answers are
 broken uniformly at random with an explicit seed so the pick is
-reproducible. Confidence-stratified filtering for reporting lives here
-too.
+reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .corpus import QueryKind
 from .reasoner import LlmAnswer
@@ -54,11 +52,3 @@ def vote_by_confidence(pool: AnswerPool, rng_seed: int) -> LlmAnswer:
         return finalists[0]
     return random.Random(rng_seed).choice(finalists)
 
-
-def filter_by_confidence(
-    answers: Sequence[LlmAnswer], min_level: int
-) -> list[LlmAnswer]:
-    """Answers with confidence >= min_level, order preserved."""
-    if min_level not in (1, 2, 3):
-        raise ValueError(f"min_level must be 1, 2, or 3, got {min_level}")
-    return [a for a in answers if a.confidence >= min_level]

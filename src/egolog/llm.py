@@ -1,11 +1,10 @@
 """LLM completion backends.
 
 The pipeline talks to any model through one call: complete(system_text,
-user_text, sampling_seed, run_index) -> raw text. Three implementations
-ship here: an HTTP client for a remote model, a replay backend that
+user_text, sampling_seed, run_index) -> raw text. Two implementations
+ship here: an HTTP client for a remote model and a replay backend that
 returns recorded transcripts keyed by (prompt digest, run index) for
-bit-exact reruns, and a thin adapter around a plain function for tests
-and demos.
+bit-exact reruns.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ import hashlib
 import json
 import logging
 import os
-import threading
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, runtime_checkable
+from typing import Mapping, Protocol, runtime_checkable
 
 from .errors import BackendProtocolError, ConfigError, ReplayMissError, TransportError
 
@@ -149,22 +147,3 @@ class HttpLlmBackend:
             raise BackendProtocolError("completion text field is not a string")
         return text
 
-
-class CallableBackend:
-    """Adapter turning a plain function (system, user) -> text into a backend."""
-
-    def __init__(self, fn: Callable[[str, str], str]):
-        self._fn = fn
-        self._lock = threading.Lock()
-        self.calls = 0
-
-    def complete(
-        self,
-        system_text: str,
-        user_text: str,
-        sampling_seed: int | None = None,
-        run_index: int = 0,
-    ) -> str:
-        with self._lock:
-            self.calls += 1
-        return self._fn(system_text, user_text)

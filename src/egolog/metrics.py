@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .corpus import QueryKind
-from .ensemble import filter_by_confidence
 from .errors import MetricsError
 from .reasoner import CandidateInterval, LlmAnswer
 
@@ -213,6 +212,17 @@ def _undefined(names_and_flags: list[tuple[str, bool]]) -> tuple[str, ...]:
     return tuple(name for name, defined in names_and_flags if not defined)
 
 
+def _per_confidence(
+    preds: Mapping[str, LlmAnswer],
+    evaluate: Callable[[dict[str, LlmAnswer]], EvalReport],
+) -> dict[int, EvalReport]:
+    """evaluate on the predictions at or above each confidence level, in order."""
+    return {
+        level: evaluate({qid: a for qid, a in preds.items() if a.confidence >= level})
+        for level in CONFIDENCE_LEVELS
+    }
+
+
 def evaluate_nlq(
     preds: Mapping[str, LlmAnswer],
     finals: Mapping[str, IntervalLike],
@@ -244,19 +254,16 @@ def evaluate_nlq(
     )
     per_confidence = None
     if stratify:
-        per_confidence = {}
-        for level in CONFIDENCE_LEVELS:
-            kept = {
-                a.qid
-                for a in filter_by_confidence(list(preds.values()), level)
-            }
-            per_confidence[level] = evaluate_nlq(
-                {qid: preds[qid] for qid in preds if qid in kept},
-                {qid: finals[qid] for qid in finals if qid in kept},
+        per_confidence = _per_confidence(
+            preds,
+            lambda kept: evaluate_nlq(
+                kept,
+                {qid: final for qid, final in finals.items() if qid in kept},
                 gts,
                 thresholds=thresholds,
                 stratify=False,
-            )
+            ),
+        )
     return EvalReport(
         task="nlq",
         n_queries=stats.n_total,
@@ -283,17 +290,9 @@ def evaluate_qa(
     undefined = _undefined([("qa_accuracy", bool(preds))])
     per_confidence = None
     if stratify:
-        per_confidence = {}
-        for level in CONFIDENCE_LEVELS:
-            kept = {
-                a.qid
-                for a in filter_by_confidence(list(preds.values()), level)
-            }
-            per_confidence[level] = evaluate_qa(
-                {qid: preds[qid] for qid in preds if qid in kept},
-                gts,
-                stratify=False,
-            )
+        per_confidence = _per_confidence(
+            preds, lambda kept: evaluate_qa(kept, gts, stratify=False)
+        )
     return EvalReport(
         task="qa",
         n_queries=len(preds),
@@ -307,23 +306,6 @@ def evaluate_qa(
         undefined_metrics=undefined,
         per_confidence=per_confidence,
     )
-
-
-def stratify_by_confidence(
-    preds: Mapping[str, LlmAnswer],
-    gts: Mapping,
-    *,
-    finals: Mapping[str, IntervalLike] | None = None,
-    thresholds: Sequence[float] = DEFAULT_IOU_THRESHOLDS,
-) -> dict[int, EvalReport]:
-    """Sub-report per minimum confidence level 1..3.
-
-    QA predictions need only gts; NLQ predictions need finals as well.
-    """
-    if finals is None:
-        return evaluate_qa(preds, gts, stratify=True).per_confidence or {}
-    report = evaluate_nlq(preds, finals, gts, thresholds=thresholds, stratify=True)
-    return report.per_confidence or {}
 
 
 def report_as_dict(report: EvalReport) -> dict:

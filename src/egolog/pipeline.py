@@ -1,10 +1,13 @@
 """End-to-end orchestration: wire config, corpus, backends, and stages.
 
-Each command maps a list of independent work units (one QA question, or
-one video with all of its localization queries) over a thread pool
-bounded by in_flight_limit. Unit outputs are collected in input order,
-so results are byte-identical regardless of pool size. Failures are
-recorded per unit and never abort the whole run.
+digest, ask and localize share one unit runner. A unit is (keys,
+video_id, queries): one video keyed by its id (digest), one QA question
+keyed by its qid (ask), or one video with all of its NLQ queries keyed
+by their qids (localize). Units run on a thread pool bounded by
+in_flight_limit. A missing track or an EgologError fails every key of
+its unit and nothing else. Outputs and failures come back in input
+query order (track order for digest), so results are byte-identical
+regardless of pool size.
 
 All derived randomness flows from the config seed: per-question prompts
 use (seed, "ask", qid), tie-breaking uses (seed, "vote", qid), per-video
@@ -32,7 +35,7 @@ from .corpus import (
 )
 from .digest import DigestStats, MergeMode, digest
 from .ensemble import AnswerPool, vote_by_confidence
-from .errors import ConfigError, EgologError, MetricsError, ParseError
+from .errors import ConfigError, EgologError, MetricsError, ParseError, TransportError
 from .llm import HttpLlmBackend, LlmBackend, ReplayBackend
 from .metrics import EvalReport, evaluate_nlq, evaluate_qa
 from .reasoner import (
@@ -58,6 +61,7 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 U = TypeVar("U")
+Unit = tuple[list[str], str, list[Query]]
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,60 @@ def _log_event(stage: str, **fields) -> None:
     logger.info(json.dumps({"event": stage, **fields}, sort_keys=True))
 
 
+def _load_inputs(
+    config: PipelineConfig, kind: QueryKind
+) -> tuple[dict[str, CaptionTrack], list[Query]]:
+    """The caption tracks and the queries of one kind, in file order."""
+    tracks = load_captions(_require(config.captions_path, "captions"))
+    queries = [
+        q
+        for q in load_queries(_require(config.queries_path, "queries"))
+        if q.kind is kind
+    ]
+    if not queries:
+        raise ConfigError(f"the queries file contains no {kind.name} items")
+    return tracks, queries
+
+
+def _run_units(
+    command: str,
+    config: PipelineConfig,
+    tracks: dict[str, CaptionTrack],
+    units: Sequence[Unit],
+    work: Callable[[CaptionTrack, list[Query]], dict[str, T]],
+    order: Sequence[str],
+) -> tuple[list[T], list[UnitFailure]]:
+    """Map work over units on the pool; returns outputs and failures by order.
+
+    work returns one output per key of its unit. A missing track or an
+    EgologError fails every key of the unit and nothing else.
+    """
+
+    def one(unit: Unit) -> dict[str, T | UnitFailure]:
+        keys, video_id, queries = unit
+        started = time.monotonic()
+        try:
+            if video_id not in tracks:
+                raise ConfigError(f"no captions for video {video_id!r}")
+            outputs = work(tracks[video_id], queries)
+        except EgologError as exc:
+            return {key: UnitFailure(key, str(exc)) for key in keys}
+        _log_event(
+            command,
+            video_id=video_id,
+            keys=keys,
+            duration_ms=round((time.monotonic() - started) * 1000, 1),
+        )
+        return outputs
+
+    by_key: dict[str, T | UnitFailure] = {}
+    for results in _map_units(one, units, config.in_flight_limit):
+        by_key.update(results)
+    ordered = [by_key[key] for key in order if key in by_key]
+    failures = [r for r in ordered if isinstance(r, UnitFailure)]
+    return [r for r in ordered if not isinstance(r, UnitFailure)], failures
+
+
 def run_digest(
     config: PipelineConfig,
     *,
@@ -126,35 +184,15 @@ def run_digest(
     if llm is None and config.digest.merge_mode is MergeMode.LLM:
         llm = build_llm(config)
 
-    def one(
-        item: tuple[str, CaptionTrack],
-    ) -> tuple[str, CaptionTrack | None, DigestStats | None, UnitFailure | None]:
-        video_id, track = item
-        started = time.monotonic()
-        video_queries = [q for q in queries if q.video_id == video_id]
-        try:
-            digested, stats = digest(track, video_queries, embedder, llm, config.digest)
-        except EgologError as exc:
-            return video_id, None, None, UnitFailure(video_id, str(exc))
-        _log_event(
-            "digest",
-            video_id=video_id,
-            captions_in=stats.input_captions,
-            captions_out=stats.output_captions,
-            duration_ms=round((time.monotonic() - started) * 1000, 1),
-        )
-        return video_id, digested, stats, None
+    def digest_video(track: CaptionTrack, qs: list[Query]) -> dict:
+        return {track.video_id: digest(track, qs, embedder, llm, config.digest)}
 
-    results = _map_units(one, list(tracks.items()), config.in_flight_limit)
-    digested_tracks: dict[str, CaptionTrack] = {}
-    stats_by_video: dict[str, DigestStats] = {}
-    failures: list[UnitFailure] = []
-    for video_id, digested, stats, failure in results:
-        if failure is not None:
-            failures.append(failure)
-            continue
-        digested_tracks[video_id] = digested
-        stats_by_video[video_id] = stats
+    units = [([vid], vid, [q for q in queries if q.video_id == vid]) for vid in tracks]
+    results, failures = _run_units(
+        "digest", config, tracks, units, digest_video, list(tracks)
+    )
+    digested_tracks = {track.video_id: track for track, _ in results}
+    stats_by_video = {track.video_id: stats for track, stats in results}
     return digested_tracks, stats_by_video, failures
 
 
@@ -165,76 +203,47 @@ def run_ask(
     llm: LlmBackend | None = None,
 ) -> tuple[list[dict], list[UnitFailure]]:
     """Answer every QA query: digest, prompt, repeated runs, vote."""
-    tracks = load_captions(_require(config.captions_path, "captions"))
-    queries = [
-        q
-        for q in load_queries(_require(config.queries_path, "queries"))
-        if q.kind is QueryKind.QA
-    ]
-    if not queries:
-        raise ConfigError("the queries file contains no QA items")
+    tracks, queries = _load_inputs(config, QueryKind.QA)
     if embedder is None:
         embedder = build_embedder(config)
     if llm is None:
         llm = build_llm(config)
 
-    def one(query: Query) -> tuple[dict | None, UnitFailure | None]:
-        started = time.monotonic()
-        track = tracks.get(query.video_id)
-        if track is None:
-            return None, UnitFailure(query.qid, f"no captions for video {query.video_id!r}")
-        try:
-            digested, _ = digest(track, [query], embedder, llm, config.digest)
-            prompt = build_qa_prompt(digested, query)
-            outcome = run(
-                prompt, llm, config.runs, derive_seed(config.seed, "ask", query.qid)
-            )
-            answers = []
-            parse_failures = 0
-            for response in outcome.responses:
-                try:
-                    answers.extend(
-                        parse_response(response.text, QueryKind.QA, [query.qid])
-                    )
-                except ParseError as exc:
-                    parse_failures += 1
-                    logger.warning(
-                        "discarding run %d for qid %r: %s",
-                        response.run_index,
-                        query.qid,
-                        exc,
-                    )
-            if not answers:
-                return None, UnitFailure(
-                    query.qid, f"no usable answers from {config.runs} runs"
-                )
-            chosen = vote_by_confidence(
-                AnswerPool(query.qid, tuple(answers)),
-                derive_seed(config.seed, "vote", query.qid),
-            )
-        except EgologError as exc:
-            return None, UnitFailure(query.qid, str(exc))
-        _log_event(
-            "ask",
-            qid=query.qid,
-            video_id=query.video_id,
-            votes=len(answers),
-            runs_failed=len(outcome.failures),
-            parse_failures=parse_failures,
-            duration_ms=round((time.monotonic() - started) * 1000, 1),
+    def answer(track: CaptionTrack, unit_queries: list[Query]) -> dict[str, dict]:
+        (query,) = unit_queries
+        digested, _ = digest(track, [query], embedder, llm, config.digest)
+        prompt = build_qa_prompt(digested, query)
+        outcome = run(
+            prompt, llm, config.runs, derive_seed(config.seed, "ask", query.qid)
         )
-        record = {
-            "qid": query.qid,
-            "choice": chosen.choice_idx,
-            "confidence": chosen.confidence,
-            "explanation": chosen.explanation,
+        answers = []
+        for response in outcome.responses:
+            try:
+                answers.extend(parse_response(response.text, QueryKind.QA, [query.qid]))
+            except ParseError as exc:
+                logger.warning(
+                    "discarding run %d for qid %r: %s",
+                    response.run_index,
+                    query.qid,
+                    exc,
+                )
+        if not answers:
+            raise ParseError(f"no usable answers from {config.runs} runs", raw="")
+        chosen = vote_by_confidence(
+            AnswerPool(query.qid, tuple(answers)),
+            derive_seed(config.seed, "vote", query.qid),
+        )
+        return {
+            query.qid: {
+                "qid": query.qid,
+                "choice": chosen.choice_idx,
+                "confidence": chosen.confidence,
+                "explanation": chosen.explanation,
+            }
         }
-        return record, None
 
-    results = _map_units(one, queries, config.in_flight_limit)
-    records = [r for r, _ in results if r is not None]
-    failures = [f for _, f in results if f is not None]
-    return records, failures
+    units = [([q.qid], q.video_id, [q]) for q in queries]
+    return _run_units("ask", config, tracks, units, answer, [q.qid for q in queries])
 
 
 def run_localize(
@@ -245,14 +254,7 @@ def run_localize(
     scorer: CandidateScorer | None = None,
 ) -> tuple[list[dict], list[UnitFailure]]:
     """Localize every NLQ query: digest per video, one batched prompt, refine."""
-    tracks = load_captions(_require(config.captions_path, "captions"))
-    queries = [
-        q
-        for q in load_queries(_require(config.queries_path, "queries"))
-        if q.kind is QueryKind.NLQ
-    ]
-    if not queries:
-        raise ConfigError("the queries file contains no NLQ items")
+    tracks, queries = _load_inputs(config, QueryKind.NLQ)
     if embedder is None:
         embedder = build_embedder(config)
     if llm is None:
@@ -260,74 +262,40 @@ def run_localize(
     if scorer is None:
         scorer = CaptionOverlapScorer(embedder, config.digest.relevance_threshold)
 
+    def localize(track: CaptionTrack, video_queries: list[Query]) -> dict[str, dict]:
+        digested, _ = digest(track, video_queries, embedder, llm, config.digest)
+        prompt = build_nlq_prompt(digested, video_queries)
+        outcome = run(prompt, llm, 1, derive_seed(config.seed, "nlq", track.video_id))
+        if not outcome.responses:
+            raise TransportError(outcome.failures[0].error)
+        answers = parse_response(
+            outcome.responses[0].text, QueryKind.NLQ, [q.qid for q in video_queries]
+        )
+        records: dict[str, dict] = {}
+        for query, answer in zip(video_queries, answers):
+            clamped = clamp_answer_to_bounds(answer, digested.bounds)
+            final = select_candidate(
+                clamped, digested, scorer, config.refine, query_text=query.text
+            )
+            records[query.qid] = {
+                "qid": query.qid,
+                "predicted_window": [round(final.start_s, 3), round(final.end_s, 3)],
+                "confidence": clamped.confidence,
+                "explanation": clamped.explanation,
+                "candidates": [
+                    [round(c.start_s, 3), round(c.end_s, 3)] for c in clamped.intervals
+                ],
+                "na": clamped.is_na,
+            }
+        return records
+
     by_video: dict[str, list[Query]] = {}
     for query in queries:
         by_video.setdefault(query.video_id, []).append(query)
-
-    def one(
-        item: tuple[str, list[Query]],
-    ) -> tuple[dict[str, dict], list[UnitFailure]]:
-        video_id, video_queries = item
-        started = time.monotonic()
-        track = tracks.get(video_id)
-        if track is None:
-            error = f"no captions for video {video_id!r}"
-            return {}, [UnitFailure(q.qid, error) for q in video_queries]
-        try:
-            digested, _ = digest(track, video_queries, embedder, llm, config.digest)
-            prompt = build_nlq_prompt(digested, video_queries)
-            outcome = run(
-                prompt, llm, 1, derive_seed(config.seed, "nlq", video_id)
-            )
-            if not outcome.responses:
-                error = outcome.failures[0].error if outcome.failures else "no response"
-                return {}, [UnitFailure(q.qid, error) for q in video_queries]
-            answers = parse_response(
-                outcome.responses[0].text,
-                QueryKind.NLQ,
-                [q.qid for q in video_queries],
-            )
-            records: dict[str, dict] = {}
-            for query, answer in zip(video_queries, answers):
-                clamped = clamp_answer_to_bounds(answer, digested.bounds)
-                final = select_candidate(
-                    clamped, digested, scorer, config.refine, query_text=query.text
-                )
-                records[query.qid] = {
-                    "qid": query.qid,
-                    "predicted_window": [
-                        round(final.start_s, 3),
-                        round(final.end_s, 3),
-                    ],
-                    "confidence": clamped.confidence,
-                    "explanation": clamped.explanation,
-                    "candidates": [
-                        [round(c.start_s, 3), round(c.end_s, 3)]
-                        for c in clamped.intervals
-                    ],
-                    "na": clamped.is_na,
-                }
-        except EgologError as exc:
-            return {}, [UnitFailure(q.qid, str(exc)) for q in video_queries]
-        _log_event(
-            "localize",
-            video_id=video_id,
-            queries=len(video_queries),
-            duration_ms=round((time.monotonic() - started) * 1000, 1),
-        )
-        return records, []
-
-    results = _map_units(one, list(by_video.items()), config.in_flight_limit)
-    by_qid: dict[str, dict] = {}
-    failed: dict[str, UnitFailure] = {}
-    for records, unit_failures in results:
-        by_qid.update(records)
-        for failure in unit_failures:
-            failed[failure.qid] = failure
-    # emit in input query order
-    records_out = [by_qid[q.qid] for q in queries if q.qid in by_qid]
-    failures_out = [failed[q.qid] for q in queries if q.qid in failed]
-    return records_out, failures_out
+    units = [([q.qid for q in qs], video_id, qs) for video_id, qs in by_video.items()]
+    return _run_units(
+        "localize", config, tracks, units, localize, [q.qid for q in queries]
+    )
 
 
 def run_gen_refine_data(config: PipelineConfig) -> list[dict]:

@@ -108,6 +108,16 @@ class ScriptedNlqBackend:
         return "```json\n" + json.dumps(entries) + "\n```"
 
 
+class CallableBackend:
+    """Adapter turning a plain function (system, user) -> text into a backend."""
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
+        return self._fn(system_text, user_text)
+
+
 class RecordingBackend:
     """Delegates to another backend and records every exchange."""
 

@@ -356,6 +356,25 @@ class TestCliEval:
         assert "does not exist" in capsys.readouterr().err
 
 
+class TestCliAtomicWrites:
+    @pytest.mark.parametrize("command", ["ask", "localize"])
+    def test_failed_write_keeps_previous_output(self, tmp_path, monkeypatch, command):
+        config = write_config(tmp_path, MINIMAL)
+        out = tmp_path / "out" / "preds.jsonl"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        good = [{"qid": "q1"}, {"qid": "q2"}]
+        monkeypatch.setattr(f"egolog.cli.run_{command}", lambda config: (good, []))
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+
+        # the second row cannot be serialised, so the write fails part-way
+        bad = [{"qid": "q1"}, {"qid": "q2", "window": object()}]
+        monkeypatch.setattr(f"egolog.cli.run_{command}", lambda config: (bad, []))
+        with pytest.raises(TypeError):
+            main(argv)
+        assert {p.name: p.read_bytes() for p in out.parent.iterdir()} == before
+
+
 class TestCliErrors:
     def test_fatal_config_error_exits_1(self, tmp_path, capsys):
         code = main(["digest", "--config", str(tmp_path / "nope.ini")])

@@ -21,10 +21,9 @@ from egolog.digest import (
     merge_groups,
 )
 from egolog.errors import BackendProtocolError, TransportError
-from egolog.llm import CallableBackend
 from egolog.similarity import MockEmbedder
 
-from helpers import make_track
+from helpers import CallableBackend, make_track
 
 
 def nlq_query(qid="q1", video_id="v1", text="where is the knife"):

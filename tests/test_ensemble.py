@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egolog.corpus import QueryKind
-from egolog.ensemble import AnswerPool, filter_by_confidence, vote_by_confidence
+from egolog.ensemble import AnswerPool, vote_by_confidence
+from egolog.metrics import _per_confidence
 from egolog.reasoner import CandidateInterval, LlmAnswer
 
 
@@ -104,20 +105,24 @@ class TestVoteByConfidence:
 
 
 class TestFilterByConfidence:
+    """The per-confidence sub-reports evaluate these prediction subsets."""
+
+    @staticmethod
+    def tiers(answers):
+        preds = {a.qid: a for a in answers}
+        return _per_confidence(preds, lambda kept: list(kept.values()))
+
     def test_order_preserved(self):
-        answers = [qa("A", 1), qa("B", 3), qa("C", 2), qa("D", 3)]
-        assert filter_by_confidence(answers, 2) == [answers[1], answers[2], answers[3]]
+        answers = [qa(c, conf, qid=c) for c, conf in zip("ABCD", (1, 3, 2, 3))]
+        assert self.tiers(answers)[2] == [answers[1], answers[2], answers[3]]
 
     def test_level_one_keeps_all(self):
-        answers = [qa("A", 1), qa("B", 2)]
-        assert filter_by_confidence(answers, 1) == answers
+        answers = [qa("A", 1, qid="a"), qa("B", 2, qid="b")]
+        assert self.tiers(answers)[1] == answers
 
     def test_monotone_nesting(self):
-        answers = [qa(c, conf) for c, conf in zip("ABCDE", (1, 2, 3, 2, 1))]
-        tiers = [filter_by_confidence(answers, level) for level in (1, 2, 3)]
-        assert set(map(id, tiers[2])) <= set(map(id, tiers[1])) <= set(map(id, tiers[0]))
-
-    def test_invalid_level(self):
-        for level in (0, 4):
-            with pytest.raises(ValueError, match="min_level"):
-                filter_by_confidence([], level)
+        answers = [qa(c, conf, qid=c) for c, conf in zip("ABCDE", (1, 2, 3, 2, 1))]
+        tiers = self.tiers(answers)
+        assert set(tiers) == {1, 2, 3}
+        ids = [set(map(id, tiers[level])) for level in (3, 2, 1)]
+        assert ids[0] <= ids[1] <= ids[2]

@@ -21,7 +21,6 @@ from egolog.metrics import (
     report_as_dict,
     report_to_json,
     report_to_text,
-    stratify_by_confidence,
 )
 from egolog.reasoner import CandidateInterval, LlmAnswer
 
@@ -314,15 +313,14 @@ class TestEvaluateQa:
 
     def test_stratify_helper_qa(self):
         preds = {"a": qa("a", 0, confidence=2)}
-        strata = stratify_by_confidence(preds, {"a": 0})
+        strata = evaluate_qa(preds, {"a": 0}).per_confidence
         assert set(strata) == {1, 2, 3}
         assert strata[3].n_queries == 0
 
     def test_stratify_helper_nlq(self):
         preds = {"a": nlq("a", (0.0, 5.0), confidence=2)}
-        strata = stratify_by_confidence(
-            preds, {"a": (0.0, 10.0)}, finals={"a": (0.0, 5.0)}
-        )
+        report = evaluate_nlq(preds, {"a": (0.0, 5.0)}, {"a": (0.0, 10.0)})
+        strata = report.per_confidence
         assert set(strata) == {1, 2, 3}
         assert strata[1].n_queries == 1
 

@@ -7,7 +7,7 @@ import pytest
 
 from egolog.config import load_config
 from egolog.corpus import Query, QueryKind
-from egolog.errors import ConfigError, MetricsError
+from egolog.errors import BackendProtocolError, ConfigError, MetricsError
 from egolog.llm import ReplayBackend, write_transcripts
 from egolog.pipeline import (
     build_embedder,
@@ -216,14 +216,49 @@ class TestRunLocalize:
             run_localize(config, llm=ScriptedNlqBackend())
 
     def test_missing_video_fails_whole_video_unit(self, tmp_path):
+        # two videos' queries interleave around a video with no captions;
+        # units group by video, output keeps input query order
         tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
-        orphan = Query(
-            qid="orphan", video_id="ghost", kind=QueryKind.NLQ, text="find: x"
-        )
-        config = disk_config(tmp_path, tracks, list(queries) + [orphan])
-        records, failures = run_localize(config, llm=ScriptedNlqBackend())
-        assert len(records) == 2
-        assert [f.qid for f in failures] == ["orphan"]
+        a, b = queries
+
+        def nlq(qid, video_id, caption):
+            track = tracks.get(video_id)
+            text = track.captions[caption].text if track else "x"
+            return Query(qid, video_id, QueryKind.NLQ, f"find: {text}")
+
+        mixed = [
+            a,
+            nlq("orphan", "ghost", 0),
+            b,
+            nlq("a2", a.video_id, 3),
+            nlq("orphan2", "ghost", 0),
+            nlq("b2", b.video_id, 5),
+        ]
+        outcomes = []
+        for limit in ("1", "4"):
+            config = disk_config(
+                tmp_path, tracks, mixed, overrides={"run.in_flight_limit": limit}
+            )
+            records, failures = run_localize(config, llm=ScriptedNlqBackend())
+            assert [r["qid"] for r in records] == [a.qid, b.qid, "a2", "b2"]
+            assert [f.qid for f in failures] == ["orphan", "orphan2"]
+            assert all(f.error == "no captions for video 'ghost'" for f in failures)
+            outcomes.append((records, failures))
+        assert outcomes[0] == outcomes[1]
+
+    def test_failed_completion_fails_every_query_of_its_video(self, tmp_path):
+        tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
+        extra = Query("second", queries[0].video_id, QueryKind.NLQ, queries[0].text)
+
+        class Rejecting:
+            def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
+                raise BackendProtocolError("completion endpoint returned 400")
+
+        config = disk_config(tmp_path, tracks, list(queries) + [extra])
+        records, failures = run_localize(config, llm=Rejecting())
+        assert records == []
+        assert [f.qid for f in failures] == [q.qid for q in queries] + ["second"]
+        assert all(f.error == "completion endpoint returned 400" for f in failures)
 
     def test_embedding_dimension_skew_fails_units_not_run(self, tmp_path):
         # captions and queries embed to different dimensions: every unit

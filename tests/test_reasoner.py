@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from egolog.corpus import Query, QueryKind
 from egolog.errors import ParseError, TransportError
-from egolog.llm import CallableBackend
 from egolog.reasoner import (
     NO_CAPTIONS_MARKER,
     CandidateInterval,
@@ -26,7 +25,7 @@ from egolog.reasoner import (
 from egolog.retry import RetryPolicy
 from egolog.seeding import derive_seed
 
-from helpers import make_track
+from helpers import CallableBackend, make_track
 
 
 def qa_query(qid="q1", video_id="v1", choices=None, answer_idx=0):
