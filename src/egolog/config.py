@@ -18,34 +18,57 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .digest import DEFAULT_BLOCKLIST, DigestConfig, MergeMode
+from .digest import DigestConfig, MergeMode
 from .errors import ConfigError
 from .refine import RefineConfig
 
 LLM_KINDS = ("replay", "http")
 EMBEDDER_KINDS = ("mock", "http")
 
-_KNOWN_KEYS = {
-    "paths": ("captions", "queries", "transcripts", "output"),
-    "run": ("seed", "runs", "in_flight_limit"),
-    "llm": ("kind", "endpoint", "auth_env"),
-    "embedder": ("kind", "endpoint", "auth_env", "dim"),
-    "digest": (
-        "blocklist",
-        "relevance_threshold",
-        "adjacency_threshold",
-        "max_merge_group",
-        "merge_mode",
-    ),
-    "refine": (
-        "pad_alpha",
-        "jitter_shift_max",
-        "jitter_scale_lo",
-        "jitter_scale_hi",
-        "pos_iou",
-        "neg_iou",
-        "samples_per_gt",
-    ),
+
+def _split_list(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+_DIGEST = DigestConfig()
+_REFINE = RefineConfig()
+_SCALE_KEYS = ("jitter_scale_lo", "jitter_scale_hi")
+
+# section -> key -> (parser, default). A missing or blank value means the
+# default; None means unset. Stage defaults come from the stage configs.
+_KEYS = {
+    "paths": dict.fromkeys(("captions", "queries", "transcripts", "output"), (str, None)),
+    "run": {"seed": (int, None), "runs": (int, 5), "in_flight_limit": (int, 4)},
+    "llm": {"kind": (str, "replay"), "endpoint": (str, None), "auth_env": (str, None)},
+    "embedder": {
+        "kind": (str, "mock"),
+        "endpoint": (str, None),
+        "auth_env": (str, None),
+        "dim": (int, 64),
+    },
+    "digest": {
+        "blocklist": (_split_list, _DIGEST.blocklist),
+        "relevance_threshold": (float, _DIGEST.relevance_threshold),
+        "adjacency_threshold": (float, _DIGEST.adjacency_threshold),
+        "max_merge_group": (int, _DIGEST.max_merge_group),
+        "merge_mode": (MergeMode, _DIGEST.merge_mode),
+    },
+    "refine": {
+        "pad_alpha": (float, _REFINE.pad_alpha),
+        "jitter_shift_max": (float, _REFINE.jitter_shift_max),
+        "jitter_scale_lo": (float, _REFINE.jitter_scale_range[0]),
+        "jitter_scale_hi": (float, _REFINE.jitter_scale_range[1]),
+        "pos_iou": (float, _REFINE.pos_iou),
+        "neg_iou": (float, _REFINE.neg_iou),
+        "samples_per_gt": (int, 10),
+    },
+}
+
+# what a value that fails its parser should have been
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    MergeMode: f"one of {[m.value for m in MergeMode]}",
 }
 
 
@@ -90,47 +113,17 @@ class PipelineConfig:
             raise ConfigError("refine.samples_per_gt must be >= 1")
 
 
-def _check_known(cp: configparser.ConfigParser) -> None:
-    for section in cp.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-
-
-def _get(cp, section: str, key: str, default: str | None = None) -> str | None:
-    if cp.has_option(section, key):
-        value = cp.get(section, key).strip()
-        return value if value else default
-    return default
-
-
-def _get_int(cp, section: str, key: str, default: int | None) -> int | None:
-    raw = _get(cp, section, key)
-    if raw is None:
+def _parse(cp: configparser.ConfigParser, section: str, key: str):
+    parser, default = _KEYS[section][key]
+    raw = cp.get(section, key, fallback="").strip()
+    if not raw:
         return default
     try:
-        return int(raw)
+        return parser(raw)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}") from exc
-
-
-def _get_float(cp, section: str, key: str, default: float) -> float:
-    raw = _get(cp, section, key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from exc
-
-
-def _resolve_path(base: Path, raw: str | None) -> Path | None:
-    if raw is None:
-        return None
-    path = Path(raw)
-    return path if path.is_absolute() else (base / path)
+        raise ConfigError(
+            f"{section}.{key} must be {_EXPECTED[parser]}, got {raw!r}"
+        ) from exc
 
 
 def parse_override(flag: str) -> tuple[str, str]:
@@ -138,7 +131,7 @@ def parse_override(flag: str) -> tuple[str, str]:
     if flag.count(".") != 1:
         raise ConfigError(f"override {flag!r} is not of the form section.key")
     section, key = flag.split(".")
-    if section not in _KNOWN_KEYS or key not in _KNOWN_KEYS[section]:
+    if key not in _KEYS.get(section, ()):
         raise ConfigError(f"unknown config key {flag!r}")
     return section, key
 
@@ -156,129 +149,81 @@ def load_config(
             cp.read_file(handle)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    _check_known(cp)
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in cp[section]:
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown config key {section}.{key}")
     for flag, value in (overrides or {}).items():
         section, key = parse_override(flag)
         if not cp.has_section(section):
             cp.add_section(section)
         cp[section][key] = value
 
+    values = {
+        section: {key: _parse(cp, section, key) for key in keys}
+        for section, keys in _KEYS.items()
+    }
+    # relative to the config file; joining an absolute path keeps it as is
     base = path.parent.resolve()
-    captions_path = _resolve_path(base, _get(cp, "paths", "captions"))
-    queries_path = _resolve_path(base, _get(cp, "paths", "queries"))
-    transcripts_path = _resolve_path(base, _get(cp, "paths", "transcripts"))
-    output_path = _resolve_path(base, _get(cp, "paths", "output"))
-    for name, p in (
-        ("paths.captions", captions_path),
-        ("paths.queries", queries_path),
-        ("paths.transcripts", transcripts_path),
-    ):
-        if p is not None and not p.is_file():
-            raise ConfigError(f"{name} file {p} does not exist")
-
-    seed = _get_int(cp, "run", "seed", None)
-    if seed is None:
+    paths = {
+        key: None if raw is None else base / raw for key, raw in values["paths"].items()
+    }
+    for key, p in paths.items():
+        if key != "output" and p is not None and not p.is_file():
+            raise ConfigError(f"paths.{key} file {p} does not exist")
+    if values["run"]["seed"] is None:
         raise ConfigError("run.seed is required; runs are never seeded from the clock")
 
-    blocklist_raw = _get(cp, "digest", "blocklist")
-    if blocklist_raw is None:
-        blocklist = DEFAULT_BLOCKLIST
-    else:
-        blocklist = tuple(
-            part.strip() for part in blocklist_raw.split(",") if part.strip()
-        )
-    merge_mode_raw = _get(cp, "digest", "merge_mode", "concat")
+    refine = values["refine"]
+    samples_per_gt = refine.pop("samples_per_gt")
+    scale_range = tuple(refine.pop(key) for key in _SCALE_KEYS)
     try:
-        merge_mode = MergeMode(merge_mode_raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"digest.merge_mode must be one of {[m.value for m in MergeMode]}"
-        ) from exc
-    try:
-        digest_cfg = DigestConfig(
-            blocklist=blocklist,
-            relevance_threshold=_get_float(cp, "digest", "relevance_threshold", 0.30),
-            adjacency_threshold=_get_float(cp, "digest", "adjacency_threshold", 0.85),
-            max_merge_group=_get_int(cp, "digest", "max_merge_group", 8),
-            merge_mode=merge_mode,
-        )
-        refine_cfg = RefineConfig(
-            pad_alpha=_get_float(cp, "refine", "pad_alpha", 10.0),
-            jitter_shift_max=_get_float(cp, "refine", "jitter_shift_max", 30.0),
-            jitter_scale_range=(
-                _get_float(cp, "refine", "jitter_scale_lo", 0.5),
-                _get_float(cp, "refine", "jitter_scale_hi", 2.0),
-            ),
-            pos_iou=_get_float(cp, "refine", "pos_iou", 0.5),
-            neg_iou=_get_float(cp, "refine", "neg_iou", 0.1),
-        )
+        digest_cfg = DigestConfig(**values["digest"])
+        refine_cfg = RefineConfig(jitter_scale_range=scale_range, **refine)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     return PipelineConfig(
-        captions_path=captions_path,
-        queries_path=queries_path,
-        transcripts_path=transcripts_path,
-        output_path=output_path,
-        seed=seed,
-        runs=_get_int(cp, "run", "runs", 5),
-        in_flight_limit=_get_int(cp, "run", "in_flight_limit", 4),
-        llm_kind=_get(cp, "llm", "kind", "replay"),
-        llm_endpoint=_get(cp, "llm", "endpoint"),
-        llm_auth_env=_get(cp, "llm", "auth_env"),
-        embedder_kind=_get(cp, "embedder", "kind", "mock"),
-        embedder_endpoint=_get(cp, "embedder", "endpoint"),
-        embedder_auth_env=_get(cp, "embedder", "auth_env"),
-        embedder_dim=_get_int(cp, "embedder", "dim", 64),
+        **{f"{key}_path": p for key, p in paths.items()},
+        **values["run"],
+        **{f"{s}_{key}": v for s in ("llm", "embedder") for key, v in values[s].items()},
         digest=digest_cfg,
         refine=refine_cfg,
-        samples_per_gt=_get_int(cp, "refine", "samples_per_gt", 10),
+        samples_per_gt=samples_per_gt,
     )
 
 
+def _held(config: PipelineConfig, section: str, key: str):
+    """The value config holds for section.key, wherever load_config put it."""
+    if section == "paths":
+        return getattr(config, f"{key}_path")
+    if section in ("llm", "embedder"):
+        return getattr(config, f"{section}_{key}")
+    if key in _SCALE_KEYS:
+        return config.refine.jitter_scale_range[_SCALE_KEYS.index(key)]
+    stage = getattr(config, section) if section in ("digest", "refine") else config
+    return getattr(stage, key) if hasattr(stage, key) else getattr(config, key)
+
+
+def _plain(value):
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, MergeMode):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
+
+
 def effective_dict(config: PipelineConfig) -> dict:
-    """The resolved settings as one nested dict, for hashing and manifests."""
+    """The resolved settings as one nested dict, for hashing and manifests.
+
+    Every key of the table is read back from config: paths as strings,
+    the blocklist as a list and the merge mode as its value.
+    """
     return {
-        "paths": {
-            "captions": str(config.captions_path) if config.captions_path else None,
-            "queries": str(config.queries_path) if config.queries_path else None,
-            "transcripts": (
-                str(config.transcripts_path) if config.transcripts_path else None
-            ),
-            "output": str(config.output_path) if config.output_path else None,
-        },
-        "run": {
-            "seed": config.seed,
-            "runs": config.runs,
-            "in_flight_limit": config.in_flight_limit,
-        },
-        "llm": {
-            "kind": config.llm_kind,
-            "endpoint": config.llm_endpoint,
-            "auth_env": config.llm_auth_env,
-        },
-        "embedder": {
-            "kind": config.embedder_kind,
-            "endpoint": config.embedder_endpoint,
-            "auth_env": config.embedder_auth_env,
-            "dim": config.embedder_dim,
-        },
-        "digest": {
-            "blocklist": list(config.digest.blocklist),
-            "relevance_threshold": config.digest.relevance_threshold,
-            "adjacency_threshold": config.digest.adjacency_threshold,
-            "max_merge_group": config.digest.max_merge_group,
-            "merge_mode": config.digest.merge_mode.value,
-        },
-        "refine": {
-            "pad_alpha": config.refine.pad_alpha,
-            "jitter_shift_max": config.refine.jitter_shift_max,
-            "jitter_scale_lo": config.refine.jitter_scale_range[0],
-            "jitter_scale_hi": config.refine.jitter_scale_range[1],
-            "pos_iou": config.refine.pos_iou,
-            "neg_iou": config.refine.neg_iou,
-            "samples_per_gt": config.samples_per_gt,
-        },
+        section: {key: _plain(_held(config, section, key)) for key in keys}
+        for section, keys in _KEYS.items()
     }
 
 

@@ -360,22 +360,3 @@ def load_queries(path: str | Path) -> list[Query]:
         queries.append(query)
     return queries
 
-
-def check_queries_against_tracks(
-    queries: Iterable[Query], tracks: Mapping[str, CaptionTrack]
-) -> None:
-    """Verify every gt window lies within its track's clip bounds."""
-    for query in queries:
-        if query.gt_window is None:
-            continue
-        track = tracks.get(query.video_id)
-        if track is None:
-            raise CorpusError(
-                f"query {query.qid!r} references unknown video {query.video_id!r}"
-            )
-        lo, hi = query.gt_window
-        if lo < track.clip_start_s or hi > track.clip_end_s:
-            raise CorpusError(
-                f"gt window ({lo}, {hi}) of query {query.qid!r} outside clip bounds "
-                f"({track.clip_start_s}, {track.clip_end_s})"
-            )

@@ -11,7 +11,7 @@ crosses video boundaries.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -88,15 +88,7 @@ class DigestStats:
     output_captions: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "input_captions": self.input_captions,
-            "dropped_uninformative": self.dropped_uninformative,
-            "dropped_irrelevant": self.dropped_irrelevant,
-            "groups_merged": self.groups_merged,
-            "captions_merged_away": self.captions_merged_away,
-            "merge_fallbacks": self.merge_fallbacks,
-            "output_captions": self.output_captions,
-        }
+        return asdict(self)
 
 
 def drop_uninformative(track: CaptionTrack, cfg: DigestConfig) -> CaptionTrack:

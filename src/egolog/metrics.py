@@ -10,7 +10,6 @@ undefined_metrics rather than omitted, so reports stay schema-stable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
@@ -329,10 +328,6 @@ def report_as_dict(report: EvalReport) -> dict:
             for level, sub in sorted(report.per_confidence.items())
         }
     return out
-
-
-def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report_as_dict(report), indent=2)
 
 
 def report_to_text(report: EvalReport) -> str:

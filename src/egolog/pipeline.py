@@ -323,70 +323,82 @@ def run_gen_refine_data(config: PipelineConfig) -> list[dict]:
     return [sample_to_record(s) for s in samples]
 
 
-def _read_prediction_rows(path) -> list[dict]:
-    return [row for _, row in iter_jsonl(path)]
+def _read_prediction_rows(path) -> list[tuple[str, int, dict]]:
+    """(qid, line number, row) per prediction; every qid present and distinct."""
+    rows: list[tuple[str, int, dict]] = []
+    first_line: dict[str, int] = {}
+    for lineno, row in iter_jsonl(path):
+        if "qid" not in row:
+            raise MetricsError(f"prediction has no 'qid' in {path} at line {lineno}")
+        qid = str(row["qid"])
+        if qid in first_line:
+            raise MetricsError(
+                f"duplicate prediction for {qid!r} in {path} at line {lineno}"
+                f" (first at line {first_line[qid]})"
+            )
+        first_line[qid] = lineno
+        rows.append((qid, lineno, row))
+    return rows
+
+
+def _prediction(
+    qid: str, row: dict, kind: QueryKind
+) -> tuple[LlmAnswer, tuple[float, float] | None]:
+    """The answer a prediction row carries, plus its final window for NLQ."""
+    common = dict(
+        qid=qid,
+        kind=kind,
+        confidence=int(row.get("confidence", 1)),
+        explanation=str(row.get("explanation", "")),
+    )
+    if kind is QueryKind.QA:
+        return LlmAnswer(choice_idx=int(row["choice"]), **common), None
+    candidates = tuple(
+        CandidateInterval(float(c[0]), float(c[1])) for c in row.get("candidates", [])
+    )
+    window = CandidateInterval(row["predicted_window"][0], row["predicted_window"][1])
+    return LlmAnswer(intervals=candidates, **common), window.as_pair()
 
 
 def run_eval(config: PipelineConfig, predictions_path, task: str) -> EvalReport:
-    """Score a predictions file against the ground truth in the queries file."""
+    """Score a predictions file against the ground truth in the queries file.
+
+    A prediction row without a qid or the answer field of the task, with a
+    value of the wrong type or with a repeated qid raises MetricsError
+    naming the file and line.
+    """
     if task not in ("qa", "nlq"):
         raise ConfigError(f"task must be qa or nlq, got {task!r}")
+    kind = QueryKind(task)
     queries = load_queries(_require(config.queries_path, "queries"))
     by_qid = {q.qid: q for q in queries}
     rows = _read_prediction_rows(predictions_path)
 
-    unknown = sorted({str(r.get("qid")) for r in rows} - set(by_qid))
+    unknown = sorted({qid for qid, _, _ in rows} - set(by_qid))
     if unknown:
         raise MetricsError(f"predictions for unknown qids: {unknown}")
-    missing_gt = sorted(
-        str(r["qid"])
-        for r in rows
-        if (
-            by_qid[str(r["qid"])].gt_answer_idx is None
-            if task == "qa"
-            else by_qid[str(r["qid"])].gt_window is None
-        )
-    )
+    gts = {
+        qid: by_qid[qid].gt_answer_idx if task == "qa" else by_qid[qid].gt_window
+        for qid, _, _ in rows
+    }
+    missing_gt = sorted(qid for qid, gt in gts.items() if gt is None)
     if missing_gt:
         raise MetricsError(f"queries without ground truth: {missing_gt}")
-    wrong_kind = sorted(
-        str(r["qid"]) for r in rows if by_qid[str(r["qid"])].kind.value != task
-    )
+    wrong_kind = sorted(qid for qid in gts if by_qid[qid].kind is not kind)
     if wrong_kind:
         raise MetricsError(f"predictions for non-{task} queries: {wrong_kind}")
 
-    if task == "qa":
-        preds = {}
-        gts_qa = {}
-        for row in rows:
-            qid = str(row["qid"])
-            preds[qid] = LlmAnswer(
-                qid=qid,
-                kind=QueryKind.QA,
-                choice_idx=int(row["choice"]),
-                confidence=int(row.get("confidence", 1)),
-                explanation=str(row.get("explanation", "")),
-            )
-            gts_qa[qid] = by_qid[qid].gt_answer_idx
-        return evaluate_qa(preds, gts_qa)
-
+    field = "choice" if kind is QueryKind.QA else "predicted_window"
     preds = {}
     finals = {}
-    gts_nlq = {}
-    for row in rows:
-        qid = str(row["qid"])
-        candidates = tuple(
-            CandidateInterval(float(c[0]), float(c[1]))
-            for c in row.get("candidates", [])
-        )
-        preds[qid] = LlmAnswer(
-            qid=qid,
-            kind=QueryKind.NLQ,
-            intervals=candidates,
-            confidence=int(row.get("confidence", 1)),
-            explanation=str(row.get("explanation", "")),
-        )
-        window = row["predicted_window"]
-        finals[qid] = (float(window[0]), float(window[1]))
-        gts_nlq[qid] = by_qid[qid].gt_window
-    return evaluate_nlq(preds, finals, gts_nlq)
+    for qid, lineno, row in rows:
+        where = f"in {predictions_path} at line {lineno}"
+        if field not in row:
+            raise MetricsError(f"prediction for {qid!r} has no {field!r} {where}")
+        try:
+            preds[qid], finals[qid] = _prediction(qid, row, kind)
+        except (TypeError, ValueError, IndexError, KeyError) as exc:
+            raise MetricsError(f"bad prediction for {qid!r}: {exc} {where}") from exc
+    if kind is QueryKind.QA:
+        return evaluate_qa(preds, gts)
+    return evaluate_nlq(preds, finals, gts)

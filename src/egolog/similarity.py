@@ -208,16 +208,38 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    return (a @ b.T) / np.outer(_norms(a), _norms(b))
+    a, norms_a = _rows_and_norms(a)
+    b, norms_b = _rows_and_norms(b)
+    return (a @ b.T) / np.outer(norms_a, norms_b)
 
 
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine similarity of each row of a with the same row of b, as in cosine_matrix."""
-    return np.einsum("ij,ij->i", a, b) / (_norms(a) * _norms(b))
+    a, norms_a = _rows_and_norms(a)
+    b, norms_b = _rows_and_norms(b)
+    return np.einsum("ij,ij->i", a, b) / (norms_a * norms_b)
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+# 2**-1022 * 2**53: below it, subnormal squares may count at double precision
+_TINY_SQUARES = 2.0**-969
+
+
+def _rows_and_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and its row norms, rows too small or too large to square rescaled.
+
+    A row whose sum of squares underflows or overflows is multiplied by the
+    power of two that brings its largest entry into [0.5, 1). The scaling is
+    exact and cancels in the cosine, and every other row is left untouched,
+    so its scores stay bit for bit those of the plain formula.
+    """
+    squares = np.einsum("ij,ij->i", x, x)
+    odd = (squares < _TINY_SQUARES) | np.isinf(squares)
+    if odd.any():
+        _, exponents = np.frexp(np.abs(x[odd]).max(axis=1))
+        x = x.copy()
+        x[odd] = np.ldexp(x[odd], -exponents[:, None])
+        squares[odd] = np.einsum("ij,ij->i", x[odd], x[odd])
+    norms = np.sqrt(squares)
     if not norms.all():
         raise ValueError("cosine undefined for zero-norm vector")
-    return norms
+    return x, norms

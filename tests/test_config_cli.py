@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import configparser
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,36 @@ from helpers import synth_nlq_benchmark, synth_qa_benchmark, write_config, write
 MINIMAL = """\
 [run]
 seed = 7
+"""
+
+# every key but the paths, none at its default
+EVERY_NON_PATH_KEY = """\
+[run]
+seed = 7
+runs = 3
+in_flight_limit = 2
+[llm]
+kind = http
+endpoint = http://localhost:8000/complete
+auth_env = HOME
+[embedder]
+kind = http
+endpoint = http://localhost:8000/embed
+dim = 32
+[digest]
+blocklist = waves hello, nods
+relevance_threshold = 0.4
+adjacency_threshold = 0.9
+max_merge_group = 4
+merge_mode = llm
+[refine]
+pad_alpha = 5
+jitter_shift_max = 6
+jitter_scale_lo = 0.25
+jitter_scale_hi = 4
+pos_iou = 0.6
+neg_iou = 0.05
+samples_per_gt = 2
 """
 
 
@@ -154,6 +187,35 @@ class TestConfigHash:
         out = effective_dict(minimal_config(tmp_path))
         assert set(out) == {"paths", "run", "llm", "embedder", "digest", "refine"}
         assert out["run"]["seed"] == 7
+
+    # the hash names the exact settings of every manifest already written,
+    # so a loader change must not move it
+    def test_hash_pinned_for_minimal_file(self, tmp_path):
+        assert config_sha256(minimal_config(tmp_path)) == (
+            "723a099db8cb782a2aaecbbbb241c65d63e9a6fc0211931c0dfc600d80d671ee"
+        )
+
+    def test_hash_pinned_for_every_non_path_key(self, tmp_path):
+        config = minimal_config(tmp_path, body=EVERY_NON_PATH_KEY)
+        assert config_sha256(config) == (
+            "2ca34f647916ba01ebb7fa66b646968a476b68a1a64437266329c6cb96f762c7"
+        )
+
+    def test_readme_block_lists_every_key_and_loads(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        (block,) = re.findall(r"```ini\n(.*?)```", readme.read_text("utf-8"), re.S)
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(block)
+        documented = {section: set(cp[section]) for section in cp.sections()}
+        config = minimal_config(tmp_path)
+        assert documented == {s: set(keys) for s, keys in effective_dict(config).items()}
+        # it loads, and every value it shows outside [paths] is the default
+        for name in ("captions.jsonl", "queries.jsonl", "transcripts.json"):
+            (tmp_path / name).write_text("", encoding="utf-8")
+        shown = effective_dict(minimal_config(tmp_path, body=block))
+        defaults = effective_dict(config)
+        del shown["paths"], defaults["paths"]
+        assert shown == defaults
 
     def test_direct_construction_validated(self):
         with pytest.raises(ConfigError, match="runs"):

@@ -11,7 +11,6 @@ from egolog.corpus import (
     CaptionTrack,
     Query,
     QueryKind,
-    check_queries_against_tracks,
     load_captions,
     load_queries,
     normalize_seconds,
@@ -260,13 +259,3 @@ class TestQueriesIO:
         (query,) = load_queries(path)
         assert query.gt_window == (1.0, 3.0)
 
-    def test_check_against_tracks(self):
-        track = make_track(n=3)  # bounds (0, 6)
-        good = Query("n1", "v1", QueryKind.NLQ, "when?", gt_window=(1.0, 5.0))
-        check_queries_against_tracks([good], {"v1": track})
-        missing_video = Query("n2", "vX", QueryKind.NLQ, "when?", gt_window=(1.0, 5.0))
-        with pytest.raises(CorpusError, match="unknown video"):
-            check_queries_against_tracks([missing_video], {"v1": track})
-        outside = Query("n3", "v1", QueryKind.NLQ, "when?", gt_window=(1.0, 7.0))
-        with pytest.raises(CorpusError):
-            check_queries_against_tracks([outside], {"v1": track})

@@ -143,6 +143,19 @@ class TestRelevanceFilter:
         out = filter_by_relevance(track, [nlq_query()], backend, cfg)
         assert out == track
 
+    def test_rows_too_small_to_square(self):
+        # [1e-170, 0, ...] is not a zero vector, but its squares underflow to 0
+        rows = {"C cuts bread": [1e-170, 0.0, 0.0], "C waters plants": [0.0, 0.0, 1e-170]}
+
+        class TinyEmbedder:
+            def embed_texts(self, texts):
+                return [rows.get(text, [1.0, 1.0, 0.0]) for text in texts]
+
+        track = make_track(texts=list(rows))
+        cfg = DigestConfig(relevance_threshold=0.5)
+        out = filter_by_relevance(track, [nlq_query()], TinyEmbedder(), cfg)
+        assert [c.text for c in out.captions] == ["C cuts bread"]
+
     def test_order_preserved(self):
         backend = MockEmbedder(seed=7)
         track = make_track(n=8)

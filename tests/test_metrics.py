@@ -19,7 +19,6 @@ from egolog.metrics import (
     qa_accuracy,
     recall_at_1,
     report_as_dict,
-    report_to_json,
     report_to_text,
 )
 from egolog.reasoner import CandidateInterval, LlmAnswer
@@ -382,12 +381,6 @@ class TestReportSerialization:
         assert set(out["iou_star"]) == {"0.3", "0.5"}
         assert set(out["per_confidence"]) == {"1", "2", "3"}
         assert "qa_accuracy" not in out
-
-    def test_json_parses(self):
-        import json
-
-        parsed = json.loads(report_to_json(self.report()))
-        assert parsed["n_queries"] == 2
 
     def test_text_lines(self):
         text = report_to_text(self.report())

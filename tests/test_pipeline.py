@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -372,6 +373,11 @@ class TestRunGenRefineData:
             run_gen_refine_data(config)
 
 
+def _at(i, change):
+    """An edit of a list of prediction rows that replaces row i by change(row)."""
+    return lambda rows: rows[:i] + [change(rows[i])] + rows[i + 1 :]
+
+
 class TestRunEval:
     def localize_and_eval(self, tmp_path):
         tracks, queries = synth_nlq_benchmark(n_items=5, captions_per_video=8)
@@ -405,6 +411,35 @@ class TestRunEval:
                 + "\n"
             )
         with pytest.raises(MetricsError, match="unknown qids.*mystery"):
+            run_eval(config, preds, "nlq")
+
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            (_at(0, lambda row: {"qid": row["qid"]}), 1, "has no 'predicted_window'"),
+            (_at(1, lambda row: {**row, "confidence": "high"}), 2, "invalid literal"),
+            (_at(2, lambda row: {"predicted_window": [0, 1]}), 3, "has no 'qid'"),
+            (_at(3, lambda row: {**row, "candidates": [[5, 1]]}), 4, "inverted"),
+            (_at(4, lambda row: {**row, "predicted_window": "soon"}), 5, "could not"),
+            (_at(4, lambda row: {**row, "predicted_window": [9, 2]}), 5, "inverted"),
+            (lambda rows: rows + rows[:1], 6, "duplicate prediction"),
+        ],
+        ids=[
+            "no-window",
+            "word-confidence",
+            "no-qid",
+            "inverted-candidate",
+            "text-window",
+            "inverted-window",
+            "duplicate",
+        ],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, edit, line, message):
+        config, preds = self.localize_and_eval(tmp_path)
+        rows = [json.loads(text) for text in preds.read_text("utf-8").splitlines()]
+        preds.write_text("".join(json.dumps(r) + "\n" for r in edit(rows)), "utf-8")
+        where = f"in {re.escape(str(preds))} at line {line}"
+        with pytest.raises(MetricsError, match=f"{message}.*{where}"):
             run_eval(config, preds, "nlq")
 
     def test_wrong_task_rejected(self, tmp_path):
