@@ -18,6 +18,7 @@ from typing import Sequence
 from .corpus import Caption, CaptionTrack, Query
 from .llm import LlmBackend
 from .errors import EgologError
+from .retry import map_in_order
 from .similarity import EmbedderBackend, cosine_matrix, cosine_rows, embed_batch
 
 logger = logging.getLogger(__name__)
@@ -182,39 +183,49 @@ def merge_groups(
     groups: Sequence[MergeGroup],
     llm: LlmBackend | None,
     cfg: DigestConfig,
+    in_flight_limit: int = 1,
 ) -> tuple[CaptionTrack, int]:
     """Replace each group with a single caption spanning its interval.
 
-    In LLM mode the member texts go through the merge prompt; any backend
-    failure degrades that group to concatenation. Returns the merged track
-    and the number of LLM fallbacks.
+    In LLM mode the member texts go through the merge prompt, with at most
+    in_flight_limit merge completions in flight at once; any backend
+    failure degrades that group to concatenation. Merged captions follow
+    the group order whatever the limit. Returns the merged track and the
+    number of LLM fallbacks.
     """
     grouped: set[int] = set()
     for group in groups:
         grouped.update(group.member_indices)
-    fallbacks = 0
+
+    def member_texts(group: MergeGroup) -> list[str]:
+        return [track.captions[i].text for i in group.member_indices]
+
+    def llm_merge(group: MergeGroup) -> tuple[str, bool]:
+        """The merged text and whether it fell back to concatenation."""
+        texts = member_texts(group)
+        try:
+            text = llm.complete(MERGE_PROMPT, "\n".join(texts)).strip()
+            if not text:
+                raise EgologError("merge produced empty text")
+        except EgologError as exc:
+            logger.warning(
+                "merge failed for video %r group %s: %s; falling back to concat",
+                track.video_id,
+                group.member_indices,
+                exc,
+            )
+            return concat_merge_text(texts), True
+        return text, False
+
+    if cfg.merge_mode is MergeMode.LLM and llm is not None:
+        merged = map_in_order(llm_merge, groups, in_flight_limit)
+    else:
+        merged = [(concat_merge_text(member_texts(g)), False) for g in groups]
 
     merged_captions: list[Caption] = [
         cap for i, cap in enumerate(track.captions) if i not in grouped
     ]
-    for group in groups:
-        texts = [track.captions[i].text for i in group.member_indices]
-        if cfg.merge_mode is MergeMode.LLM and llm is not None:
-            try:
-                text = llm.complete(MERGE_PROMPT, "\n".join(texts)).strip()
-                if not text:
-                    raise EgologError("merge produced empty text")
-            except EgologError as exc:
-                logger.warning(
-                    "merge failed for video %r group %s: %s; falling back to concat",
-                    track.video_id,
-                    group.member_indices,
-                    exc,
-                )
-                fallbacks += 1
-                text = concat_merge_text(texts)
-        else:
-            text = concat_merge_text(texts)
+    for group, (text, _) in zip(groups, merged):
         merged_captions.append(
             Caption(
                 video_id=track.video_id,
@@ -223,6 +234,7 @@ def merge_groups(
                 text=text,
             )
         )
+    fallbacks = sum(fell_back for _, fell_back in merged)
     return track.replace_captions(merged_captions), fallbacks
 
 
@@ -232,11 +244,13 @@ def digest(
     backend: EmbedderBackend,
     llm: LlmBackend | None,
     cfg: DigestConfig,
+    in_flight_limit: int = 1,
 ) -> tuple[CaptionTrack, DigestStats]:
     """Run the full digest pipeline on one track.
 
     Relevance filtering is skipped when there are no queries for the track
     or when the threshold sits at -1 (keeps everything by definition).
+    in_flight_limit bounds the LLM merge completions in flight at once.
     """
     stats = DigestStats(input_captions=len(track.captions))
 
@@ -250,7 +264,7 @@ def digest(
     stats.dropped_irrelevant = len(stage1.captions) - len(stage2.captions)
 
     groups = group_consecutive(stage2, backend, cfg) if stage2.captions else []
-    merged, fallbacks = merge_groups(stage2, groups, llm, cfg)
+    merged, fallbacks = merge_groups(stage2, groups, llm, cfg, in_flight_limit)
     stats.groups_merged = len(groups)
     stats.captions_merged_away = sum(len(g.member_indices) - 1 for g in groups)
     stats.merge_fallbacks = fallbacks

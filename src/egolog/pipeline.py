@@ -4,9 +4,13 @@ digest, ask and localize share one unit runner. A unit is (keys,
 video_id, queries): one video keyed by its id (digest), one QA question
 keyed by its qid (ask), or one video with all of its NLQ queries keyed
 by their qids (localize). Units run on a thread pool bounded by
-in_flight_limit. A missing track or an EgologError fails every key of
-its unit and nothing else. Outputs and failures come back in input
-query order (track order for digest), so results are byte-identical
+in_flight_limit. Within a unit, the independent completions (the runs of
+an ask prompt and the LLM caption merges of a digest) run on a pool of
+their own with the same bound, so at most in_flight_limit squared
+completions are in flight in all. A missing track or an EgologError
+fails every key of its unit and nothing else. Outputs and failures come
+back in input query order (track order for digest), and each unit's
+completions in their own order, so results are byte-identical
 regardless of pool size.
 
 All derived randomness flows from the config seed: per-question prompts
@@ -20,7 +24,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -54,13 +57,13 @@ from .refine import (
     sample_to_record,
     select_candidate,
 )
+from .retry import map_in_order
 from .seeding import derive_seed
 from .similarity import CachedEmbedder, EmbedderBackend, HttpEmbedder, MockEmbedder
 
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
-U = TypeVar("U")
 Unit = tuple[list[str], str, list[Query]]
 
 
@@ -95,15 +98,6 @@ def _require(path, name: str):
     if path is None:
         raise ConfigError(f"paths.{name} is required for this command")
     return path
-
-
-def _map_units(
-    fn: Callable[[T], U], units: Sequence[T], in_flight_limit: int
-) -> list[U]:
-    if in_flight_limit <= 1 or len(units) <= 1:
-        return [fn(unit) for unit in units]
-    with ThreadPoolExecutor(max_workers=in_flight_limit) as pool:
-        return list(pool.map(fn, units))
 
 
 def _log_event(stage: str, **fields) -> None:
@@ -157,7 +151,7 @@ def _run_units(
         return outputs
 
     by_key: dict[str, T | UnitFailure] = {}
-    for results in _map_units(one, units, config.in_flight_limit):
+    for results in map_in_order(one, units, config.in_flight_limit):
         by_key.update(results)
     ordered = [by_key[key] for key in order if key in by_key]
     failures = [r for r in ordered if isinstance(r, UnitFailure)]
@@ -185,7 +179,11 @@ def run_digest(
         llm = build_llm(config)
 
     def digest_video(track: CaptionTrack, qs: list[Query]) -> dict:
-        return {track.video_id: digest(track, qs, embedder, llm, config.digest)}
+        return {
+            track.video_id: digest(
+                track, qs, embedder, llm, config.digest, config.in_flight_limit
+            )
+        }
 
     units = [([vid], vid, [q for q in queries if q.video_id == vid]) for vid in tracks]
     results, failures = _run_units(
@@ -211,10 +209,16 @@ def run_ask(
 
     def answer(track: CaptionTrack, unit_queries: list[Query]) -> dict[str, dict]:
         (query,) = unit_queries
-        digested, _ = digest(track, [query], embedder, llm, config.digest)
+        digested, _ = digest(
+            track, [query], embedder, llm, config.digest, config.in_flight_limit
+        )
         prompt = build_qa_prompt(digested, query)
         outcome = run(
-            prompt, llm, config.runs, derive_seed(config.seed, "ask", query.qid)
+            prompt,
+            llm,
+            config.runs,
+            derive_seed(config.seed, "ask", query.qid),
+            in_flight_limit=config.in_flight_limit,
         )
         answers = []
         for response in outcome.responses:
@@ -263,7 +267,9 @@ def run_localize(
         scorer = CaptionOverlapScorer(embedder, config.digest.relevance_threshold)
 
     def localize(track: CaptionTrack, video_queries: list[Query]) -> dict[str, dict]:
-        digested, _ = digest(track, video_queries, embedder, llm, config.digest)
+        digested, _ = digest(
+            track, video_queries, embedder, llm, config.digest, config.in_flight_limit
+        )
         prompt = build_nlq_prompt(digested, video_queries)
         outcome = run(prompt, llm, 1, derive_seed(config.seed, "nlq", track.video_id))
         if not outcome.responses:
@@ -341,6 +347,20 @@ def _read_prediction_rows(path) -> list[tuple[str, int, dict]]:
     return rows
 
 
+def _whole(value, name: str) -> int:
+    """An integer field of a prediction row; a bool or a fraction is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _seconds(value) -> float:
+    """A window bound of a prediction row; a bool is an error."""
+    if isinstance(value, bool):
+        raise ValueError(f"window bounds must be numbers, got {value!r}")
+    return float(value)
+
+
 def _prediction(
     qid: str, row: dict, kind: QueryKind
 ) -> tuple[LlmAnswer, tuple[float, float] | None]:
@@ -348,15 +368,17 @@ def _prediction(
     common = dict(
         qid=qid,
         kind=kind,
-        confidence=int(row.get("confidence", 1)),
+        confidence=_whole(row.get("confidence", 1), "confidence"),
         explanation=str(row.get("explanation", "")),
     )
     if kind is QueryKind.QA:
-        return LlmAnswer(choice_idx=int(row["choice"]), **common), None
+        return LlmAnswer(choice_idx=_whole(row["choice"], "choice"), **common), None
     candidates = tuple(
-        CandidateInterval(float(c[0]), float(c[1])) for c in row.get("candidates", [])
+        CandidateInterval(_seconds(c[0]), _seconds(c[1]))
+        for c in row.get("candidates", [])
     )
-    window = CandidateInterval(row["predicted_window"][0], row["predicted_window"][1])
+    bounds = row["predicted_window"]
+    window = CandidateInterval(_seconds(bounds[0]), _seconds(bounds[1]))
     return LlmAnswer(intervals=candidates, **common), window.as_pair()
 
 
@@ -364,8 +386,9 @@ def run_eval(config: PipelineConfig, predictions_path, task: str) -> EvalReport:
     """Score a predictions file against the ground truth in the queries file.
 
     A prediction row without a qid or the answer field of the task, with a
-    value of the wrong type or with a repeated qid raises MetricsError
-    naming the file and line.
+    value of the wrong type (a bool anywhere, a confidence or choice with a
+    fractional part) or with a repeated qid raises MetricsError naming the
+    file and line.
     """
     if task not in ("qa", "nlq"):
         raise ConfigError(f"task must be qa or nlq, got {task!r}")

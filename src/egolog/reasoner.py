@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 from .corpus import CaptionTrack, Query, QueryKind, normalize_caption_text
 from .errors import EgologError, ParseError
 from .llm import LlmBackend
-from .retry import RetryPolicy, call_with_retries
+from .retry import RetryPolicy, call_with_retries, map_in_order
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -227,18 +227,20 @@ def run(
     *,
     retry: RetryPolicy = RetryPolicy(),
     sleep: Callable[[float], None] = time.sleep,
+    in_flight_limit: int = 1,
 ) -> RunOutcome:
     """Issue `runs` independent completions for one prompt.
 
     Per-run sampling seeds are derived from (seed, run index). Transport
     failures are retried with capped exponential backoff; a run that
     exhausts its budget is recorded as failed and excluded downstream.
+    At most in_flight_limit runs are in flight at once; responses and
+    failures come back in run-index order whatever the limit.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    responses: list[RunResponse] = []
-    failures: list[RunFailure] = []
-    for run_index in range(runs):
+
+    def one(run_index: int) -> RunResponse | RunFailure:
         sampling_seed = derive_seed(seed, "run", run_index)
         try:
             text = call_with_retries(
@@ -254,10 +256,14 @@ def run(
             )
         except EgologError as exc:
             logger.warning("run %d failed permanently: %s", run_index, exc)
-            failures.append(RunFailure(run_index, str(exc)))
-            continue
-        responses.append(RunResponse(run_index, text))
-    return RunOutcome(tuple(responses), tuple(failures))
+            return RunFailure(run_index, str(exc))
+        return RunResponse(run_index, text)
+
+    results = map_in_order(one, range(runs), in_flight_limit)
+    return RunOutcome(
+        tuple(r for r in results if isinstance(r, RunResponse)),
+        tuple(r for r in results if isinstance(r, RunFailure)),
+    )
 
 
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*[ \t]*\n?(.*?)```", re.DOTALL)

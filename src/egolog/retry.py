@@ -1,17 +1,19 @@
-"""Retry policy for remote backend calls."""
+"""How remote backend calls are issued: the retry policy and a bounded in-order map."""
 
 from __future__ import annotations
 
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .errors import TransportError
 
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
+U = TypeVar("U")
 
 
 @dataclass(frozen=True)
@@ -59,3 +61,18 @@ def call_with_retries(
             sleep(delay)
     assert last is not None
     raise last
+
+
+def map_in_order(fn: Callable[[T], U], items: Sequence[T], limit: int) -> list[U]:
+    """fn over items with at most limit calls in flight; results in item order.
+
+    With limit <= 1 or fewer than two items every call runs in the caller's
+    thread. Otherwise the calls run on a pool made for this call alone, so
+    fn may itself call map_in_order without waiting on a worker that its
+    caller holds. The first exception in item order propagates once the
+    calls already running have finished; calls not yet started are dropped.
+    """
+    if limit <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(limit, len(items))) as pool:
+        return list(pool.map(fn, items))

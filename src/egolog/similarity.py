@@ -144,35 +144,52 @@ class HttpEmbedder:
 class CachedEmbedder:
     """Thread-safe per-text embedding cache in front of a backend.
 
-    Texts not cached yet are de-duplicated and sent to the backend as one
-    batch in first-seen order. Their rows are kept read-only for the
-    wrapper's lifetime; threads racing on one text all get the row stored
-    first.
+    Texts neither cached nor being fetched are de-duplicated and sent to
+    the backend as one batch in first-seen order; a text another thread is
+    already fetching is waited for, not sent again. If that fetch fails,
+    the waiting threads fetch the text themselves, so the failure stays
+    with the caller that made it. Rows are kept read-only for the
+    wrapper's lifetime.
     """
 
     def __init__(self, backend: EmbedderBackend):
         self.backend = backend
         self._rows: dict[str, np.ndarray] = {}
+        self._fetching: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
 
     def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
-        with self._lock:
-            misses = [t for t in dict.fromkeys(texts) if t not in self._rows]
-        if misses:
-            fresh = embed_batch(self.backend, misses)
-            fresh.setflags(write=False)
+        while True:
             with self._lock:
-                for text, row in zip(misses, fresh):
-                    self._rows.setdefault(text, row)
-        with self._lock:
-            return [self._rows[t] for t in texts]
+                missing = [t for t in dict.fromkeys(texts) if t not in self._rows]
+                if not missing:
+                    return [self._rows[t] for t in texts]
+                others = {self._fetching[t] for t in missing if t in self._fetching}
+                mine = [t for t in missing if t not in self._fetching]
+                done = threading.Event()
+                for text in mine:
+                    self._fetching[text] = done
+            if mine:
+                try:
+                    fresh = embed_batch(self.backend, mine)
+                    fresh.setflags(write=False)
+                    with self._lock:
+                        self._rows.update(zip(mine, fresh))
+                finally:
+                    with self._lock:
+                        for text in mine:
+                            del self._fetching[text]
+                    done.set()
+            for event in others:
+                event.wait()
 
 
 def embed_batch(backend: EmbedderBackend, texts: Sequence[str]) -> np.ndarray:
     """Embed texts through a backend as the rows of one (n, d) float64 array.
 
     This is where the batch contract is enforced: one embedding per text,
-    order preserved, one dimension for the whole batch, no zero vectors.
+    order preserved, one dimension for the whole batch, no zero vectors
+    and no NaN or infinite entries.
     A violation raises BackendProtocolError.
     """
     if len(texts) == 0:
@@ -195,6 +212,11 @@ def embed_batch(backend: EmbedderBackend, texts: Sequence[str]) -> np.ndarray:
     zero = np.flatnonzero(~array.any(axis=1))
     if zero.size:
         raise BackendProtocolError(f"zero embedding vector for text {texts[zero[0]][:50]!r}")
+    non_finite = np.flatnonzero(~np.isfinite(array).all(axis=1))
+    if non_finite.size:
+        raise BackendProtocolError(
+            f"non-finite embedding vector for text {texts[non_finite[0]][:50]!r}"
+        )
     return array
 
 

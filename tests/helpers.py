@@ -8,13 +8,16 @@ transcripts for replay fixtures.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
 import threading
+import time
 from fractions import Fraction
 
 from egolog.corpus import Caption, CaptionTrack, Query, QueryKind
+from egolog.errors import TransportError
 from egolog.llm import prompt_sha256, run_key
 
 
@@ -134,6 +137,55 @@ class RecordingBackend:
         with self._lock:
             self.transcripts.setdefault(key, {})[run_key(run_index)] = text
         return text
+
+
+class OverlapBackend:
+    """Counts the completions in flight; each meets the others at a barrier.
+
+    With parties=2 every completion waits until a second one is in flight
+    too, so a caller that sends them one at a time breaks the barrier
+    (BrokenBarrierError after 5 s). With parties=1 nothing waits, and
+    max_in_flight shows whether the caller ever overlapped two.
+    """
+
+    def __init__(self, parties=2, reply="C kneads the dough"):
+        self.reply = reply
+        self.in_flight = 0
+        self.max_in_flight = 0
+        self._barrier = threading.Barrier(parties, timeout=5)
+        self._lock = threading.Lock()
+
+    def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
+        with self._lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        try:
+            self._barrier.wait()
+            time.sleep(0.01)  # leaves room for an overlap to show
+            return self.reply
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+class HashFailingBackend:
+    """Fails a fixed set of prompts, picked by hash, whatever order they come in.
+
+    A completion fails with TransportError when the first byte of the hash
+    of its run index and user text is below fail_share of 256; any other
+    completion answers with that hash and its sampling seed. Each waits up
+    to 5 ms, also by hash, so concurrent completions finish out of order.
+    """
+
+    def __init__(self, fail_share=0.3):
+        self.fail_share = fail_share
+
+    def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
+        digest = hashlib.sha256(f"{run_index}\0{user_text}".encode()).digest()
+        time.sleep(digest[1] / 256 * 0.005)
+        if digest[0] < 256 * self.fail_share:
+            raise TransportError(f"prompt {digest.hex()[:8]} fails")
+        return f"reply {digest.hex()[:8]} seed {sampling_seed}"
 
 
 class ReplayScorer:

@@ -23,7 +23,12 @@ from egolog.digest import (
 from egolog.errors import BackendProtocolError, TransportError
 from egolog.similarity import MockEmbedder
 
-from helpers import CallableBackend, make_track
+from helpers import (
+    CallableBackend,
+    HashFailingBackend,
+    OverlapBackend,
+    make_track,
+)
 
 
 def nlq_query(qid="q1", video_id="v1", text="where is the knife"):
@@ -269,6 +274,38 @@ class TestMerging:
         )
         assert fallbacks == 1
         assert merged.captions[0].text == "C kneads dough; C kneads dough again"
+
+    @staticmethod
+    def pairs(track):
+        caps = track.captions
+        return [
+            MergeGroup((i, i + 1), (caps[i].start_s, caps[i + 1].end_s))
+            for i in range(0, len(caps) - 1, 2)
+        ]
+
+    def test_llm_merges_in_flight_together_up_to_the_limit(self):
+        track = make_track(n=4)
+        cfg = DigestConfig(merge_mode=MergeMode.LLM)
+        backend = OverlapBackend(parties=2)
+        merged, fallbacks = merge_groups(track, self.pairs(track), backend, cfg, 2)
+        assert fallbacks == 0
+        assert [c.text for c in merged.captions] == [backend.reply] * 2
+        assert backend.max_in_flight == 2
+        serial = OverlapBackend(parties=1)
+        merge_groups(track, self.pairs(track), serial, cfg, 1)
+        assert serial.max_in_flight == 1
+
+    def test_merges_independent_of_in_flight_limit(self):
+        track = make_track(n=24)
+        cfg = DigestConfig(merge_mode=MergeMode.LLM)
+        outcomes = [
+            merge_groups(track, self.pairs(track), HashFailingBackend(), cfg, limit)
+            for limit in (1, 2, 8)
+        ]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        merged, fallbacks = outcomes[0]
+        assert 0 < fallbacks < 12
+        assert sum(c.text.startswith("reply ") for c in merged.captions) == 12 - fallbacks
 
 
 class TestDigestPipeline:

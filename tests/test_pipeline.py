@@ -22,6 +22,7 @@ from egolog.pipeline import (
 from egolog.similarity import CachedEmbedder, MockEmbedder
 
 from helpers import (
+    HashFailingBackend,
     RecordingBackend,
     ScriptedNlqBackend,
     ScriptedQaBackend,
@@ -332,6 +333,51 @@ class TestRunDigest:
         assert set(digested) == set(tracks)
         assert failures == []
 
+    def test_llm_merges_independent_of_in_flight_limit(self, tmp_path):
+        tracks, queries = synth_qa_benchmark(n_items=4, captions_per_video=12)
+        merging = (
+            "[digest]\nmerge_mode = llm\nrelevance_threshold = -1\n"
+            "adjacency_threshold = -1\nmax_merge_group = 2\n"
+        )
+        outcomes = [
+            run_digest(
+                disk_config(
+                    tmp_path,
+                    tracks,
+                    queries,
+                    merging,
+                    overrides={"run.in_flight_limit": limit},
+                ),
+                llm=HashFailingBackend(),
+            )
+            for limit in ("1", "8")
+        ]
+        assert outcomes[0] == outcomes[1]
+        digested, stats, failures = outcomes[0]
+        assert failures == []
+        fallbacks = sum(s.merge_fallbacks for s in stats.values())
+        assert 0 < fallbacks < sum(s.groups_merged for s in stats.values())
+
+    def test_non_finite_embedding_fails_its_unit(self, tmp_path):
+        tracks, queries = synth_qa_benchmark(n_items=2, captions_per_video=5)
+        bad_video, good_video = list(tracks)
+        bad_texts = {c.text for c in tracks[bad_video].captions}
+        mock = MockEmbedder()
+
+        class NanForOneVideo:
+            def embed_texts(self, texts):
+                rows = mock.embed_texts(texts)
+                for i, text in enumerate(texts):
+                    if text in bad_texts:
+                        rows[i, 0] = np.nan
+                return rows
+
+        config = disk_config(tmp_path, tracks, queries)
+        digested, _, failures = run_digest(config, embedder=NanForOneVideo())
+        assert list(digested) == [good_video]
+        assert [f.qid for f in failures] == [bad_video]
+        assert "non-finite embedding vector" in failures[0].error
+
 
 class TestRunGenRefineData:
     def test_records_balanced(self, tmp_path):
@@ -423,6 +469,21 @@ class TestRunEval:
             (_at(4, lambda row: {**row, "predicted_window": "soon"}), 5, "could not"),
             (_at(4, lambda row: {**row, "predicted_window": [9, 2]}), 5, "inverted"),
             (lambda rows: rows + rows[:1], 6, "duplicate prediction"),
+            (
+                _at(1, lambda row: {**row, "confidence": 2.9}),
+                2,
+                "confidence must be a whole number, got 2.9",
+            ),
+            (
+                _at(2, lambda row: {**row, "confidence": True}),
+                3,
+                "confidence must be a whole number, got True",
+            ),
+            (
+                _at(3, lambda row: {**row, "predicted_window": [False, 1e6]}),
+                4,
+                "window bounds must be numbers, got False",
+            ),
         ],
         ids=[
             "no-window",
@@ -432,6 +493,9 @@ class TestRunEval:
             "text-window",
             "inverted-window",
             "duplicate",
+            "fractional-confidence",
+            "bool-confidence",
+            "bool-window",
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, edit, line, message):
@@ -464,3 +528,15 @@ class TestRunEval:
         report = run_eval(config, preds, "qa")
         assert report.qa_accuracy == 1.0
         assert report.per_confidence[3].qa_accuracy == 1.0
+
+    @pytest.mark.parametrize("choice", [True, 1.5], ids=["bool", "fractional"])
+    def test_qa_choice_must_be_a_whole_number(self, tmp_path, choice):
+        tracks, queries = synth_qa_benchmark(n_items=3, captions_per_video=6)
+        config = disk_config(tmp_path, tracks, queries)
+        records, _ = run_ask(config, llm=ScriptedQaBackend())
+        records[1]["choice"] = choice
+        preds = tmp_path / "qa_preds.jsonl"
+        preds.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        where = f"in {re.escape(str(preds))} at line 2"
+        with pytest.raises(MetricsError, match=f"choice must be a whole number.*{where}"):
+            run_eval(config, preds, "qa")

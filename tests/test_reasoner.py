@@ -25,7 +25,12 @@ from egolog.reasoner import (
 from egolog.retry import RetryPolicy
 from egolog.seeding import derive_seed
 
-from helpers import CallableBackend, make_track
+from helpers import (
+    CallableBackend,
+    HashFailingBackend,
+    OverlapBackend,
+    make_track,
+)
 
 
 def qa_query(qid="q1", video_id="v1", choices=None, answer_idx=0):
@@ -237,6 +242,38 @@ class TestRun:
         prompt = build_qa_prompt(make_track(), qa_query())
         with pytest.raises(ValueError, match="runs"):
             run(prompt, CallableBackend(lambda s, u: "x"), 0, seed=0)
+
+    def test_runs_in_flight_together_up_to_the_limit(self):
+        prompt = build_qa_prompt(make_track(), qa_query())
+        backend = OverlapBackend(parties=2)
+        outcome = run(prompt, backend, 2, seed=11, in_flight_limit=2)
+        assert [r.run_index for r in outcome.responses] == [0, 1]
+        assert backend.max_in_flight == 2
+        serial = OverlapBackend(parties=1)
+        run(prompt, serial, 4, seed=11, in_flight_limit=1)
+        assert serial.max_in_flight == 1
+
+    def test_outcome_independent_of_in_flight_limit(self):
+        prompt = build_qa_prompt(make_track(), qa_query())
+        outcomes = [
+            run(
+                prompt,
+                HashFailingBackend(),
+                12,
+                seed=11,
+                sleep=lambda s: None,
+                in_flight_limit=limit,
+            )
+            for limit in (1, 2, 8)
+        ]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        responses, failures = outcomes[0].responses, outcomes[0].failures
+        assert responses and failures
+        indices = [r.run_index for r in responses] + [f.run_index for f in failures]
+        assert sorted(indices) == list(range(12))
+        for response in responses:
+            seed = derive_seed(11, "run", response.run_index)
+            assert response.text.endswith(f" seed {seed}")
 
 
 def qa_block(qid="q1", answer="B", explanation="because", confidence=2):

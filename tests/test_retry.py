@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from egolog.errors import BackendProtocolError, TransportError
-from egolog.retry import RetryPolicy, call_with_retries
+from egolog.retry import RetryPolicy, call_with_retries, map_in_order
 
 
 class Flaky:
@@ -89,3 +92,33 @@ class TestCallWithRetries:
                 Flaky(1), policy=RetryPolicy(attempts=2), sleep=lambda s: None
             )
         assert any("retrying" in rec.message for rec in caplog.records)
+
+
+class TestMapInOrder:
+    def test_results_in_item_order_when_later_items_finish_first(self):
+        def slow_first(i):
+            time.sleep((8 - i) * 0.002)
+            return i * i
+
+        assert map_in_order(slow_first, range(8), 4) == [i * i for i in range(8)]
+
+    @pytest.mark.parametrize("limit, items", [(1, [1, 2, 3]), (4, [1]), (0, [1, 2])])
+    def test_runs_in_the_callers_thread(self, limit, items):
+        caller = threading.get_ident()
+        assert map_in_order(lambda _: threading.get_ident(), items, limit) == [
+            caller
+        ] * len(items)
+
+    def test_nested_maps_do_not_wait_on_each_other(self):
+        results = []
+
+        def outer(i):
+            return map_in_order(lambda j: (i, j), range(3), 2)
+
+        worker = threading.Thread(
+            target=lambda: results.append(map_in_order(outer, range(4), 2))
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert results == [[[(i, j) for j in range(3)] for i in range(4)]]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from egolog.errors import BackendProtocolError
+from egolog.errors import BackendProtocolError, TransportError
 from egolog.similarity import (
     CachedEmbedder,
     MockEmbedder,
@@ -121,6 +121,17 @@ class TestEmbedBatch:
 
         with pytest.raises(BackendProtocolError, match="zero embedding"):
             embed_batch(Zeros(), ["one text"])
+
+    @pytest.mark.parametrize(
+        "row", [[float("nan"), 1.0], [float("inf"), 0.0], [1.0, -float("inf")]]
+    )
+    def test_non_finite_values_fatal(self, row):
+        class NonFinite:
+            def embed_texts(self, texts):
+                return [[1.0, 0.0], row]
+
+        with pytest.raises(BackendProtocolError, match="non-finite.*'two text'"):
+            embed_batch(NonFinite(), ["one text", "two text"])
 
     def test_non_numeric_values_fatal(self):
         class Words:
@@ -240,11 +251,12 @@ class TestCachedEmbedder:
             row[0] = 9.0
 
     def test_overlapping_threads_get_identical_rows(self):
-        # the backend delay keeps the threads inside it at once, so they all
-        # send the texts they share and the cache must settle on one row each
-        cached = CachedEmbedder(RecordingEmbedder(delay_s=0.02))
-        texts = [f"C moves box {i} to the shelf" for i in range(60)]
-        lists = [texts[i * 10 : i * 10 + 30] for i in range(4)]
+        # the backend delay keeps the threads inside it at once, so threads
+        # that want a text another one is fetching must wait for its row
+        backend = RecordingEmbedder(delay_s=0.02)
+        cached = CachedEmbedder(backend)
+        texts = [f"C moves box {i} to the shelf" for i in range(100)]
+        lists = [texts[i * 10 : i * 10 + 30] for i in range(8)]
         results = [None] * len(lists)
         barrier = threading.Barrier(len(lists))
 
@@ -263,11 +275,54 @@ class TestCachedEmbedder:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
+        sent = [text for call in backend.calls for text in call]
+        assert sorted(sent) == sorted(set(sum(lists, [])))
         expected = dict(zip(texts, MockEmbedder(seed=0).embed_texts(texts)))
-        for text in texts:
+        for text in set(sent):
             rows = [rows_k[text] for rows_k in results if text in rows_k]
             assert all(row is rows[0] for row in rows)
             assert np.array_equal(rows[0], expected[text])
+
+    def test_threads_waiting_on_a_failed_fetch_fetch_for_themselves(self):
+        release = threading.Event()
+
+        class FirstFetchFails(RecordingEmbedder):
+            def embed_texts(self, texts):
+                if not self.calls:
+                    self.calls.append(list(texts))
+                    release.wait(timeout=10)
+                    raise TransportError("embedding endpoint returned 503")
+                return super().embed_texts(texts)
+
+        backend = FirstFetchFails(delay_s=0.05)
+        cached = CachedEmbedder(backend)
+        texts = ["C opens the fridge", "C takes the milk"]
+        outcomes = {}
+
+        def work(name):
+            try:
+                outcomes[name] = cached.embed_texts(texts)
+            except TransportError as exc:
+                outcomes[name] = exc
+
+        owner = threading.Thread(target=work, args=("owner",))
+        owner.start()
+        deadline = time.monotonic() + 10
+        while not backend.calls and time.monotonic() < deadline:
+            time.sleep(0.001)
+        waiters = [threading.Thread(target=work, args=(k,)) for k in range(3)]
+        for thread in waiters:
+            thread.start()
+        time.sleep(0.1)  # let the waiters block on the owner's fetch
+        release.set()
+        for thread in [owner, *waiters]:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in [owner, *waiters])
+        assert isinstance(outcomes["owner"], TransportError)
+        expected = MockEmbedder(seed=0).embed_texts(texts)
+        for k in range(3):
+            assert np.array_equal(np.array(outcomes[k]), expected)
+        assert backend.calls == [texts, texts]
 
     def test_dimension_change_between_batches_is_protocol_error(self):
         class Skewed:
