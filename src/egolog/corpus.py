@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -29,8 +30,24 @@ _BOUNDS_KEYS = {"video_id", "clip_start_s", "clip_end_s"}
 
 
 def normalize_seconds(value: float) -> float:
-    """Normalize a timestamp to millisecond precision."""
-    return round(float(value), _TIME_DECIMALS)
+    """Normalize a timestamp to millisecond precision.
+
+    A bool or a non-finite number (NaN, or a literal like 1e309 that
+    overflows to infinity) raises ValueError.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"times must be numbers, got {value!r}")
+    seconds = float(value)
+    if not math.isfinite(seconds):
+        raise ValueError(f"non-finite time {value!r}")
+    return round(seconds, _TIME_DECIMALS)
+
+
+def whole_number(value, name: str) -> int:
+    """An integer field of a record; a bool or a fraction raises ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def normalize_caption_text(text: str) -> str:
@@ -336,7 +353,11 @@ def load_queries(path: str | Path) -> list[Query]:
                     kind=kind,
                     text=str(record.get("question", "")),
                     choices=tuple(str(c) for c in choices_raw),
-                    gt_answer_idx=None if answer_idx is None else int(answer_idx),
+                    gt_answer_idx=(
+                        None
+                        if answer_idx is None
+                        else whole_number(answer_idx, "answer_idx")
+                    ),
                 )
             else:
                 if "choices" in record:

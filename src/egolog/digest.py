@@ -11,6 +11,7 @@ crosses video boundaries.
 from __future__ import annotations
 
 import logging
+from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
@@ -18,7 +19,7 @@ from typing import Sequence
 from .corpus import Caption, CaptionTrack, Query
 from .llm import LlmBackend
 from .errors import EgologError
-from .retry import map_in_order
+from .retry import RetryPolicy, call_with_retries, map_in_order
 from .similarity import EmbedderBackend, cosine_matrix, cosine_rows, embed_batch
 
 logger = logging.getLogger(__name__)
@@ -30,6 +31,9 @@ MERGE_PROMPT = (
 )
 
 DEFAULT_BLOCKLIST = ("looks around", "looks at the camera")
+
+# a failing merge falls back to concatenation at once: no retry, no sleep
+_MERGE_RETRY = RetryPolicy(attempts=1)
 
 
 class MergeMode(str, Enum):
@@ -92,15 +96,22 @@ class DigestStats:
         return asdict(self)
 
 
+def _informative(caption: Caption, cfg: DigestConfig) -> bool:
+    return not any(phrase in caption.text.lower() for phrase in cfg.blocklist)
+
+
+def _filters_relevance(
+    captions: Sequence[Caption], queries: Sequence[Query], cfg: DigestConfig
+) -> bool:
+    """Whether digest runs the relevance stage on these blocklist survivors."""
+    return bool(queries) and cfg.relevance_threshold > -1.0 and bool(captions)
+
+
 def drop_uninformative(track: CaptionTrack, cfg: DigestConfig) -> CaptionTrack:
     """Remove captions whose lowercase text contains any blocklist phrase."""
     if not cfg.blocklist:
         return track
-    kept = [
-        cap
-        for cap in track.captions
-        if not any(phrase in cap.text.lower() for phrase in cfg.blocklist)
-    ]
+    kept = [cap for cap in track.captions if _informative(cap, cfg)]
     if not kept and track.captions:
         logger.warning(
             "all %d captions of video %r matched the blocklist",
@@ -183,15 +194,17 @@ def merge_groups(
     groups: Sequence[MergeGroup],
     llm: LlmBackend | None,
     cfg: DigestConfig,
-    in_flight_limit: int = 1,
+    pool: Executor | None = None,
 ) -> tuple[CaptionTrack, int]:
     """Replace each group with a single caption spanning its interval.
 
-    In LLM mode the member texts go through the merge prompt, with at most
-    in_flight_limit merge completions in flight at once; any backend
-    failure degrades that group to concatenation. Merged captions follow
-    the group order whatever the limit. Returns the merged track and the
-    number of LLM fallbacks.
+    In LLM mode the member texts go through the merge prompt, one
+    completion per group with a single attempt; any backend failure
+    degrades that group to concatenation. The merge completions go
+    through map_in_order: all of them on pool when one is given, else one
+    at a time in the caller's thread. Concatenation always runs in the
+    caller's thread. Merged captions follow the group order either way.
+    Returns the merged track and the number of LLM fallbacks.
     """
     grouped: set[int] = set()
     for group in groups:
@@ -204,7 +217,11 @@ def merge_groups(
         """The merged text and whether it fell back to concatenation."""
         texts = member_texts(group)
         try:
-            text = llm.complete(MERGE_PROMPT, "\n".join(texts)).strip()
+            text = call_with_retries(
+                lambda: llm.complete(MERGE_PROMPT, "\n".join(texts)),
+                policy=_MERGE_RETRY,
+                what="merge completion",
+            ).strip()
             if not text:
                 raise EgologError("merge produced empty text")
         except EgologError as exc:
@@ -218,7 +235,7 @@ def merge_groups(
         return text, False
 
     if cfg.merge_mode is MergeMode.LLM and llm is not None:
-        merged = map_in_order(llm_merge, groups, in_flight_limit)
+        merged = map_in_order(llm_merge, groups, pool)
     else:
         merged = [(concat_merge_text(member_texts(g)), False) for g in groups]
 
@@ -244,29 +261,45 @@ def digest(
     backend: EmbedderBackend,
     llm: LlmBackend | None,
     cfg: DigestConfig,
-    in_flight_limit: int = 1,
+    pool: Executor | None = None,
 ) -> tuple[CaptionTrack, DigestStats]:
     """Run the full digest pipeline on one track.
 
     Relevance filtering is skipped when there are no queries for the track
     or when the threshold sits at -1 (keeps everything by definition).
-    in_flight_limit bounds the LLM merge completions in flight at once.
+    The LLM merge completions run as merge_groups runs them: on pool when
+    one is given, else in the caller's thread.
     """
     stats = DigestStats(input_captions=len(track.captions))
 
     stage1 = drop_uninformative(track, cfg)
     stats.dropped_uninformative = len(track.captions) - len(stage1.captions)
 
-    if queries and cfg.relevance_threshold > -1.0 and stage1.captions:
+    if _filters_relevance(stage1.captions, queries, cfg):
         stage2 = filter_by_relevance(stage1, queries, backend, cfg)
     else:
         stage2 = stage1
     stats.dropped_irrelevant = len(stage1.captions) - len(stage2.captions)
 
     groups = group_consecutive(stage2, backend, cfg) if stage2.captions else []
-    merged, fallbacks = merge_groups(stage2, groups, llm, cfg, in_flight_limit)
+    merged, fallbacks = merge_groups(stage2, groups, llm, cfg, pool)
     stats.groups_merged = len(groups)
     stats.captions_merged_away = sum(len(g.member_indices) - 1 for g in groups)
     stats.merge_fallbacks = fallbacks
     stats.output_captions = len(merged.captions)
     return merged, stats
+
+
+def embedded_texts(
+    track: CaptionTrack, queries: Sequence[Query], cfg: DigestConfig
+) -> list[str]:
+    """Every text that digest embeds for the track and any subset of queries.
+
+    The captions that pass the blocklist, plus the query texts when
+    relevance filtering runs: the batch the relevance stage sends for all
+    of the queries at once. Empty when digest embeds nothing.
+    """
+    kept = [cap.text for cap in track.captions if _informative(cap, cfg)]
+    if _filters_relevance(kept, queries, cfg):
+        return kept + [q.text for q in queries]
+    return kept if len(kept) >= 2 else []

@@ -3,15 +3,19 @@
 digest, ask and localize share one unit runner. A unit is (keys,
 video_id, queries): one video keyed by its id (digest), one QA question
 keyed by its qid (ask), or one video with all of its NLQ queries keyed
-by their qids (localize). Units run on a thread pool bounded by
-in_flight_limit. Within a unit, the independent completions (the runs of
-an ask prompt and the LLM caption merges of a digest) run on a pool of
-their own with the same bound, so at most in_flight_limit squared
-completions are in flight in all. A missing track or an EgologError
-fails every key of its unit and nothing else. Outputs and failures come
-back in input query order (track order for digest), and each unit's
-completions in their own order, so results are byte-identical
-regardless of pool size.
+by their qids (localize). Units run on in_flight_limit threads. Every
+completion of the command (the runs of an ask prompt, the one localize
+prompt of a video, the LLM caption merges of a digest) runs on one
+completion pool of in_flight_limit squared threads, shared by all units,
+so a unit can use the slots another leaves idle and at most
+in_flight_limit squared completions are in flight. At in_flight_limit 1
+there are no pools: everything runs in the caller's thread. Before its
+own work each unit sends its video's digest texts through the run's
+embedding cache, so the units of one video share one embedding request.
+A missing track or an EgologError fails every key of its unit and
+nothing else. Outputs and failures come back in input query order
+(track order for digest), and each unit's completions in their own
+order, so results are byte-identical regardless of pool size.
 
 All derived randomness flows from the config seed: per-question prompts
 use (seed, "ask", qid), tie-breaking uses (seed, "vote", qid), per-video
@@ -21,9 +25,11 @@ localization uses (seed, "nlq", video_id), and dataset jitter uses
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import time
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -35,8 +41,9 @@ from .corpus import (
     iter_jsonl,
     load_captions,
     load_queries,
+    whole_number,
 )
-from .digest import DigestStats, MergeMode, digest
+from .digest import DigestStats, MergeMode, digest, embedded_texts
 from .ensemble import AnswerPool, vote_by_confidence
 from .errors import ConfigError, EgologError, MetricsError, ParseError, TransportError
 from .llm import HttpLlmBackend, LlmBackend, ReplayBackend
@@ -124,14 +131,52 @@ def _run_units(
     config: PipelineConfig,
     tracks: dict[str, CaptionTrack],
     units: Sequence[Unit],
-    work: Callable[[CaptionTrack, list[Query]], dict[str, T]],
+    work: Callable[[CaptionTrack, list[Query], Executor | None], dict[str, T]],
     order: Sequence[str],
+    embedder: EmbedderBackend,
 ) -> tuple[list[T], list[UnitFailure]]:
-    """Map work over units on the pool; returns outputs and failures by order.
+    """Map work over units; returns outputs and failures by order.
 
-    work returns one output per key of its unit. A missing track or an
+    work gets the unit's track, its queries and the completion pool, and
+    returns one output per key of its unit. A missing track or an
     EgologError fails every key of the unit and nothing else.
+
+    At in_flight_limit n > 1 units run on n threads and every completion
+    on one pool of n * n threads; at 1 both run in the caller's thread.
+    No deadlock: unit tasks wait only on the completion pool, and
+    completion tasks wait on no pool.
+
+    When embedder is a CachedEmbedder and a video has several units, each
+    of them first sends the texts that the digests of all of them embed,
+    so the first fetches them in one request and the others wait for it
+    in the cache. A failed request is logged and ignored: each unit then
+    fetches its own texts and fails on its own. A video's only unit
+    sends that request from its digest anyway.
     """
+    by_video: dict[str, list[Unit]] = {}
+    for unit in units:
+        by_video.setdefault(unit[1], []).append(unit)
+    shared_texts = {
+        vid: embedded_texts(
+            tracks[vid], [q for _, _, qs in shared for q in qs], config.digest
+        )
+        for vid, shared in by_video.items()
+        if len(shared) > 1 and vid in tracks and isinstance(embedder, CachedEmbedder)
+    }
+
+    def prefetch(video_id: str) -> None:
+        texts = shared_texts.get(video_id)
+        if not texts:
+            return
+        try:
+            embedder.embed_texts(texts)
+        except EgologError as exc:
+            logger.warning(
+                "shared embedding request for video %r failed: %s; "
+                "each unit fetches its own texts",
+                video_id,
+                exc,
+            )
 
     def one(unit: Unit) -> dict[str, T | UnitFailure]:
         keys, video_id, queries = unit
@@ -139,7 +184,8 @@ def _run_units(
         try:
             if video_id not in tracks:
                 raise ConfigError(f"no captions for video {video_id!r}")
-            outputs = work(tracks[video_id], queries)
+            prefetch(video_id)
+            outputs = work(tracks[video_id], queries, completions)
         except EgologError as exc:
             return {key: UnitFailure(key, str(exc)) for key in keys}
         _log_event(
@@ -150,9 +196,19 @@ def _run_units(
         )
         return outputs
 
-    by_key: dict[str, T | UnitFailure] = {}
-    for results in map_in_order(one, units, config.in_flight_limit):
-        by_key.update(results)
+    limit = config.in_flight_limit
+    with contextlib.ExitStack() as pools:
+        unit_pool = completions = None
+        if limit > 1:
+            unit_pool = pools.enter_context(
+                ThreadPoolExecutor(limit, thread_name_prefix="egolog-unit")
+            )
+            completions = pools.enter_context(
+                ThreadPoolExecutor(limit * limit, thread_name_prefix="egolog-completion")
+            )
+        by_key: dict[str, T | UnitFailure] = {}
+        for results in map_in_order(one, units, unit_pool):
+            by_key.update(results)
     ordered = [by_key[key] for key in order if key in by_key]
     failures = [r for r in ordered if isinstance(r, UnitFailure)]
     return [r for r in ordered if not isinstance(r, UnitFailure)], failures
@@ -178,16 +234,14 @@ def run_digest(
     if llm is None and config.digest.merge_mode is MergeMode.LLM:
         llm = build_llm(config)
 
-    def digest_video(track: CaptionTrack, qs: list[Query]) -> dict:
-        return {
-            track.video_id: digest(
-                track, qs, embedder, llm, config.digest, config.in_flight_limit
-            )
-        }
+    def digest_video(
+        track: CaptionTrack, qs: list[Query], pool: Executor | None
+    ) -> dict:
+        return {track.video_id: digest(track, qs, embedder, llm, config.digest, pool)}
 
     units = [([vid], vid, [q for q in queries if q.video_id == vid]) for vid in tracks]
     results, failures = _run_units(
-        "digest", config, tracks, units, digest_video, list(tracks)
+        "digest", config, tracks, units, digest_video, list(tracks), embedder
     )
     digested_tracks = {track.video_id: track for track, _ in results}
     stats_by_video = {track.video_id: stats for track, stats in results}
@@ -207,18 +261,18 @@ def run_ask(
     if llm is None:
         llm = build_llm(config)
 
-    def answer(track: CaptionTrack, unit_queries: list[Query]) -> dict[str, dict]:
+    def answer(
+        track: CaptionTrack, unit_queries: list[Query], pool: Executor | None
+    ) -> dict[str, dict]:
         (query,) = unit_queries
-        digested, _ = digest(
-            track, [query], embedder, llm, config.digest, config.in_flight_limit
-        )
+        digested, _ = digest(track, [query], embedder, llm, config.digest, pool)
         prompt = build_qa_prompt(digested, query)
         outcome = run(
             prompt,
             llm,
             config.runs,
             derive_seed(config.seed, "ask", query.qid),
-            in_flight_limit=config.in_flight_limit,
+            pool=pool,
         )
         answers = []
         for response in outcome.responses:
@@ -247,7 +301,9 @@ def run_ask(
         }
 
     units = [([q.qid], q.video_id, [q]) for q in queries]
-    return _run_units("ask", config, tracks, units, answer, [q.qid for q in queries])
+    return _run_units(
+        "ask", config, tracks, units, answer, [q.qid for q in queries], embedder
+    )
 
 
 def run_localize(
@@ -266,12 +322,14 @@ def run_localize(
     if scorer is None:
         scorer = CaptionOverlapScorer(embedder, config.digest.relevance_threshold)
 
-    def localize(track: CaptionTrack, video_queries: list[Query]) -> dict[str, dict]:
-        digested, _ = digest(
-            track, video_queries, embedder, llm, config.digest, config.in_flight_limit
-        )
+    def localize(
+        track: CaptionTrack, video_queries: list[Query], pool: Executor | None
+    ) -> dict[str, dict]:
+        digested, _ = digest(track, video_queries, embedder, llm, config.digest, pool)
         prompt = build_nlq_prompt(digested, video_queries)
-        outcome = run(prompt, llm, 1, derive_seed(config.seed, "nlq", track.video_id))
+        outcome = run(
+            prompt, llm, 1, derive_seed(config.seed, "nlq", track.video_id), pool=pool
+        )
         if not outcome.responses:
             raise TransportError(outcome.failures[0].error)
         answers = parse_response(
@@ -300,7 +358,7 @@ def run_localize(
         by_video.setdefault(query.video_id, []).append(query)
     units = [([q.qid for q in qs], video_id, qs) for video_id, qs in by_video.items()]
     return _run_units(
-        "localize", config, tracks, units, localize, [q.qid for q in queries]
+        "localize", config, tracks, units, localize, [q.qid for q in queries], embedder
     )
 
 
@@ -347,13 +405,6 @@ def _read_prediction_rows(path) -> list[tuple[str, int, dict]]:
     return rows
 
 
-def _whole(value, name: str) -> int:
-    """An integer field of a prediction row; a bool or a fraction is an error."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def _seconds(value) -> float:
     """A window bound of a prediction row; a bool is an error."""
     if isinstance(value, bool):
@@ -368,11 +419,11 @@ def _prediction(
     common = dict(
         qid=qid,
         kind=kind,
-        confidence=_whole(row.get("confidence", 1), "confidence"),
+        confidence=whole_number(row.get("confidence", 1), "confidence"),
         explanation=str(row.get("explanation", "")),
     )
     if kind is QueryKind.QA:
-        return LlmAnswer(choice_idx=_whole(row["choice"], "choice"), **common), None
+        return LlmAnswer(choice_idx=whole_number(row["choice"], "choice"), **common), None
     candidates = tuple(
         CandidateInterval(_seconds(c[0]), _seconds(c[1]))
         for c in row.get("candidates", [])

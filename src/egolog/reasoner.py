@@ -20,6 +20,7 @@ import json
 import logging
 import re
 import time
+from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -227,15 +228,16 @@ def run(
     *,
     retry: RetryPolicy = RetryPolicy(),
     sleep: Callable[[float], None] = time.sleep,
-    in_flight_limit: int = 1,
+    pool: Executor | None = None,
 ) -> RunOutcome:
     """Issue `runs` independent completions for one prompt.
 
     Per-run sampling seeds are derived from (seed, run index). Transport
     failures are retried with capped exponential backoff; a run that
     exhausts its budget is recorded as failed and excluded downstream.
-    At most in_flight_limit runs are in flight at once; responses and
-    failures come back in run-index order whatever the limit.
+    The runs go through map_in_order: all of them on pool when one is
+    given, else one at a time in the caller's thread. Responses and
+    failures come back in run-index order either way.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -259,7 +261,7 @@ def run(
             return RunFailure(run_index, str(exc))
         return RunResponse(run_index, text)
 
-    results = map_in_order(one, range(runs), in_flight_limit)
+    results = map_in_order(one, range(runs), pool)
     return RunOutcome(
         tuple(r for r in results if isinstance(r, RunResponse)),
         tuple(r for r in results if isinstance(r, RunFailure)),

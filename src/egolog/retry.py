@@ -1,10 +1,10 @@
-"""How remote backend calls are issued: the retry policy and a bounded in-order map."""
+"""How remote backend calls are issued: the retry policy and an in-order map."""
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -63,16 +63,24 @@ def call_with_retries(
     raise last
 
 
-def map_in_order(fn: Callable[[T], U], items: Sequence[T], limit: int) -> list[U]:
-    """fn over items with at most limit calls in flight; results in item order.
+def map_in_order(
+    fn: Callable[[T], U], items: Sequence[T], pool: Executor | None = None
+) -> list[U]:
+    """fn over items on the given pool, or in the caller's thread; results in item order.
 
-    With limit <= 1 or fewer than two items every call runs in the caller's
-    thread. Otherwise the calls run on a pool made for this call alone, so
-    fn may itself call map_in_order without waiting on a worker that its
-    caller holds. The first exception in item order propagates once the
+    Without a pool the calls run one at a time in the caller's thread.
+    With one, every call runs on it, however few the items, so the pool's
+    size bounds the calls in flight across all of its callers. A caller
+    must not run on the pool it maps over: fn may wait on another pool,
+    never on its own. The first exception in item order propagates once the
     calls already running have finished; calls not yet started are dropped.
     """
-    if limit <= 1 or len(items) <= 1:
+    if pool is None:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(limit, len(items))) as pool:
-        return list(pool.map(fn, items))
+    futures = [pool.submit(fn, item) for item in items]
+    try:
+        return [future.result() for future in futures]
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)

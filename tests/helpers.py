@@ -14,6 +14,8 @@ import random
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 
 from egolog.corpus import Caption, CaptionTrack, Query, QueryKind
@@ -51,7 +53,11 @@ def parse_caption_lines(user_text: str) -> list[tuple[float, float, str]]:
 
 
 class ScriptedQaBackend:
-    """Picks the option whose text appears verbatim in the caption log."""
+    """Picks the option whose text appears verbatim in the caption log.
+
+    Any other prompt is a caption merge, answered with its first line plus
+    " for a while".
+    """
 
     def __init__(self, confidence: int = 3):
         self.confidence = confidence
@@ -61,7 +67,10 @@ class ScriptedQaBackend:
     def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
         with self._lock:
             self.calls += 1
-        qid = _QA_QID.search(user_text).group(1)
+        question = _QA_QID.search(user_text)
+        if question is None:
+            return user_text.split("\n", 1)[0] + " for a while"
+        qid = question.group(1)
         log_text = user_text.split("Question (qid", 1)[0]
         letter = "A"
         confidence = 1
@@ -171,21 +180,37 @@ class OverlapBackend:
 class HashFailingBackend:
     """Fails a fixed set of prompts, picked by hash, whatever order they come in.
 
-    A completion fails with TransportError when the first byte of the hash
-    of its run index and user text is below fail_share of 256; any other
-    completion answers with that hash and its sampling seed. Each waits up
-    to 5 ms, also by hash, so concurrent completions finish out of order.
+    A completion fails with `error` (TransportError by default) when the
+    first byte of the hash of its run index and user text is below
+    fail_share of 256; any other completion answers with that hash and its
+    sampling seed, or passes the prompt on to `inner` when one is given.
+    Each waits up to 5 ms, also by hash, so concurrent completions finish
+    out of order.
     """
 
-    def __init__(self, fail_share=0.3):
+    def __init__(self, fail_share=0.3, inner=None, error=TransportError):
         self.fail_share = fail_share
+        self.inner = inner
+        self.error = error
 
     def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
         digest = hashlib.sha256(f"{run_index}\0{user_text}".encode()).digest()
         time.sleep(digest[1] / 256 * 0.005)
         if digest[0] < 256 * self.fail_share:
-            raise TransportError(f"prompt {digest.hex()[:8]} fails")
+            raise self.error(f"prompt {digest.hex()[:8]} fails")
+        if self.inner is not None:
+            return self.inner.complete(system_text, user_text, sampling_seed, run_index)
         return f"reply {digest.hex()[:8]} seed {sampling_seed}"
+
+
+@contextmanager
+def completion_pool(workers):
+    """A pool of that many threads, or None (the caller's thread) for 1."""
+    if workers <= 1:
+        yield None
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        yield pool
 
 
 class ReplayScorer:

@@ -196,6 +196,31 @@ class TestCaptionsIO:
         with pytest.raises(CorpusError, match="not found"):
             load_captions(tmp_path / "absent.jsonl")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (
+                '{"video_id": "v1", "start_s": true, "end_s": 2, "text": "C sits"}',
+                "times must be numbers, got True",
+            ),
+            (
+                '{"video_id": "v1", "start_s": 0, "end_s": 1e309, "text": "C sits"}',
+                "non-finite time inf",
+            ),
+            (
+                '{"video_id": "v1", "clip_start_s": 0, "clip_end_s": 1e309}',
+                "non-finite time inf",
+            ),
+        ],
+        ids=["bool-start", "overflowing-end", "overflowing-clip-bound"],
+    )
+    def test_coerced_times_rejected_with_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "caps.jsonl"
+        first = {"video_id": "v1", "start_s": 0, "end_s": 2, "text": "C stands"}
+        path.write_text(json.dumps(first) + "\n" + line + "\n")
+        with pytest.raises(CorpusError, match=f"{message}.* at line 2"):
+            load_captions(path)
+
     def test_newlines_in_text_normalized(self, tmp_path):
         path = tmp_path / "caps.jsonl"
         record = {"video_id": "v1", "start_s": 0, "end_s": 2, "text": "a\nb"}
@@ -259,3 +284,25 @@ class TestQueriesIO:
         (query,) = load_queries(path)
         assert query.gt_window == (1.0, 3.0)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"kind": "qa", "answer_idx": 2.9', "answer_idx must be a whole number, got 2.9"),
+            ('"kind": "qa", "answer_idx": true', "answer_idx must be a whole number, got True"),
+            ('"kind": "nlq", "gt": [true, 5]', "times must be numbers, got True"),
+            ('"kind": "nlq", "gt": [1, NaN]', "non-finite time nan"),
+        ],
+        ids=["fractional-answer", "bool-answer", "bool-gt", "nan-gt"],
+    )
+    def test_coerced_values_rejected_with_path_and_line(self, tmp_path, fields, message):
+        path = tmp_path / "queries.jsonl"
+        first = {"qid": "n1", "video_id": "v1", "kind": "nlq", "query": "when?"}
+        second = (
+            '{"qid": "q2", "video_id": "v1", "question": "what?", "query": "when?", '
+            + ('"choices": ["a", "b", "c", "d", "e"], ' if '"qa"' in fields else "")
+            + fields
+            + "}"
+        )
+        path.write_text(json.dumps(first) + "\n" + second + "\n")
+        with pytest.raises(CorpusError, match=f"{message}.* at line 2"):
+            load_queries(path)

@@ -20,13 +20,16 @@ from egolog.digest import (
     group_consecutive,
     merge_groups,
 )
+from egolog import digest as digest_module
 from egolog.errors import BackendProtocolError, TransportError
+from egolog.retry import RetryPolicy
 from egolog.similarity import MockEmbedder
 
 from helpers import (
     CallableBackend,
     HashFailingBackend,
     OverlapBackend,
+    completion_pool,
     make_track,
 )
 
@@ -265,6 +268,28 @@ class TestMerging:
         assert merged.captions[0].text == "C kneads dough; C kneads dough again"
         assert any("falling back" in rec.message for rec in caplog.records)
 
+    def test_llm_merge_is_one_attempt_through_call_with_retries(self, monkeypatch):
+        # one attempt: a failing merge is sent once and falls back, no sleep
+        calls, policies = [], []
+        real = digest_module.call_with_retries
+
+        def recording(fn, **kwargs):
+            policies.append(kwargs["policy"])
+            return real(fn, **kwargs)
+
+        def broken(system, user):
+            calls.append(user)
+            raise TransportError("model down")
+
+        monkeypatch.setattr(digest_module, "call_with_retries", recording)
+        track = make_track(texts=["C kneads dough", "C kneads dough again"])
+        group = MergeGroup(member_indices=(0, 1), merged_interval=(0.0, 4.0))
+        cfg = DigestConfig(merge_mode=MergeMode.LLM)
+        _, fallbacks = merge_groups(track, [group], CallableBackend(broken), cfg)
+        assert fallbacks == 1
+        assert len(calls) == 1
+        assert policies == [RetryPolicy(attempts=1)]
+
     def test_llm_empty_output_falls_back(self):
         track = make_track(texts=["C kneads dough", "C kneads dough again"])
         group = MergeGroup(member_indices=(0, 1), merged_interval=(0.0, 4.0))
@@ -287,21 +312,24 @@ class TestMerging:
         track = make_track(n=4)
         cfg = DigestConfig(merge_mode=MergeMode.LLM)
         backend = OverlapBackend(parties=2)
-        merged, fallbacks = merge_groups(track, self.pairs(track), backend, cfg, 2)
+        with completion_pool(2) as pool:
+            merged, fallbacks = merge_groups(track, self.pairs(track), backend, cfg, pool)
         assert fallbacks == 0
         assert [c.text for c in merged.captions] == [backend.reply] * 2
         assert backend.max_in_flight == 2
         serial = OverlapBackend(parties=1)
-        merge_groups(track, self.pairs(track), serial, cfg, 1)
+        merge_groups(track, self.pairs(track), serial, cfg)
         assert serial.max_in_flight == 1
 
     def test_merges_independent_of_in_flight_limit(self):
         track = make_track(n=24)
         cfg = DigestConfig(merge_mode=MergeMode.LLM)
-        outcomes = [
-            merge_groups(track, self.pairs(track), HashFailingBackend(), cfg, limit)
-            for limit in (1, 2, 8)
-        ]
+        outcomes = []
+        for limit in (1, 2, 8):
+            with completion_pool(limit) as pool:
+                outcomes.append(
+                    merge_groups(track, self.pairs(track), HashFailingBackend(), cfg, pool)
+                )
         assert outcomes[0] == outcomes[1] == outcomes[2]
         merged, fallbacks = outcomes[0]
         assert 0 < fallbacks < 12

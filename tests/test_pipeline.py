@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from egolog.similarity import CachedEmbedder, MockEmbedder
 
 from helpers import (
     HashFailingBackend,
+    OverlapBackend,
     RecordingBackend,
     ScriptedNlqBackend,
     ScriptedQaBackend,
@@ -34,6 +36,13 @@ from helpers import (
 
 
 IDENTITY_DIGEST = "[digest]\nrelevance_threshold = -1\nadjacency_threshold = 2.0\n"
+# every pair of neighbouring captions merges, through the LLM
+PAIR_MERGES = (
+    "[digest]\nmerge_mode = llm\nrelevance_threshold = -1\n"
+    "adjacency_threshold = -1\nmax_merge_group = 2\n"
+)
+# a QA answer without a qid, which a one-question prompt accepts
+ANONYMOUS_ANSWER = '```json\n[{"answer": "B", "explanation": "x", "confidence": 2}]\n```'
 
 
 def disk_config(tmp_path, tracks, queries, extra="", extra_paths="", overrides=None):
@@ -157,6 +166,143 @@ class TestRunAsk:
         records_a, _ = run_ask(serial, llm=ScriptedQaBackend())
         records_b, _ = run_ask(pooled, llm=ScriptedQaBackend())
         assert records_a == records_b
+
+
+def questions_per_video(n_videos=3, per_video=4):
+    """Several QA questions per video, each with a text of its own."""
+    tracks, queries = synth_qa_benchmark(n_items=n_videos, captions_per_video=8)
+    many = [
+        Query(
+            qid=f"{q.qid}-{k}",
+            video_id=q.video_id,
+            kind=QueryKind.QA,
+            text=f"Which action does C perform in {q.video_id}, take {k}?",
+            choices=q.choices,
+            gt_answer_idx=q.gt_answer_idx,
+        )
+        for q in queries
+        for k in range(per_video)
+    ]
+    return tracks, many
+
+
+class CountingEmbedder:
+    """The mock embedder, recording every batch it is sent."""
+
+    def __init__(self):
+        self.batches: list[list[str]] = []
+        self._mock = MockEmbedder()
+
+    def embed_texts(self, texts):
+        self.batches.append(list(texts))
+        return self._mock.embed_texts(texts)
+
+
+class TestSharedPools:
+    def test_runs_of_every_unit_share_the_completion_slots(self, tmp_path):
+        # a barrier of 4 passes only if 4 runs are in flight at once, which
+        # the last question alone reaches only on the shared pool
+        tracks, queries = synth_qa_benchmark(n_items=3, captions_per_video=6)
+        config = disk_config(
+            tmp_path,
+            tracks,
+            queries,
+            overrides={"run.in_flight_limit": "2", "run.runs": "4"},
+        )
+        backend = OverlapBackend(parties=4, reply=ANONYMOUS_ANSWER)
+        records, failures = run_ask(config, llm=backend)
+        assert failures == []
+        assert [r["choice"] for r in records] == [1, 1, 1]
+        assert backend.max_in_flight == 4
+
+    def test_merges_of_one_video_fill_every_completion_slot(self, tmp_path):
+        tracks, queries = synth_qa_benchmark(n_items=1, captions_per_video=16)
+        config = disk_config(
+            tmp_path, tracks, queries, PAIR_MERGES, overrides={"run.in_flight_limit": "2"}
+        )
+        backend = OverlapBackend(parties=4)
+        digested, stats, failures = run_digest(config, llm=backend)
+        assert failures == []
+        (video_stats,) = stats.values()
+        assert (video_stats.groups_merged, video_stats.merge_fallbacks) == (8, 0)
+        assert backend.max_in_flight == 4
+
+    def test_outputs_independent_of_in_flight_limit(self, tmp_path):
+        tracks, queries = questions_per_video()
+        orphan = Query("orphan", "ghost", QueryKind.QA, "What?", ("a",) * 5)
+        outcomes = []
+        for limit in ("1", "2", "3", "8"):
+            config = disk_config(
+                tmp_path,
+                tracks,
+                queries + [orphan],
+                PAIR_MERGES,
+                overrides={"run.in_flight_limit": limit},
+            )
+            llm = HashFailingBackend(
+                inner=ScriptedQaBackend(), error=BackendProtocolError
+            )
+            outcomes.append((run_ask(config, llm=llm), run_digest(config, llm=llm)))
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+        (records, failures), (_, stats, digest_failures) = outcomes[0]
+        # one question loses all of its runs; the orphan has no captions
+        assert len(records) == len(queries) - 1
+        assert [f.qid for f in failures][-1] == "orphan"
+        assert "no usable answers" in failures[0].error
+        assert digest_failures == []
+        fallbacks = sum(s.merge_fallbacks for s in stats.values())
+        assert 0 < fallbacks < sum(s.groups_merged for s in stats.values())
+
+
+class TestSharedEmbeddingRequest:
+    @pytest.mark.parametrize("limit", ["1", "4"])
+    def test_one_embedding_request_per_video(self, tmp_path, limit):
+        tracks, queries = questions_per_video()
+        config = disk_config(
+            tmp_path, tracks, queries, overrides={"run.in_flight_limit": limit}
+        )
+        counting = CountingEmbedder()
+        # switch threads often, so units of one video race for the request
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records, failures = run_ask(
+                config, embedder=CachedEmbedder(counting), llm=ScriptedQaBackend()
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert len(records) == len(queries)
+        # each request is the video's captions plus all of its question texts
+        assert sorted(counting.batches) == sorted(
+            [c.text for c in track.captions]
+            + [q.text for q in queries if q.video_id == vid]
+            for vid, track in tracks.items()
+        )
+
+    @pytest.mark.parametrize("limit", ["1", "4"])
+    def test_bad_row_fails_only_its_question(self, tmp_path, limit, caplog):
+        tracks, queries = questions_per_video()
+        bad = queries[1]
+        mock = MockEmbedder()
+
+        class ZeroForOneText:
+            def embed_texts(self, texts):
+                rows = mock.embed_texts(texts)
+                rows[[t == bad.text for t in texts]] = 0.0
+                return rows
+
+        config = disk_config(
+            tmp_path, tracks, queries, overrides={"run.in_flight_limit": limit}
+        )
+        with caplog.at_level("WARNING", logger="egolog.pipeline"):
+            records, failures = run_ask(
+                config, embedder=CachedEmbedder(ZeroForOneText()), llm=ScriptedQaBackend()
+            )
+        assert [f.qid for f in failures] == [bad.qid]
+        assert "zero embedding vector" in failures[0].error
+        assert [r["qid"] for r in records] == [q.qid for q in queries if q is not bad]
+        assert "shared embedding request" in caplog.text
 
 
 class TestRunLocalize:

@@ -29,6 +29,7 @@ from helpers import (
     CallableBackend,
     HashFailingBackend,
     OverlapBackend,
+    completion_pool,
     make_track,
 )
 
@@ -246,26 +247,29 @@ class TestRun:
     def test_runs_in_flight_together_up_to_the_limit(self):
         prompt = build_qa_prompt(make_track(), qa_query())
         backend = OverlapBackend(parties=2)
-        outcome = run(prompt, backend, 2, seed=11, in_flight_limit=2)
+        with completion_pool(2) as pool:
+            outcome = run(prompt, backend, 2, seed=11, pool=pool)
         assert [r.run_index for r in outcome.responses] == [0, 1]
         assert backend.max_in_flight == 2
         serial = OverlapBackend(parties=1)
-        run(prompt, serial, 4, seed=11, in_flight_limit=1)
+        run(prompt, serial, 4, seed=11)
         assert serial.max_in_flight == 1
 
     def test_outcome_independent_of_in_flight_limit(self):
         prompt = build_qa_prompt(make_track(), qa_query())
-        outcomes = [
-            run(
-                prompt,
-                HashFailingBackend(),
-                12,
-                seed=11,
-                sleep=lambda s: None,
-                in_flight_limit=limit,
-            )
-            for limit in (1, 2, 8)
-        ]
+        outcomes = []
+        for limit in (1, 2, 8):
+            with completion_pool(limit) as pool:
+                outcomes.append(
+                    run(
+                        prompt,
+                        HashFailingBackend(),
+                        12,
+                        seed=11,
+                        sleep=lambda s: None,
+                        pool=pool,
+                    )
+                )
         assert outcomes[0] == outcomes[1] == outcomes[2]
         responses, failures = outcomes[0].responses, outcomes[0].failures
         assert responses and failures

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -100,25 +101,55 @@ class TestMapInOrder:
             time.sleep((8 - i) * 0.002)
             return i * i
 
-        assert map_in_order(slow_first, range(8), 4) == [i * i for i in range(8)]
+        with ThreadPoolExecutor(4) as pool:
+            assert map_in_order(slow_first, range(8), pool) == [i * i for i in range(8)]
 
-    @pytest.mark.parametrize("limit, items", [(1, [1, 2, 3]), (4, [1]), (0, [1, 2])])
-    def test_runs_in_the_callers_thread(self, limit, items):
+    @pytest.mark.parametrize("items", [[1, 2, 3], [1], [1, 2]])
+    def test_runs_in_the_callers_thread(self, items):
         caller = threading.get_ident()
-        assert map_in_order(lambda _: threading.get_ident(), items, limit) == [
-            caller
-        ] * len(items)
+        assert map_in_order(lambda _: threading.get_ident(), items) == [caller] * len(
+            items
+        )
+
+    @pytest.mark.parametrize("items", [[1], [1, 2, 3]])
+    def test_every_call_runs_on_the_given_pool(self, items):
+        with ThreadPoolExecutor(2, thread_name_prefix="given") as pool:
+            names = map_in_order(lambda _: threading.current_thread().name, items, pool)
+        assert len(names) == len(items)
+        assert all(name.startswith("given") for name in names)
+
+    def test_error_propagates_after_running_calls_finish(self):
+        started, finished = threading.Event(), []
+
+        def fn(i):
+            if i == 0:
+                assert started.wait(timeout=5)
+                raise ValueError("first")
+            started.set()
+            time.sleep(0.05)
+            finished.append(i)
+
+        with ThreadPoolExecutor(2) as pool:
+            with pytest.raises(ValueError, match="first"):
+                map_in_order(fn, [0, 1], pool)
+            assert finished == [1]
 
     def test_nested_maps_do_not_wait_on_each_other(self):
+        # outer calls wait only on the inner pool, inner calls on no pool
         results = []
+        outer_pool, inner_pool = ThreadPoolExecutor(2), ThreadPoolExecutor(2)
 
         def outer(i):
-            return map_in_order(lambda j: (i, j), range(3), 2)
+            return map_in_order(lambda j: (i, j), range(3), inner_pool)
 
         worker = threading.Thread(
-            target=lambda: results.append(map_in_order(outer, range(4), 2))
+            target=lambda: results.append(map_in_order(outer, range(4), outer_pool))
         )
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
+        try:
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        finally:
+            outer_pool.shutdown(wait=False)
+            inner_pool.shutdown(wait=False)
         assert results == [[[(i, j) for j in range(3)] for i in range(4)]]
