@@ -29,18 +29,30 @@ _CAPTION_KEYS = {"video_id", "start_s", "end_s", "text"}
 _BOUNDS_KEYS = {"video_id", "clip_start_s", "clip_end_s"}
 
 
+def finite_seconds(value) -> float:
+    """A time as a float, unrounded.
+
+    A non-finite number (NaN, an infinity, a literal like 1e309 that
+    overflows to infinity, or an integer too large for a float) raises
+    ValueError.
+    """
+    try:
+        seconds = float(value)
+    except OverflowError:
+        raise ValueError("non-finite time: integer too large for a float") from None
+    if not math.isfinite(seconds):
+        raise ValueError(f"non-finite time {value!r}")
+    return seconds
+
+
 def normalize_seconds(value: float) -> float:
     """Normalize a timestamp to millisecond precision.
 
-    A bool or a non-finite number (NaN, or a literal like 1e309 that
-    overflows to infinity) raises ValueError.
+    A bool or a non-finite number raises ValueError.
     """
     if isinstance(value, bool):
         raise ValueError(f"times must be numbers, got {value!r}")
-    seconds = float(value)
-    if not math.isfinite(seconds):
-        raise ValueError(f"non-finite time {value!r}")
-    return round(seconds, _TIME_DECIMALS)
+    return round(finite_seconds(value), _TIME_DECIMALS)
 
 
 def whole_number(value, name: str) -> int:

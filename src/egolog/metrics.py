@@ -1,17 +1,21 @@
 """Evaluation metrics for temporal localization and multiple-choice QA.
 
-Localization metrics distinguish two denominators: NA ratio is computed
-over all predictions, while Overlap and IoU*@t are computed over non-NA
-predictions only. R@1 IoU@t scores one final window per query over all
-queries. Threshold comparisons are strict (greater than). A metric whose
-denominator is zero is reported as 0 with its name listed in
-undefined_metrics rather than omitted, so reports stay schema-stable.
+Each report is built in one pass: the inputs are validated once, every
+query is scored once into an outcome record, and the top report and each
+"confidence >= level" sub-report are counts over those records.
+
+Localization is scored at the fixed IoU thresholds 0.3 and 0.5. NA ratio
+is computed over all predictions, while Overlap and IoU*@t are computed
+over non-NA predictions only. R@1 IoU@t scores one final window per
+query over all queries. Threshold comparisons are strict (greater than).
+A metric whose denominator is zero is reported as 0 with its name listed
+in undefined_metrics rather than omitted, so reports stay schema-stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .corpus import QueryKind
 from .errors import MetricsError
@@ -20,7 +24,6 @@ from .reasoner import CandidateInterval, LlmAnswer
 IntervalLike = Union[CandidateInterval, Sequence[float]]
 
 DEFAULT_IOU_THRESHOLDS = (0.3, 0.5)
-
 CONFIDENCE_LEVELS = (1, 2, 3)
 
 
@@ -47,125 +50,15 @@ def iou(a: IntervalLike, b: IntervalLike) -> float:
     return inter / union
 
 
-def _positively_intersects(a: IntervalLike, b: IntervalLike) -> bool:
-    s1, e1 = _as_pair(a)
-    s2, e2 = _as_pair(b)
-    return min(e1, e2) - max(s1, s2) > 0.0
+class _Outcome(NamedTuple):
+    """One query scored once; the hit tuples follow DEFAULT_IOU_THRESHOLDS."""
 
-
-def _check_nlq_preds(
-    preds: Mapping[str, LlmAnswer], gts: Mapping[str, IntervalLike]
-) -> None:
-    missing = sorted(qid for qid in preds if qid not in gts)
-    if missing:
-        raise MetricsError(f"predictions without ground truth: {missing}")
-    for qid, answer in preds.items():
-        if answer.kind is not QueryKind.NLQ:
-            raise MetricsError(f"prediction {qid!r} is not an NLQ answer")
-
-
-@dataclass(frozen=True)
-class OverlapStats:
-    """Overlap and NA ratio together with both denominators."""
-
-    overlap: float
-    na_ratio: float
-    n_total: int
-    n_answered: int
-
-    @property
-    def overlap_defined(self) -> bool:
-        return self.n_answered > 0
-
-    @property
-    def na_ratio_defined(self) -> bool:
-        return self.n_total > 0
-
-
-def overlap_rate(
-    preds: Mapping[str, LlmAnswer], gts: Mapping[str, IntervalLike]
-) -> OverlapStats:
-    """NA ratio over all predictions; Overlap over non-NA predictions.
-
-    A prediction overlaps iff any of its candidate intervals positively
-    intersects the ground-truth window.
-    """
-    _check_nlq_preds(preds, gts)
-    n_total = len(preds)
-    n_answered = 0
-    n_overlapping = 0
-    for qid, answer in preds.items():
-        if answer.is_na:
-            continue
-        n_answered += 1
-        gt = gts[qid]
-        if any(_positively_intersects(c, gt) for c in answer.intervals):
-            n_overlapping += 1
-    na_ratio = (n_total - n_answered) / n_total if n_total else 0.0
-    overlap = n_overlapping / n_answered if n_answered else 0.0
-    return OverlapStats(
-        overlap=overlap, na_ratio=na_ratio, n_total=n_total, n_answered=n_answered
-    )
-
-
-def iou_star_at(
-    preds: Mapping[str, LlmAnswer],
-    gts: Mapping[str, IntervalLike],
-    threshold: float,
-) -> float:
-    """Fraction of non-NA predictions with some candidate IoU > threshold."""
-    if not 0.0 < threshold <= 1.0:
-        raise MetricsError(f"threshold must be in (0, 1], got {threshold}")
-    _check_nlq_preds(preds, gts)
-    n_answered = 0
-    n_hit = 0
-    for qid, answer in preds.items():
-        if answer.is_na:
-            continue
-        n_answered += 1
-        gt = gts[qid]
-        if any(iou(c, gt) > threshold for c in answer.intervals):
-            n_hit += 1
-    return n_hit / n_answered if n_answered else 0.0
-
-
-def recall_at_1(
-    finals: Mapping[str, IntervalLike],
-    gts: Mapping[str, IntervalLike],
-    threshold: float,
-) -> float:
-    """Fraction of queries whose single final window has IoU > threshold.
-
-    Unlike Overlap and IoU*@t, the denominator is every query: by this
-    stage NA predictions have already been mapped to the full clip.
-    """
-    if not 0.0 < threshold <= 1.0:
-        raise MetricsError(f"threshold must be in (0, 1], got {threshold}")
-    missing = sorted(qid for qid in finals if qid not in gts)
-    if missing:
-        raise MetricsError(f"final windows without ground truth: {missing}")
-    if not finals:
-        return 0.0
-    n_hit = sum(1 for qid, window in finals.items() if iou(window, gts[qid]) > threshold)
-    return n_hit / len(finals)
-
-
-def qa_accuracy(
-    preds: Mapping[str, LlmAnswer], gts: Mapping[str, int]
-) -> float:
-    """Fraction of QA predictions whose choice index matches the key."""
-    missing = sorted(qid for qid in preds if qid not in gts)
-    if missing:
-        raise MetricsError(f"predictions without ground truth: {missing}")
-    for qid, answer in preds.items():
-        if answer.kind is not QueryKind.QA:
-            raise MetricsError(f"prediction {qid!r} is not a QA answer")
-    if not preds:
-        return 0.0
-    n_correct = sum(
-        1 for qid, answer in preds.items() if answer.choice_idx == gts[qid]
-    )
-    return n_correct / len(preds)
+    confidence: int
+    answered: bool = True
+    overlaps: bool = False
+    iou_star: tuple[bool, ...] = ()
+    recall: tuple[bool, ...] = ()
+    correct: bool = False
 
 
 @dataclass(frozen=True)
@@ -207,28 +100,58 @@ class EvalReport:
                 )
 
 
-def _undefined(names_and_flags: list[tuple[str, bool]]) -> tuple[str, ...]:
-    return tuple(name for name, defined in names_and_flags if not defined)
+def _check_preds(preds: Mapping, gts: Mapping, kind: QueryKind, noun: str) -> None:
+    missing = sorted(qid for qid in preds if qid not in gts)
+    if missing:
+        raise MetricsError(f"predictions without ground truth: {missing}")
+    for qid, answer in preds.items():
+        if answer.kind is not kind:
+            raise MetricsError(f"prediction {qid!r} is not {noun} answer")
 
 
-def _per_confidence(
-    preds: Mapping[str, LlmAnswer],
-    evaluate: Callable[[dict[str, LlmAnswer]], EvalReport],
-) -> dict[int, EvalReport]:
-    """evaluate on the predictions at or above each confidence level, in order."""
-    return {
-        level: evaluate({qid: a for qid, a in preds.items() if a.confidence >= level})
+def _share(hits: int, n: int) -> float:
+    return hits / n if n else 0.0
+
+
+def _stratified(outcomes: list[_Outcome], count: Callable) -> EvalReport:
+    """count over all outcomes, with one sub-report per confidence level."""
+    strata = {
+        level: count([o for o in outcomes if o.confidence >= level])
         for level in CONFIDENCE_LEVELS
     }
+    return replace(count(outcomes), per_confidence=strata)
+
+
+def _count_nlq(outcomes: list[_Outcome]) -> EvalReport:
+    n = len(outcomes)
+    answered = [o for o in outcomes if o.answered]
+    n_answered = len(answered)
+    thresholds = list(enumerate(DEFAULT_IOU_THRESHOLDS))
+    recalls = {t: _share(sum(o.recall[i] for o in outcomes), n) for i, t in thresholds}
+    undefined = () if n_answered else ("overlap", "iou_star")
+    if not n:
+        undefined = ("na_ratio", *undefined, "recall_at_1")
+    return EvalReport(
+        task="nlq",
+        n_queries=n,
+        n_answered=n_answered,
+        na_ratio=_share(n - n_answered, n),
+        overlap=_share(sum(o.overlaps for o in answered), n_answered),
+        iou_star={
+            t: _share(sum(o.iou_star[i] for o in answered), n_answered)
+            for i, t in thresholds
+        },
+        recall_at_1=recalls,
+        r1_mean=sum(recalls.values()) / len(recalls),
+        qa_accuracy=None,
+        undefined_metrics=undefined,
+    )
 
 
 def evaluate_nlq(
     preds: Mapping[str, LlmAnswer],
     finals: Mapping[str, IntervalLike],
     gts: Mapping[str, IntervalLike],
-    *,
-    thresholds: Sequence[float] = DEFAULT_IOU_THRESHOLDS,
-    stratify: bool = True,
 ) -> EvalReport:
     """Full localization report.
 
@@ -239,72 +162,50 @@ def evaluate_nlq(
     if set(preds) != set(finals):
         odd = sorted(set(preds).symmetric_difference(finals))
         raise MetricsError(f"preds and finals disagree on qids: {odd}")
-    stats = overlap_rate(preds, gts)
-    iou_star = {t: iou_star_at(preds, gts, t) for t in thresholds}
-    recalls = {t: recall_at_1(finals, gts, t) for t in thresholds}
-    r1_mean = sum(recalls.values()) / len(recalls) if recalls else 0.0
-    undefined = _undefined(
-        [
-            ("na_ratio", stats.na_ratio_defined),
-            ("overlap", stats.overlap_defined),
-            ("iou_star", stats.overlap_defined),
-            ("recall_at_1", bool(finals)),
-        ]
-    )
-    per_confidence = None
-    if stratify:
-        per_confidence = _per_confidence(
-            preds,
-            lambda kept: evaluate_nlq(
-                kept,
-                {qid: final for qid, final in finals.items() if qid in kept},
-                gts,
-                thresholds=thresholds,
-                stratify=False,
-            ),
+    _check_preds(preds, gts, QueryKind.NLQ, "an NLQ")
+    outcomes = []
+    for qid, answer in preds.items():
+        gt = _as_pair(gts[qid])
+        candidates = [_as_pair(c) for c in answer.intervals]
+        ious = [iou(c, gt) for c in candidates]
+        final_iou = iou(finals[qid], gt)
+        outcomes.append(
+            _Outcome(
+                confidence=answer.confidence,
+                answered=not answer.is_na,
+                # a positive intersection, not a positive IoU, which can underflow
+                overlaps=any(min(e, gt[1]) - max(s, gt[0]) > 0.0 for s, e in candidates),
+                iou_star=tuple(any(v > t for v in ious) for t in DEFAULT_IOU_THRESHOLDS),
+                recall=tuple(final_iou > t for t in DEFAULT_IOU_THRESHOLDS),
+            )
         )
-    return EvalReport(
-        task="nlq",
-        n_queries=stats.n_total,
-        n_answered=stats.n_answered,
-        na_ratio=stats.na_ratio,
-        overlap=stats.overlap,
-        iou_star=iou_star,
-        recall_at_1=recalls,
-        r1_mean=r1_mean,
-        qa_accuracy=None,
-        undefined_metrics=undefined,
-        per_confidence=per_confidence,
-    )
+    return _stratified(outcomes, _count_nlq)
 
 
-def evaluate_qa(
-    preds: Mapping[str, LlmAnswer],
-    gts: Mapping[str, int],
-    *,
-    stratify: bool = True,
-) -> EvalReport:
-    """Full QA report; localization fields are inert zeros."""
-    accuracy = qa_accuracy(preds, gts)
-    undefined = _undefined([("qa_accuracy", bool(preds))])
-    per_confidence = None
-    if stratify:
-        per_confidence = _per_confidence(
-            preds, lambda kept: evaluate_qa(kept, gts, stratify=False)
-        )
+def _count_qa(outcomes: list[_Outcome]) -> EvalReport:
+    n = len(outcomes)
     return EvalReport(
         task="qa",
-        n_queries=len(preds),
-        n_answered=len(preds),
+        n_queries=n,
+        n_answered=n,
         na_ratio=0.0,
         overlap=0.0,
         iou_star={},
         recall_at_1={},
         r1_mean=0.0,
-        qa_accuracy=accuracy,
-        undefined_metrics=undefined,
-        per_confidence=per_confidence,
+        qa_accuracy=_share(sum(o.correct for o in outcomes), n),
+        undefined_metrics=() if n else ("qa_accuracy",),
     )
+
+
+def evaluate_qa(preds: Mapping[str, LlmAnswer], gts: Mapping[str, int]) -> EvalReport:
+    """Full QA report; localization fields are inert zeros."""
+    _check_preds(preds, gts, QueryKind.QA, "a QA")
+    outcomes = [
+        _Outcome(confidence=a.confidence, correct=a.choice_idx == gts[qid])
+        for qid, a in preds.items()
+    ]
+    return _stratified(outcomes, _count_qa)
 
 
 def report_as_dict(report: EvalReport) -> dict:
@@ -330,6 +231,12 @@ def report_as_dict(report: EvalReport) -> dict:
     return out
 
 
+def _recall_text(report: EvalReport) -> str:
+    return "   ".join(
+        f"R@1 IoU@{t:g}: {v:.3f}" for t, v in sorted(report.recall_at_1.items())
+    )
+
+
 def report_to_text(report: EvalReport) -> str:
     """Flat fixed-width summary for quick reading."""
     lines = [
@@ -343,29 +250,17 @@ def report_to_text(report: EvalReport) -> str:
         )
         if star:
             lines.append(star)
-        recall = "   ".join(
-            f"R@1 IoU@{t:g}: {v:.3f}" for t, v in sorted(report.recall_at_1.items())
-        )
-        if recall:
-            lines.append(f"{recall}   Mean: {report.r1_mean:.3f}")
+        if report.recall_at_1:
+            lines.append(f"{_recall_text(report)}   Mean: {report.r1_mean:.3f}")
     else:
         lines.append(f"accuracy: {report.qa_accuracy:.3f}")
     if report.undefined_metrics:
         lines.append("undefined: " + ", ".join(report.undefined_metrics))
-    if report.per_confidence:
-        for level, sub in sorted(report.per_confidence.items()):
-            if sub.task == "nlq":
-                sub_recall = "   ".join(
-                    f"R@1 IoU@{t:g}: {v:.3f}"
-                    for t, v in sorted(sub.recall_at_1.items())
-                )
-                lines.append(
-                    f"confidence >= {level}: queries: {sub.n_queries}   "
-                    f"Overlap: {sub.overlap:.3f}   {sub_recall}"
-                )
-            else:
-                lines.append(
-                    f"confidence >= {level}: queries: {sub.n_queries}   "
-                    f"accuracy: {sub.qa_accuracy:.3f}"
-                )
+    for level, sub in sorted((report.per_confidence or {}).items()):
+        score = (
+            f"Overlap: {sub.overlap:.3f}   {_recall_text(sub)}"
+            if sub.task == "nlq"
+            else f"accuracy: {sub.qa_accuracy:.3f}"
+        )
+        lines.append(f"confidence >= {level}: queries: {sub.n_queries}   {score}")
     return "\n".join(lines)

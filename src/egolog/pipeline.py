@@ -9,13 +9,14 @@ prompt of a video, the LLM caption merges of a digest) runs on one
 completion pool of in_flight_limit squared threads, shared by all units,
 so a unit can use the slots another leaves idle and at most
 in_flight_limit squared completions are in flight. At in_flight_limit 1
-there are no pools: everything runs in the caller's thread. Before its
-own work each unit sends its video's digest texts through the run's
-embedding cache, so the units of one video share one embedding request.
-A missing track or an EgologError fails every key of its unit and
-nothing else. Outputs and failures come back in input query order
-(track order for digest), and each unit's completions in their own
-order, so results are byte-identical regardless of pool size.
+there are no pools: everything runs in the caller's thread. Before each
+question, ask sends the digest texts of every question on its video
+through the run's embedding cache, so the questions of one video share
+one embedding request. A missing track or an EgologError fails every
+key of its unit and nothing else. Outputs and failures come back in
+input query order (track order for digest), and each unit's completions
+in their own order, so results are byte-identical regardless of pool
+size.
 
 All derived randomness flows from the config seed: per-question prompts
 use (seed, "ask", qid), tie-breaking uses (seed, "vote", qid), per-video
@@ -38,6 +39,7 @@ from .corpus import (
     CaptionTrack,
     Query,
     QueryKind,
+    finite_seconds,
     iter_jsonl,
     load_captions,
     load_queries,
@@ -126,6 +128,14 @@ def _load_inputs(
     return tracks, queries
 
 
+def _by_video(queries: Sequence[Query]) -> dict[str, list[Query]]:
+    """Queries grouped by video, videos and queries in input order."""
+    grouped: dict[str, list[Query]] = {}
+    for query in queries:
+        grouped.setdefault(query.video_id, []).append(query)
+    return grouped
+
+
 def _run_units(
     command: str,
     config: PipelineConfig,
@@ -133,7 +143,6 @@ def _run_units(
     units: Sequence[Unit],
     work: Callable[[CaptionTrack, list[Query], Executor | None], dict[str, T]],
     order: Sequence[str],
-    embedder: EmbedderBackend,
 ) -> tuple[list[T], list[UnitFailure]]:
     """Map work over units; returns outputs and failures by order.
 
@@ -145,38 +154,7 @@ def _run_units(
     on one pool of n * n threads; at 1 both run in the caller's thread.
     No deadlock: unit tasks wait only on the completion pool, and
     completion tasks wait on no pool.
-
-    When embedder is a CachedEmbedder and a video has several units, each
-    of them first sends the texts that the digests of all of them embed,
-    so the first fetches them in one request and the others wait for it
-    in the cache. A failed request is logged and ignored: each unit then
-    fetches its own texts and fails on its own. A video's only unit
-    sends that request from its digest anyway.
     """
-    by_video: dict[str, list[Unit]] = {}
-    for unit in units:
-        by_video.setdefault(unit[1], []).append(unit)
-    shared_texts = {
-        vid: embedded_texts(
-            tracks[vid], [q for _, _, qs in shared for q in qs], config.digest
-        )
-        for vid, shared in by_video.items()
-        if len(shared) > 1 and vid in tracks and isinstance(embedder, CachedEmbedder)
-    }
-
-    def prefetch(video_id: str) -> None:
-        texts = shared_texts.get(video_id)
-        if not texts:
-            return
-        try:
-            embedder.embed_texts(texts)
-        except EgologError as exc:
-            logger.warning(
-                "shared embedding request for video %r failed: %s; "
-                "each unit fetches its own texts",
-                video_id,
-                exc,
-            )
 
     def one(unit: Unit) -> dict[str, T | UnitFailure]:
         keys, video_id, queries = unit
@@ -184,7 +162,6 @@ def _run_units(
         try:
             if video_id not in tracks:
                 raise ConfigError(f"no captions for video {video_id!r}")
-            prefetch(video_id)
             outputs = work(tracks[video_id], queries, completions)
         except EgologError as exc:
             return {key: UnitFailure(key, str(exc)) for key in keys}
@@ -241,7 +218,7 @@ def run_digest(
 
     units = [([vid], vid, [q for q in queries if q.video_id == vid]) for vid in tracks]
     results, failures = _run_units(
-        "digest", config, tracks, units, digest_video, list(tracks), embedder
+        "digest", config, tracks, units, digest_video, list(tracks)
     )
     digested_tracks = {track.video_id: track for track, _ in results}
     stats_by_video = {track.video_id: stats for track, stats in results}
@@ -254,17 +231,40 @@ def run_ask(
     embedder: EmbedderBackend | None = None,
     llm: LlmBackend | None = None,
 ) -> tuple[list[dict], list[UnitFailure]]:
-    """Answer every QA query: digest, prompt, repeated runs, vote."""
+    """Answer every QA query: digest, prompt, repeated runs, vote.
+
+    When a video has several questions and embedder is a CachedEmbedder,
+    each question first sends the texts that the digests of all of them
+    embed, so the first fetches them in one request and the others wait
+    for it in the cache. A failed request is logged and ignored: each
+    question then fetches its own texts and fails on its own.
+    """
     tracks, queries = _load_inputs(config, QueryKind.QA)
     if embedder is None:
         embedder = build_embedder(config)
     if llm is None:
         llm = build_llm(config)
+    shared_texts = {
+        vid: embedded_texts(tracks[vid], qs, config.digest)
+        for vid, qs in _by_video(queries).items()
+        if len(qs) > 1 and vid in tracks and isinstance(embedder, CachedEmbedder)
+    }
 
     def answer(
         track: CaptionTrack, unit_queries: list[Query], pool: Executor | None
     ) -> dict[str, dict]:
         (query,) = unit_queries
+        texts = shared_texts.get(track.video_id)
+        if texts:
+            try:
+                embedder.embed_texts(texts)
+            except EgologError as exc:
+                logger.warning(
+                    "shared embedding request for video %r failed: %s; "
+                    "each question fetches its own texts",
+                    track.video_id,
+                    exc,
+                )
         digested, _ = digest(track, [query], embedder, llm, config.digest, pool)
         prompt = build_qa_prompt(digested, query)
         outcome = run(
@@ -301,9 +301,7 @@ def run_ask(
         }
 
     units = [([q.qid], q.video_id, [q]) for q in queries]
-    return _run_units(
-        "ask", config, tracks, units, answer, [q.qid for q in queries], embedder
-    )
+    return _run_units("ask", config, tracks, units, answer, [q.qid for q in queries])
 
 
 def run_localize(
@@ -353,12 +351,9 @@ def run_localize(
             }
         return records
 
-    by_video: dict[str, list[Query]] = {}
-    for query in queries:
-        by_video.setdefault(query.video_id, []).append(query)
-    units = [([q.qid for q in qs], video_id, qs) for video_id, qs in by_video.items()]
+    units = [([q.qid for q in qs], vid, qs) for vid, qs in _by_video(queries).items()]
     return _run_units(
-        "localize", config, tracks, units, localize, [q.qid for q in queries], embedder
+        "localize", config, tracks, units, localize, [q.qid for q in queries]
     )
 
 
@@ -406,10 +401,13 @@ def _read_prediction_rows(path) -> list[tuple[str, int, dict]]:
 
 
 def _seconds(value) -> float:
-    """A window bound of a prediction row; a bool is an error."""
+    """A window bound of a prediction row, unrounded.
+
+    A bool or a non-finite number raises ValueError.
+    """
     if isinstance(value, bool):
         raise ValueError(f"window bounds must be numbers, got {value!r}")
-    return float(value)
+    return finite_seconds(value)
 
 
 def _prediction(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import time
 from concurrent.futures import Executor
@@ -416,7 +417,8 @@ def _parse_confidence(value, qid: str) -> int:
     if isinstance(value, bool) or value is None:
         logger.warning("missing confidence for qid %r; defaulting to 1", qid)
         return 1
-    if isinstance(value, (int, float)):
+    # a non-finite float is unparsable; rounding it would raise
+    if isinstance(value, int) or (isinstance(value, float) and math.isfinite(value)):
         level = int(round(value))
         if level == value and 1 <= level <= 3:
             return level

@@ -27,7 +27,7 @@ from egolog.digest import (
 from egolog.ensemble import AnswerPool, vote_by_confidence
 from egolog.errors import ParseError
 from egolog.llm import write_transcripts
-from egolog.metrics import evaluate_nlq, evaluate_qa, iou, qa_accuracy
+from egolog.metrics import evaluate_nlq, evaluate_qa, iou
 from egolog.pipeline import run_ask, run_eval, run_localize
 from egolog.reasoner import (
     CandidateInterval,
@@ -499,7 +499,7 @@ def test_gate_sanity_anchors():
             )
             for qid in gts
         }
-        total += qa_accuracy(preds, gts)
+        total += evaluate_qa(preds, gts).qa_accuracy
     mean = total / 1_000
     assert abs(mean - 0.20) <= 0.04, f"random-guess accuracy {mean:.4f}"
 

@@ -211,8 +211,13 @@ class TestCaptionsIO:
                 '{"video_id": "v1", "clip_start_s": 0, "clip_end_s": 1e309}',
                 "non-finite time inf",
             ),
+            (
+                '{"video_id": "v1", "start_s": 0, "end_s": 1%s, "text": "C sits"}'
+                % ("0" * 400),
+                "integer too large for a float",
+            ),
         ],
-        ids=["bool-start", "overflowing-end", "overflowing-clip-bound"],
+        ids=["bool-start", "overflowing-end", "overflowing-clip-bound", "huge-int-end"],
     )
     def test_coerced_times_rejected_with_path_and_line(self, tmp_path, line, message):
         path = tmp_path / "caps.jsonl"

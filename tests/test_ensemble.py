@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from egolog.corpus import QueryKind
 from egolog.ensemble import AnswerPool, vote_by_confidence
-from egolog.metrics import _per_confidence
+from egolog.metrics import evaluate_qa
 from egolog.reasoner import CandidateInterval, LlmAnswer
 
 
@@ -105,24 +105,28 @@ class TestVoteByConfidence:
 
 
 class TestFilterByConfidence:
-    """The per-confidence sub-reports evaluate these prediction subsets."""
+    """Each per-confidence sub-report counts the predictions at or above it."""
 
     @staticmethod
     def tiers(answers):
+        # every answer is scored correct, so each tier's n_queries is its size
         preds = {a.qid: a for a in answers}
-        return _per_confidence(preds, lambda kept: list(kept.values()))
+        return evaluate_qa(preds, {a.qid: a.choice_idx for a in answers}).per_confidence
 
-    def test_order_preserved(self):
+    def test_level_keeps_answers_at_or_above_it(self):
         answers = [qa(c, conf, qid=c) for c, conf in zip("ABCD", (1, 3, 2, 3))]
-        assert self.tiers(answers)[2] == [answers[1], answers[2], answers[3]]
+        # only A, below level 2, is wrong, so a perfect tier of 3 is B, C and D
+        preds = {a.qid: a for a in answers}
+        gts = {a.qid: a.choice_idx if a.qid != "A" else 4 for a in answers}
+        tier = evaluate_qa(preds, gts).per_confidence[2]
+        assert (tier.n_queries, tier.qa_accuracy) == (3, 1.0)
 
     def test_level_one_keeps_all(self):
         answers = [qa("A", 1, qid="a"), qa("B", 2, qid="b")]
-        assert self.tiers(answers)[1] == answers
+        assert self.tiers(answers)[1].n_queries == len(answers)
 
     def test_monotone_nesting(self):
         answers = [qa(c, conf, qid=c) for c, conf in zip("ABCDE", (1, 2, 3, 2, 1))]
         tiers = self.tiers(answers)
         assert set(tiers) == {1, 2, 3}
-        ids = [set(map(id, tiers[level])) for level in (3, 2, 1)]
-        assert ids[0] <= ids[1] <= ids[2]
+        assert [tiers[level].n_queries for level in (3, 2, 1)] == [1, 3, 5]

@@ -14,10 +14,6 @@ from egolog.metrics import (
     evaluate_nlq,
     evaluate_qa,
     iou,
-    iou_star_at,
-    overlap_rate,
-    qa_accuracy,
-    recall_at_1,
     report_as_dict,
     report_to_text,
 )
@@ -89,6 +85,11 @@ class TestIou:
         assert iou(pa, pb) == pytest.approx(float(oracle_iou(pa, pb)), abs=1e-12)
 
 
+def nlq_report(preds, gts, finals=None):
+    """evaluate_nlq with each final window defaulting to its ground truth."""
+    return evaluate_nlq(preds, gts if finals is None else finals, gts)
+
+
 class TestOverlapRate:
     def test_contract_example(self):
         # four predictions: two NA, one overlapping, one disjoint
@@ -99,37 +100,37 @@ class TestOverlapRate:
             "d": nlq("d", (50.0, 60.0)),
         }
         gts = {q: (10.0, 20.0) for q in preds}
-        stats = overlap_rate(preds, gts)
-        assert stats.na_ratio == 0.5
-        assert stats.overlap == 0.5
-        assert stats.n_total == 4
-        assert stats.n_answered == 2
+        report = nlq_report(preds, gts)
+        assert report.na_ratio == 0.5
+        assert report.overlap == 0.5
+        assert report.n_queries == 4
+        assert report.n_answered == 2
 
     def test_all_na(self):
         preds = {"a": nlq("a"), "b": nlq("b")}
         gts = {"a": (0.0, 1.0), "b": (0.0, 1.0)}
-        stats = overlap_rate(preds, gts)
-        assert stats.na_ratio == 1.0
-        assert stats.overlap == 0.0
-        assert not stats.overlap_defined
+        report = nlq_report(preds, gts)
+        assert report.na_ratio == 1.0
+        assert report.overlap == 0.0
+        assert "overlap" in report.undefined_metrics
 
     def test_any_candidate_counts(self):
         preds = {"a": nlq("a", (50.0, 60.0), (12.0, 13.0))}
-        stats = overlap_rate(preds, {"a": (10.0, 20.0)})
-        assert stats.overlap == 1.0
+        report = nlq_report(preds, {"a": (10.0, 20.0)})
+        assert report.overlap == 1.0
 
     def test_boundary_touch_does_not_overlap(self):
         preds = {"a": nlq("a", (0.0, 10.0))}
-        stats = overlap_rate(preds, {"a": (10.0, 20.0)})
-        assert stats.overlap == 0.0
+        report = nlq_report(preds, {"a": (10.0, 20.0)})
+        assert report.overlap == 0.0
 
     def test_missing_gt_rejected(self):
         with pytest.raises(MetricsError, match="without ground truth"):
-            overlap_rate({"a": nlq("a")}, {})
+            evaluate_nlq({"a": nlq("a")}, {"a": (0.0, 1.0)}, {})
 
     def test_qa_answer_rejected(self):
         with pytest.raises(MetricsError, match="not an NLQ"):
-            overlap_rate({"a": qa("a", 0)}, {"a": (0.0, 1.0)})
+            nlq_report({"a": qa("a", 0)}, {"a": (0.0, 1.0)})
 
 
 class TestIouStar:
@@ -138,23 +139,20 @@ class TestIouStar:
         preds = {"a": nlq("a", (0.0, 3.0))}
         gts = {"a": (0.0, 10.0)}
         assert iou((0.0, 3.0), (0.0, 10.0)) == 0.3
-        assert iou_star_at(preds, gts, 0.3) == 0.0
-        assert iou_star_at(preds, gts, 0.29) == 1.0
+        assert nlq_report(preds, gts).iou_star[0.3] == 0.0
+        # the same candidate 1 ms wider clears 0.3
+        wider = {"a": nlq("a", (0.0, 3.001))}
+        assert nlq_report(wider, gts).iou_star[0.3] == 1.0
 
     def test_na_excluded_from_denominator(self):
         preds = {"a": nlq("a", (0.0, 10.0)), "b": nlq("b")}
         gts = {"a": (0.0, 10.0), "b": (0.0, 10.0)}
-        assert iou_star_at(preds, gts, 0.5) == 1.0
+        assert nlq_report(preds, gts).iou_star[0.5] == 1.0
 
     def test_best_candidate_counts(self):
         preds = {"a": nlq("a", (90.0, 95.0), (0.0, 10.0))}
         gts = {"a": (0.0, 10.0)}
-        assert iou_star_at(preds, gts, 0.5) == 1.0
-
-    def test_threshold_validation(self):
-        for bad in (0.0, 1.5, -0.1):
-            with pytest.raises(MetricsError, match="threshold"):
-                iou_star_at({}, {}, bad)
+        assert nlq_report(preds, gts).iou_star[0.5] == 1.0
 
 
 class TestRecallAt1:
@@ -163,27 +161,29 @@ class TestRecallAt1:
 
     def test_contract_fixture(self):
         # per-query IoUs are exactly 0.35, 0.6, 0.1
-        assert recall_at_1(self.FINALS, self.GTS, 0.3) == pytest.approx(2 / 3)
-        assert recall_at_1(self.FINALS, self.GTS, 0.5) == pytest.approx(1 / 3)
+        preds = {q: nlq(q) for q in self.FINALS}
+        recalls = nlq_report(preds, self.GTS, self.FINALS).recall_at_1
+        assert recalls[0.3] == pytest.approx(2 / 3)
+        assert recalls[0.5] == pytest.approx(1 / 3)
 
     def test_strict_at_exact_half(self):
         finals = {"a": (0.0, 1.0)}
         gts = {"a": (0.0, 2.0)}  # IoU exactly 0.5 in binary64
-        assert recall_at_1(finals, gts, 0.5) == 0.0
+        assert nlq_report({"a": nlq("a")}, gts, finals).recall_at_1[0.5] == 0.0
 
     def test_empty_is_zero(self):
-        assert recall_at_1({}, {}, 0.5) == 0.0
+        assert evaluate_nlq({}, {}, {}).recall_at_1[0.5] == 0.0
 
     def test_missing_gt_rejected(self):
         with pytest.raises(MetricsError, match="without ground truth"):
-            recall_at_1({"a": (0.0, 1.0)}, {}, 0.5)
+            evaluate_nlq({"a": nlq("a")}, {"a": (0.0, 1.0)}, {})
 
 
 class TestQaAccuracy:
     def test_counts_matches(self):
         preds = {"a": qa("a", 0), "b": qa("b", 1), "c": qa("c", 2)}
         gts = {"a": 0, "b": 4, "c": 2}
-        assert qa_accuracy(preds, gts) == pytest.approx(2 / 3)
+        assert evaluate_qa(preds, gts).qa_accuracy == pytest.approx(2 / 3)
 
     def test_random_guessing_near_chance(self):
         # a uniform guesser over 5 options lands at 0.20 +/- 0.04
@@ -192,12 +192,12 @@ class TestQaAccuracy:
         trials = 1_000
         for _ in range(trials):
             preds, gts = random_qa_fixture(rng, 25)
-            total += qa_accuracy(preds, gts)
+            total += evaluate_qa(preds, gts).qa_accuracy
         assert abs(total / trials - 0.20) <= 0.04
 
     def test_nlq_answer_rejected(self):
         with pytest.raises(MetricsError, match="not a QA"):
-            qa_accuracy({"a": nlq("a")}, {"a": 0})
+            evaluate_qa({"a": nlq("a")}, {"a": 0})
 
 
 class TestEvaluateNlq:

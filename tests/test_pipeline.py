@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egolog.config import load_config
 from egolog.corpus import Query, QueryKind
 from egolog.errors import BackendProtocolError, ConfigError, MetricsError
 from egolog.llm import ReplayBackend, write_transcripts
+from egolog.metrics import report_as_dict
 from egolog.pipeline import (
     build_embedder,
     build_llm,
@@ -630,6 +634,16 @@ class TestRunEval:
                 4,
                 "window bounds must be numbers, got False",
             ),
+            (
+                _at(2, lambda row: {**row, "predicted_window": [0, 10**400]}),
+                3,
+                "integer too large for a float",
+            ),
+            (
+                _at(1, lambda row: {**row, "predicted_window": [0, float("inf")]}),
+                2,
+                "non-finite time inf",
+            ),
         ],
         ids=[
             "no-window",
@@ -642,6 +656,8 @@ class TestRunEval:
             "fractional-confidence",
             "bool-confidence",
             "bool-window",
+            "huge-int-window",
+            "infinite-window",
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, edit, line, message):
@@ -686,3 +702,89 @@ class TestRunEval:
         where = f"in {re.escape(str(preds))} at line 2"
         with pytest.raises(MetricsError, match=f"choice must be a whole number.*{where}"):
             run_eval(config, preds, "qa")
+
+
+@pytest.fixture(scope="module")
+def eval_corpus(tmp_path_factory):
+    """A config over QA and NLQ queries that all have ground truth, the
+    qids of each task, and a path for predictions."""
+    tmp = tmp_path_factory.mktemp("eval")
+    qa_tracks, qa_queries = synth_qa_benchmark(n_items=5, captions_per_video=4)
+    nlq_tracks, nlq_queries = synth_nlq_benchmark(n_items=5, captions_per_video=4)
+    config = disk_config(tmp, {**qa_tracks, **nlq_tracks}, qa_queries + nlq_queries)
+    qids = {"qa": [q.qid for q in qa_queries], "nlq": [q.qid for q in nlq_queries]}
+    return config, qids, tmp / "preds.jsonl"
+
+
+# values json reads but no number field accepts: bools, NaN, infinities,
+# integers too large for a float, strings
+ODD_SCALAR = st.sampled_from(
+    [True, None, math.nan, math.inf, -math.inf, 10**400, -(10**400), "inf", "x"]
+)
+ANY_SCALAR = st.one_of(ODD_SCALAR, st.integers(-3, 9), st.floats(-1e3, 1e3))
+ANY_VALUE = st.one_of(ANY_SCALAR, st.lists(ANY_SCALAR, max_size=3))
+# a pair with one end odd reads that end; any value also tries other shapes
+ANY_WINDOW = st.one_of(
+    st.tuples(ANY_SCALAR, st.floats(0, 500)).map(list),
+    st.tuples(st.floats(0, 500), ANY_SCALAR).map(list),
+    ANY_VALUE,
+)
+VALID_WINDOW = st.tuples(st.floats(0, 500), st.floats(0.001, 100)).map(
+    lambda p: [p[0], p[0] + p[1]]
+)
+ODD_FIELDS = {
+    "qa": {"choice": ANY_VALUE, "confidence": ANY_VALUE, "explanation": ANY_VALUE},
+    "nlq": {
+        "predicted_window": ANY_WINDOW,
+        "candidates": st.one_of(st.lists(ANY_WINDOW, max_size=2), ANY_VALUE),
+        "confidence": ANY_VALUE,
+        "explanation": ANY_VALUE,
+    },
+}
+
+
+def valid_rows(task, qids, min_size=0):
+    """Rows eval scores: distinct known qids and well-formed fields."""
+    answer = (
+        {"choice": st.integers(0, 4)}
+        if task == "qa"
+        else {"predicted_window": VALID_WINDOW, "candidates": st.lists(VALID_WINDOW)}
+    )
+    row = st.fixed_dictionaries({"confidence": st.integers(1, 3), **answer})
+    return st.lists(st.sampled_from(qids), min_size=min_size, unique=True).flatmap(
+        lambda chosen: st.tuples(*[row.map(lambda r, q=q: {"qid": q, **r}) for q in chosen])
+    )
+
+
+def write_rows(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), "utf-8")
+
+
+@pytest.mark.parametrize("task", ["qa", "nlq"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_eval_scores_or_names_file_and_line(eval_corpus, task, data):
+    # one field of one row gets any value; the rows around it are valid, so
+    # eval reads that value
+    config, qids, path = eval_corpus
+    rows = list(data.draw(valid_rows(task, qids[task], min_size=1)))
+    odd = data.draw(st.integers(0, len(rows) - 1))
+    field = data.draw(st.sampled_from(sorted(ODD_FIELDS[task])))
+    rows[odd][field] = data.draw(ODD_FIELDS[task][field])
+    write_rows(path, rows)
+    try:
+        run_eval(config, path, task)
+    except MetricsError as exc:
+        assert f"in {path} at line {odd + 1}" in str(exc)
+
+
+@pytest.mark.parametrize("task", ["qa", "nlq"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_eval_scores_independent_of_row_order(eval_corpus, task, data):
+    config, qids, path = eval_corpus
+    rows = list(data.draw(valid_rows(task, qids[task])))
+    write_rows(path, rows)
+    before = json.dumps(report_as_dict(run_eval(config, path, task)))
+    write_rows(path, data.draw(st.permutations(rows)))
+    assert json.dumps(report_as_dict(run_eval(config, path, task))) == before

@@ -381,6 +381,10 @@ class TestParseQa:
             (None, 1),
             (True, 1),
             ("very sure", 1),
+            (float("nan"), 1),
+            (float("inf"), 1),
+            (float("-inf"), 1),
+            ("inf", 1),
         ],
     )
     def test_confidence_coercion(self, value, expected):
