@@ -40,10 +40,6 @@ class ReplayMissError(EgologError):
 class ParseError(EgologError):
     """No usable structured block could be extracted from a model response."""
 
-    def __init__(self, message: str, raw: str):
-        self.raw = raw
-        super().__init__(message)
-
 
 class RefineError(EgologError):
     """Interval refinement could not satisfy its contract (degenerate geometry)."""

@@ -14,6 +14,7 @@ in undefined_metrics rather than omitted, so reports stay schema-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
@@ -40,13 +41,21 @@ def _as_pair(value: IntervalLike) -> tuple[float, float]:
 
 
 def iou(a: IntervalLike, b: IntervalLike) -> float:
-    """Intersection over union of two intervals; disjoint pairs score 0."""
+    """Intersection over union of two intervals; disjoint pairs score 0.
+
+    If a width or the union overflows a float, the endpoints are scored
+    again scaled by 2**-3, which is exact and keeps the union finite.
+    """
     s1, e1 = _as_pair(a)
     s2, e2 = _as_pair(b)
-    inter = min(e1, e2) - max(s1, s2)
-    if inter <= 0.0:
-        return 0.0
-    union = (e1 - s1) + (e2 - s2) - inter
+    for scale in (1.0, 2.0**-3):
+        s1, e1, s2, e2 = s1 * scale, e1 * scale, s2 * scale, e2 * scale
+        inter = min(e1, e2) - max(s1, s2)
+        if inter <= 0.0:
+            return 0.0
+        union = (e1 - s1) + (e2 - s2) - inter
+        if math.isfinite(union):
+            break
     return inter / union
 
 

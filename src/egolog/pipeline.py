@@ -286,7 +286,7 @@ def run_ask(
                     exc,
                 )
         if not answers:
-            raise ParseError(f"no usable answers from {config.runs} runs", raw="")
+            raise ParseError(f"no usable answers from {config.runs} runs")
         chosen = vote_by_confidence(
             AnswerPool(query.qid, tuple(answers)),
             derive_seed(config.seed, "vote", query.qid),

@@ -9,9 +9,10 @@ confidence level of 1, 2, or 3.
 
 Parsing is tolerant: the JSON block may sit inside prose or code fences,
 confidence values are coerced and clamped, and anything unusable degrades
-to documented defaults rather than fabricated content. Intervals are
-emitted exactly as the numerals found in the response; clamping to clip
-bounds is a separate, explicit step.
+to documented defaults rather than fabricated content. Any reply yields
+either one answer per expected qid or a ParseError, never another
+exception. Intervals are emitted exactly as the numerals found in the
+response; clamping to clip bounds is a separate, explicit step.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import math
 import re
 import time
 from concurrent.futures import Executor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .corpus import CaptionTrack, Query, QueryKind, normalize_caption_text
+from .corpus import CaptionTrack, Query, QueryKind, finite_seconds, normalize_caption_text
 from .errors import EgologError, ParseError
 from .llm import LlmBackend
 from .retry import RetryPolicy, call_with_retries, map_in_order
@@ -110,8 +111,7 @@ class LlmAnswer:
     """Parsed structured output for one query.
 
     QA answers carry a 0-based choice index; NLQ answers carry candidate
-    intervals, where an empty list means the model refused (NA). raw_text
-    keeps the response for debugging and is excluded from equality.
+    intervals, where an empty tuple means the model refused (NA).
     """
 
     qid: str
@@ -120,7 +120,6 @@ class LlmAnswer:
     intervals: tuple[CandidateInterval, ...] = ()
     explanation: str = ""
     confidence: int = 1
-    raw_text: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.confidence not in (1, 2, 3):
@@ -141,11 +140,10 @@ class LlmAnswer:
 
 @dataclass(frozen=True)
 class Prompt:
-    """One completion request: system text, user text, and the qids it covers."""
+    """One completion request: system text and user text."""
 
     system_text: str
     user_text: str
-    query_ids: tuple[str, ...]
 
 
 def caption_log_lines(track: CaptionTrack) -> list[str]:
@@ -168,11 +166,7 @@ def build_qa_prompt(track: CaptionTrack, query: Query) -> Prompt:
     parts.append("Options:")
     for letter, choice in zip(CHOICE_LETTERS, query.choices):
         parts.append(f"({letter}) {normalize_caption_text(choice)}")
-    return Prompt(
-        system_text=QA_SYSTEM_PROMPT,
-        user_text="\n".join(parts),
-        query_ids=(query.qid,),
-    )
+    return Prompt(system_text=QA_SYSTEM_PROMPT, user_text="\n".join(parts))
 
 
 def build_nlq_prompt(track: CaptionTrack, queries: Sequence[Query]) -> Prompt:
@@ -194,11 +188,7 @@ def build_nlq_prompt(track: CaptionTrack, queries: Sequence[Query]) -> Prompt:
     parts.append("Queries:")
     for i, query in enumerate(queries, start=1):
         parts.append(f"{i}. (qid {query.qid}) {normalize_caption_text(query.text)}")
-    return Prompt(
-        system_text=NLQ_SYSTEM_PROMPT,
-        user_text="\n".join(parts),
-        query_ids=tuple(q.qid for q in queries),
-    )
+    return Prompt(system_text=NLQ_SYSTEM_PROMPT, user_text="\n".join(parts))
 
 
 @dataclass(frozen=True)
@@ -273,6 +263,8 @@ _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*[ \t]*\n?(.*?)```", re.DOTALL)
 
 _CONFIDENCE_WORDS = {"low": 1, "medium": 2, "high": 3}
 
+_NA_WORDS = ("na", "n/a", "none", "null", "")
+
 
 def parse_response(
     raw: str, kind: QueryKind, expected_qids: Sequence[str]
@@ -281,13 +273,14 @@ def parse_response(
 
     NLQ qids absent from the block become NA with confidence 1 (warned).
     A QA response with no usable answer entry raises ParseError, since QA
-    has no refusal path.
+    has no refusal path. So does a reply that nests deeper than the JSON
+    decoder's recursion limit allows.
     """
     if not expected_qids:
         raise ValueError("expected_qids must be non-empty")
     entries = _extract_entries(raw)
     if entries is None:
-        raise ParseError("no structured block found in response", raw)
+        raise ParseError("no structured block found in response")
 
     by_qid: dict[str, dict] = {}
     anonymous: list[dict] = []
@@ -314,42 +307,32 @@ def parse_response(
         entry = by_qid.get(qid)
         if entry is None:
             if kind is QueryKind.QA:
-                raise ParseError(f"no answer entry for qid {qid!r}", raw)
+                raise ParseError(f"no answer entry for qid {qid!r}")
             logger.warning("no entry for qid %r; defaulting to NA, confidence 1", qid)
-            answers.append(
-                LlmAnswer(qid=qid, kind=QueryKind.NLQ, confidence=1, raw_text=raw)
-            )
+            answers.append(LlmAnswer(qid=qid, kind=QueryKind.NLQ, confidence=1))
             continue
-        answers.append(_entry_to_answer(entry, qid, kind, raw))
+        answers.append(_entry_to_answer(entry, qid, kind))
     return answers
 
 
 def _extract_entries(raw: str) -> list[dict] | None:
-    for text in _candidate_texts(raw):
-        entries = _scan_for_entries(text)
-        if entries is not None:
-            return entries
-    return None
-
-
-def _candidate_texts(raw: str):
-    for match in _FENCE_RE.finditer(raw):
-        yield match.group(1)
-    yield raw
-
-
-def _scan_for_entries(text: str) -> list[dict] | None:
+    """Entries of the first JSON value that has them: fenced blocks, then the reply."""
     decoder = json.JSONDecoder()
-    for idx, ch in enumerate(text):
-        if ch not in "[{":
-            continue
-        try:
-            payload, _ = decoder.raw_decode(text, idx)
-        except ValueError:
-            continue
-        entries = _normalize_payload(payload)
-        if entries is not None:
-            return entries
+    for text in [m.group(1) for m in _FENCE_RE.finditer(raw)] + [raw]:
+        for idx, ch in enumerate(text):
+            if ch not in "[{":
+                continue
+            try:
+                payload, _ = decoder.raw_decode(text, idx)
+            except ValueError:
+                continue
+            except RecursionError:
+                raise ParseError(
+                    "response nests deeper than the JSON decoder allows"
+                ) from None
+            entries = _normalize_payload(payload)
+            if entries is not None:
+                return entries
     return None
 
 
@@ -365,14 +348,13 @@ def _normalize_payload(payload) -> list[dict] | None:
                 return inner
         if _looks_like_entry(payload):
             return [payload]
-        return None
-    if isinstance(payload, list):
-        if (
-            payload
-            and all(isinstance(e, dict) for e in payload)
-            and any(_looks_like_entry(e) for e in payload)
-        ):
-            return payload
+    elif (
+        isinstance(payload, list)
+        and payload
+        and all(isinstance(e, dict) for e in payload)
+        and any(_looks_like_entry(e) for e in payload)
+    ):
+        return payload
     return None
 
 
@@ -380,7 +362,7 @@ def _looks_like_entry(entry: dict) -> bool:
     return any(key in entry for key in ("qid", "answer", "intervals"))
 
 
-def _entry_to_answer(entry: dict, qid: str, kind: QueryKind, raw: str) -> LlmAnswer:
+def _entry_to_answer(entry: dict, qid: str, kind: QueryKind) -> LlmAnswer:
     explanation = entry.get("explanation")
     if explanation is None:
         logger.warning("entry for qid %r has no explanation", qid)
@@ -388,28 +370,16 @@ def _entry_to_answer(entry: dict, qid: str, kind: QueryKind, raw: str) -> LlmAns
     elif not isinstance(explanation, str):
         explanation = str(explanation)
     confidence = _parse_confidence(entry.get("confidence"), qid)
+    choice_idx = None
+    intervals: tuple[CandidateInterval, ...] = ()
     if kind is QueryKind.QA:
         choice_idx = _parse_choice(entry.get("answer"))
         if choice_idx is None:
-            raise ParseError(
-                f"unparsable answer {entry.get('answer')!r} for qid {qid!r}", raw
-            )
-        return LlmAnswer(
-            qid=qid,
-            kind=kind,
-            choice_idx=choice_idx,
-            explanation=explanation,
-            confidence=confidence,
-            raw_text=raw,
-        )
-    intervals = _parse_intervals(entry.get("intervals"), qid)
+            raise ParseError(f"unparsable answer {entry.get('answer')!r} for qid {qid!r}")
+    else:
+        intervals = _parse_intervals(entry.get("intervals"), qid)
     return LlmAnswer(
-        qid=qid,
-        kind=kind,
-        intervals=tuple(intervals),
-        explanation=explanation,
-        confidence=confidence,
-        raw_text=raw,
+        qid, kind, choice_idx, intervals, explanation=explanation, confidence=confidence
     )
 
 
@@ -456,62 +426,48 @@ def _parse_choice(value) -> int | None:
     return None
 
 
-def _parse_intervals(value, qid: str) -> list[CandidateInterval]:
+def _parse_intervals(value, qid: str) -> tuple[CandidateInterval, ...]:
     if value is None:
         logger.warning("entry for qid %r has no intervals; treating as NA", qid)
-        return []
-    if isinstance(value, str):
-        if value.strip().lower() in ("na", "n/a", "none", "null", ""):
-            return []
-        logger.warning("unparsable intervals %r for qid %r; treating as NA", value, qid)
-        return []
+        return ()
+    if isinstance(value, str) and value.strip().lower() in _NA_WORDS:
+        return ()
     if not isinstance(value, list):
         logger.warning("unparsable intervals %r for qid %r; treating as NA", value, qid)
-        return []
-    if len(value) == 2 and all(_as_float(v) is not None for v in value):
+        return ()
+
+    def pair(item) -> tuple[float, float] | None:
+        """item as finite (start, end) bounds, numeric strings included."""
+        if not isinstance(item, list) or len(item) != 2:
+            return None
+        if any(isinstance(v, bool) for v in item):
+            return None
+        try:
+            # str.strip() removes \x1c-\x1f, which float() keeps
+            start_s, end_s = (
+                finite_seconds(v.strip() if isinstance(v, str) else v) for v in item
+            )
+        except (TypeError, ValueError):
+            return None
+        return start_s, end_s
+
+    if pair(value) is not None:
         # a bare [start, end] pair that forgot its nesting
         value = [value]
     out: list[CandidateInterval] = []
     for item in value:
-        pair = _coerce_pair(item)
-        if pair is None:
+        bounds = pair(item)
+        if bounds is None:
             logger.warning("dropping malformed interval %r for qid %r", item, qid)
             continue
-        start_s, end_s = pair
+        start_s, end_s = bounds
         if not start_s < end_s:
             logger.warning(
                 "dropping degenerate interval (%s, %s) for qid %r", start_s, end_s, qid
             )
             continue
         out.append(CandidateInterval(start_s, end_s))
-    return out
-
-
-def _coerce_pair(item) -> tuple[float, float] | None:
-    if not isinstance(item, (list, tuple)) or len(item) != 2:
-        return None
-    start_s = _as_float(item[0])
-    end_s = _as_float(item[1])
-    if start_s is None or end_s is None:
-        return None
-    return (start_s, end_s)
-
-
-def _as_float(value) -> float | None:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
-        result = float(value)
-    elif isinstance(value, str):
-        try:
-            result = float(value.strip())
-        except ValueError:
-            return None
-    else:
-        return None
-    if result != result or result in (float("inf"), float("-inf")):
-        return None
-    return result
+    return tuple(out)
 
 
 def format_reference(answers: Sequence[LlmAnswer]) -> str:

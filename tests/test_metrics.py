@@ -84,6 +84,33 @@ class TestIou:
         pb = (b[0], b[0] + b[1])
         assert iou(pa, pb) == pytest.approx(float(oracle_iou(pa, pb)), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            ((0.0, 1e308), (0.0, 1e308), 1.0),
+            ((-1e308, 1e308), (-1e308, 1e308), 1.0),
+            ((-1e308, 1e308), (0.0, 1e308), 0.5),
+            ((-1.5e308, 0.5e308), (-0.5e308, 1.5e308), 1 / 3),
+        ],
+    )
+    def test_width_wider_than_a_float(self, a, b, expected):
+        assert iou(a, b) == pytest.approx(expected, rel=1e-15)
+        assert iou(b, a) == iou(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=4,
+            max_size=4,
+            unique=True,
+        )
+    )
+    def test_matches_oracle_over_every_finite_float(self, ends):
+        pa, pb = tuple(sorted(ends[:2])), tuple(sorted(ends[2:]))
+        expected = float(oracle_iou(pa, pb))
+        assert iou(pa, pb) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
 
 def nlq_report(preds, gts, finals=None):
     """evaluate_nlq with each final window defaulting to its ground truth."""

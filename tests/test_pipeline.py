@@ -153,6 +153,27 @@ class TestRunAsk:
         for failure in failures:
             assert "no usable answers from 3 runs" in failure.error
 
+    @pytest.mark.parametrize("limit", ["1", "2"])
+    def test_deeply_nested_reply_fails_only_its_question(self, tmp_path, limit):
+        tracks, queries = synth_qa_benchmark(n_items=4, captions_per_video=6)
+        bad = queries[1].qid
+        good = ScriptedQaBackend()
+
+        class Nested:
+            def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
+                if f"(qid {bad})" in user_text:
+                    return "[" * 5000
+                return good.complete(system_text, user_text, sampling_seed, run_index)
+
+        config = disk_config(
+            tmp_path, tracks, queries, overrides={"run.in_flight_limit": limit}
+        )
+        records, failures = run_ask(config, llm=Nested())
+        assert [r["qid"] for r in records] == [q.qid for q in queries if q.qid != bad]
+        assert [(f.qid, f.error) for f in failures] == [
+            (bad, "no usable answers from 3 runs")
+        ]
+
     def test_no_qa_items_is_fatal(self, tmp_path):
         tracks, queries = synth_nlq_benchmark(n_items=2)
         config = disk_config(tmp_path, tracks, queries)
@@ -412,6 +433,49 @@ class TestRunLocalize:
         assert [f.qid for f in failures] == [q.qid for q in queries] + ["second"]
         assert all(f.error == "completion endpoint returned 400" for f in failures)
 
+    def test_deeply_nested_reply_fails_only_its_video(self, tmp_path):
+        tracks, queries = synth_nlq_benchmark(n_items=3, captions_per_video=8)
+        bad = queries[1].qid
+        good = ScriptedNlqBackend()
+
+        class Nested:
+            def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
+                if f"(qid {bad})" in user_text:
+                    return "[" * 5000
+                return good.complete(system_text, user_text, sampling_seed, run_index)
+
+        config = disk_config(tmp_path, tracks, queries)
+        records, failures = run_localize(config, llm=Nested())
+        assert [r["qid"] for r in records] == [q.qid for q in queries if q.qid != bad]
+        assert [(f.qid, f.error) for f in failures] == [
+            (bad, "response nests deeper than the JSON decoder allows")
+        ]
+
+    def test_huge_integer_bound_drops_only_that_interval(self, tmp_path):
+        tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
+        huge = Query("huge", queries[0].video_id, QueryKind.NLQ, queries[0].text)
+        good = ScriptedNlqBackend()
+
+        class HugeBound:
+            def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
+                text = good.complete(system_text, user_text, sampling_seed, run_index)
+                entries = json.loads(text.strip("`").removeprefix("json"))
+                for entry in entries:
+                    if entry["qid"] == "huge":
+                        entry["intervals"] = [[0, 10**400]]
+                return json.dumps(entries)
+
+        config = disk_config(
+            tmp_path, tracks, list(queries) + [huge], IDENTITY_DIGEST
+        )
+        records, failures = run_localize(config, llm=HugeBound())
+        assert failures == []
+        by_qid = {r["qid"]: r for r in records}
+        assert by_qid["huge"]["na"] is True
+        assert by_qid["huge"]["candidates"] == []
+        for query in queries:
+            assert by_qid[query.qid]["na"] is False
+
     def test_embedding_dimension_skew_fails_units_not_run(self, tmp_path):
         # captions and queries embed to different dimensions: every unit
         # fails with the backend's protocol error instead of a traceback
@@ -608,6 +672,19 @@ class TestRunEval:
             )
         with pytest.raises(MetricsError, match="unknown qids.*mystery"):
             run_eval(config, preds, "nlq")
+
+    def test_window_wider_than_a_float_scores_its_exact_prediction(self, tmp_path):
+        tracks, _ = synth_nlq_benchmark(n_items=1)
+        (vid,) = tracks
+        wide = Query("wide", vid, QueryKind.NLQ, "find: anything", gt_window=(0.0, 1e308))
+        config = disk_config(tmp_path, tracks, [wide])
+        preds = tmp_path / "preds.jsonl"
+        row = {"qid": "wide", "predicted_window": [0, 1e308], "candidates": [[0, 1e308]]}
+        write_rows(preds, [row])
+        report = run_eval(config, preds, "nlq")
+        assert report.overlap == 1.0
+        assert report.iou_star == {0.3: 1.0, 0.5: 1.0}
+        assert report.recall_at_1 == {0.3: 1.0, 0.5: 1.0}
 
     @pytest.mark.parametrize(
         "edit, line, message",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -97,17 +98,11 @@ class TestLlmAnswer:
             qid="q", kind=QueryKind.NLQ, intervals=(CandidateInterval(0, 1),)
         ).is_na
 
-    def test_raw_text_excluded_from_equality(self):
-        a = LlmAnswer(qid="q", kind=QueryKind.QA, choice_idx=0, raw_text="x")
-        b = LlmAnswer(qid="q", kind=QueryKind.QA, choice_idx=0, raw_text="y")
-        assert a == b
-
 
 class TestQaPrompt:
     def test_layout(self):
         track = make_track(texts=["C opens a jar", "C closes the jar"])
         prompt = build_qa_prompt(track, qa_query())
-        assert prompt.query_ids == ("q1",)
         assert prompt.user_text.splitlines() == [
             "Caption log:",
             "0-2: C opens a jar",
@@ -149,7 +144,6 @@ class TestNlqPrompt:
         track = make_track(texts=["C waters a plant"])
         queries = [nlq_query("q1", text="where is the cup"), nlq_query("q2", text="what did C water")]
         prompt = build_nlq_prompt(track, queries)
-        assert prompt.query_ids == ("q1", "q2")
         assert prompt.user_text.splitlines() == [
             "Caption log:",
             "0-2: C waters a plant",
@@ -430,7 +424,7 @@ class TestParseNlq:
             [
                 {
                     "qid": "q1",
-                    "intervals": [[5, 5], [9, 2], [1, 2, 3], "junk", [3, 8]],
+                    "intervals": [[5, 5], [9, 2], [1, 2, 3], "junk", [0, 10**400], [3, 8]],
                     "confidence": 2,
                     "explanation": "x",
                 }
@@ -439,6 +433,9 @@ class TestParseNlq:
         with caplog.at_level("WARNING", logger="egolog.reasoner"):
             (ans,) = parse_response(raw, QueryKind.NLQ, ["q1"])
         assert [c.as_pair() for c in ans.intervals] == [(3.0, 8.0)]
+        malformed = [r.message for r in caplog.records if "malformed" in r.message]
+        assert len(malformed) == 3
+        assert malformed[-1].startswith("dropping malformed interval [0, 1000")
 
     def test_all_items_malformed_becomes_na(self):
         raw = json.dumps(
@@ -477,6 +474,23 @@ class TestParseNlq:
         raw = '[{"qid": "q1", "intervals": [[NaN, 5], [1, Infinity]], "confidence": 2, "explanation": "x"}]'
         (ans,) = parse_response(raw, QueryKind.NLQ, ["q1"])
         assert ans.is_na
+
+    def test_padded_numeric_strings_accepted(self):
+        raw = json.dumps(
+            [{"qid": "q1", "intervals": [[" 5\x1c", "\x1f9.5 "]], "confidence": 2}]
+        )
+        (ans,) = parse_response(raw, QueryKind.NLQ, ["q1"])
+        assert [c.as_pair() for c in ans.intervals] == [(5.0, 9.5)]
+
+    def test_bool_bounds_rejected(self):
+        raw = json.dumps([{"qid": "q1", "intervals": [[False, True]], "confidence": 2}])
+        (ans,) = parse_response(raw, QueryKind.NLQ, ["q1"])
+        assert ans.is_na
+
+    @pytest.mark.parametrize("kind", [QueryKind.QA, QueryKind.NLQ])
+    def test_deep_nesting_is_a_parse_error(self, kind):
+        with pytest.raises(ParseError, match="nests deeper than the JSON decoder allows"):
+            parse_response("[" * 5000, kind, ["q1"])
 
 
 answer_strategy = st.one_of(
@@ -556,3 +570,76 @@ class TestClampToBounds:
     def test_qa_answers_pass_through(self):
         ans = LlmAnswer(qid="q", kind=QueryKind.QA, choice_idx=0)
         assert clamp_answer_to_bounds(ans, (0.0, 1.0)) is ans
+
+
+# JSON values no field expects: bools, NaN, infinities, integers too large
+# for a float, padded and non-finite numeric strings, NA words
+ODD_SCALAR = st.sampled_from(
+    [True, False, None, math.nan, math.inf, -math.inf, 10**400, -(10**400), "1e400",
+     " 7 ", "\x1c3\x1f", "NA", "high", "(C)", "[b]", ""]
+)
+JSON_SCALAR = st.one_of(
+    ODD_SCALAR, st.integers(-5, 50), st.floats(-1e3, 1e3), st.text(max_size=4)
+)
+JSON_VALUE = st.recursive(
+    JSON_SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    ),
+    max_leaves=6,
+)
+QIDS = ["q1", "q2", "q3"]
+INTERVALS = st.one_of(
+    st.lists(st.lists(JSON_SCALAR, min_size=2, max_size=2), max_size=3),
+    st.lists(JSON_SCALAR, min_size=2, max_size=2),
+    JSON_VALUE,
+)
+ENTRY = st.fixed_dictionaries(
+    {},
+    optional={
+        "qid": st.one_of(st.sampled_from(QIDS), JSON_VALUE),
+        "answer": st.one_of(st.sampled_from(list("ABCDEF")), JSON_VALUE),
+        "intervals": INTERVALS,
+        "explanation": JSON_VALUE,
+        "confidence": st.one_of(st.integers(0, 4), JSON_VALUE),
+    },
+)
+PAYLOAD = st.one_of(
+    st.lists(ENTRY, max_size=4),
+    ENTRY,
+    st.builds(
+        lambda key, entries: {key: entries},
+        st.sampled_from(["answers", "results", "queries", "predictions", "other"]),
+        st.lists(ENTRY, max_size=3),
+    ),
+    JSON_VALUE,
+)
+
+
+@st.composite
+def replies(draw):
+    text = json.dumps(draw(PAYLOAD))
+    if draw(st.booleans()):
+        text = "```" + draw(st.sampled_from(["json", "", "JSON "])) + "\n" + text + "\n```"
+    text = draw(st.text(max_size=8)) + text + draw(st.text(max_size=8))
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return "[" * draw(st.one_of(st.just(0), st.integers(0, 3000))) + text
+
+
+class TestParseAnyReply:
+    @settings(max_examples=400, deadline=None)
+    @given(replies(), st.sampled_from(list(QueryKind)), st.integers(1, 3))
+    def test_answers_in_order_or_parse_error(self, raw, kind, n_qids):
+        qids = QIDS[:n_qids]
+        try:
+            answers = parse_response(raw, kind, qids)
+        except ParseError:
+            return
+        assert [a.qid for a in answers] == qids
+        for answer in answers:
+            assert answer.kind is kind
+            for c in answer.intervals:
+                assert math.isfinite(c.start_s) and math.isfinite(c.end_s)
+                assert c.start_s < c.end_s
