@@ -58,15 +58,12 @@ print("--- prompt sent to the model ---")
 print(prompt.user_text)
 print()
 
-outcome = run(prompt, WaveringBackend(), runs=5, seed=derive_seed(7, "ask", "tool"))
+replies = run(prompt, WaveringBackend(), runs=5, seed=derive_seed(7, "ask", "tool"))
 answers = []
-for response in outcome.responses:
-    answers.extend(parse_response(response.text, QueryKind.QA, ["tool"]))
+for run_index, reply in enumerate(replies):
+    answers.extend(parse_response(reply, QueryKind.QA, ["tool"]))
     letter = "ABCDE"[answers[-1].choice_idx]
-    print(
-        f"run {response.run_index}: answer {letter}"
-        f"  confidence {answers[-1].confidence}"
-    )
+    print(f"run {run_index}: answer {letter}  confidence {answers[-1].confidence}")
 
 pool = AnswerPool(qid="tool", answers=tuple(answers))
 final = vote_by_confidence(pool, rng_seed=derive_seed(7, "vote", "tool"))

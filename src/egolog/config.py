@@ -147,7 +147,7 @@ def load_config(
     try:
         with open(path, encoding="utf-8") as handle:
             cp.read_file(handle)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     for section in cp.sections():
         if section not in _KEYS:

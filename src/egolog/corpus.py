@@ -203,14 +203,20 @@ class Query:
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) pairs from a JSONL file; blank lines skipped."""
+    """Yield (line_number, record) pairs from a JSONL file; blank lines skipped.
+
+    A byte that is not UTF-8 is a CorpusError naming the line it is on.
+    """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                line.encode("utf-8")  # fails on the surrogate a bad byte decodes to
                 record = json.loads(line)
+            except UnicodeEncodeError:
+                raise CorpusError("not valid UTF-8", path=str(path), line=lineno) from None
             except json.JSONDecodeError as exc:
                 raise CorpusError(
                     f"malformed line: {exc.msg}", path=str(path), line=lineno

@@ -70,7 +70,6 @@ class MergeGroup:
 
     member_indices: tuple[int, ...]
     merged_interval: tuple[float, float]
-    merged_text: str = ""
 
     def __post_init__(self) -> None:
         if len(self.member_indices) < 2:

@@ -12,16 +12,17 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from pathlib import Path
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Mapping, Protocol
 
-from .errors import BackendProtocolError, ConfigError, ReplayMissError, TransportError
+from .errors import BackendProtocolError, ReplayMissError
+from .retry import bearer_token, post_json
 
 logger = logging.getLogger(__name__)
 
+COMPLETION_TIMEOUT_S = 120.0
 
-@runtime_checkable
+
 class LlmBackend(Protocol):
     def complete(
         self,
@@ -54,17 +55,24 @@ class ReplayBackend:
     """
 
     def __init__(self, transcripts: Mapping[str, Mapping[str, str]]):
-        self._transcripts = {
-            str(k): {str(rk): str(rv) for rk, rv in v.items()}
-            for k, v in transcripts.items()
-        }
+        self._transcripts = {k: dict(v) for k, v in transcripts.items()}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayBackend":
-        with Path(path).open("r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        """Load a store written by write_transcripts; BackendProtocolError if malformed."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # invalid UTF-8 or invalid JSON
+            raise BackendProtocolError(
+                f"transcripts file {path} is not UTF-8 JSON: {exc}"
+            ) from exc
         if not isinstance(data, dict):
             raise BackendProtocolError(f"transcripts file {path} is not a JSON object")
+        for digest, runs in data.items():
+            if not isinstance(runs, dict) or not all(isinstance(t, str) for t in runs.values()):
+                raise BackendProtocolError(
+                    f"transcripts file {path}: entry {digest!r} is not an object of strings"
+                )
         return cls(data)
 
     def complete(
@@ -96,21 +104,16 @@ def write_transcripts(path: str | Path, transcripts: Mapping[str, Mapping[str, s
 class HttpLlmBackend:
     """Client for an HTTP completion endpoint.
 
-    POSTs ``{"system": ..., "user": ..., "seed": ...?}`` and expects
-    ``{"text": ...}``. Chat-completion-style services are expected to sit
-    behind a thin adapter exposing this contract. Retrying is the caller's
-    job (see reasoner.run); this class only classifies failures.
+    POSTs ``{"system": ..., "user": ..., "seed": ...?}`` through
+    retry.post_json and expects ``{"text": <string>}``. Chat-completion-style
+    services are expected to sit behind a thin adapter exposing this
+    contract. Retrying is the caller's job (see reasoner.run); this class
+    only classifies failures.
     """
 
-    def __init__(self, endpoint: str, auth_env: str | None = None, *, timeout_s: float = 120.0):
+    def __init__(self, endpoint: str, auth_env: str | None = None):
         self._endpoint = endpoint
-        self._timeout_s = timeout_s
-        self._token: str | None = None
-        if auth_env:
-            token = os.environ.get(auth_env)
-            if token is None:
-                raise ConfigError(f"auth environment variable {auth_env!r} is not set")
-            self._token = token
+        self._token = bearer_token(auth_env)
 
     def complete(
         self,
@@ -119,31 +122,12 @@ class HttpLlmBackend:
         sampling_seed: int | None = None,
         run_index: int = 0,
     ) -> str:
-        import requests
-
-        headers = {}
-        if self._token is not None:
-            headers["Authorization"] = f"Bearer {self._token}"
         body: dict = {"system": system_text, "user": user_text}
         if sampling_seed is not None:
             body["seed"] = int(sampling_seed)
-        try:
-            resp = requests.post(
-                self._endpoint, json=body, headers=headers, timeout=self._timeout_s
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"completion endpoint unreachable: {exc}") from exc
-        if resp.status_code >= 500:
-            raise TransportError(f"completion endpoint returned {resp.status_code}")
-        if resp.status_code != 200:
-            raise BackendProtocolError(
-                f"completion endpoint returned {resp.status_code}: {resp.text[:200]}"
-            )
-        try:
-            text = resp.json()["text"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise BackendProtocolError(f"bad completion response: {exc}") from exc
+        text = post_json(
+            self._endpoint, body, self._token, COMPLETION_TIMEOUT_S, "completion", "text"
+        )
         if not isinstance(text, str):
             raise BackendProtocolError("completion text field is not a string")
         return text
-

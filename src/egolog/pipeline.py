@@ -47,7 +47,7 @@ from .corpus import (
 )
 from .digest import DigestStats, MergeMode, digest, embedded_texts
 from .ensemble import AnswerPool, vote_by_confidence
-from .errors import ConfigError, EgologError, MetricsError, ParseError, TransportError
+from .errors import ConfigError, EgologError, MetricsError, ParseError
 from .llm import HttpLlmBackend, LlmBackend, ReplayBackend
 from .metrics import EvalReport, evaluate_nlq, evaluate_qa
 from .reasoner import (
@@ -267,7 +267,7 @@ def run_ask(
                 )
         digested, _ = digest(track, [query], embedder, llm, config.digest, pool)
         prompt = build_qa_prompt(digested, query)
-        outcome = run(
+        replies = run(
             prompt,
             llm,
             config.runs,
@@ -275,15 +275,14 @@ def run_ask(
             pool=pool,
         )
         answers = []
-        for response in outcome.responses:
+        for run_index, reply in enumerate(replies):
+            if isinstance(reply, EgologError):
+                continue
             try:
-                answers.extend(parse_response(response.text, QueryKind.QA, [query.qid]))
+                answers.extend(parse_response(reply, QueryKind.QA, [query.qid]))
             except ParseError as exc:
                 logger.warning(
-                    "discarding run %d for qid %r: %s",
-                    response.run_index,
-                    query.qid,
-                    exc,
+                    "discarding run %d for qid %r: %s", run_index, query.qid, exc
                 )
         if not answers:
             raise ParseError(f"no usable answers from {config.runs} runs")
@@ -325,14 +324,12 @@ def run_localize(
     ) -> dict[str, dict]:
         digested, _ = digest(track, video_queries, embedder, llm, config.digest, pool)
         prompt = build_nlq_prompt(digested, video_queries)
-        outcome = run(
+        (reply,) = run(
             prompt, llm, 1, derive_seed(config.seed, "nlq", track.video_id), pool=pool
         )
-        if not outcome.responses:
-            raise TransportError(outcome.failures[0].error)
-        answers = parse_response(
-            outcome.responses[0].text, QueryKind.NLQ, [q.qid for q in video_queries]
-        )
+        if isinstance(reply, EgologError):
+            raise reply
+        answers = parse_response(reply, QueryKind.NLQ, [q.qid for q in video_queries])
         records: dict[str, dict] = {}
         for query, answer in zip(video_queries, answers):
             clamped = clamp_answer_to_bounds(answer, digested.bounds)

@@ -191,26 +191,6 @@ def build_nlq_prompt(track: CaptionTrack, queries: Sequence[Query]) -> Prompt:
     return Prompt(system_text=NLQ_SYSTEM_PROMPT, user_text="\n".join(parts))
 
 
-@dataclass(frozen=True)
-class RunResponse:
-    run_index: int
-    text: str
-
-
-@dataclass(frozen=True)
-class RunFailure:
-    run_index: int
-    error: str
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """Raw texts from repeated completions, plus any permanently failed runs."""
-
-    responses: tuple[RunResponse, ...]
-    failures: tuple[RunFailure, ...]
-
-
 def run(
     prompt: Prompt,
     backend: LlmBackend,
@@ -220,23 +200,24 @@ def run(
     retry: RetryPolicy = RetryPolicy(),
     sleep: Callable[[float], None] = time.sleep,
     pool: Executor | None = None,
-) -> RunOutcome:
+) -> list[str | EgologError]:
     """Issue `runs` independent completions for one prompt.
 
-    Per-run sampling seeds are derived from (seed, run index). Transport
-    failures are retried with capped exponential backoff; a run that
-    exhausts its budget is recorded as failed and excluded downstream.
-    The runs go through map_in_order: all of them on pool when one is
-    given, else one at a time in the caller's thread. Responses and
-    failures come back in run-index order either way.
+    Returns one entry per run in run-index order: the reply text, or the
+    EgologError that ended the run. Per-run sampling seeds are derived
+    from (seed, run index). Transport failures are retried with capped
+    exponential backoff; a run that exhausts its budget, or fails any
+    other way, is logged and its error returned in its place. The runs go
+    through map_in_order: all of them on pool when one is given, else one
+    at a time in the caller's thread.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
 
-    def one(run_index: int) -> RunResponse | RunFailure:
+    def one(run_index: int) -> str | EgologError:
         sampling_seed = derive_seed(seed, "run", run_index)
         try:
-            text = call_with_retries(
+            return call_with_retries(
                 lambda: backend.complete(
                     prompt.system_text,
                     prompt.user_text,
@@ -249,17 +230,17 @@ def run(
             )
         except EgologError as exc:
             logger.warning("run %d failed permanently: %s", run_index, exc)
-            return RunFailure(run_index, str(exc))
-        return RunResponse(run_index, text)
+            return exc
 
-    results = map_in_order(one, range(runs), pool)
-    return RunOutcome(
-        tuple(r for r in results if isinstance(r, RunResponse)),
-        tuple(r for r in results if isinstance(r, RunFailure)),
-    )
+    return map_in_order(one, range(runs), pool)
 
 
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*[ \t]*\n?(.*?)```", re.DOTALL)
+
+# a valid answer nests at most 5 deep; far below the decoder's recursion limit
+MAX_NESTING = 100
+_TOO_DEEP = "response nests deeper than the JSON decoder allows"
+_SYNTAX_RE = re.compile(r'\\.|[][{}"]', re.DOTALL)
 
 _CONFIDENCE_WORDS = {"low": 1, "medium": 2, "high": 3}
 
@@ -273,8 +254,8 @@ def parse_response(
 
     NLQ qids absent from the block become NA with confidence 1 (warned).
     A QA response with no usable answer entry raises ParseError, since QA
-    has no refusal path. So does a reply that nests deeper than the JSON
-    decoder's recursion limit allows.
+    has no refusal path. So does a reply that nests more than MAX_NESTING
+    brackets deep.
     """
     if not expected_qids:
         raise ValueError("expected_qids must be non-empty")
@@ -316,9 +297,15 @@ def parse_response(
 
 
 def _extract_entries(raw: str) -> list[dict] | None:
-    """Entries of the first JSON value that has them: fenced blocks, then the reply."""
+    """Entries of the first JSON value that has them: fenced blocks, then the reply.
+
+    A text nesting deeper than MAX_NESTING fails before decoding, whatever
+    the caller's stack depth; the RecursionError catch is a backstop.
+    """
     decoder = json.JSONDecoder()
     for text in [m.group(1) for m in _FENCE_RE.finditer(raw)] + [raw]:
+        if _nesting(text) > MAX_NESTING:
+            raise ParseError(_TOO_DEEP)
         for idx, ch in enumerate(text):
             if ch not in "[{":
                 continue
@@ -327,13 +314,30 @@ def _extract_entries(raw: str) -> list[dict] | None:
             except ValueError:
                 continue
             except RecursionError:
-                raise ParseError(
-                    "response nests deeper than the JSON decoder allows"
-                ) from None
+                raise ParseError(_TOO_DEEP) from None
             entries = _normalize_payload(payload)
             if entries is not None:
                 return entries
     return None
+
+
+def _nesting(text: str) -> int:
+    """Deepest [ and { nesting in text in one pass, brackets in JSON strings ignored."""
+    depth = deepest = 0
+    in_string = False
+    for token in _SYNTAX_RE.findall(text):
+        if in_string:
+            in_string = token != '"'
+            continue
+        ch = token[-1]  # outside a string a backslash escapes nothing
+        if ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in "]}":
+            depth = max(depth - 1, 0)
+    return deepest
 
 
 def _normalize_payload(payload) -> list[dict] | None:

@@ -1,19 +1,58 @@
-"""How remote backend calls are issued: the retry policy and an in-order map."""
+"""How remote backend calls are issued: one JSON POST, retries and an in-order map."""
 
 from __future__ import annotations
 
 import logging
+import os
 import time
 from concurrent.futures import Executor, wait
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
-from .errors import TransportError
+from .errors import BackendProtocolError, ConfigError, TransportError
 
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 U = TypeVar("U")
+
+
+def bearer_token(auth_env: str | None) -> str | None:
+    """Token in the variable auth_env names, None without one; ConfigError if unset."""
+    if not auth_env:
+        return None
+    token = os.environ.get(auth_env)
+    if token is None:
+        raise ConfigError(f"auth environment variable {auth_env!r} is not set")
+    return token
+
+
+def post_json(
+    endpoint: str, body: dict, token: str | None, timeout_s: float, what: str, field: str
+) -> Any:
+    """POST body as JSON to the `what` endpoint and return the reply's field.
+
+    Unreachable or 5xx: TransportError, which call_with_retries retries.
+    Any other status but 200, or a reply not JSON or without field:
+    BackendProtocolError.
+    """
+    import requests
+
+    headers = {} if token is None else {"Authorization": f"Bearer {token}"}
+    try:
+        resp = requests.post(endpoint, json=body, headers=headers, timeout=timeout_s)
+    except requests.RequestException as exc:
+        raise TransportError(f"{what} endpoint unreachable: {exc}") from exc
+    if resp.status_code >= 500:
+        raise TransportError(f"{what} endpoint returned {resp.status_code}")
+    if resp.status_code != 200:
+        raise BackendProtocolError(
+            f"{what} endpoint returned {resp.status_code}: {resp.text[:200]}"
+        )
+    try:
+        return resp.json()[field]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise BackendProtocolError(f"bad {what} response: {exc}") from exc
 
 
 @dataclass(frozen=True)

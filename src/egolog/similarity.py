@@ -15,18 +15,18 @@ HTTP client for a real embedding service.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import time
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .errors import BackendProtocolError, ConfigError, TransportError
-from .retry import RetryPolicy, call_with_retries
+from .errors import BackendProtocolError
+from .retry import RetryPolicy, bearer_token, call_with_retries, post_json
+
+EMBED_TIMEOUT_S = 60.0
 
 
-@runtime_checkable
 class EmbedderBackend(Protocol):
     """Batch text embedder: one vector per text, as an (n, d) array or a list of rows.
 
@@ -87,55 +87,24 @@ class HttpEmbedder:
         endpoint: str,
         auth_env: str | None = None,
         *,
-        timeout_s: float = 60.0,
         retry: RetryPolicy = RetryPolicy(),
         sleep: Callable[[float], None] = time.sleep,
     ):
         self._endpoint = endpoint
-        self._timeout_s = timeout_s
         self._retry = retry
         self._sleep = sleep
-        self._token: str | None = None
-        if auth_env:
-            token = os.environ.get(auth_env)
-            if token is None:
-                raise ConfigError(f"auth environment variable {auth_env!r} is not set")
-            self._token = token
+        self._token = bearer_token(auth_env)
 
     def embed_texts(self, texts: Sequence[str]) -> list[list[float]]:
-        return call_with_retries(
-            lambda: self._post(list(texts)),
+        body = {"texts": list(texts)}
+        vectors = call_with_retries(
+            lambda: post_json(
+                self._endpoint, body, self._token, EMBED_TIMEOUT_S, "embedding", "embeddings"
+            ),
             policy=self._retry,
             sleep=self._sleep,
             what="embedding request",
         )
-
-    def _post(self, texts: list[str]) -> list[list[float]]:
-        import requests
-
-        headers = {}
-        if self._token is not None:
-            headers["Authorization"] = f"Bearer {self._token}"
-        try:
-            resp = requests.post(
-                self._endpoint,
-                json={"texts": texts},
-                headers=headers,
-                timeout=self._timeout_s,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"embedding endpoint unreachable: {exc}") from exc
-        if resp.status_code >= 500:
-            raise TransportError(f"embedding endpoint returned {resp.status_code}")
-        if resp.status_code != 200:
-            raise BackendProtocolError(
-                f"embedding endpoint returned {resp.status_code}: {resp.text[:200]}"
-            )
-        try:
-            payload = resp.json()
-            vectors = payload["embeddings"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise BackendProtocolError(f"bad embedding response: {exc}") from exc
         if not isinstance(vectors, list):
             raise BackendProtocolError("embeddings field is not a list")
         return vectors

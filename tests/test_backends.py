@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -66,6 +67,31 @@ class TestReplayBackend:
         path = tmp_path / "bad.json"
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(BackendProtocolError, match="not a JSON object"):
+            ReplayBackend.from_file(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"{not json", b'{"abc": "\xff"}'],
+        ids=["not-json", "not-utf8"],
+    )
+    def test_undecodable_file_names_it(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        where = f"transcripts file {re.escape(str(path))} is not"
+        with pytest.raises(BackendProtocolError, match=where):
+            ReplayBackend.from_file(path)
+
+    @pytest.mark.parametrize(
+        "store",
+        [{"abc": "text"}, {"abc": ["text"]}, {"abc": {"run_0": 17}}],
+        ids=["string-entry", "list-entry", "number-run"],
+    )
+    def test_entry_not_an_object_of_strings_names_its_key(self, tmp_path, store):
+        path = tmp_path / "bad.json"
+        good = {prompt_sha256("s", "u"): {"run_0": "fine"}}
+        write_transcripts(path, {**good, **store})
+        where = f"{re.escape(str(path))}: entry 'abc' is not an object of strings"
+        with pytest.raises(BackendProtocolError, match=where):
             ReplayBackend.from_file(path)
 
     def test_seed_does_not_change_replay(self):
@@ -249,6 +275,16 @@ class TestHttpLlmBackend:
     def test_4xx_is_protocol_error(self, http_script):
         http_script.status = 404
         with pytest.raises(BackendProtocolError, match="404"):
+            HttpLlmBackend(http_script.endpoint).complete("s", "u")
+
+    def test_malformed_body(self, http_script):
+        http_script.body = "not json {"
+        with pytest.raises(BackendProtocolError, match="bad completion response"):
+            HttpLlmBackend(http_script.endpoint).complete("s", "u")
+
+    def test_missing_field(self, http_script):
+        http_script.body = {"reply": "ok"}
+        with pytest.raises(BackendProtocolError, match="bad completion response"):
             HttpLlmBackend(http_script.endpoint).complete("s", "u")
 
     def test_text_field_must_be_string(self, http_script):

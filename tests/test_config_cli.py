@@ -134,6 +134,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="must be a number"):
             minimal_config(tmp_path, body=body)
 
+    def test_undecodable_byte_names_file(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL + "[digest]\nblocklist = waves\n")
+        path.write_bytes(path.read_bytes().replace(b"waves", b"wav\xffes"))
+        where = f"cannot parse config {re.escape(str(path))}: .* decode byte 0xff"
+        with pytest.raises(ConfigError, match=where):
+            load_config(path)
+
     def test_bad_integer(self, tmp_path):
         with pytest.raises(ConfigError, match="must be an integer"):
             minimal_config(tmp_path, body="[run]\nseed = 1.5\n")
@@ -510,3 +517,20 @@ class TestCliErrors:
         )
         assert code == 1
         assert "EGO_TOKEN" in capsys.readouterr().err
+
+    def test_malformed_transcripts_exits_1(self, tmp_path, capsys):
+        tracks, queries, captions, qpath = qa_fixture_on_disk(tmp_path)
+        transcripts = tmp_path / "transcripts.json"
+        transcripts.write_text('{"abc": "text"}', encoding="utf-8")
+        config = write_config(
+            tmp_path,
+            "[run]\nseed = 3\n"
+            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n"
+            f"transcripts = {transcripts.name}\n",
+        )
+        code = main(
+            ["ask", "--config", str(config), "--out", str(tmp_path / "o.jsonl")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"transcripts file {transcripts}: entry 'abc'" in err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -186,6 +187,21 @@ class TestCaptionsIO:
         assert str(path) in str(excinfo.value)
         assert "line 1" in str(excinfo.value)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_undecodable_byte_names_path_and_line(self, tmp_path, newline):
+        # 400 lines span several read chunks; the bad byte sits on line 301
+        path = tmp_path / "caps.jsonl"
+        rows = [
+            f'{{"video_id": "v1", "start_s": {i}, "end_s": {i + 1}, "text": "C é"}}'
+            for i in range(400)
+        ]
+        rows = [row.encode("utf-8") for row in rows]
+        rows[300] = rows[300].replace(b"C", b"C \xff")
+        path.write_bytes(newline.join(rows) + newline)
+        where = f"not valid UTF-8 in {re.escape(str(path))} at line 301$"
+        with pytest.raises(CorpusError, match=where):
+            load_captions(path)
+
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "caps.jsonl"
         path.write_text(json.dumps({"video_id": "v1", "start_s": 0}) + "\n")
@@ -274,6 +290,14 @@ class TestQueriesIO:
         row = {"qid": "n1", "video_id": "v1", "kind": "nlq", "query": "when?"}
         path.write_text(json.dumps(row) + "\n" + json.dumps(row) + "\n")
         with pytest.raises(CorpusError, match="duplicate qid"):
+            load_queries(path)
+
+    def test_undecodable_byte_names_path_and_line(self, tmp_path):
+        path = tmp_path / "queries.jsonl"
+        row = {"qid": "n1", "video_id": "v1", "kind": "nlq", "query": "when?"}
+        path.write_bytes(json.dumps(row).encode() + b'\n\n{"qid": "\xc3"}\n')
+        where = f"not valid UTF-8 in {re.escape(str(path))} at line 3$"
+        with pytest.raises(CorpusError, match=where):
             load_queries(path)
 
     def test_gt_normalized_to_milliseconds(self, tmp_path):

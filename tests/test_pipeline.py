@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from egolog.config import load_config
 from egolog.corpus import Query, QueryKind
-from egolog.errors import BackendProtocolError, ConfigError, MetricsError
+from egolog.errors import BackendProtocolError, ConfigError, CorpusError, MetricsError
 from egolog.llm import ReplayBackend, write_transcripts
 from egolog.metrics import report_as_dict
 from egolog.pipeline import (
@@ -743,6 +743,15 @@ class TestRunEval:
         preds.write_text("".join(json.dumps(r) + "\n" for r in edit(rows)), "utf-8")
         where = f"in {re.escape(str(preds))} at line {line}"
         with pytest.raises(MetricsError, match=f"{message}.*{where}"):
+            run_eval(config, preds, "nlq")
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        config, preds = self.localize_and_eval(tmp_path)
+        lines = preds.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"qid"', b'"q\xe9id"')
+        preds.write_bytes(b"".join(lines))
+        where = f"not valid UTF-8 in {re.escape(str(preds))} at line 3$"
+        with pytest.raises(CorpusError, match=where):
             run_eval(config, preds, "nlq")
 
     def test_wrong_task_rejected(self, tmp_path):

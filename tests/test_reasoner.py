@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egolog.corpus import Query, QueryKind
-from egolog.errors import ParseError, TransportError
+from egolog.errors import EgologError, ParseError, TransportError
 from egolog.reasoner import (
+    MAX_NESTING,
     NO_CAPTIONS_MARKER,
     CandidateInterval,
     LlmAnswer,
-    RunOutcome,
     build_nlq_prompt,
     build_qa_prompt,
     caption_log_lines,
@@ -172,10 +172,8 @@ class TestRun:
         texts = iter(["first", "second", "third"])
         backend = CallableBackend(lambda s, u: next(texts))
         prompt = build_qa_prompt(make_track(), qa_query())
-        outcome = run(prompt, backend, 3, seed=11, sleep=lambda s: None)
-        assert [r.text for r in outcome.responses] == ["first", "second", "third"]
-        assert [r.run_index for r in outcome.responses] == [0, 1, 2]
-        assert outcome.failures == ()
+        replies = run(prompt, backend, 3, seed=11, sleep=lambda s: None)
+        assert replies == ["first", "second", "third"]
 
     def test_per_run_seeds_derived_from_run_index(self):
         seeds = []
@@ -200,7 +198,7 @@ class TestRun:
             return "recovered"
 
         prompt = build_qa_prompt(make_track(), qa_query())
-        outcome = run(
+        replies = run(
             prompt,
             CallableBackend(flaky),
             1,
@@ -208,7 +206,7 @@ class TestRun:
             retry=RetryPolicy(attempts=3),
             sleep=lambda s: None,
         )
-        assert outcome.responses[0].text == "recovered"
+        assert replies == ["recovered"]
         assert len(attempts) == 3
 
     def test_exhausted_run_recorded_not_raised(self):
@@ -221,7 +219,7 @@ class TestRun:
             return "late success"
 
         prompt = build_qa_prompt(make_track(), qa_query())
-        outcome = run(
+        replies = run(
             prompt,
             CallableBackend(flaky),
             2,
@@ -229,9 +227,8 @@ class TestRun:
             retry=RetryPolicy(attempts=1),
             sleep=lambda s: None,
         )
-        assert isinstance(outcome, RunOutcome)
-        assert [f.run_index for f in outcome.failures] == [0, 1]
-        assert outcome.responses == ()
+        assert [type(r) for r in replies] == [TransportError, TransportError]
+        assert [str(r) for r in replies] == ["down", "down"]
 
     def test_runs_must_be_positive(self):
         prompt = build_qa_prompt(make_track(), qa_query())
@@ -242,8 +239,8 @@ class TestRun:
         prompt = build_qa_prompt(make_track(), qa_query())
         backend = OverlapBackend(parties=2)
         with completion_pool(2) as pool:
-            outcome = run(prompt, backend, 2, seed=11, pool=pool)
-        assert [r.run_index for r in outcome.responses] == [0, 1]
+            replies = run(prompt, backend, 2, seed=11, pool=pool)
+        assert replies == [backend.reply, backend.reply]
         assert backend.max_in_flight == 2
         serial = OverlapBackend(parties=1)
         run(prompt, serial, 4, seed=11)
@@ -254,24 +251,23 @@ class TestRun:
         outcomes = []
         for limit in (1, 2, 8):
             with completion_pool(limit) as pool:
-                outcomes.append(
-                    run(
-                        prompt,
-                        HashFailingBackend(),
-                        12,
-                        seed=11,
-                        sleep=lambda s: None,
-                        pool=pool,
-                    )
+                replies = run(
+                    prompt,
+                    HashFailingBackend(),
+                    12,
+                    seed=11,
+                    sleep=lambda s: None,
+                    pool=pool,
                 )
+            outcomes.append([r if isinstance(r, str) else repr(r) for r in replies])
         assert outcomes[0] == outcomes[1] == outcomes[2]
-        responses, failures = outcomes[0].responses, outcomes[0].failures
-        assert responses and failures
-        indices = [r.run_index for r in responses] + [f.run_index for f in failures]
-        assert sorted(indices) == list(range(12))
-        for response in responses:
-            seed = derive_seed(11, "run", response.run_index)
-            assert response.text.endswith(f" seed {seed}")
+        assert len(replies) == 12
+        failed = [i for i, r in enumerate(replies) if isinstance(r, EgologError)]
+        assert 0 < len(failed) < 12
+        for run_index, reply in enumerate(replies):
+            if run_index not in failed:
+                seed = derive_seed(11, "run", run_index)
+                assert reply.endswith(f" seed {seed}")
 
 
 def qa_block(qid="q1", answer="B", explanation="because", confidence=2):
@@ -491,6 +487,39 @@ class TestParseNlq:
     def test_deep_nesting_is_a_parse_error(self, kind):
         with pytest.raises(ParseError, match="nests deeper than the JSON decoder allows"):
             parse_response("[" * 5000, kind, ["q1"])
+
+
+def _frames_deeper(depth, fn):
+    """fn() called `depth` Python frames below the caller."""
+    return fn() if depth == 0 else _frames_deeper(depth - 1, fn)
+
+
+class TestNestingLimit:
+    """The nesting limit, not the caller's stack depth, decides a deep reply."""
+
+    block = json.dumps([{"qid": "q1", "answer": "B", "confidence": 2, "explanation": "x"}])
+
+    @pytest.mark.parametrize("depth", [0, 200])
+    def test_deeper_than_limit_fails_at_any_stack_depth(self, depth):
+        raw = "[" * 900 + self.block
+        with pytest.raises(ParseError, match="nests deeper than the JSON decoder allows"):
+            _frames_deeper(depth, lambda: parse_response(raw, QueryKind.QA, ["q1"]))
+
+    @pytest.mark.parametrize("depth", [0, 200])
+    def test_just_under_limit_parses_at_any_stack_depth(self, depth):
+        # the block itself nests 2 deep: a list of one object
+        raw = "[" * (MAX_NESTING - 3) + self.block
+        (ans,) = _frames_deeper(
+            depth, lambda: parse_response(raw, QueryKind.QA, ["q1"])
+        )
+        assert ans.choice_idx == 1
+
+    def test_brackets_inside_strings_do_not_count(self):
+        # escaped quotes inside the string do not end it
+        explanation = '"[{' * 500
+        entry = {"qid": "q1", "answer": "B", "confidence": 2, "explanation": explanation}
+        (ans,) = parse_response(json.dumps([entry]), QueryKind.QA, ["q1"])
+        assert ans.explanation == explanation
 
 
 answer_strategy = st.one_of(
