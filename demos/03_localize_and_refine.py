@@ -9,6 +9,8 @@ padding math also powers a training-set generator for window classifiers:
 jitter each ground-truth window and label the copies by exact IoU.
 """
 
+import json
+
 from egolog.corpus import Caption, CaptionTrack, QueryKind
 from egolog.reasoner import clamp_answer_to_bounds, parse_response
 from egolog.refine import (
@@ -60,17 +62,13 @@ final = select_candidate(
 print(f"selected final window:     {final.as_pair()}")
 print()
 
-# jittered copies of a known window, labeled pos/neg by exact IoU
-dataset = gen_refinement_dataset(
+# jittered copies of a known window, rounded to the millisecond and
+# labeled pos/neg by the exact IoU of the window as written
+records = gen_refinement_dataset(
     [("water", (10.0, 30.0), track.bounds)],
-    RefineConfig(),
+    RefineConfig(samples_per_gt=4),
     seed=42,
-    samples_per_gt=4,
 )
-print("refinement training samples for gt (10.0, 30.0):")
-for sample in dataset:
-    s, e = sample.interval.as_pair()
-    print(
-        f"  {sample.label.value:>3}  ({s:6.2f}, {e:6.2f})"
-        f"  iou={sample.iou_to_gt:.3f}"
-    )
+print("refinement records for gt (10.0, 30.0):")
+for record in records:
+    print(f"  {json.dumps(record)}")

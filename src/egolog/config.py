@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -32,7 +33,6 @@ def _split_list(raw: str) -> tuple[str, ...]:
 
 _DIGEST = DigestConfig()
 _REFINE = RefineConfig()
-_SCALE_KEYS = ("jitter_scale_lo", "jitter_scale_hi")
 
 # section -> key -> (parser, default). A missing or blank value means the
 # default; None means unset. Stage defaults come from the stage configs.
@@ -56,11 +56,11 @@ _KEYS = {
     "refine": {
         "pad_alpha": (float, _REFINE.pad_alpha),
         "jitter_shift_max": (float, _REFINE.jitter_shift_max),
-        "jitter_scale_lo": (float, _REFINE.jitter_scale_range[0]),
-        "jitter_scale_hi": (float, _REFINE.jitter_scale_range[1]),
+        "jitter_scale_lo": (float, _REFINE.jitter_scale_lo),
+        "jitter_scale_hi": (float, _REFINE.jitter_scale_hi),
         "pos_iou": (float, _REFINE.pos_iou),
         "neg_iou": (float, _REFINE.neg_iou),
-        "samples_per_gt": (int, 10),
+        "samples_per_gt": (int, _REFINE.samples_per_gt),
     },
 }
 
@@ -92,7 +92,6 @@ class PipelineConfig:
     embedder_dim: int
     digest: DigestConfig
     refine: RefineConfig
-    samples_per_gt: int
 
     def __post_init__(self) -> None:
         if self.runs < 1:
@@ -109,8 +108,6 @@ class PipelineConfig:
             raise ConfigError("embedder.kind is http but embedder.endpoint is not set")
         if self.embedder_dim < 1:
             raise ConfigError("embedder.dim must be >= 1")
-        if self.samples_per_gt < 1:
-            raise ConfigError("refine.samples_per_gt must be >= 1")
 
 
 def _parse(cp: configparser.ConfigParser, section: str, key: str):
@@ -119,11 +116,14 @@ def _parse(cp: configparser.ConfigParser, section: str, key: str):
     if not raw:
         return default
     try:
-        return parser(raw)
+        value = parser(raw)
     except ValueError as exc:
         raise ConfigError(
             f"{section}.{key} must be {_EXPECTED[parser]}, got {raw!r}"
         ) from exc
+    if parser is float and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be a finite number, got {raw!r}")
+    return value
 
 
 def parse_override(flag: str) -> tuple[str, str]:
@@ -176,12 +176,9 @@ def load_config(
     if values["run"]["seed"] is None:
         raise ConfigError("run.seed is required; runs are never seeded from the clock")
 
-    refine = values["refine"]
-    samples_per_gt = refine.pop("samples_per_gt")
-    scale_range = tuple(refine.pop(key) for key in _SCALE_KEYS)
     try:
         digest_cfg = DigestConfig(**values["digest"])
-        refine_cfg = RefineConfig(jitter_scale_range=scale_range, **refine)
+        refine_cfg = RefineConfig(**values["refine"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -191,7 +188,6 @@ def load_config(
         **{f"{s}_{key}": v for s in ("llm", "embedder") for key, v in values[s].items()},
         digest=digest_cfg,
         refine=refine_cfg,
-        samples_per_gt=samples_per_gt,
     )
 
 
@@ -201,10 +197,8 @@ def _held(config: PipelineConfig, section: str, key: str):
         return getattr(config, f"{key}_path")
     if section in ("llm", "embedder"):
         return getattr(config, f"{section}_{key}")
-    if key in _SCALE_KEYS:
-        return config.refine.jitter_scale_range[_SCALE_KEYS.index(key)]
     stage = getattr(config, section) if section in ("digest", "refine") else config
-    return getattr(stage, key) if hasattr(stage, key) else getattr(config, key)
+    return getattr(stage, key)
 
 
 def _plain(value):

@@ -63,7 +63,6 @@ from .refine import (
     CandidateScorer,
     CaptionOverlapScorer,
     gen_refinement_dataset,
-    sample_to_record,
     select_candidate,
 )
 from .retry import map_in_order
@@ -372,11 +371,9 @@ def run_gen_refine_data(config: PipelineConfig) -> list[dict]:
                 "with no captions"
             )
         gts.append((query.qid, query.gt_window, track.bounds))
-    samples = gen_refinement_dataset(
-        gts, config.refine, config.seed, samples_per_gt=config.samples_per_gt
-    )
-    _log_event("gen-refine-data", queries=len(targets), samples=len(samples))
-    return [sample_to_record(s) for s in samples]
+    records = gen_refinement_dataset(gts, config.refine, config.seed)
+    _log_event("gen-refine-data", queries=len(targets), samples=len(records))
+    return records
 
 
 def _read_prediction_rows(path) -> list[tuple[str, int, dict]]:

@@ -322,21 +322,30 @@ def _extract_entries(raw: str) -> list[dict] | None:
 
 
 def _nesting(text: str) -> int:
-    """Deepest [ and { nesting in text in one pass, brackets in JSON strings ignored."""
-    depth = deepest = 0
-    in_string = False
-    for token in _SYNTAX_RE.findall(text):
-        if in_string:
-            in_string = token != '"'
-            continue
-        ch = token[-1]  # outside a string a backslash escapes nothing
-        if ch == '"':
-            in_string = True
+    """Deepest [ and { nesting the decoder can meet from any start it tries.
+
+    The decoder tries every [ and {, also ones inside what a scan from the
+    first character takes for a string, so one pass from the end keeps
+    the deepest nesting ahead of each position both inside and outside a
+    string. Brackets in a string do not count, and outside one the
+    decoder stops at a backslash.
+    """
+    inside = outside = deepest = 0
+    for token in reversed(_SYNTAX_RE.findall(text)):
+        ch = token[-1]
+        if len(token) == 2:
+            # a string escapes ch; outside one the decoder stops at the
+            # backslash, but it still tries ch as a start
+            if ch in "[{":
+                deepest = max(deepest, outside + 1)
+            outside = 0
+        elif ch == '"':
+            inside, outside = outside, inside
         elif ch in "[{":
-            depth += 1
-            deepest = max(deepest, depth)
-        elif ch in "]}":
-            depth = max(depth - 1, 0)
+            outside += 1
+            deepest = max(deepest, outside)
+        else:
+            outside = max(outside - 1, 0)
     return deepest
 
 

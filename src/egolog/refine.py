@@ -5,9 +5,11 @@ clamped to clip bounds; a pluggable scorer scores all padded candidates
 of one query in one call and the best one is selected. An NA answer
 falls back to the full clip. This module also generates the balanced
 positive/negative dataset used to train candidate-selection classifiers:
-ground-truth windows are randomly shifted and scaled, then kept as
-positives (IoU strictly above the positive threshold) or negatives
-(strictly below the negative threshold), equal counts of each.
+ground-truth windows are randomly shifted and scaled, rounded to the
+millisecond, and written as records {"qid", "start_s", "end_s", "label",
+"iou"}. A record is "pos" when the IoU of its written window with the
+ground truth is strictly above pos_iou and "neg" when strictly below
+neg_iou, samples_per_gt of each per window.
 
 Neural candidate selectors are out of scope; the CandidateScorer protocol
 is the seam they plug into. In scope is a deterministic caption-overlap
@@ -19,8 +21,8 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from enum import Enum
-from typing import Protocol, Sequence, runtime_checkable
+from fractions import Fraction
+from typing import Protocol, Sequence
 
 from .corpus import CaptionTrack, QueryKind
 from .errors import EgologError, RefineError
@@ -32,44 +34,37 @@ from .similarity import EmbedderBackend, cosine_matrix, embed_batch
 logger = logging.getLogger(__name__)
 
 
+# draws per ground-truth window before its quotas count as unfillable
+MAX_ATTEMPTS_PER_GT = 10_000
+
+
 @dataclass(frozen=True)
 class RefineConfig:
-    """Padding margin, jitter distribution, and label thresholds."""
+    """The [refine] keys: padding, jitter distribution, labels, quota."""
 
     pad_alpha: float = 10.0
     jitter_shift_max: float = 30.0
-    jitter_scale_range: tuple[float, float] = (0.5, 2.0)
+    jitter_scale_lo: float = 0.5
+    jitter_scale_hi: float = 2.0
     pos_iou: float = 0.5
     neg_iou: float = 0.1
+    samples_per_gt: int = 10
 
     def __post_init__(self) -> None:
         if self.pad_alpha < 0:
             raise ValueError("pad_alpha must be >= 0")
         if self.jitter_shift_max < 0:
             raise ValueError("jitter_shift_max must be >= 0")
-        low, high = self.jitter_scale_range
-        if not 0 < low <= high:
-            raise ValueError("jitter_scale_range must satisfy 0 < low <= high")
+        if not 0 < self.jitter_scale_lo <= self.jitter_scale_hi:
+            raise ValueError(
+                "jitter scales must satisfy 0 < jitter_scale_lo <= jitter_scale_hi"
+            )
         if not 0 <= self.neg_iou < self.pos_iou <= 1:
             raise ValueError("thresholds must satisfy 0 <= neg_iou < pos_iou <= 1")
+        if self.samples_per_gt < 1:
+            raise ValueError("samples_per_gt must be >= 1")
 
 
-class Label(str, Enum):
-    POS = "pos"
-    NEG = "neg"
-
-
-@dataclass(frozen=True)
-class RefinementSample:
-    """One labeled jittered window for classifier training."""
-
-    query_id: str
-    interval: CandidateInterval
-    label: Label
-    iou_to_gt: float
-
-
-@runtime_checkable
 class CandidateScorer(Protocol):
     """Scores the padded candidate windows of one query over a track.
 
@@ -176,61 +171,31 @@ def select_candidate(
     return padded[best]
 
 
-def check_sample(sample: RefinementSample, cfg: RefineConfig) -> None:
-    """Re-derive the sample's label from its IoU; raise on mismatch."""
-    if sample.label is Label.POS and not sample.iou_to_gt > cfg.pos_iou:
-        raise RefineError(
-            f"sample for {sample.query_id!r} labeled pos with IoU {sample.iou_to_gt}"
-        )
-    if sample.label is Label.NEG and not sample.iou_to_gt < cfg.neg_iou:
-        raise RefineError(
-            f"sample for {sample.query_id!r} labeled neg with IoU {sample.iou_to_gt}"
-        )
-
-
-def _jitter_window(
-    rng: random.Random,
-    gt: tuple[float, float],
-    bounds: tuple[float, float],
-    cfg: RefineConfig,
-) -> tuple[float, float] | None:
-    lo, hi = bounds
-    gt_start, gt_end = gt
-    shift = rng.uniform(-cfg.jitter_shift_max, cfg.jitter_shift_max)
-    scale = rng.uniform(*cfg.jitter_scale_range)
-    center = (gt_start + gt_end) / 2.0 + shift
-    half = (gt_end - gt_start) * scale / 2.0
-    start_s = max(center - half, lo)
-    end_s = min(center + half, hi)
-    if not start_s < end_s:
-        return None
-    return (start_s, end_s)
+def _exact_iou(a: tuple[float, float], b: tuple[float, float]) -> Fraction:
+    (s1, e1), (s2, e2) = map(Fraction, a), map(Fraction, b)
+    inter = max(min(e1, e2) - max(s1, s2), 0)
+    return inter / ((e1 - s1) + (e2 - s2) - inter)
 
 
 def gen_refinement_dataset(
     gts: Sequence[tuple[str, tuple[float, float], tuple[float, float]]],
     cfg: RefineConfig,
     seed: int,
-    *,
-    samples_per_gt: int = 10,
-    max_attempts_per_gt: int = 10_000,
-) -> list[RefinementSample]:
-    """Jitter each ground-truth window into balanced POS/NEG samples.
+) -> list[dict]:
+    """Jitter each ground-truth window into balanced pos/neg records.
 
     gts holds (qid, gt_window, clip_bounds) triples. Per window, jittered
-    copies with IoU strictly above pos_iou become positives and ones
-    strictly below neg_iou become negatives, samples_per_gt of each;
-    exact-threshold and in-between draws are discarded. Each qid jitters
+    copies rounded to the millisecond with IoU strictly above pos_iou
+    become positives and ones strictly below neg_iou become negatives,
+    samples_per_gt of each; exact-threshold and in-between draws, and
+    windows that round to nothing, are discarded. Each qid jitters
     under its own seed derived from (seed, qid), so output is independent
     of processing order. A window whose geometry cannot fill both quotas
-    within the attempt budget raises RefineError naming the qid.
+    within MAX_ATTEMPTS_PER_GT draws raises RefineError naming the qid.
     """
-    if samples_per_gt < 1:
-        raise ValueError("samples_per_gt must be >= 1")
-    samples: list[RefinementSample] = []
-    for qid, gt, bounds in gts:
-        lo, hi = bounds
-        gt_start, gt_end = gt
+    quota = cfg.samples_per_gt
+    records: list[dict] = []
+    for qid, (gt_start, gt_end), (lo, hi) in gts:
         if not lo < hi:
             raise RefineError(f"degenerate clip bounds ({lo}, {hi}) for {qid!r}")
         if not gt_start < gt_end or gt_start < lo or gt_end > hi:
@@ -239,48 +204,44 @@ def gen_refinement_dataset(
                 f"bounds ({lo}, {hi})"
             )
         rng = random.Random(derive_seed(seed, "refine", qid))
-        pos: list[RefinementSample] = []
-        neg: list[RefinementSample] = []
+        pos: list[dict] = []
+        neg: list[dict] = []
         attempts = 0
-        while len(pos) < samples_per_gt or len(neg) < samples_per_gt:
-            if attempts >= max_attempts_per_gt:
+        while len(pos) < quota or len(neg) < quota:
+            if attempts == MAX_ATTEMPTS_PER_GT:
                 raise RefineError(
                     f"attempt budget exhausted for {qid!r}: "
-                    f"{len(pos)} pos / {len(neg)} neg of {samples_per_gt}"
+                    f"{len(pos)} pos / {len(neg)} neg of {quota}"
                 )
             attempts += 1
-            window = _jitter_window(rng, (gt_start, gt_end), bounds, cfg)
-            if window is None:
+            shift = rng.uniform(-cfg.jitter_shift_max, cfg.jitter_shift_max)
+            scale = rng.uniform(cfg.jitter_scale_lo, cfg.jitter_scale_hi)
+            center = (gt_start + gt_end) / 2.0 + shift
+            half = (gt_end - gt_start) * scale / 2.0
+            # labelled as written: by the window rounded to the millisecond
+            start_s = round(max(center - half, lo), 3)
+            end_s = round(min(center + half, hi), 3)
+            if not start_s < end_s:
                 continue
-            value = iou(window, (gt_start, gt_end))
-            if value > cfg.pos_iou and len(pos) < samples_per_gt:
-                sample = RefinementSample(
-                    query_id=qid,
-                    interval=CandidateInterval(*window),
-                    label=Label.POS,
-                    iou_to_gt=value,
-                )
-            elif value < cfg.neg_iou and len(neg) < samples_per_gt:
-                sample = RefinementSample(
-                    query_id=qid,
-                    interval=CandidateInterval(*window),
-                    label=Label.NEG,
-                    iou_to_gt=value,
-                )
+            value = exact = iou((start_s, end_s), (gt_start, gt_end))
+            # the float IoU is within 1e-15 of the exact one, so only a
+            # near-tie needs exact arithmetic to hold the strict thresholds
+            if min(abs(value - cfg.pos_iou), abs(value - cfg.neg_iou)) < 1e-12:
+                exact = _exact_iou((start_s, end_s), (gt_start, gt_end))
+            if exact > cfg.pos_iou and len(pos) < quota:
+                kept, label = pos, "pos"
+            elif exact < cfg.neg_iou and len(neg) < quota:
+                kept, label = neg, "neg"
             else:
                 continue
-            check_sample(sample, cfg)
-            (pos if sample.label is Label.POS else neg).append(sample)
-        samples.extend(pos)
-        samples.extend(neg)
-    return samples
-
-
-def sample_to_record(sample: RefinementSample) -> dict:
-    return {
-        "qid": sample.query_id,
-        "start_s": round(sample.interval.start_s, 3),
-        "end_s": round(sample.interval.end_s, 3),
-        "label": sample.label.value,
-        "iou": sample.iou_to_gt,
-    }
+            kept.append(
+                {
+                    "qid": qid,
+                    "start_s": start_s,
+                    "end_s": end_s,
+                    "label": label,
+                    "iou": value,
+                }
+            )
+        records += pos + neg
+    return records

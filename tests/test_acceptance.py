@@ -35,13 +35,7 @@ from egolog.reasoner import (
     format_reference,
     parse_response,
 )
-from egolog.refine import (
-    Label,
-    RefineConfig,
-    gen_refinement_dataset,
-    pad_interval,
-    sample_to_record,
-)
+from egolog.refine import RefineConfig, gen_refinement_dataset, pad_interval
 from egolog.similarity import MockEmbedder
 
 from helpers import (
@@ -131,8 +125,9 @@ def test_gate_interval_invariants():
 
 
 def test_gate_refinement_dataset_soundness():
-    # every label re-derives from exact rational IoU at strict thresholds,
-    # the dataset is balanced, and a rerun is byte-identical
+    # every label re-derives from exact rational IoU of the written window
+    # at strict thresholds, the dataset is balanced, and a rerun is
+    # byte-identical
     rng = random.Random(7)
     gts = []
     for i in range(12):
@@ -140,16 +135,16 @@ def test_gate_refinement_dataset_soundness():
         a = rng.uniform(0.0, clip_end - 25.0)
         b = a + rng.uniform(4.0, 18.0)
         gts.append((f"q{i:02d}", (a, b), (0.0, clip_end)))
-    cfg = RefineConfig()
-    first = gen_refinement_dataset(gts, cfg, seed=99, samples_per_gt=8)
-    second = gen_refinement_dataset(gts, cfg, seed=99, samples_per_gt=8)
-    blob = json.dumps([sample_to_record(s) for s in first])
-    assert blob == json.dumps([sample_to_record(s) for s in second])
+    cfg = RefineConfig(samples_per_gt=8)
+    first = gen_refinement_dataset(gts, cfg, seed=99)
+    second = gen_refinement_dataset(gts, cfg, seed=99)
+    blob = json.dumps(first)
+    assert blob == json.dumps(second)
     windows = {qid: gt for qid, gt, _ in gts}
     n_pos = n_neg = 0
-    for sample in first:
-        exact = oracle_iou(sample.interval.as_pair(), windows[sample.query_id])
-        if sample.label is Label.POS:
+    for record in json.loads(blob):
+        exact = oracle_iou((record["start_s"], record["end_s"]), windows[record["qid"]])
+        if record["label"] == "pos":
             n_pos += 1
             assert exact > Fraction(1, 2)
         else:

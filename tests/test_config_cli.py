@@ -75,8 +75,8 @@ class TestLoadConfig:
         assert config.digest.merge_mode is MergeMode.CONCAT
         assert config.digest.blocklist == ("looks around", "looks at the camera")
         assert config.refine.pad_alpha == 10.0
-        assert config.refine.jitter_scale_range == (0.5, 2.0)
-        assert config.samples_per_gt == 10
+        assert (config.refine.jitter_scale_lo, config.refine.jitter_scale_hi) == (0.5, 2.0)
+        assert config.refine.samples_per_gt == 10
         assert config.captions_path is None
 
     def test_seed_is_mandatory(self, tmp_path):
@@ -133,6 +133,23 @@ class TestLoadConfig:
         body = MINIMAL + "[digest]\nrelevance_threshold = high\n"
         with pytest.raises(ConfigError, match="must be a number"):
             minimal_config(tmp_path, body=body)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN"])
+    @pytest.mark.parametrize(
+        "key", ["refine.pad_alpha", "refine.jitter_shift_max", "digest.adjacency_threshold"]
+    )
+    def test_non_finite_number(self, tmp_path, key, value):
+        section, name = key.split(".")
+        body = MINIMAL + f"[{section}]\n{name} = {value}\n"
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+            minimal_config(tmp_path, body=body)
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+            minimal_config(tmp_path, overrides={key: value})
+
+    def test_finite_adjacency_above_one_still_loads(self, tmp_path):
+        # a threshold no similarity reaches: never merge
+        config = minimal_config(tmp_path, overrides={"digest.adjacency_threshold": "2"})
+        assert config.digest.adjacency_threshold == 2.0
 
     def test_undecodable_byte_names_file(self, tmp_path):
         path = write_config(tmp_path, MINIMAL + "[digest]\nblocklist = waves\n")
@@ -243,7 +260,6 @@ class TestConfigHash:
                 embedder_dim=64,
                 digest=minimal_digest(),
                 refine=minimal_refine(),
-                samples_per_gt=10,
             )
 
 

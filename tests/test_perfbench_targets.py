@@ -1,20 +1,43 @@
-"""Every function the benchmark's tracer wraps still exists.
+"""Every function the benchmark's tracer wraps still exists and fits its hook.
 
 perfbench/layers.py names its targets as strings; one that no longer
 resolves is skipped there and its metrics read null, so a rename shows
-up here instead.
+up here instead. A hook that no longer fits its target's arguments or
+result is recorded on the span as hook_error, so a traced run of each
+command checks that none is.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
+from egolog import cli
+from egolog.config import load_config
+from egolog.similarity import MockEmbedder
+
+from helpers import (
+    ScriptedNlqBackend,
+    ScriptedQaBackend,
+    synth_nlq_benchmark,
+    synth_qa_benchmark,
+    write_config,
+    write_corpus,
+)
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from layers import TARGETS, target_name  # noqa: E402
+from layers import AFTER, BEFORE, TARGETS, Tracer, target_name  # noqa: E402
+
+# hooked targets that only an HTTP backend calls
+HTTP_ONLY = {
+    "requests.post",
+    "egolog.similarity.HttpEmbedder.embed_texts",
+    "egolog.similarity.call_with_retries",
+}
 
 
 @pytest.mark.parametrize(
@@ -27,3 +50,46 @@ def test_target_resolves(owner, attr):
         holder = getattr(holder, class_name)
     assert hasattr(holder, attr), f"{target_name(owner, attr)} is gone"
 
+
+
+def _config(tmp_path, tracks, queries, extra=""):
+    captions, qpath = write_corpus(tmp_path, tracks, queries)
+    body = (
+        "[run]\nseed = 5\nruns = 3\nin_flight_limit = 2\n"
+        f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n" + extra
+    )
+    return load_config(write_config(tmp_path, body))
+
+
+def test_hooks_fit_a_traced_run_of_each_command(tmp_path):
+    qa_tracks, qa_queries = synth_qa_benchmark(n_items=3, captions_per_video=6)
+    nlq_tracks, nlq_queries = synth_nlq_benchmark(n_items=2, captions_per_video=6)
+    # matches every caption of its video, so localize scores several candidates
+    nlq_queries.append(
+        dataclasses.replace(nlq_queries[0], qid="broad", text="find: across the table")
+    )
+    (tmp_path / "qa").mkdir()
+    (tmp_path / "nlq").mkdir()
+    qa = _config(tmp_path / "qa", qa_tracks, qa_queries, "[digest]\nmerge_mode = llm\n")
+    nlq = _config(
+        tmp_path / "nlq", nlq_tracks, nlq_queries, "[digest]\nadjacency_threshold = 2\n"
+    )
+    merger = ScriptedQaBackend()
+    runs = [
+        ("qid", lambda: cli.run_ask(qa, embedder=MockEmbedder(), llm=ScriptedQaBackend())),
+        ("video_id", lambda: cli.run_localize(
+            nlq, embedder=MockEmbedder(), llm=ScriptedNlqBackend())),
+        ("video_id", lambda: cli.run_digest(qa, embedder=MockEmbedder(), llm=merger)),
+    ]
+    spans = []
+    for unit_key, command in runs:
+        tracer = Tracer(unit_key)
+        with tracer.installed():
+            *_, failures = command()
+        assert failures == []
+        assert tracer.missing == set()
+        spans += tracer.spans
+    assert merger.calls > 0
+    assert [s for s in spans if "hook_error" in s] == []
+    assert max(s.get("candidates", 0) for s in spans) > 1
+    assert (set(BEFORE) | set(AFTER)) - HTTP_ONLY <= {s["name"] for s in spans}

@@ -514,6 +514,14 @@ class TestNestingLimit:
         )
         assert ans.choice_idx == 1
 
+    @pytest.mark.parametrize("depth", [0, 200])
+    def test_open_quote_in_prose_does_not_hide_brackets(self, depth):
+        # a scan from the first character reads everything after the quote
+        # as a string, but the decoder still starts at each [ inside it
+        raw = 'He said "' + "[" * 900 + self.block
+        with pytest.raises(ParseError, match="nests deeper than the JSON decoder allows"):
+            _frames_deeper(depth, lambda: parse_response(raw, QueryKind.QA, ["q1"]))
+
     def test_brackets_inside_strings_do_not_count(self):
         # escaped quotes inside the string do not end it
         explanation = '"[{' * 500

@@ -10,15 +10,10 @@ from egolog.corpus import CaptionTrack, QueryKind
 from egolog.errors import BackendProtocolError, RefineError
 from egolog.reasoner import CandidateInterval, LlmAnswer
 from egolog.refine import (
-    CandidateScorer,
     CaptionOverlapScorer,
-    Label,
     RefineConfig,
-    RefinementSample,
-    check_sample,
     gen_refinement_dataset,
     pad_interval,
-    sample_to_record,
     select_candidate,
 )
 from egolog.similarity import MockEmbedder
@@ -40,24 +35,29 @@ class TestRefineConfig:
         cfg = RefineConfig()
         assert cfg.pad_alpha == 10.0
         assert cfg.jitter_shift_max == 30.0
-        assert cfg.jitter_scale_range == (0.5, 2.0)
+        assert (cfg.jitter_scale_lo, cfg.jitter_scale_hi) == (0.5, 2.0)
         assert (cfg.pos_iou, cfg.neg_iou) == (0.5, 0.1)
+        assert cfg.samples_per_gt == 10
 
     def test_negative_padding_rejected(self):
         with pytest.raises(ValueError, match="pad_alpha"):
             RefineConfig(pad_alpha=-1.0)
 
     def test_scale_range_ordering(self):
-        with pytest.raises(ValueError, match="jitter_scale_range"):
-            RefineConfig(jitter_scale_range=(2.0, 0.5))
-        with pytest.raises(ValueError, match="jitter_scale_range"):
-            RefineConfig(jitter_scale_range=(0.0, 1.0))
+        with pytest.raises(ValueError, match="jitter_scale_lo <= jitter_scale_hi"):
+            RefineConfig(jitter_scale_lo=2.0, jitter_scale_hi=0.5)
+        with pytest.raises(ValueError, match="0 < jitter_scale_lo"):
+            RefineConfig(jitter_scale_lo=0.0, jitter_scale_hi=1.0)
 
     def test_threshold_ordering(self):
         with pytest.raises(ValueError, match="thresholds"):
             RefineConfig(pos_iou=0.1, neg_iou=0.5)
         with pytest.raises(ValueError, match="thresholds"):
             RefineConfig(pos_iou=0.5, neg_iou=0.5)
+
+    def test_samples_per_gt_at_least_one(self):
+        with pytest.raises(ValueError, match="samples_per_gt must be >= 1"):
+            RefineConfig(samples_per_gt=0)
 
 
 class TestPadInterval:
@@ -188,10 +188,6 @@ class TestSelectCandidate:
 
 
 class TestCaptionOverlapScorer:
-    def test_satisfies_protocol(self):
-        assert isinstance(CaptionOverlapScorer(MockEmbedder()), CandidateScorer)
-        assert isinstance(ReplayScorer({}), CandidateScorer)
-
     def test_scores_relevant_caption_seconds_inside_window(self):
         texts = [
             "C scrubs the frying pan",  # 0-2, relevant
@@ -224,28 +220,6 @@ class TestCaptionOverlapScorer:
         assert scorer.score("anything", [CandidateInterval(0, 10)], track) == [0.0]
 
 
-class TestCheckSample:
-    def make(self, label, iou_value):
-        return RefinementSample(
-            query_id="q1",
-            interval=CandidateInterval(0, 1),
-            label=label,
-            iou_to_gt=iou_value,
-        )
-
-    def test_valid_samples_pass(self):
-        cfg = RefineConfig()
-        check_sample(self.make(Label.POS, 0.51), cfg)
-        check_sample(self.make(Label.NEG, 0.09), cfg)
-
-    def test_boundary_values_rejected(self):
-        cfg = RefineConfig()
-        with pytest.raises(RefineError, match="labeled pos"):
-            check_sample(self.make(Label.POS, 0.5), cfg)
-        with pytest.raises(RefineError, match="labeled neg"):
-            check_sample(self.make(Label.NEG, 0.1), cfg)
-
-
 class TestGenRefinementDataset:
     GTS = [
         ("q1", (100.0, 120.0), (0.0, 480.0)),
@@ -253,23 +227,51 @@ class TestGenRefinementDataset:
     ]
 
     def test_balanced_counts(self):
-        samples = gen_refinement_dataset(self.GTS, RefineConfig(), seed=5, samples_per_gt=7)
+        records = gen_refinement_dataset(
+            self.GTS, RefineConfig(samples_per_gt=7), seed=5
+        )
         for qid in ("q1", "q2"):
-            mine = [s for s in samples if s.query_id == qid]
-            assert sum(s.label is Label.POS for s in mine) == 7
-            assert sum(s.label is Label.NEG for s in mine) == 7
+            mine = [r for r in records if r["qid"] == qid]
+            assert sum(r["label"] == "pos" for r in mine) == 7
+            assert sum(r["label"] == "neg" for r in mine) == 7
 
     def test_labels_re_derive_strictly(self):
         cfg = RefineConfig()
-        samples = gen_refinement_dataset(self.GTS, cfg, seed=5)
+        records = gen_refinement_dataset(self.GTS, cfg, seed=5)
         by_qid = {"q1": (100.0, 120.0), "q2": (40.0, 55.0)}
-        for s in samples:
-            exact = oracle_iou(s.interval.as_pair(), by_qid[s.query_id])
-            assert s.iou_to_gt == pytest.approx(float(exact), abs=1e-12)
-            if s.label is Label.POS:
+        for r in records:
+            exact = oracle_iou((r["start_s"], r["end_s"]), by_qid[r["qid"]])
+            assert r["iou"] == pytest.approx(float(exact), abs=1e-12)
+            if r["label"] == "pos":
                 assert exact > Fraction(1, 2)
             else:
                 assert exact < Fraction(1, 10)
+
+    # q39's first positive draw is (244.2484.., 245.7756..): its IoU is a
+    # hair above 1/2, but as written, (244.248, 245.776), exactly 1/2.
+    # q16214 draws (0.014, 1.473): its exact IoU is 1/2 - 1/363334977023243522,
+    # which the float IoU rounds to 0.5000000000000001
+    @pytest.mark.parametrize(
+        "qid, gt, seed",
+        [("q39", (244.99, 245.82), 1), ("q16214", (0.37, 2.22), 1)]
+        + [("q39", (a, a + w), 3) for a, w in (
+            (12.5, 0.5), (100.001, 0.733), (7.25, 1.875), (299.999, 6.0))],
+    )
+    def test_written_window_keeps_its_label(self, qid, gt, seed):
+        records = gen_refinement_dataset(
+            [(qid, gt, (0.0, 600.0))], RefineConfig(), seed=seed
+        )
+        assert len(records) == 20
+        exact = [oracle_iou((r["start_s"], r["end_s"]), gt) for r in records]
+        mislabelled = [
+            (r, x)
+            for r, x in zip(records, exact)
+            if not (x > Fraction(1, 2) if r["label"] == "pos" else x < Fraction(1, 10))
+        ]
+        assert mislabelled == []
+        for r, x in zip(records, exact):
+            assert r["start_s"] == round(r["start_s"], 3) < r["end_s"] == round(r["end_s"], 3)
+            assert r["iou"] == pytest.approx(float(x), abs=1e-12)
 
     def test_two_runs_identical(self):
         a = gen_refinement_dataset(self.GTS, RefineConfig(), seed=5)
@@ -284,25 +286,23 @@ class TestGenRefinementDataset:
     def test_order_independent_per_qid(self):
         forward = gen_refinement_dataset(self.GTS, RefineConfig(), seed=5)
         reverse = gen_refinement_dataset(self.GTS[::-1], RefineConfig(), seed=5)
-        assert sorted(forward, key=lambda s: s.query_id) == sorted(
-            reverse, key=lambda s: s.query_id
+        assert sorted(forward, key=lambda r: r["qid"]) == sorted(
+            reverse, key=lambda r: r["qid"]
         )
 
     def test_windows_stay_in_bounds(self):
-        samples = gen_refinement_dataset(self.GTS, RefineConfig(), seed=9)
+        records = gen_refinement_dataset(self.GTS, RefineConfig(), seed=9)
         bounds = {"q1": (0.0, 480.0), "q2": (0.0, 300.0)}
-        for s in samples:
-            lo, hi = bounds[s.query_id]
-            assert lo <= s.interval.start_s < s.interval.end_s <= hi
+        for r in records:
+            lo, hi = bounds[r["qid"]]
+            assert lo <= r["start_s"] < r["end_s"] <= hi
 
     def test_budget_exhaustion_names_qid(self):
         # zero shift and unit scale reproduce the gt exactly: IoU always 1,
         # so the negative quota can never fill
-        cfg = RefineConfig(jitter_shift_max=0.0, jitter_scale_range=(1.0, 1.0))
+        cfg = RefineConfig(jitter_shift_max=0.0, jitter_scale_lo=1.0, jitter_scale_hi=1.0)
         with pytest.raises(RefineError, match="'q1'"):
-            gen_refinement_dataset(
-                [("q1", (10.0, 20.0), (0.0, 100.0))], cfg, seed=1, max_attempts_per_gt=50
-            )
+            gen_refinement_dataset([("q1", (10.0, 20.0), (0.0, 100.0))], cfg, seed=1)
 
     def test_gt_outside_bounds_rejected(self):
         with pytest.raises(RefineError, match="not within"):
@@ -313,27 +313,12 @@ class TestGenRefinementDataset:
     def test_example_iou_value(self):
         # windows (10, 20) and (14, 24): intersection 6, union 14
         assert oracle_iou((10.0, 20.0), (14.0, 24.0)) == Fraction(6, 14)
-        cfg = RefineConfig()
-        sample = RefinementSample(
-            query_id="q1",
-            interval=CandidateInterval(14, 24),
-            label=Label.NEG,
-            iou_to_gt=float(Fraction(6, 14)),
-        )
-        with pytest.raises(RefineError):
-            check_sample(sample, cfg)  # 0.428... is neither pos nor valid neg
 
-    def test_sample_to_record_shape(self):
-        sample = RefinementSample(
-            query_id="q1",
-            interval=CandidateInterval(1.23456, 7.89012),
-            label=Label.POS,
-            iou_to_gt=0.625,
+    def test_record_shape(self):
+        (record, *_) = gen_refinement_dataset(
+            [("q1", (1.23456, 7.89012), (0.0, 10.0))], RefineConfig(), seed=5
         )
-        assert sample_to_record(sample) == {
-            "qid": "q1",
-            "start_s": 1.235,
-            "end_s": 7.89,
-            "label": "pos",
-            "iou": 0.625,
-        }
+        assert list(record) == ["qid", "start_s", "end_s", "label", "iou"]
+        assert record["qid"] == "q1" and record["label"] == "pos"
+        assert record["start_s"] == round(record["start_s"], 3)
+        assert record["end_s"] == round(record["end_s"], 3)
