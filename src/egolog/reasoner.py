@@ -483,30 +483,6 @@ def _parse_intervals(value, qid: str) -> tuple[CandidateInterval, ...]:
     return tuple(out)
 
 
-def format_reference(answers: Sequence[LlmAnswer]) -> str:
-    """Canonical structured-block emitter; the parser's round-trip partner.
-
-    Replay fixtures and scripted backends use this to render responses the
-    parser is guaranteed to map back to equal LlmAnswer values.
-    """
-    entries = []
-    for answer in answers:
-        entry: dict = {"qid": answer.qid}
-        if answer.kind is QueryKind.QA:
-            assert answer.choice_idx is not None
-            entry["answer"] = CHOICE_LETTERS[answer.choice_idx]
-        else:
-            entry["intervals"] = (
-                "NA"
-                if not answer.intervals
-                else [[c.start_s, c.end_s] for c in answer.intervals]
-            )
-        entry["explanation"] = answer.explanation
-        entry["confidence"] = answer.confidence
-        entries.append(entry)
-    return "```json\n" + json.dumps(entries, ensure_ascii=False, indent=2) + "\n```"
-
-
 def clamp_answer_to_bounds(
     answer: LlmAnswer, bounds: tuple[float, float]
 ) -> LlmAnswer:

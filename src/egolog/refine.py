@@ -6,10 +6,10 @@ of one query in one call and the best one is selected. An NA answer
 falls back to the full clip. This module also generates the balanced
 positive/negative dataset used to train candidate-selection classifiers:
 ground-truth windows are randomly shifted and scaled, rounded to the
-millisecond, and written as records {"qid", "start_s", "end_s", "label",
-"iou"}. A record is "pos" when the IoU of its written window with the
-ground truth is strictly above pos_iou and "neg" when strictly below
-neg_iou, samples_per_gt of each per window.
+millisecond, clamped to the clip bounds, and written as records {"qid",
+"start_s", "end_s", "label", "iou"}. A record is "pos" when the IoU of its
+written window with the ground truth is strictly above pos_iou and "neg"
+when strictly below neg_iou, samples_per_gt of each per window.
 
 Neural candidate selectors are out of scope; the CandidateScorer protocol
 is the seam they plug into. In scope is a deterministic caption-overlap
@@ -22,7 +22,10 @@ import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Protocol, Sequence
+
+import numpy as np
 
 from .corpus import CaptionTrack, QueryKind
 from .errors import EgologError, RefineError
@@ -99,20 +102,23 @@ class CaptionOverlapScorer:
         if not track.captions:
             return [0.0] * len(intervals)
         embs = embed_batch(self._backend, [query_text] + [c.text for c in track.captions])
-        relevance = cosine_matrix(embs[1:], embs[:1])[:, 0]
-        relevant = [c for c, r in zip(track.captions, relevance) if r >= self._threshold]
-        scores = []
-        for interval in intervals:
-            # summed left to right in caption order: np.sum adds in another
-            # order, which can change a score's last bit and flip a tie
-            total = 0.0
-            for caption in relevant:
-                if min(caption.end_s, interval.end_s) - max(
-                    caption.start_s, interval.start_s
-                ) > 0:
-                    total += caption.duration_s
-            scores.append(total)
-        return scores
+        relevant = cosine_matrix(embs[1:], embs[:1])[:, 0] >= self._threshold
+        if not relevant.any():
+            return [0.0] * len(intervals)
+        spans = np.array([c.interval for c in compress(track.captions, relevant.tolist())])
+        starts, ends = spans[:, 0], spans[:, 1]
+        windows = np.array([(i.start_s, i.end_s) for i in intervals]).reshape(-1, 2)
+        # hits[k, j]: relevant caption j positively intersects window k
+        hits = (
+            np.minimum(ends, windows[:, 1:]) - np.maximum(starts, windows[:, :1]) > 0
+        )
+        # A running sum adds each window's hit durations strictly left to right
+        # in caption order, as a loop would; a miss adds 0.0, which leaves a
+        # non-negative partial sum as it is. np.sum adds pairwise and builtin
+        # sum compensates on Python >= 3.12: either can change a score's last
+        # bit and flip a tie.
+        totals = np.add.accumulate(np.where(hits, ends - starts, 0.0), axis=1)[:, -1]
+        return totals.tolist()
 
 
 def pad_interval(
@@ -185,13 +191,14 @@ def gen_refinement_dataset(
     """Jitter each ground-truth window into balanced pos/neg records.
 
     gts holds (qid, gt_window, clip_bounds) triples. Per window, jittered
-    copies rounded to the millisecond with IoU strictly above pos_iou
-    become positives and ones strictly below neg_iou become negatives,
-    samples_per_gt of each; exact-threshold and in-between draws, and
-    windows that round to nothing, are discarded. Each qid jitters
-    under its own seed derived from (seed, qid), so output is independent
-    of processing order. A window whose geometry cannot fill both quotas
-    within MAX_ATTEMPTS_PER_GT draws raises RefineError naming the qid.
+    copies rounded to the millisecond and clamped to the clip bounds, with
+    IoU strictly above pos_iou become positives and ones strictly below
+    neg_iou become negatives, samples_per_gt of each; exact-threshold and
+    in-between draws, and windows that round to nothing, are discarded.
+    Each qid jitters under its own seed derived from (seed, qid), so output
+    is independent of processing order. A window whose geometry cannot fill
+    both quotas within MAX_ATTEMPTS_PER_GT draws raises RefineError naming
+    the qid.
     """
     quota = cfg.samples_per_gt
     records: list[dict] = []
@@ -218,9 +225,10 @@ def gen_refinement_dataset(
             scale = rng.uniform(cfg.jitter_scale_lo, cfg.jitter_scale_hi)
             center = (gt_start + gt_end) / 2.0 + shift
             half = (gt_end - gt_start) * scale / 2.0
-            # labelled as written: by the window rounded to the millisecond
-            start_s = round(max(center - half, lo), 3)
-            end_s = round(min(center + half, hi), 3)
+            # labelled as written: by the window rounded to the millisecond,
+            # then clamped, so that a bound off the grid still holds
+            start_s = max(round(center - half, 3), lo)
+            end_s = min(round(center + half, 3), hi)
             if not start_s < end_s:
                 continue
             value = exact = iou((start_s, end_s), (gt_start, gt_end))

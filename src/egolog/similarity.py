@@ -43,6 +43,14 @@ class MockEmbedder:
     pipelines run with this backend are bit-for-bit reproducible. Near
     identical texts share most trigrams and score high; unrelated texts
     decorrelate through the signed hash.
+
+    Each instance keeps a memo from every byte trigram it has hashed to
+    its (slot, sign), so a trigram is hashed once per instance however
+    many texts contain it. The memo is bounded by the number of distinct
+    byte trigrams in the texts embedded (a few hundred for narration in
+    one language, at most 2**24). It needs no lock: an entry is a pure
+    function of the trigram, the seed and the dimension, so two threads
+    that insert the same trigram at once store the same value.
     """
 
     def __init__(self, seed: int = 0, dim: int = 64):
@@ -50,28 +58,36 @@ class MockEmbedder:
             raise ValueError("dim must be positive")
         self._dim = dim
         self._key = int(seed).to_bytes(8, "little", signed=True)
+        self._features: dict[bytes, tuple[int, float]] = {}
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         return np.array([self._embed(text) for text in texts])
 
     def _embed(self, text: str) -> np.ndarray:
         data = b"\x02" + text.encode("utf-8") + b"\x03"
-        vec = np.zeros(self._dim)
+        # sums of +-1.0 are exact, so the order of the additions cannot matter
+        counts = [0.0] * self._dim
         for i in range(len(data) - 2):
-            h = int.from_bytes(
-                hashlib.blake2b(data[i : i + 3], key=self._key, digest_size=8).digest(),
-                "little",
-            )
-            idx = (h >> 8) % self._dim
-            vec[idx] += 1.0 if h & 1 == 0 else -1.0
+            trigram = data[i : i + 3]
+            feature = self._features.get(trigram)
+            if feature is None:
+                feature = self._features[trigram] = self._feature(trigram)
+            slot, sign = feature
+            counts[slot] += sign
+        vec = np.array(counts)
         if not np.any(vec):
             # signed counts of a degenerate text cancelled out; fall back to
             # a whole-text hash so the vector stays usable
-            h = int.from_bytes(
-                hashlib.blake2b(data, key=self._key, digest_size=8).digest(), "little"
-            )
-            vec[(h >> 8) % self._dim] = 1.0 if h & 1 == 0 else -1.0
+            slot, sign = self._feature(data)
+            vec[slot] = sign
         return vec
+
+    def _feature(self, data: bytes) -> tuple[int, float]:
+        """The slot and sign that the keyed hash of data picks."""
+        h = int.from_bytes(
+            hashlib.blake2b(data, key=self._key, digest_size=8).digest(), "little"
+        )
+        return (h >> 8) % self._dim, 1.0 if h & 1 == 0 else -1.0
 
 
 class HttpEmbedder:

@@ -1,4 +1,4 @@
-"""Shared test utilities: track builders, scripted backends and scorers, oracles.
+"""Shared test helpers: tracks, reply rendering, scripted backends and scorers, oracles.
 
 The scripted backends answer by reading the caption log serialized into
 the prompt, so synthetic benchmarks where captions literally determine
@@ -14,6 +14,7 @@ import random
 import re
 import threading
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
@@ -21,6 +22,7 @@ from fractions import Fraction
 from egolog.corpus import Caption, CaptionTrack, Query, QueryKind
 from egolog.errors import TransportError
 from egolog.llm import prompt_sha256, run_key
+from egolog.reasoner import CHOICE_LETTERS, LlmAnswer
 
 
 def make_track(
@@ -50,6 +52,30 @@ def parse_caption_lines(user_text: str) -> list[tuple[float, float, str]]:
         if match:
             out.append((float(match.group(1)), float(match.group(2)), match.group(3)))
     return out
+
+
+def format_reference(answers: Sequence[LlmAnswer]) -> str:
+    """Canonical structured-block emitter; the parser's round-trip partner.
+
+    Replay fixtures and scripted backends use this to render responses the
+    parser is guaranteed to map back to equal LlmAnswer values.
+    """
+    entries = []
+    for answer in answers:
+        entry: dict = {"qid": answer.qid}
+        if answer.kind is QueryKind.QA:
+            assert answer.choice_idx is not None
+            entry["answer"] = CHOICE_LETTERS[answer.choice_idx]
+        else:
+            entry["intervals"] = (
+                "NA"
+                if not answer.intervals
+                else [[c.start_s, c.end_s] for c in answer.intervals]
+            )
+        entry["explanation"] = answer.explanation
+        entry["confidence"] = answer.confidence
+        entries.append(entry)
+    return "```json\n" + json.dumps(entries, ensure_ascii=False, indent=2) + "\n```"
 
 
 class ScriptedQaBackend:

@@ -32,7 +32,6 @@ from egolog.pipeline import run_ask, run_eval, run_localize
 from egolog.reasoner import (
     CandidateInterval,
     LlmAnswer,
-    format_reference,
     parse_response,
 )
 from egolog.refine import RefineConfig, gen_refinement_dataset, pad_interval
@@ -43,6 +42,7 @@ from helpers import (
     ScriptedNlqBackend,
     ScriptedQaBackend,
     assert_report_matches_oracle,
+    format_reference,
     make_track,
     oracle_iou,
     random_nlq_fixture,

@@ -18,7 +18,6 @@ from egolog.reasoner import (
     build_qa_prompt,
     caption_log_lines,
     clamp_answer_to_bounds,
-    format_reference,
     format_seconds,
     parse_response,
     run,
@@ -31,6 +30,7 @@ from helpers import (
     HashFailingBackend,
     OverlapBackend,
     completion_pool,
+    format_reference,
     make_track,
 )
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from egolog.corpus import CaptionTrack, QueryKind
+from egolog.corpus import Caption, CaptionTrack, QueryKind
 from egolog.errors import BackendProtocolError, RefineError
 from egolog.reasoner import CandidateInterval, LlmAnswer
 from egolog.refine import (
@@ -16,7 +18,7 @@ from egolog.refine import (
     pad_interval,
     select_candidate,
 )
-from egolog.similarity import MockEmbedder
+from egolog.similarity import MockEmbedder, cosine_matrix, embed_batch
 
 from helpers import ReplayScorer, make_track, oracle_iou
 
@@ -187,6 +189,64 @@ class TestSelectCandidate:
             select_candidate(qa, self.track(), ReplayScorer({}), RefineConfig(), query_text="q")
 
 
+def loop_scores(scorer, query_text, intervals, track):
+    """CaptionOverlapScorer.score as a per-caption loop adding left to right."""
+    if not track.captions:
+        return [0.0] * len(intervals)
+    embs = embed_batch(scorer._backend, [query_text] + [c.text for c in track.captions])
+    relevance = cosine_matrix(embs[1:], embs[:1])[:, 0]
+    relevant = [c for c, r in zip(track.captions, relevance) if r >= scorer._threshold]
+    scores = []
+    for interval in intervals:
+        total = 0.0
+        for caption in relevant:
+            if min(caption.end_s, interval.end_s) - max(caption.start_s, interval.start_s) > 0:
+                total += caption.duration_s
+        scores.append(total)
+    return scores
+
+
+class MarkedEmbedder:
+    """Texts starting "yes" embed along one axis and all others along another."""
+
+    def embed_texts(self, texts):
+        return [[1.0, 0.0] if t.startswith("yes") else [0.0, 1.0] for t in texts]
+
+
+# durations whose float sums depend on the order of the additions
+DURATIONS = (0.1, 0.2, 0.3, 0.7, 1.1, 2.0)
+
+
+@st.composite
+def tracks_and_windows(draw):
+    """A track of touching, overlapping and spaced captions, and windows over it.
+
+    Window ends are mostly caption edges, so windows that only touch a
+    caption and windows with equal scores are common.
+    """
+    n = draw(st.integers(min_value=0, max_value=30))
+    t = 0.0
+    spans = []
+    for _ in range(n):
+        t += draw(st.sampled_from((0.0, 0.1, 0.3, 1.0, 2.5)))
+        spans.append((t, t + draw(st.sampled_from(DURATIONS))))
+    spans.sort()
+    clip_end = max([e for _, e in spans], default=0.0) + 1.0
+    captions = [
+        Caption("v1", s, e, f"{'yes' if draw(st.booleans()) else 'no'} caption {i}")
+        for i, (s, e) in enumerate(spans)
+    ]
+    edges = sorted({0.0, clip_end} | {x for span in spans for x in span})
+    point = st.one_of(st.sampled_from(edges), st.floats(0.0, clip_end))
+    windows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        a, b = draw(point), draw(point)
+        if a != b:
+            windows.append(CandidateInterval(min(a, b), max(a, b)))
+    windows += draw(st.lists(st.sampled_from(windows), max_size=2)) if windows else []
+    return CaptionTrack.build("v1", captions, 0.0, clip_end), windows
+
+
 class TestCaptionOverlapScorer:
     def test_scores_relevant_caption_seconds_inside_window(self):
         texts = [
@@ -218,6 +278,45 @@ class TestCaptionOverlapScorer:
         track = CaptionTrack.build("v1", [], 0.0, 10.0)
         scorer = CaptionOverlapScorer(MockEmbedder(seed=0))
         assert scorer.score("anything", [CandidateInterval(0, 10)], track) == [0.0]
+
+
+    @given(tracks_and_windows())
+    @settings(max_examples=300)
+    def test_equals_the_per_caption_loop_bit_for_bit(self, case):
+        track, windows = case
+        scorer = CaptionOverlapScorer(MarkedEmbedder())
+        got = scorer.score("yes query", windows, track)
+        want = loop_scores(scorer, "yes query", windows, track)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_hit_durations_add_left_to_right(self):
+        # durations 0.1, 0.2 and 0.3: (0.1 + 0.2) + 0.3 is 0.6000000000000001,
+        # 0.1 + (0.2 + 0.3) is 0.6, so an order other than the captions' would
+        # tie this window with one holding a single 0.6 s caption
+        spans = [(0.0, 0.1), (0.0, 0.2), (0.0, 0.3)]
+        captions = [Caption("v1", s, e, f"yes {i}") for i, (s, e) in enumerate(spans)]
+        track = CaptionTrack.build("v1", captions, 0.0, 1.0)
+        scorer = CaptionOverlapScorer(MarkedEmbedder())
+        (got,) = scorer.score("yes query", [CandidateInterval(0.0, 1.0)], track)
+        assert got == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+    def test_many_hits_add_left_to_right_not_pairwise(self):
+        rng = random.Random(2)
+        spans = [(i * 0.5, i * 0.5 + rng.choice(DURATIONS)) for i in range(24)]
+        captions = [Caption("v1", s, e, f"yes {i}") for i, (s, e) in enumerate(spans)]
+        track = CaptionTrack.build("v1", captions, 0.0, 20.0)
+        durations = np.array([e - s for s, e in spans])
+        running = 0.0
+        for duration in durations:
+            running += duration
+        assert running != np.sum(durations)  # np.sum adds 24 values pairwise
+        scorer = CaptionOverlapScorer(MarkedEmbedder())
+        assert scorer.score("yes query", [CandidateInterval(0.0, 20.0)], track) == [running]
+
+    def test_no_relevant_caption_scores_zero(self):
+        track = make_track(texts=["no one", "no two"], step=2.0)
+        scorer = CaptionOverlapScorer(MarkedEmbedder())
+        assert scorer.score("yes query", [CandidateInterval(0, 4)], track) == [0.0]
 
 
 class TestGenRefinementDataset:
@@ -295,6 +394,16 @@ class TestGenRefinementDataset:
         bounds = {"q1": (0.0, 480.0), "q2": (0.0, 300.0)}
         for r in records:
             lo, hi = bounds[r["qid"]]
+            assert lo <= r["start_s"] < r["end_s"] <= hi
+
+    def test_windows_stay_in_bounds_off_the_millisecond_grid(self):
+        # rounded after clamping, a window clamped to 0.0004 was written as 0.0
+        lo, hi = 0.0004, 100.0004
+        records = gen_refinement_dataset(
+            [("q1", (0.0004, 3.0004), (lo, hi))], RefineConfig(), seed=1
+        )
+        assert min(r["start_s"] for r in records) == lo
+        for r in records:
             assert lo <= r["start_s"] < r["end_s"] <= hi
 
     def test_budget_exhaustion_names_qid(self):

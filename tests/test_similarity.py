@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import sys
 import threading
 import time
 from decimal import Decimal, getcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,9 @@ from egolog.similarity import (
 )
 
 from test_digest import oracle_cosine
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import stub  # noqa: E402
 
 
 def cos(a, b):
@@ -48,6 +54,36 @@ class RecordingEmbedder:
         self.calls.append(list(texts))
         time.sleep(self.delay_s)
         return self.inner.embed_texts(texts)
+
+
+def signed_counts(text, seed, dim):
+    """The mock's signed trigram counts, every trigram hashed where it occurs."""
+    key = int(seed).to_bytes(8, "little", signed=True)
+    data = b"\x02" + text.encode("utf-8") + b"\x03"
+    vec = np.zeros(dim)
+    for i in range(len(data) - 2):
+        h = int.from_bytes(
+            hashlib.blake2b(data[i : i + 3], key=key, digest_size=8).digest(), "little"
+        )
+        vec[(h >> 8) % dim] += 1.0 if h & 1 == 0 else -1.0
+    return vec
+
+
+def reference_embedding(text, seed, dim):
+    """MockEmbedder's vector computed without its trigram memo."""
+    vec = signed_counts(text, seed, dim)
+    if not np.any(vec):
+        key = int(seed).to_bytes(8, "little", signed=True)
+        data = b"\x02" + text.encode("utf-8") + b"\x03"
+        h = int.from_bytes(hashlib.blake2b(data, key=key, digest_size=8).digest(), "little")
+        vec[(h >> 8) % dim] = 1.0 if h & 1 == 0 else -1.0
+    return vec
+
+
+def assert_rows_bit_identical(rows, texts, seed, dim):
+    assert rows.dtype == np.float64 and rows.shape == (len(texts), dim)
+    for row, text in zip(rows, texts):
+        assert row.tobytes() == reference_embedding(text, seed, dim).tobytes(), text
 
 
 class TestMockEmbedder:
@@ -87,6 +123,37 @@ class TestMockEmbedder:
         (e,) = embed_batch(backend, [text])
         assert e.shape == (64,)
         assert np.any(e)
+
+
+    @given(
+        st.lists(st.text(max_size=40), min_size=1, max_size=6),
+        st.integers(-(2**63), 2**63 - 1),
+        st.integers(min_value=1, max_value=128),
+    )
+    @example(["C slices an onion", "C slices an onion again"], 0, 64)
+    @example(["C coupe l'oignon à côté du évier", "切る 🍳 — ½ ∞", "\x00\U0010ffff"], 5, 7)
+    @example(["ab", "ax", "cc", ""], 0, 1)
+    def test_memo_is_bit_identical_to_hashing_every_trigram(self, texts, seed, dim):
+        embedder = MockEmbedder(seed=seed, dim=dim)
+        # the second copy of the batch reads every trigram from the memo
+        twice = texts + texts
+        assert_rows_bit_identical(embedder.embed_texts(twice), twice, seed, dim)
+
+    @pytest.mark.parametrize("seed, dim", [(0, 1), (0, 2), (7, 3), (0, 64)])
+    def test_cancelling_texts_fall_back_as_without_the_memo(self, seed, dim):
+        pairs = ["".join(p) for p in itertools.product("abcxyz", repeat=2)]
+        cancelling = [t for t in pairs if not np.any(signed_counts(t, seed, dim))]
+        assert cancelling
+        embedder = MockEmbedder(seed=seed, dim=dim)
+        embedder.embed_texts(pairs)  # fills the memo with their trigrams
+        assert_rows_bit_identical(embedder.embed_texts(cancelling), cancelling, seed, dim)
+
+    @given(st.lists(st.text(min_size=1, max_size=40), min_size=1, max_size=6))
+    @example(["C picks up the red cup on the table", "zy", "é€𝄞"])
+    def test_matches_the_benchmark_stubs_embedding(self, texts):
+        rows = MockEmbedder(seed=0, dim=64).embed_texts(texts)
+        for row, text in zip(rows, texts):
+            assert row.tobytes() == np.array(stub.mock_embedding(text)).tobytes()
 
 
 class TestEmbedBatch:
