@@ -148,6 +148,31 @@ class TestMockEmbedder:
         embedder.embed_texts(pairs)  # fills the memo with their trigrams
         assert_rows_bit_identical(embedder.embed_texts(cancelling), cancelling, seed, dim)
 
+    def test_threads_filling_the_memo_at_once_get_unmemoised_vectors(self):
+        embedder = MockEmbedder(seed=4, dim=32)
+        texts = [f"C moves box {i} to shelf {i % 7} ünd zurück" for i in range(60)]
+        results = [None] * 8
+        barrier = threading.Barrier(len(results))
+
+        def work(k):
+            barrier.wait(timeout=10)
+            # every thread meets every trigram, in its own order
+            results[k] = embedder.embed_texts(texts[k:] + texts[:k])
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, rows in enumerate(results):
+            assert_rows_bit_identical(rows, texts[k:] + texts[:k], 4, 32)
+
     @given(st.lists(st.text(min_size=1, max_size=40), min_size=1, max_size=6))
     @example(["C picks up the red cup on the table", "zy", "é€𝄞"])
     def test_matches_the_benchmark_stubs_embedding(self, texts):
