@@ -65,12 +65,12 @@ CORPORA = {
 
 
 def _write_corpus(out: Path, videos, queries) -> None:
+    step = corpus_gen.STEP_S
     with open(out / "captions.jsonl", "w", encoding="utf-8") as fh:
         for video in videos:
             fh.write(json.dumps({"video_id": video.video_id, "clip_start_s": 0.0,
                                  "clip_end_s": video.clip_end_s}) + "\n")
             for i, text in enumerate(video.texts):
-                step = corpus_gen.STEP_S
                 fh.write(json.dumps({"video_id": video.video_id, "start_s": i * step,
                                      "end_s": (i + 1) * step, "text": text}) + "\n")
     with open(out / "queries.jsonl", "w", encoding="utf-8") as fh:
