@@ -89,10 +89,6 @@ class Caption:
             raise ValueError("caption text must be non-empty")
 
     @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
-    @property
     def interval(self) -> tuple[float, float]:
         return (self.start_s, self.end_s)
 
@@ -130,9 +126,6 @@ class CaptionTrack:
     @property
     def bounds(self) -> tuple[float, float]:
         return (self.clip_start_s, self.clip_end_s)
-
-    def __len__(self) -> int:
-        return len(self.captions)
 
     @staticmethod
     def build(

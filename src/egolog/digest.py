@@ -4,8 +4,9 @@ Three stages run in order: drop captions carrying uninformative blocklist
 phrases, drop captions irrelevant to every query (embedding similarity),
 then group similar consecutive captions and merge each group into one
 caption, either through the LLM backend or by deterministic concatenation.
-Every stage preserves caption order and the track's clip bounds, and never
-crosses video boundaries.
+A group is the range of its captions' indices in the track, and one merge
+function serves both modes. Every stage preserves caption order and the
+track's clip bounds, and never crosses video boundaries.
 """
 
 from __future__ import annotations
@@ -62,21 +63,6 @@ class DigestConfig:
         object.__setattr__(
             self, "blocklist", tuple(p.lower() for p in self.blocklist)
         )
-
-
-@dataclass(frozen=True)
-class MergeGroup:
-    """A contiguous run of similar captions destined for one merged caption."""
-
-    member_indices: tuple[int, ...]
-    merged_interval: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if len(self.member_indices) < 2:
-            raise ValueError("merge group must have at least 2 members")
-        for a, b in zip(self.member_indices, self.member_indices[1:]):
-            if b != a + 1:
-                raise ValueError("merge group indices must be contiguous")
 
 
 @dataclass
@@ -146,41 +132,29 @@ def filter_by_relevance(
 
 def group_consecutive(
     track: CaptionTrack, backend: EmbedderBackend, cfg: DigestConfig
-) -> list[MergeGroup]:
+) -> list[range]:
     """Greedy left-to-right chaining of similar adjacent captions.
 
     Caption i joins the current group when its cosine against caption i-1
     clears the adjacency threshold and the group is below the size cap.
-    Only groups of two or more captions are returned; everything else stays
-    a singleton.
+    Each group of two or more captions is returned as the range of its
+    caption indices; everything else stays a singleton.
     """
     if len(track.captions) < 2:
         return []
     embs = embed_batch(backend, [c.text for c in track.captions])
     adjacent = cosine_rows(embs[1:], embs[:-1])
-    groups: list[MergeGroup] = []
-    current = [0]
+    groups: list[range] = []
+    start = 0
     for i, score in enumerate(adjacent, start=1):
-        if score >= cfg.adjacency_threshold and len(current) < cfg.max_merge_group:
-            current.append(i)
-        else:
-            if len(current) >= 2:
-                groups.append(_make_group(track, current))
-            current = [i]
-    if len(current) >= 2:
-        groups.append(_make_group(track, current))
+        if score >= cfg.adjacency_threshold and i - start < cfg.max_merge_group:
+            continue
+        if i - start >= 2:
+            groups.append(range(start, i))
+        start = i
+    if len(track.captions) - start >= 2:
+        groups.append(range(start, len(track.captions)))
     return groups
-
-
-def _make_group(track: CaptionTrack, indices: list[int]) -> MergeGroup:
-    members = [track.captions[i] for i in indices]
-    return MergeGroup(
-        member_indices=tuple(indices),
-        merged_interval=(
-            min(c.start_s for c in members),
-            max(c.end_s for c in members),
-        ),
-    )
 
 
 def concat_merge_text(texts: Sequence[str]) -> str:
@@ -190,31 +164,29 @@ def concat_merge_text(texts: Sequence[str]) -> str:
 
 def merge_groups(
     track: CaptionTrack,
-    groups: Sequence[MergeGroup],
+    groups: Sequence[range],
     llm: LlmBackend | None,
     cfg: DigestConfig,
     pool: Executor | None = None,
 ) -> tuple[CaptionTrack, int]:
-    """Replace each group with a single caption spanning its interval.
+    """Replace each group of caption indices with one caption spanning them.
 
-    In LLM mode the member texts go through the merge prompt, one
-    completion per group with a single attempt; any backend failure
-    degrades that group to concatenation. The merge completions go
-    through map_in_order: all of them on pool when one is given, else one
-    at a time in the caller's thread. Concatenation always runs in the
-    caller's thread. Merged captions follow the group order either way.
+    The merged caption runs from the earliest start to the latest end of
+    its members. One merge function serves both modes: in concat mode it
+    joins the member texts; in LLM mode it sends them through the merge
+    prompt, one completion per group with a single attempt, and any
+    backend failure degrades that group to concatenation. LLM merges are
+    mapped in order on pool when one is given, else one at a time in the
+    caller's thread; concatenation always runs in the caller's thread.
     Returns the merged track and the number of LLM fallbacks.
     """
-    grouped: set[int] = set()
-    for group in groups:
-        grouped.update(group.member_indices)
+    use_llm = cfg.merge_mode is MergeMode.LLM and llm is not None
 
-    def member_texts(group: MergeGroup) -> list[str]:
-        return [track.captions[i].text for i in group.member_indices]
-
-    def llm_merge(group: MergeGroup) -> tuple[str, bool]:
+    def merge(group: range) -> tuple[str, bool]:
         """The merged text and whether it fell back to concatenation."""
-        texts = member_texts(group)
+        texts = [cap.text for cap in track.captions[group.start : group.stop]]
+        if not use_llm:
+            return concat_merge_text(texts), False
         try:
             text = call_with_retries(
                 lambda: llm.complete(MERGE_PROMPT, "\n".join(texts)),
@@ -227,31 +199,26 @@ def merge_groups(
             logger.warning(
                 "merge failed for video %r group %s: %s; falling back to concat",
                 track.video_id,
-                group.member_indices,
+                tuple(group),
                 exc,
             )
             return concat_merge_text(texts), True
         return text, False
 
-    if cfg.merge_mode is MergeMode.LLM and llm is not None:
-        merged = map_in_order(llm_merge, groups, pool)
-    else:
-        merged = [(concat_merge_text(member_texts(g)), False) for g in groups]
-
-    merged_captions: list[Caption] = [
-        cap for i, cap in enumerate(track.captions) if i not in grouped
-    ]
+    merged = map_in_order(merge, groups, pool if use_llm else None)
+    grouped = {i for group in groups for i in group}
+    captions = [cap for i, cap in enumerate(track.captions) if i not in grouped]
     for group, (text, _) in zip(groups, merged):
-        merged_captions.append(
+        members = track.captions[group.start : group.stop]
+        captions.append(
             Caption(
                 video_id=track.video_id,
-                start_s=group.merged_interval[0],
-                end_s=group.merged_interval[1],
+                start_s=min(c.start_s for c in members),
+                end_s=max(c.end_s for c in members),
                 text=text,
             )
         )
-    fallbacks = sum(fell_back for _, fell_back in merged)
-    return track.replace_captions(merged_captions), fallbacks
+    return track.replace_captions(captions), sum(fell_back for _, fell_back in merged)
 
 
 def digest(
@@ -280,10 +247,10 @@ def digest(
         stage2 = stage1
     stats.dropped_irrelevant = len(stage1.captions) - len(stage2.captions)
 
-    groups = group_consecutive(stage2, backend, cfg) if stage2.captions else []
+    groups = group_consecutive(stage2, backend, cfg)
     merged, fallbacks = merge_groups(stage2, groups, llm, cfg, pool)
     stats.groups_merged = len(groups)
-    stats.captions_merged_away = sum(len(g.member_indices) - 1 for g in groups)
+    stats.captions_merged_away = sum(len(g) - 1 for g in groups)
     stats.merge_fallbacks = fallbacks
     stats.output_captions = len(merged.captions)
     return merged, stats

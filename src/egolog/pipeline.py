@@ -12,11 +12,12 @@ in_flight_limit squared completions are in flight. At in_flight_limit 1
 there are no pools: everything runs in the caller's thread. Before each
 question, ask sends the digest texts of every question on its video
 through the run's embedding cache, so the questions of one video share
-one embedding request. A missing track or an EgologError fails every
-key of its unit and nothing else. Outputs and failures come back in
-input query order (track order for digest), and each unit's completions
-in their own order, so results are byte-identical regardless of pool
-size.
+one embedding request. Each command has one per-text embedding cache,
+in front of an injected embedder as in front of the configured one. A
+missing track or an EgologError fails every key of its unit and nothing
+else. Outputs and failures come back in input query order (track order
+for digest), and each unit's completions in their own order, so results
+are byte-identical regardless of pool size.
 
 All derived randomness flows from the config seed: per-question prompts
 use (seed, "ask", qid), tie-breaking uses (seed, "vote", qid), per-video
@@ -205,8 +206,7 @@ def run_digest(
     queries = (
         load_queries(config.queries_path) if config.queries_path is not None else []
     )
-    if embedder is None:
-        embedder = build_embedder(config)
+    embedder = build_embedder(config) if embedder is None else CachedEmbedder(embedder)
     if llm is None and config.digest.merge_mode is MergeMode.LLM:
         llm = build_llm(config)
 
@@ -215,7 +215,8 @@ def run_digest(
     ) -> dict:
         return {track.video_id: digest(track, qs, embedder, llm, config.digest, pool)}
 
-    units = [([vid], vid, [q for q in queries if q.video_id == vid]) for vid in tracks]
+    by_video = _by_video(queries)
+    units = [([vid], vid, by_video.get(vid, [])) for vid in tracks]
     results, failures = _run_units(
         "digest", config, tracks, units, digest_video, list(tracks)
     )
@@ -232,21 +233,20 @@ def run_ask(
 ) -> tuple[list[dict], list[UnitFailure]]:
     """Answer every QA query: digest, prompt, repeated runs, vote.
 
-    When a video has several questions and embedder is a CachedEmbedder,
-    each question first sends the texts that the digests of all of them
-    embed, so the first fetches them in one request and the others wait
-    for it in the cache. A failed request is logged and ignored: each
-    question then fetches its own texts and fails on its own.
+    When a video has several questions, each question first sends the
+    texts that the digests of all of them embed through the run's cache,
+    so the first fetches them in one request and the others wait for it.
+    A failed request is logged and ignored: each question then fetches
+    its own texts and fails on its own.
     """
     tracks, queries = _load_inputs(config, QueryKind.QA)
-    if embedder is None:
-        embedder = build_embedder(config)
+    embedder = build_embedder(config) if embedder is None else CachedEmbedder(embedder)
     if llm is None:
         llm = build_llm(config)
     shared_texts = {
         vid: embedded_texts(tracks[vid], qs, config.digest)
         for vid, qs in _by_video(queries).items()
-        if len(qs) > 1 and vid in tracks and isinstance(embedder, CachedEmbedder)
+        if len(qs) > 1 and vid in tracks
     }
 
     def answer(
@@ -311,8 +311,7 @@ def run_localize(
 ) -> tuple[list[dict], list[UnitFailure]]:
     """Localize every NLQ query: digest per video, one batched prompt, refine."""
     tracks, queries = _load_inputs(config, QueryKind.NLQ)
-    if embedder is None:
-        embedder = build_embedder(config)
+    embedder = build_embedder(config) if embedder is None else CachedEmbedder(embedder)
     if llm is None:
         llm = build_llm(config)
     if scorer is None:

@@ -98,10 +98,6 @@ class CandidateInterval:
         if not self.start_s < self.end_s:
             raise ValueError(f"inverted interval ({self.start_s}, {self.end_s})")
 
-    @property
-    def width(self) -> float:
-        return self.end_s - self.start_s
-
     def as_pair(self) -> tuple[float, float]:
         return (self.start_s, self.end_s)
 

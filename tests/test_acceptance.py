@@ -118,7 +118,7 @@ def test_gate_interval_invariants():
         assert padded.start_s >= lo and padded.end_s <= hi
         assert padded.start_s == max(start - alpha, lo)
         assert padded.end_s == min(end + alpha, hi)
-        assert end - start <= padded.width <= (end + alpha) - (start - alpha)
+        assert end - start <= padded.end_s - padded.start_s <= (end + alpha) - (start - alpha)
         identity = pad_interval(candidate, zero_cfg, (lo, hi))
         assert (identity.start_s, identity.end_s) == (start, end)
     _passline("10,000 padding cases hold containment, clamping, width, identity")
@@ -370,7 +370,7 @@ def test_gate_digest_matches_brute_force():
     if len(current) >= 2:
         expected_groups.append(tuple(current))
     groups = group_consecutive(survivors, embedder, cfg)
-    assert [g.member_indices for g in groups] == [tuple(g) for g in expected_groups]
+    assert [tuple(g) for g in groups] == [tuple(g) for g in expected_groups]
     assert expected_groups, "fixture must exercise at least one merge"
 
     digested, stats = digest(track, queries, embedder, None, cfg)

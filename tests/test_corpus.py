@@ -25,7 +25,7 @@ from helpers import make_track
 class TestCaption:
     def test_valid(self):
         cap = Caption("v1", 0.0, 2.0, "C opens the door")
-        assert cap.duration_s == 2.0
+        assert cap.end_s - cap.start_s == 2.0
         assert cap.interval == (0.0, 2.0)
 
     def test_inverted_interval_rejected(self):
@@ -91,7 +91,7 @@ class TestCaptionTrack:
         track = make_track(n=3)
         replaced = track.replace_captions(track.captions[:1])
         assert replaced.bounds == track.bounds
-        assert len(replaced) == 1
+        assert len(replaced.captions) == 1
 
 
 class TestQuery:
@@ -166,7 +166,7 @@ class TestCaptionsIO:
         record = {"video_id": "v1", "start_s": 0, "end_s": 2, "text": "a b"}
         path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n")
         tracks = load_captions(path)
-        assert len(tracks["v1"]) == 1
+        assert len(tracks["v1"].captions) == 1
         assert "duplicate" in caplog.text
 
     def test_conflicting_bounds_rejected(self, tmp_path):

@@ -11,7 +11,6 @@ from egolog.digest import (
     DEFAULT_BLOCKLIST,
     MERGE_PROMPT,
     DigestConfig,
-    MergeGroup,
     MergeMode,
     concat_merge_text,
     digest,
@@ -185,8 +184,9 @@ class TestGrouping:
             ]
         )
         groups = group_consecutive(track, backend, DigestConfig(adjacency_threshold=0.5))
-        assert [g.member_indices for g in groups] == [(0, 1)]
-        assert groups[0].merged_interval == (0.0, 4.0)
+        assert [tuple(g) for g in groups] == [(0, 1)]
+        merged, _ = merge_groups(track, groups, None, DigestConfig())
+        assert merged.captions[0].interval == (0.0, 4.0)
 
     def test_matches_oracle(self):
         backend = MockEmbedder(seed=0)
@@ -197,7 +197,7 @@ class TestGrouping:
         track = make_track(texts=texts)
         cfg = DigestConfig(adjacency_threshold=0.6, max_merge_group=3)
         groups = group_consecutive(track, backend, cfg)
-        assert [g.member_indices for g in groups] == oracle_groups(
+        assert [tuple(g) for g in groups] == oracle_groups(
             track, backend, 0.6, 3
         )
 
@@ -206,7 +206,7 @@ class TestGrouping:
         track = make_track(texts=["C stirs the soup in the pot"] * 7)
         cfg = DigestConfig(adjacency_threshold=0.99, max_merge_group=3)
         groups = group_consecutive(track, backend, cfg)
-        assert [g.member_indices for g in groups] == [(0, 1, 2), (3, 4, 5)]
+        assert [tuple(g) for g in groups] == [(0, 1, 2), (3, 4, 5)]
 
     def test_threshold_above_one_never_groups(self):
         backend = MockEmbedder(seed=0)
@@ -218,12 +218,6 @@ class TestGrouping:
         backend = MockEmbedder(seed=0)
         assert group_consecutive(make_track(n=1), backend, DigestConfig()) == []
 
-    def test_group_validation(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            MergeGroup(member_indices=(3,), merged_interval=(0.0, 1.0))
-        with pytest.raises(ValueError, match="contiguous"):
-            MergeGroup(member_indices=(1, 3), merged_interval=(0.0, 1.0))
-
 
 class TestMerging:
     def test_concat_dedupes_preserving_order(self):
@@ -231,7 +225,7 @@ class TestMerging:
 
     def test_concat_merge_spans_group_interval(self):
         track = make_track(texts=["C kneads dough", "C kneads dough again", "C rests"])
-        group = MergeGroup(member_indices=(0, 1), merged_interval=(0.0, 4.0))
+        group = range(0, 2)
         merged, fallbacks = merge_groups(track, [group], None, DigestConfig())
         assert fallbacks == 0
         assert len(merged.captions) == 2
@@ -239,6 +233,36 @@ class TestMerging:
         assert (first.start_s, first.end_s) == (0.0, 4.0)
         assert first.text == "C kneads dough; C kneads dough again"
         assert merged.captions[1].text == "C rests"
+
+    @staticmethod
+    def hull_track():
+        # the middle member ends last, so the span is not first start to last end
+        spans = [(0.0, 2.0), (1.0, 10.0), (3.0, 4.0)]
+        return CaptionTrack.build(
+            "v1",
+            [Caption("v1", a, b, "C stirs the soup in the pot") for a, b in spans],
+            0.0,
+            12.0,
+        )
+
+    def test_merged_caption_spans_the_hull_of_its_members(self):
+        merged, _ = merge_groups(self.hull_track(), [range(0, 3)], None, DigestConfig())
+        assert [c.interval for c in merged.captions] == [(0.0, 10.0)]
+        pair = CaptionTrack.build(
+            "v1",
+            [Caption("v1", 0.0, 10.0, "C kneads dough"), Caption("v1", 1.0, 3.0, "C kneads")],
+            0.0,
+            10.0,
+        )
+        merged, _ = merge_groups(pair, [range(0, 2)], None, DigestConfig())
+        assert [c.interval for c in merged.captions] == [(0.0, 10.0)]
+
+    def test_digest_merges_to_the_hull_of_its_members(self):
+        merged, stats = digest(
+            self.hull_track(), [], MockEmbedder(seed=0), None, DigestConfig()
+        )
+        assert stats.groups_merged == 1
+        assert [c.interval for c in merged.captions] == [(0.0, 10.0)]
 
     def test_llm_merge_uses_merge_prompt(self):
         seen = []
@@ -248,7 +272,7 @@ class TestMerging:
             return "  C kneads dough twice \n"
 
         track = make_track(texts=["C kneads dough", "C kneads dough again"])
-        group = MergeGroup(member_indices=(0, 1), merged_interval=(0.0, 4.0))
+        group = range(0, 2)
         cfg = DigestConfig(merge_mode=MergeMode.LLM)
         merged, fallbacks = merge_groups(track, [group], CallableBackend(fake), cfg)
         assert seen == [(MERGE_PROMPT, "C kneads dough\nC kneads dough again")]
@@ -260,7 +284,7 @@ class TestMerging:
             raise TransportError("model down")
 
         track = make_track(texts=["C kneads dough", "C kneads dough again"])
-        group = MergeGroup(member_indices=(0, 1), merged_interval=(0.0, 4.0))
+        group = range(0, 2)
         cfg = DigestConfig(merge_mode=MergeMode.LLM)
         with caplog.at_level("WARNING", logger="egolog.digest"):
             merged, fallbacks = merge_groups(track, [group], CallableBackend(broken), cfg)
@@ -283,7 +307,7 @@ class TestMerging:
 
         monkeypatch.setattr(digest_module, "call_with_retries", recording)
         track = make_track(texts=["C kneads dough", "C kneads dough again"])
-        group = MergeGroup(member_indices=(0, 1), merged_interval=(0.0, 4.0))
+        group = range(0, 2)
         cfg = DigestConfig(merge_mode=MergeMode.LLM)
         _, fallbacks = merge_groups(track, [group], CallableBackend(broken), cfg)
         assert fallbacks == 1
@@ -292,7 +316,7 @@ class TestMerging:
 
     def test_llm_empty_output_falls_back(self):
         track = make_track(texts=["C kneads dough", "C kneads dough again"])
-        group = MergeGroup(member_indices=(0, 1), merged_interval=(0.0, 4.0))
+        group = range(0, 2)
         cfg = DigestConfig(merge_mode=MergeMode.LLM)
         merged, fallbacks = merge_groups(
             track, [group], CallableBackend(lambda s, u: "   "), cfg
@@ -303,10 +327,7 @@ class TestMerging:
     @staticmethod
     def pairs(track):
         caps = track.captions
-        return [
-            MergeGroup((i, i + 1), (caps[i].start_s, caps[i + 1].end_s))
-            for i in range(0, len(caps) - 1, 2)
-        ]
+        return [range(i, i + 2) for i in range(0, len(caps) - 1, 2)]
 
     def test_llm_merges_in_flight_together_up_to_the_limit(self):
         track = make_track(n=4)

@@ -292,7 +292,7 @@ class TestSharedEmbeddingRequest:
         sys.setswitchinterval(1e-6)
         try:
             records, failures = run_ask(
-                config, embedder=CachedEmbedder(counting), llm=ScriptedQaBackend()
+                config, embedder=counting, llm=ScriptedQaBackend()
             )
         finally:
             sys.setswitchinterval(interval)
@@ -322,7 +322,7 @@ class TestSharedEmbeddingRequest:
         )
         with caplog.at_level("WARNING", logger="egolog.pipeline"):
             records, failures = run_ask(
-                config, embedder=CachedEmbedder(ZeroForOneText()), llm=ScriptedQaBackend()
+                config, embedder=ZeroForOneText(), llm=ScriptedQaBackend()
             )
         assert [f.qid for f in failures] == [bad.qid]
         assert "zero embedding vector" in failures[0].error
@@ -381,6 +381,20 @@ class TestRunLocalize:
         records, _ = run_localize(config, llm=backend)
         assert backend.calls == len(tracks)
         assert len(records) == 5
+
+    def test_injected_backend_gets_each_text_once(self, tmp_path):
+        # the run's cache fronts an injected backend too, so the digest
+        # stages and every refinement score share one fetch per text
+        tracks, queries = synth_nlq_benchmark(n_items=4, captions_per_video=8)
+        config = disk_config(tmp_path, tracks, queries)
+        counting = CountingEmbedder()
+        records, failures = run_localize(
+            config, embedder=counting, llm=ScriptedNlqBackend()
+        )
+        assert failures == []
+        assert len(records) == len(queries)
+        sent = [text for batch in counting.batches for text in batch]
+        assert len(sent) == len(set(sent))
 
     def test_no_nlq_items_is_fatal(self, tmp_path):
         tracks, queries = synth_qa_benchmark(n_items=2)

@@ -62,7 +62,7 @@ class TestFormatSeconds:
 class TestCandidateInterval:
     def test_width_and_pair(self):
         c = CandidateInterval(2, 8)
-        assert c.width == 6.0
+        assert c.end_s - c.start_s == 6.0
         assert c.as_pair() == (2.0, 8.0)
 
     def test_inverted_rejected(self):

@@ -105,7 +105,7 @@ class TestPadInterval:
         # padded window stays in bounds, contains the original, never shrinks
         assert bounds[0] <= out.start_s <= c.start_s
         assert c.end_s <= out.end_s <= bounds[1]
-        assert out.width >= c.width
+        assert out.end_s - out.start_s >= c.end_s - c.start_s
 
 
 class TestSelectCandidate:
@@ -201,7 +201,7 @@ def loop_scores(scorer, query_text, intervals, track):
         total = 0.0
         for caption in relevant:
             if min(caption.end_s, interval.end_s) - max(caption.start_s, interval.start_s) > 0:
-                total += caption.duration_s
+                total += caption.end_s - caption.start_s
         scores.append(total)
     return scores
 
