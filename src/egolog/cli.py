@@ -95,14 +95,19 @@ def _atomic(path: Path) -> Iterator[Path]:
     """A temporary path next to path, moved over path only if the block succeeds.
 
     A crash or an exception mid-write leaves the previous file untouched.
+    An OSError while creating the directory, writing or replacing path
+    becomes a ConfigError naming path.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            yield tmp
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:

@@ -136,20 +136,17 @@ class CaptionTrack:
     ) -> "CaptionTrack":
         """Sort captions (stable, by start then end) and default bounds to their hull."""
         ordered = sorted(captions, key=lambda c: (c.start_s, c.end_s))
+        if not ordered and None in (clip_start_s, clip_end_s):
+            raise ValueError(f"cannot infer clip bounds for empty track {video_id!r}")
         if clip_start_s is None:
-            if not ordered:
-                raise ValueError(f"cannot infer clip bounds for empty track {video_id!r}")
             clip_start_s = min(c.start_s for c in ordered)
         if clip_end_s is None:
-            if not ordered:
-                raise ValueError(f"cannot infer clip bounds for empty track {video_id!r}")
             clip_end_s = max(c.end_s for c in ordered)
         return CaptionTrack(video_id, clip_start_s, clip_end_s, tuple(ordered))
 
     def replace_captions(self, captions: Iterable[Caption]) -> "CaptionTrack":
         """Same video and bounds, different caption list (re-sorted)."""
-        ordered = sorted(captions, key=lambda c: (c.start_s, c.end_s))
-        return CaptionTrack(self.video_id, self.clip_start_s, self.clip_end_s, tuple(ordered))
+        return CaptionTrack.build(self.video_id, captions, *self.bounds)
 
 
 class QueryKind(str, Enum):

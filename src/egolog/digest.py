@@ -17,10 +17,10 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
-from .corpus import Caption, CaptionTrack, Query
+from .corpus import Caption, CaptionTrack, Query, normalize_caption_text
 from .llm import LlmBackend
 from .errors import EgologError
-from .retry import RetryPolicy, call_with_retries, map_in_order
+from .retry import map_in_order
 from .similarity import EmbedderBackend, cosine_matrix, cosine_rows, embed_batch
 
 logger = logging.getLogger(__name__)
@@ -32,9 +32,6 @@ MERGE_PROMPT = (
 )
 
 DEFAULT_BLOCKLIST = ("looks around", "looks at the camera")
-
-# a failing merge falls back to concatenation at once: no retry, no sleep
-_MERGE_RETRY = RetryPolicy(attempts=1)
 
 
 class MergeMode(str, Enum):
@@ -174,10 +171,11 @@ def merge_groups(
     The merged caption runs from the earliest start to the latest end of
     its members. One merge function serves both modes: in concat mode it
     joins the member texts; in LLM mode it sends them through the merge
-    prompt, one completion per group with a single attempt, and any
-    backend failure degrades that group to concatenation. LLM merges are
-    mapped in order on pool when one is given, else one at a time in the
-    caller's thread; concatenation always runs in the caller's thread.
+    prompt, one completion per group with a single attempt. Line breaks in
+    the reply become spaces, and a backend failure or an empty reply
+    degrades that group to concatenation. LLM merges are mapped in order
+    on pool when one is given, else one at a time in the caller's thread;
+    concatenation always runs in the caller's thread.
     Returns the merged track and the number of LLM fallbacks.
     """
     use_llm = cfg.merge_mode is MergeMode.LLM and llm is not None
@@ -188,11 +186,7 @@ def merge_groups(
         if not use_llm:
             return concat_merge_text(texts), False
         try:
-            text = call_with_retries(
-                lambda: llm.complete(MERGE_PROMPT, "\n".join(texts)),
-                policy=_MERGE_RETRY,
-                what="merge completion",
-            ).strip()
+            text = normalize_caption_text(llm.complete(MERGE_PROMPT, "\n".join(texts)))
             if not text:
                 raise EgologError("merge produced empty text")
         except EgologError as exc:

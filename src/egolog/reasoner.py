@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 from .corpus import CaptionTrack, Query, QueryKind, finite_seconds, normalize_caption_text
 from .errors import EgologError, ParseError
 from .llm import LlmBackend
-from .retry import RetryPolicy, call_with_retries, map_in_order
+from .retry import call_with_retries, map_in_order
 from .seeding import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -193,7 +193,6 @@ def run(
     runs: int,
     seed: int,
     *,
-    retry: RetryPolicy = RetryPolicy(),
     sleep: Callable[[float], None] = time.sleep,
     pool: Executor | None = None,
 ) -> list[str | EgologError]:
@@ -201,11 +200,11 @@ def run(
 
     Returns one entry per run in run-index order: the reply text, or the
     EgologError that ended the run. Per-run sampling seeds are derived
-    from (seed, run index). Transport failures are retried with capped
-    exponential backoff; a run that exhausts its budget, or fails any
-    other way, is logged and its error returned in its place. The runs go
-    through map_in_order: all of them on pool when one is given, else one
-    at a time in the caller's thread.
+    from (seed, run index). A TransportError is retried by
+    call_with_retries (3 attempts in all, 1 s then 2 s apart); a run that
+    exhausts them, or fails any other way, is logged and its error
+    returned in its place. The runs go through map_in_order: all of them
+    on pool when one is given, else one at a time in the caller's thread.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -220,7 +219,6 @@ def run(
                     sampling_seed=sampling_seed,
                     run_index=run_index,
                 ),
-                policy=retry,
                 sleep=sleep,
                 what=f"completion run {run_index}",
             )

@@ -6,7 +6,6 @@ import logging
 import os
 import time
 from concurrent.futures import Executor, wait
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TypeVar
 
 from .errors import BackendProtocolError, ConfigError, TransportError
@@ -55,51 +54,38 @@ def post_json(
         raise BackendProtocolError(f"bad {what} response: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff: base * 2^attempt, up to max_delay_s."""
-
-    attempts: int = 3
-    base_delay_s: float = 1.0
-    max_delay_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError("retry attempts must be >= 1")
-
-    def delay_for(self, attempt: int) -> float:
-        """Delay before retrying after the given 0-based failed attempt."""
-        return min(self.base_delay_s * (2**attempt), self.max_delay_s)
+# a TransportError is retried up to ATTEMPTS calls in all, sleeping
+# BASE_DELAY_S * 2**attempt after each failed 0-based attempt: 1 s, then 2 s
+ATTEMPTS = 3
+BASE_DELAY_S = 1.0
 
 
 def call_with_retries(
     fn: Callable[[], T],
     *,
-    policy: RetryPolicy = RetryPolicy(),
     sleep: Callable[[float], None] = time.sleep,
     what: str = "backend call",
 ) -> T:
-    """Run fn, retrying TransportError up to the policy's attempt budget."""
-    last: TransportError | None = None
-    for attempt in range(policy.attempts):
+    """Run fn, retrying TransportError up to ATTEMPTS calls in all.
+
+    Any other exception propagates at once; the last TransportError
+    propagates once the attempts are spent, with no sleep after it.
+    """
+    for attempt in range(ATTEMPTS - 1):
         try:
             return fn()
         except TransportError as exc:
-            last = exc
-            if attempt == policy.attempts - 1:
-                break
-            delay = policy.delay_for(attempt)
+            delay = BASE_DELAY_S * 2**attempt
             logger.warning(
                 "%s failed (attempt %d/%d): %s; retrying in %.1fs",
                 what,
                 attempt + 1,
-                policy.attempts,
+                ATTEMPTS,
                 exc,
                 delay,
             )
             sleep(delay)
-    assert last is not None
-    raise last
+    return fn()
 
 
 def map_in_order(

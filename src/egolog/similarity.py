@@ -22,7 +22,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import BackendProtocolError
-from .retry import RetryPolicy, bearer_token, call_with_retries, post_json
+from .retry import bearer_token, call_with_retries, post_json
 
 EMBED_TIMEOUT_S = 60.0
 
@@ -95,7 +95,9 @@ class HttpEmbedder:
 
     POSTs ``{"texts": [...]}`` and expects ``{"embeddings": [[...], ...]}``.
     The bearer token, if any, is read from the environment variable named in
-    the configuration.
+    the configuration. An unreachable endpoint or a 5xx is retried by
+    call_with_retries (3 attempts in all, 1 s then 2 s apart); sleep is the
+    clock those waits use.
     """
 
     def __init__(
@@ -103,11 +105,9 @@ class HttpEmbedder:
         endpoint: str,
         auth_env: str | None = None,
         *,
-        retry: RetryPolicy = RetryPolicy(),
         sleep: Callable[[float], None] = time.sleep,
     ):
         self._endpoint = endpoint
-        self._retry = retry
         self._sleep = sleep
         self._token = bearer_token(auth_env)
 
@@ -117,7 +117,6 @@ class HttpEmbedder:
             lambda: post_json(
                 self._endpoint, body, self._token, EMBED_TIMEOUT_S, "embedding", "embeddings"
             ),
-            policy=self._retry,
             sleep=self._sleep,
             what="embedding request",
         )

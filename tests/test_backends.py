@@ -22,7 +22,6 @@ from egolog.llm import (
     run_key,
     write_transcripts,
 )
-from egolog.retry import RetryPolicy
 from egolog.similarity import CachedEmbedder, HttpEmbedder, embed_batch
 
 
@@ -187,25 +186,17 @@ class TestHttpEmbedder:
         http_script.fail_next = 2
         http_script.body = {"embeddings": [[1.0]]}
         slept = []
-        backend = HttpEmbedder(
-            http_script.endpoint,
-            retry=RetryPolicy(attempts=3, base_delay_s=1.0),
-            sleep=slept.append,
-        )
+        backend = HttpEmbedder(http_script.endpoint, sleep=slept.append)
         assert backend.embed_texts(["alpha"]) == [[1.0]]
         assert len(http_script.requests) == 3
         assert slept == [1.0, 2.0]
 
     def test_5xx_budget_exhausted(self, http_script):
         http_script.fail_next = 99
-        backend = HttpEmbedder(
-            http_script.endpoint,
-            retry=RetryPolicy(attempts=2),
-            sleep=lambda s: None,
-        )
+        backend = HttpEmbedder(http_script.endpoint, sleep=lambda s: None)
         with pytest.raises(TransportError, match="503"):
             backend.embed_texts(["alpha"])
-        assert len(http_script.requests) == 2
+        assert len(http_script.requests) == 3
 
     def test_4xx_is_protocol_error_not_retried(self, http_script):
         http_script.status = 401
@@ -234,9 +225,7 @@ class TestHttpEmbedder:
             embed_batch(backend, ["alpha", "beta"])
 
     def test_unreachable_endpoint_is_transport_error(self):
-        backend = HttpEmbedder(
-            "http://127.0.0.1:9/", retry=RetryPolicy(attempts=1), sleep=lambda s: None
-        )
+        backend = HttpEmbedder("http://127.0.0.1:9/", sleep=lambda s: None)
         with pytest.raises(TransportError, match="unreachable"):
             backend.embed_texts(["alpha"])
 

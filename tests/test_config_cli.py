@@ -459,6 +459,32 @@ class TestCliAtomicWrites:
             main(argv)
         assert {p.name: p.read_bytes() for p in out.parent.iterdir()} == before
 
+    @pytest.mark.parametrize("target", ["directory", "under-a-file"])
+    def test_unwritable_out_path_is_a_located_error(self, tmp_path, capsys, target):
+        tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
+        captions, qpath = write_corpus(tmp_path, tracks, queries)
+        config = write_config(
+            tmp_path,
+            "[run]\nseed = 11\n"
+            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n",
+        )
+        blocker = tmp_path / "blocker"
+        if target == "directory":
+            blocker.mkdir()
+            out = blocker
+        else:
+            blocker.write_text("keep me\n")
+            out = blocker / "out.jsonl"
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        code = main(["gen-refine-data", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: cannot write" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+        if target == "under-a-file":
+            assert blocker.read_text() == "keep me\n"
+
 
 class TestCliErrors:
     def test_fatal_config_error_exits_1(self, tmp_path, capsys):

@@ -19,9 +19,7 @@ from egolog.digest import (
     group_consecutive,
     merge_groups,
 )
-from egolog import digest as digest_module
 from egolog.errors import BackendProtocolError, TransportError
-from egolog.retry import RetryPolicy
 from egolog.similarity import MockEmbedder
 
 from helpers import (
@@ -279,6 +277,18 @@ class TestMerging:
         assert merged.captions[0].text == "C kneads dough twice"
         assert fallbacks == 0
 
+    def test_llm_reply_line_breaks_become_spaces(self):
+        track = make_track(texts=["C kneads dough", "C kneads dough again"])
+        cfg = DigestConfig(merge_mode=MergeMode.LLM)
+        merged, fallbacks = merge_groups(
+            track,
+            [range(0, 2)],
+            CallableBackend(lambda s, u: "merged line one\nmerged line two\r\n"),
+            cfg,
+        )
+        assert merged.captions[0].text == "merged line one merged line two"
+        assert fallbacks == 0
+
     def test_llm_failure_falls_back_to_concat(self, caplog):
         def broken(system, user):
             raise TransportError("model down")
@@ -292,27 +302,19 @@ class TestMerging:
         assert merged.captions[0].text == "C kneads dough; C kneads dough again"
         assert any("falling back" in rec.message for rec in caplog.records)
 
-    def test_llm_merge_is_one_attempt_through_call_with_retries(self, monkeypatch):
-        # one attempt: a failing merge is sent once and falls back, no sleep
-        calls, policies = [], []
-        real = digest_module.call_with_retries
-
-        def recording(fn, **kwargs):
-            policies.append(kwargs["policy"])
-            return real(fn, **kwargs)
+    def test_failing_llm_merge_is_sent_once_then_falls_back(self):
+        calls = []
 
         def broken(system, user):
             calls.append(user)
             raise TransportError("model down")
 
-        monkeypatch.setattr(digest_module, "call_with_retries", recording)
         track = make_track(texts=["C kneads dough", "C kneads dough again"])
         group = range(0, 2)
         cfg = DigestConfig(merge_mode=MergeMode.LLM)
         _, fallbacks = merge_groups(track, [group], CallableBackend(broken), cfg)
         assert fallbacks == 1
         assert len(calls) == 1
-        assert policies == [RetryPolicy(attempts=1)]
 
     def test_llm_empty_output_falls_back(self):
         track = make_track(texts=["C kneads dough", "C kneads dough again"])

@@ -18,7 +18,8 @@ import pytest
 
 from egolog import cli
 from egolog.config import load_config
-from egolog.similarity import MockEmbedder
+from egolog.errors import TransportError
+from egolog.similarity import HttpEmbedder, MockEmbedder
 
 from helpers import (
     ScriptedNlqBackend,
@@ -93,3 +94,16 @@ def test_hooks_fit_a_traced_run_of_each_command(tmp_path):
     assert [s for s in spans if "hook_error" in s] == []
     assert max(s.get("candidates", 0) for s in spans) > 1
     assert (set(BEFORE) | set(AFTER)) - HTTP_ONLY <= {s["name"] for s in spans}
+
+
+def test_retry_hook_fits_the_embedders_call():
+    # nothing listens on port 9, so every attempt is a TransportError
+    embedder = HttpEmbedder("http://127.0.0.1:9/", sleep=lambda s: None)
+    tracer = Tracer("video_id")
+    with tracer.installed():
+        with pytest.raises(TransportError):
+            embedder.embed_texts(["a"])
+    name = "egolog.similarity.call_with_retries"
+    (span,) = [s for s in tracer.spans if s["name"] == name]
+    assert span["attempts"] == 3
+    assert "hook_error" not in span

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from egolog.config import load_config
 from egolog.corpus import Query, QueryKind
+from egolog.digest import MERGE_PROMPT
 from egolog.errors import BackendProtocolError, ConfigError, CorpusError, MetricsError
 from egolog.llm import ReplayBackend, write_transcripts
 from egolog.metrics import report_as_dict
@@ -47,6 +48,15 @@ PAIR_MERGES = (
 )
 # a QA answer without a qid, which a one-question prompt accepts
 ANONYMOUS_ANSWER = '```json\n[{"answer": "B", "explanation": "x", "confidence": 2}]\n```'
+
+
+class TwoLineMerges(ScriptedQaBackend):
+    """Answers questions as ScriptedQaBackend does, and every merge on two lines."""
+
+    def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
+        if system_text == MERGE_PROMPT:
+            return "merged line one\nmerged line two"
+        return super().complete(system_text, user_text, sampling_seed, run_index)
 
 
 def disk_config(tmp_path, tracks, queries, extra="", extra_paths="", overrides=None):
@@ -585,6 +595,21 @@ class TestRunDigest:
         assert failures == []
         fallbacks = sum(s.merge_fallbacks for s in stats.values())
         assert 0 < fallbacks < sum(s.groups_merged for s in stats.values())
+
+    @pytest.mark.parametrize("limit", ["1", "2"])
+    def test_merge_reply_on_two_lines_fails_no_unit(self, tmp_path, limit):
+        tracks, queries = synth_qa_benchmark(n_items=3, captions_per_video=6)
+        config = disk_config(
+            tmp_path, tracks, queries, PAIR_MERGES, overrides={"run.in_flight_limit": limit}
+        )
+        digested, stats, failures = run_digest(config, llm=TwoLineMerges())
+        assert failures == []
+        assert sum(s.merge_fallbacks for s in stats.values()) == 0
+        texts = {c.text for track in digested.values() for c in track.captions}
+        assert texts == {"merged line one merged line two"}
+        records, failures = run_ask(config, llm=TwoLineMerges())
+        assert failures == []
+        assert len(records) == len(queries)
 
     def test_non_finite_embedding_fails_its_unit(self, tmp_path):
         tracks, queries = synth_qa_benchmark(n_items=2, captions_per_video=5)

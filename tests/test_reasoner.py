@@ -22,7 +22,6 @@ from egolog.reasoner import (
     parse_response,
     run,
 )
-from egolog.retry import RetryPolicy
 from egolog.seeding import derive_seed
 
 from helpers import (
@@ -198,14 +197,7 @@ class TestRun:
             return "recovered"
 
         prompt = build_qa_prompt(make_track(), qa_query())
-        replies = run(
-            prompt,
-            CallableBackend(flaky),
-            1,
-            seed=0,
-            retry=RetryPolicy(attempts=3),
-            sleep=lambda s: None,
-        )
+        replies = run(prompt, CallableBackend(flaky), 1, seed=0, sleep=lambda s: None)
         assert replies == ["recovered"]
         assert len(attempts) == 3
 
@@ -214,19 +206,13 @@ class TestRun:
 
         def flaky(system, user):
             calls.append(1)
-            if len(calls) <= 2:
+            # 3 attempts for each of the 2 runs
+            if len(calls) <= 6:
                 raise TransportError("down")
             return "late success"
 
         prompt = build_qa_prompt(make_track(), qa_query())
-        replies = run(
-            prompt,
-            CallableBackend(flaky),
-            2,
-            seed=0,
-            retry=RetryPolicy(attempts=1),
-            sleep=lambda s: None,
-        )
+        replies = run(prompt, CallableBackend(flaky), 2, seed=0, sleep=lambda s: None)
         assert [type(r) for r in replies] == [TransportError, TransportError]
         assert [str(r) for r in replies] == ["down", "down"]
 

@@ -5,11 +5,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from egolog.errors import BackendProtocolError, TransportError
-from egolog.retry import RetryPolicy, call_with_retries, map_in_order
+from egolog.retry import call_with_retries, map_in_order
 
 
 class Flaky:
@@ -27,21 +25,6 @@ class Flaky:
         return self.value
 
 
-class TestRetryPolicy:
-    def test_delay_sequence_doubles_then_caps(self):
-        policy = RetryPolicy(attempts=6, base_delay_s=1.0, max_delay_s=30.0)
-        assert [policy.delay_for(i) for i in range(6)] == [1, 2, 4, 8, 16, 30]
-
-    def test_zero_attempts_rejected(self):
-        with pytest.raises(ValueError, match="attempts"):
-            RetryPolicy(attempts=0)
-
-    @given(st.integers(min_value=0, max_value=40))
-    def test_delay_never_exceeds_cap(self, attempt):
-        policy = RetryPolicy(attempts=3, base_delay_s=0.5, max_delay_s=7.0)
-        assert 0 < policy.delay_for(attempt) <= 7.0
-
-
 class TestCallWithRetries:
     def test_success_first_try_no_sleep(self):
         slept = []
@@ -52,9 +35,7 @@ class TestCallWithRetries:
     def test_recovers_within_budget(self):
         fn = Flaky(2)
         slept = []
-        result = call_with_retries(
-            fn, policy=RetryPolicy(attempts=3, base_delay_s=1.0), sleep=slept.append
-        )
+        result = call_with_retries(fn, sleep=slept.append)
         assert result == "ok"
         assert fn.calls == 3
         assert slept == [1.0, 2.0]
@@ -63,7 +44,7 @@ class TestCallWithRetries:
         fn = Flaky(5)
         slept = []
         with pytest.raises(TransportError, match="boom 3"):
-            call_with_retries(fn, policy=RetryPolicy(attempts=3), sleep=slept.append)
+            call_with_retries(fn, sleep=slept.append)
         assert fn.calls == 3
         # no sleep after the final failure
         assert slept == [1.0, 2.0]
@@ -79,20 +60,13 @@ class TestCallWithRetries:
             call_with_retries(fn, sleep=lambda s: None)
         assert len(calls) == 1
 
-    def test_single_attempt_policy_never_sleeps(self):
-        slept = []
-        with pytest.raises(TransportError):
-            call_with_retries(
-                Flaky(9), policy=RetryPolicy(attempts=1), sleep=slept.append
-            )
-        assert slept == []
-
     def test_warning_logged_on_retry(self, caplog):
         with caplog.at_level("WARNING", logger="egolog.retry"):
-            call_with_retries(
-                Flaky(1), policy=RetryPolicy(attempts=2), sleep=lambda s: None
-            )
+            call_with_retries(Flaky(1), sleep=lambda s: None)
         assert any("retrying" in rec.message for rec in caplog.records)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "backend call failed (attempt 1/3): boom 1; retrying in 1.0s"
+        ]
 
 
 class TestMapInOrder:
