@@ -15,9 +15,9 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, get_type_hints
 
 from .digest import DigestConfig, MergeMode
 from .errors import ConfigError
@@ -31,11 +31,18 @@ def _split_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-_DIGEST = DigestConfig()
-_REFINE = RefineConfig()
+# parser of a stage config field, by the field's type
+_PARSERS = {float: float, int: int, MergeMode: MergeMode, tuple[str, ...]: _split_list}
+
+
+def _stage_keys(stage: type) -> dict:
+    """key -> (parser, default) for every field of a stage config, in order."""
+    hints = get_type_hints(stage)
+    return {f.name: (_PARSERS[hints[f.name]], f.default) for f in fields(stage)}
+
 
 # section -> key -> (parser, default). A missing or blank value means the
-# default; None means unset. Stage defaults come from the stage configs.
+# default; None means unset. Stage keys and defaults come from the stage configs.
 _KEYS = {
     "paths": dict.fromkeys(("captions", "queries", "transcripts", "output"), (str, None)),
     "run": {"seed": (int, None), "runs": (int, 5), "in_flight_limit": (int, 4)},
@@ -46,22 +53,8 @@ _KEYS = {
         "auth_env": (str, None),
         "dim": (int, 64),
     },
-    "digest": {
-        "blocklist": (_split_list, _DIGEST.blocklist),
-        "relevance_threshold": (float, _DIGEST.relevance_threshold),
-        "adjacency_threshold": (float, _DIGEST.adjacency_threshold),
-        "max_merge_group": (int, _DIGEST.max_merge_group),
-        "merge_mode": (MergeMode, _DIGEST.merge_mode),
-    },
-    "refine": {
-        "pad_alpha": (float, _REFINE.pad_alpha),
-        "jitter_shift_max": (float, _REFINE.jitter_shift_max),
-        "jitter_scale_lo": (float, _REFINE.jitter_scale_lo),
-        "jitter_scale_hi": (float, _REFINE.jitter_scale_hi),
-        "pos_iou": (float, _REFINE.pos_iou),
-        "neg_iou": (float, _REFINE.neg_iou),
-        "samples_per_gt": (int, _REFINE.samples_per_gt),
-    },
+    "digest": _stage_keys(DigestConfig),
+    "refine": _stage_keys(RefineConfig),
 }
 
 # what a value that fails its parser should have been

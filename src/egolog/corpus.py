@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -25,8 +25,7 @@ logger = logging.getLogger(__name__)
 
 _TIME_DECIMALS = 3
 
-_CAPTION_KEYS = {"video_id", "start_s", "end_s", "text"}
-_BOUNDS_KEYS = {"video_id", "clip_start_s", "clip_end_s"}
+_BOUNDS_KEYS = ("video_id", "clip_start_s", "clip_end_s")
 
 
 def finite_seconds(value) -> float:
@@ -46,13 +45,14 @@ def finite_seconds(value) -> float:
 
 
 def normalize_seconds(value: float) -> float:
-    """Normalize a timestamp to millisecond precision.
+    """Normalize a timestamp to millisecond precision, never negative zero.
 
     A bool or a non-finite number raises ValueError.
     """
     if isinstance(value, bool):
         raise ValueError(f"times must be numbers, got {value!r}")
-    return round(finite_seconds(value), _TIME_DECIMALS)
+    # adding 0.0 turns a -0.0 (from -0.0 or a tiny negative) into 0.0
+    return round(finite_seconds(value), _TIME_DECIMALS) + 0.0
 
 
 def whole_number(value, name: str) -> int:
@@ -192,6 +192,10 @@ class Query:
                 )
 
 
+# the keys of a caption record, in the order save_captions writes them
+_CAPTION_KEYS = tuple(f.name for f in fields(Caption))
+
+
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) pairs from a JSONL file; blank lines skipped.
 
@@ -236,7 +240,7 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
 
     for lineno, record in iter_jsonl(path):
         keys = set(record)
-        if _BOUNDS_KEYS <= keys:
+        if keys.issuperset(_BOUNDS_KEYS):
             vid = str(record["video_id"])
             try:
                 lo = normalize_seconds(record["clip_start_s"])
@@ -255,8 +259,8 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
                 )
             bounds[vid] = (lo, hi)
             continue
-        if not _CAPTION_KEYS <= keys:
-            missing = sorted(_CAPTION_KEYS - keys)
+        if not keys.issuperset(_CAPTION_KEYS):
+            missing = sorted(set(_CAPTION_KEYS) - keys)
             raise CorpusError(
                 f"record missing fields {missing}", path=str(path), line=lineno
             )
@@ -302,30 +306,11 @@ def save_captions(tracks: Mapping[str, CaptionTrack], path: str | Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         for vid in sorted(tracks):
             track = tracks[vid]
-            fh.write(
-                json.dumps(
-                    {
-                        "video_id": track.video_id,
-                        "clip_start_s": track.clip_start_s,
-                        "clip_end_s": track.clip_end_s,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-            for cap in track.captions:
-                fh.write(
-                    json.dumps(
-                        {
-                            "video_id": cap.video_id,
-                            "start_s": cap.start_s,
-                            "end_s": cap.end_s,
-                            "text": cap.text,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+            for record, keys in [(track, _BOUNDS_KEYS)] + [
+                (cap, _CAPTION_KEYS) for cap in track.captions
+            ]:
+                row = {key: getattr(record, key) for key in keys}
+                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def load_queries(path: str | Path) -> list[Query]:

@@ -44,6 +44,7 @@ from .corpus import (
     iter_jsonl,
     load_captions,
     load_queries,
+    normalize_seconds,
     whole_number,
 )
 from .digest import DigestStats, MergeMode, digest, embedded_texts
@@ -336,11 +337,15 @@ def run_localize(
             )
             records[query.qid] = {
                 "qid": query.qid,
-                "predicted_window": [round(final.start_s, 3), round(final.end_s, 3)],
+                "predicted_window": [
+                    normalize_seconds(final.start_s),
+                    normalize_seconds(final.end_s),
+                ],
                 "confidence": clamped.confidence,
                 "explanation": clamped.explanation,
                 "candidates": [
-                    [round(c.start_s, 3), round(c.end_s, 3)] for c in clamped.intervals
+                    [normalize_seconds(c.start_s), normalize_seconds(c.end_s)]
+                    for c in clamped.intervals
                 ],
                 "na": clamped.is_na,
             }
@@ -442,6 +447,9 @@ def run_eval(config: PipelineConfig, predictions_path, task: str) -> EvalReport:
     unknown = sorted({qid for qid, _, _ in rows} - set(by_qid))
     if unknown:
         raise MetricsError(f"predictions for unknown qids: {unknown}")
+    wrong_kind = sorted(qid for qid, _, _ in rows if by_qid[qid].kind is not kind)
+    if wrong_kind:
+        raise MetricsError(f"predictions for non-{task} queries: {wrong_kind}")
     gts = {
         qid: by_qid[qid].gt_answer_idx if task == "qa" else by_qid[qid].gt_window
         for qid, _, _ in rows
@@ -449,9 +457,6 @@ def run_eval(config: PipelineConfig, predictions_path, task: str) -> EvalReport:
     missing_gt = sorted(qid for qid, gt in gts.items() if gt is None)
     if missing_gt:
         raise MetricsError(f"queries without ground truth: {missing_gt}")
-    wrong_kind = sorted(qid for qid in gts if by_qid[qid].kind is not kind)
-    if wrong_kind:
-        raise MetricsError(f"predictions for non-{task} queries: {wrong_kind}")
 
     field = "choice" if kind is QueryKind.QA else "predicted_window"
     preds = {}

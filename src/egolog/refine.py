@@ -27,7 +27,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import CaptionTrack, QueryKind
+from .corpus import CaptionTrack, QueryKind, normalize_seconds
 from .errors import EgologError, RefineError
 from .metrics import iou
 from .reasoner import CandidateInterval, LlmAnswer
@@ -227,8 +227,8 @@ def gen_refinement_dataset(
             half = (gt_end - gt_start) * scale / 2.0
             # labelled as written: by the window rounded to the millisecond,
             # then clamped, so that a bound off the grid still holds
-            start_s = max(round(center - half, 3), lo)
-            end_s = min(round(center + half, 3), hi)
+            start_s = max(normalize_seconds(center - half), lo)
+            end_s = min(normalize_seconds(center + half), hi)
             if not start_s < end_s:
                 continue
             value = exact = iou((start_s, end_s), (gt_start, gt_end))

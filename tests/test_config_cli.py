@@ -4,9 +4,11 @@ import configparser
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from egolog import pipeline
 from egolog.cli import main
 from egolog.config import (
     PipelineConfig,
@@ -18,7 +20,13 @@ from egolog.config import (
 from egolog.digest import MergeMode
 from egolog.errors import ConfigError
 
-from helpers import synth_nlq_benchmark, synth_qa_benchmark, write_config, write_corpus
+from helpers import (
+    ScriptedQaBackend,
+    synth_nlq_benchmark,
+    synth_qa_benchmark,
+    write_config,
+    write_corpus,
+)
 
 MINIMAL = """\
 [run]
@@ -194,6 +202,20 @@ class TestLoadConfig:
         body = MINIMAL + "[llm]\nkind = local\n"
         with pytest.raises(ConfigError, match="llm.kind"):
             minimal_config(tmp_path, body=body)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("run.in_flight_limit", "0", "in_flight_limit must be >= 1"),
+            ("embedder.kind", "bogus", "embedder.kind must be one of"),
+            ("embedder.kind", "http", "embedder.endpoint is not set"),
+            ("embedder.dim", "0", "embedder.dim must be >= 1"),
+        ],
+        ids=["in-flight-limit-0", "embedder-kind", "embedder-endpoint", "embedder-dim-0"],
+    )
+    def test_invalid_run_or_embedder_value(self, tmp_path, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            minimal_config(tmp_path, overrides={key: value})
 
 
 class TestConfigHash:
@@ -521,6 +543,24 @@ class TestCliErrors:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["stray"], "unexpected argument 'stray'"),
+            (
+                ["--digest.relevance_threshold"],
+                "override --digest.relevance_threshold needs a value",
+            ),
+        ],
+        ids=["stray-positional", "flag-without-value"],
+    )
+    def test_malformed_override_exits_1(self, tmp_path, capsys, extra, message):
+        config = write_config(tmp_path, MINIMAL)
+        out = str(tmp_path / "o.jsonl")
+        code = main(["digest", "--config", str(config), "--out", out, *extra])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_dotted_override_reaches_pipeline(self, tmp_path):
         tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
         captions, qpath = write_corpus(tmp_path, tracks, queries)
@@ -544,6 +584,29 @@ class TestCliErrors:
         assert code == 0
         rows = out.read_text().splitlines()
         assert len(rows) == 2 * 2 * 2
+
+    def test_partial_failure_exits_2(self, tmp_path, capsys):
+        # the first question's video has no captions; the others answer
+        tracks, queries = synth_qa_benchmark(n_items=3, captions_per_video=6)
+        lost = queries[0]
+        del tracks[lost.video_id]
+        captions, qpath = write_corpus(tmp_path, tracks, queries)
+        config = write_config(
+            tmp_path,
+            "[run]\nseed = 3\nruns = 1\n"
+            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n",
+        )
+        out = tmp_path / "answers.jsonl"
+        llm = ScriptedQaBackend()
+        with mock.patch.object(pipeline, "build_llm", lambda config: llm):
+            code = main(["ask", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"failed {lost.qid}: no captions for video {lost.video_id!r}" in err
+        answered = [json.loads(line)["qid"] for line in out.read_text().splitlines()]
+        assert answered == [q.qid for q in queries[1:]]
+        manifest = json.loads((tmp_path / "answers.jsonl.manifest.json").read_text())
+        assert [f["qid"] for f in manifest["failures"]] == [lost.qid]
 
     def test_missing_auth_env_fails_fast(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("EGO_TOKEN", raising=False)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import pytest
@@ -18,6 +19,7 @@ from egolog.corpus import (
     save_captions,
 )
 from egolog.errors import CorpusError
+from egolog.reasoner import caption_log_lines
 
 from helpers import make_track
 
@@ -202,11 +204,44 @@ class TestCaptionsIO:
         with pytest.raises(CorpusError, match=where):
             load_captions(path)
 
+    @pytest.mark.parametrize("start", [-0.0, -0.0004])
+    def test_negative_zero_start_loads_as_zero(self, tmp_path, start):
+        path = tmp_path / "caps.jsonl"
+        rows = [
+            {"video_id": "v1", "clip_start_s": start, "clip_end_s": 2},
+            {"video_id": "v1", "start_s": start, "end_s": 2, "text": "C opens the drawer"},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        track = load_captions(path)["v1"]
+        (cap,) = track.captions
+        assert math.copysign(1, cap.start_s) == 1
+        assert math.copysign(1, track.clip_start_s) == 1
+        assert caption_log_lines(track) == ["0-2: C opens the drawer"]
+        save_captions({"v1": track}, tmp_path / "out.jsonl")
+        assert "-0" not in (tmp_path / "out.jsonl").read_text()
+
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "caps.jsonl"
         path.write_text(json.dumps({"video_id": "v1", "start_s": 0}) + "\n")
         with pytest.raises(CorpusError, match="missing fields"):
             load_captions(path)
+
+    def test_missing_fields_listed_in_sorted_order(self, tmp_path):
+        path = tmp_path / "caps.jsonl"
+        path.write_text(json.dumps({"video_id": "v1", "start_s": 0}) + "\n")
+        with pytest.raises(CorpusError, match=re.escape("fields ['end_s', 'text'] in")):
+            load_captions(path)
+
+    def test_caption_outside_its_bounds_record_names_file(self, tmp_path):
+        path = tmp_path / "caps.jsonl"
+        rows = [
+            {"video_id": "v1", "clip_start_s": 0, "clip_end_s": 10},
+            {"video_id": "v1", "start_s": 8, "end_s": 12, "text": "C closes the door"},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(CorpusError, match="outside clip bounds") as excinfo:
+            load_captions(path)
+        assert str(path) in str(excinfo.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError, match="not found"):
@@ -232,8 +267,15 @@ class TestCaptionsIO:
                 % ("0" * 400),
                 "integer too large for a float",
             ),
+            ('["v1", 0, 2, "C sits"]', "record is not an object"),
         ],
-        ids=["bool-start", "overflowing-end", "overflowing-clip-bound", "huge-int-end"],
+        ids=[
+            "bool-start",
+            "overflowing-end",
+            "overflowing-clip-bound",
+            "huge-int-end",
+            "json-array",
+        ],
     )
     def test_coerced_times_rejected_with_path_and_line(self, tmp_path, line, message):
         path = tmp_path / "caps.jsonl"
@@ -300,6 +342,20 @@ class TestQueriesIO:
         with pytest.raises(CorpusError, match=where):
             load_queries(path)
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(CorpusError, match="queries file not found"):
+            load_queries(tmp_path / "absent.jsonl")
+
+    @pytest.mark.parametrize("choices", [None, '"abcde"'], ids=["absent", "string"])
+    def test_qa_without_a_choices_list_rejected(self, tmp_path, choices):
+        path = tmp_path / "queries.jsonl"
+        row = '{"qid": "q1", "video_id": "v1", "kind": "qa", "question": "what?"'
+        row += "}" if choices is None else f', "choices": {choices}}}'
+        path.write_text(row + "\n")
+        message = "expected 5 choices for QA query 'q1', got none in .* at line 1"
+        with pytest.raises(CorpusError, match=message):
+            load_queries(path)
+
     def test_gt_normalized_to_milliseconds(self, tmp_path):
         path = tmp_path / "queries.jsonl"
         row = {
@@ -320,8 +376,19 @@ class TestQueriesIO:
             ('"kind": "qa", "answer_idx": true', "answer_idx must be a whole number, got True"),
             ('"kind": "nlq", "gt": [true, 5]', "times must be numbers, got True"),
             ('"kind": "nlq", "gt": [1, NaN]', "non-finite time nan"),
+            ('"kind": "nlq", "choices": ["a"]', "NLQ query 'q2' cannot carry choices"),
+            ('"kind": "nlq", "gt": [1, 2, 3]', re.escape("'q2' must be [start, end]")),
+            ('"kind": "nlq", "gt": 5', re.escape("'q2' must be [start, end]")),
         ],
-        ids=["fractional-answer", "bool-answer", "bool-gt", "nan-gt"],
+        ids=[
+            "fractional-answer",
+            "bool-answer",
+            "bool-gt",
+            "nan-gt",
+            "nlq-choices",
+            "gt-triple",
+            "gt-scalar",
+        ],
     )
     def test_coerced_values_rejected_with_path_and_line(self, tmp_path, fields, message):
         path = tmp_path / "queries.jsonl"

@@ -4,13 +4,15 @@ perfbench/layers.py names its targets as strings; one that no longer
 resolves is skipped there and its metrics read null, so a rename shows
 up here instead. A hook that no longer fits its target's arguments or
 result is recorded on the span as hook_error, so a traced run of each
-command checks that none is.
+command checks that none is. The set-up probe reads names of its own
+from egolog, so one run of it on a tiny corpus checks those.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,7 +32,8 @@ from helpers import (
     write_corpus,
 )
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "perfbench"))
 from layers import AFTER, BEFORE, TARGETS, Tracer, target_name  # noqa: E402
 
 # hooked targets that only an HTTP backend calls
@@ -107,3 +110,23 @@ def test_retry_hook_fits_the_embedders_call():
     (span,) = [s for s in tracer.spans if s["name"] == name]
     assert span["attempts"] == 3
     assert "hook_error" not in span
+
+
+def test_setup_probe_prints_its_seconds(tmp_path):
+    tracks, queries = synth_qa_benchmark(n_items=2, captions_per_video=4)
+    captions, qpath = write_corpus(tmp_path, tracks, queries)
+    config = write_config(
+        tmp_path,
+        "[run]\nseed = 5\n"
+        f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n",
+    )
+    probe = [sys.executable, str(REPO / "perfbench" / "setup_probe.py")]
+    done = subprocess.run(
+        probe + [str(REPO / "src"), str(config)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    (line,) = done.stdout.splitlines()
+    assert float(line) > 0

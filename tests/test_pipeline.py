@@ -28,6 +28,7 @@ from egolog.pipeline import (
 from egolog.similarity import CachedEmbedder, MockEmbedder
 
 from helpers import (
+    CallableBackend,
     HashFailingBackend,
     OverlapBackend,
     RecordingBackend,
@@ -356,6 +357,28 @@ class TestRunLocalize:
             assert record["predicted_window"] == list(gt[record["qid"]])
             assert record["na"] is False
             assert record["candidates"]
+
+    def test_negative_zero_candidate_written_as_zero(self, tmp_path):
+        tracks, queries = synth_nlq_benchmark(n_items=1, captions_per_video=4)
+        (query,) = queries
+        entry = {
+            "qid": query.qid,
+            "intervals": [[-0.0, 2.0]],
+            "explanation": "x",
+            "confidence": 3,
+        }
+        reply = f"```json\n{json.dumps([entry])}\n```"
+        config = disk_config(
+            tmp_path, tracks, queries, IDENTITY_DIGEST + "[refine]\npad_alpha = 0\n"
+        )
+        records, failures = run_localize(
+            config, llm=CallableBackend(lambda system, user: reply)
+        )
+        assert failures == []
+        (record,) = records
+        assert record["candidates"] == [[0.0, 2.0]]
+        assert record["predicted_window"] == [0.0, 2.0]
+        assert "-0" not in json.dumps(record)
 
     def test_na_query_maps_to_full_clip(self, tmp_path):
         tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
@@ -796,7 +819,7 @@ class TestRunEval:
     def test_wrong_task_rejected(self, tmp_path):
         # nlq queries have no answer index, so scoring them as qa fails
         config, preds = self.localize_and_eval(tmp_path)
-        with pytest.raises(MetricsError, match="without ground truth"):
+        with pytest.raises(MetricsError, match="non-qa queries"):
             run_eval(config, preds, "qa")
 
     def test_bad_task_name(self, tmp_path):
@@ -815,6 +838,17 @@ class TestRunEval:
         report = run_eval(config, preds, "qa")
         assert report.qa_accuracy == 1.0
         assert report.per_confidence[3].qa_accuracy == 1.0
+
+    def test_qa_predictions_scored_as_nlq_rejected(self, tmp_path):
+        tracks, queries = synth_qa_benchmark(n_items=3, captions_per_video=6)
+        config = disk_config(tmp_path, tracks, queries)
+        records, _ = run_ask(config, llm=ScriptedQaBackend())
+        preds = tmp_path / "qa_preds.jsonl"
+        preds.write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        with pytest.raises(MetricsError, match="non-nlq queries"):
+            run_eval(config, preds, "nlq")
 
     @pytest.mark.parametrize("choice", [True, 1.5], ids=["bool", "fractional"])
     def test_qa_choice_must_be_a_whole_number(self, tmp_path, choice):

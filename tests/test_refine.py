@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -405,6 +407,16 @@ class TestGenRefinementDataset:
         assert min(r["start_s"] for r in records) == lo
         for r in records:
             assert lo <= r["start_s"] < r["end_s"] <= hi
+
+    def test_window_clamped_at_zero_is_not_negative_zero(self):
+        # q1's draws under seed 18 include a window whose start rounds to
+        # -0.0 before it is clamped to the clip start 0.0
+        records = gen_refinement_dataset(
+            [("q1", (0.6, 3.1), (0.0, 120.0))], RefineConfig(), seed=18
+        )
+        starts = [r["start_s"] for r in records if r["start_s"] == 0]
+        assert starts and all(math.copysign(1, s) == 1 for s in starts)
+        assert "-0.0" not in json.dumps(records)
 
     def test_budget_exhaustion_names_qid(self):
         # zero shift and unit scale reproduce the gt exactly: IoU always 1,
