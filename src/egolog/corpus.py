@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import CorpusError
 
@@ -26,6 +26,9 @@ logger = logging.getLogger(__name__)
 _TIME_DECIMALS = 3
 
 _BOUNDS_KEYS = ("video_id", "clip_start_s", "clip_end_s")
+
+# how a value that is not text is named, by its JSON type
+_NOT_TEXT = {type(None): "null", bool: "a bool", list: "a list", dict: "an object"}
 
 
 def finite_seconds(value) -> float:
@@ -60,6 +63,29 @@ def whole_number(value, name: str) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def time_pair(
+    value, name: str, seconds: Callable[[object], float]
+) -> tuple[float, float]:
+    """A [start, end] field as two times, each read by seconds.
+
+    Anything but a two-element list raises ValueError.
+    """
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{name} must be [start, end]")
+    return seconds(value[0]), seconds(value[1])
+
+
+def _text_field(value, name: str) -> str:
+    """A text field of a record: a string, or a number as its digits.
+
+    null, a bool, a list or an object raises ValueError.
+    """
+    if type(value) not in (str, int, float):
+        got = _NOT_TEXT[type(value)]
+        raise ValueError(f"{name} must be a string or a number, got {got}")
+    return str(value)
 
 
 def normalize_caption_text(text: str) -> str:
@@ -241,8 +267,8 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
     for lineno, record in iter_jsonl(path):
         keys = set(record)
         if keys.issuperset(_BOUNDS_KEYS):
-            vid = str(record["video_id"])
             try:
+                vid = _text_field(record["video_id"], "video_id")
                 lo = normalize_seconds(record["clip_start_s"])
                 hi = normalize_seconds(record["clip_end_s"])
             except (TypeError, ValueError) as exc:
@@ -266,10 +292,10 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
             )
         try:
             cap = Caption(
-                video_id=str(record["video_id"]),
+                video_id=_text_field(record["video_id"], "video_id"),
                 start_s=normalize_seconds(record["start_s"]),
                 end_s=normalize_seconds(record["end_s"]),
-                text=normalize_caption_text(str(record["text"])),
+                text=normalize_caption_text(_text_field(record["text"], "text")),
             )
         except (TypeError, ValueError) as exc:
             raise CorpusError(str(exc), path=str(path), line=lineno) from exc
@@ -331,10 +357,11 @@ def load_queries(path: str | Path) -> list[Query]:
         if kind_raw not in (QueryKind.QA.value, QueryKind.NLQ.value):
             raise CorpusError(f"unknown kind {kind_raw!r}", path=str(path), line=lineno)
         kind = QueryKind(kind_raw)
-        qid = str(record.get("qid", ""))
-        if qid in seen:
-            raise CorpusError(f"duplicate qid {qid!r}", path=str(path), line=lineno)
         try:
+            qid = _text_field(record.get("qid", ""), "qid")
+            if qid in seen:
+                raise CorpusError(f"duplicate qid {qid!r}", path=str(path), line=lineno)
+            video_id = _text_field(record.get("video_id", ""), "video_id")
             if kind is QueryKind.QA:
                 choices_raw = record.get("choices")
                 if not isinstance(choices_raw, list):
@@ -342,10 +369,10 @@ def load_queries(path: str | Path) -> list[Query]:
                 answer_idx = record.get("answer_idx")
                 query = Query(
                     qid=qid,
-                    video_id=str(record.get("video_id", "")),
+                    video_id=video_id,
                     kind=kind,
-                    text=str(record.get("question", "")),
-                    choices=tuple(str(c) for c in choices_raw),
+                    text=_text_field(record.get("question", ""), "question"),
+                    choices=tuple(_text_field(c, "a choice") for c in choices_raw),
                     gt_answer_idx=(
                         None
                         if answer_idx is None
@@ -356,16 +383,16 @@ def load_queries(path: str | Path) -> list[Query]:
                 if "choices" in record:
                     raise ValueError(f"NLQ query {qid!r} cannot carry choices")
                 gt_raw = record.get("gt")
-                gt = None
-                if gt_raw is not None:
-                    if not (isinstance(gt_raw, list) and len(gt_raw) == 2):
-                        raise ValueError(f"gt for query {qid!r} must be [start, end]")
-                    gt = (normalize_seconds(gt_raw[0]), normalize_seconds(gt_raw[1]))
+                gt = (
+                    None
+                    if gt_raw is None
+                    else time_pair(gt_raw, f"gt for query {qid!r}", normalize_seconds)
+                )
                 query = Query(
                     qid=qid,
-                    video_id=str(record.get("video_id", "")),
+                    video_id=video_id,
                     kind=kind,
-                    text=str(record.get("query", "")),
+                    text=_text_field(record.get("query", ""), "query"),
                     gt_window=gt,
                 )
         except (TypeError, ValueError) as exc:

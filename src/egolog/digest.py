@@ -78,22 +78,15 @@ class DigestStats:
         return asdict(self)
 
 
-def _informative(caption: Caption, cfg: DigestConfig) -> bool:
-    return not any(phrase in caption.text.lower() for phrase in cfg.blocklist)
-
-
-def _filters_relevance(
-    captions: Sequence[Caption], queries: Sequence[Query], cfg: DigestConfig
-) -> bool:
-    """Whether digest runs the relevance stage on these blocklist survivors."""
-    return bool(queries) and cfg.relevance_threshold > -1.0 and bool(captions)
-
-
 def drop_uninformative(track: CaptionTrack, cfg: DigestConfig) -> CaptionTrack:
     """Remove captions whose lowercase text contains any blocklist phrase."""
     if not cfg.blocklist:
         return track
-    kept = [cap for cap in track.captions if _informative(cap, cfg)]
+    kept = [
+        cap
+        for cap in track.captions
+        if not any(phrase in cap.text.lower() for phrase in cfg.blocklist)
+    ]
     if not kept and track.captions:
         logger.warning(
             "all %d captions of video %r matched the blocklist",
@@ -235,7 +228,7 @@ def digest(
     stage1 = drop_uninformative(track, cfg)
     stats.dropped_uninformative = len(track.captions) - len(stage1.captions)
 
-    if _filters_relevance(stage1.captions, queries, cfg):
+    if queries and cfg.relevance_threshold > -1.0 and stage1.captions:
         stage2 = filter_by_relevance(stage1, queries, backend, cfg)
     else:
         stage2 = stage1
@@ -249,17 +242,3 @@ def digest(
     stats.output_captions = len(merged.captions)
     return merged, stats
 
-
-def embedded_texts(
-    track: CaptionTrack, queries: Sequence[Query], cfg: DigestConfig
-) -> list[str]:
-    """Every text that digest embeds for the track and any subset of queries.
-
-    The captions that pass the blocklist, plus the query texts when
-    relevance filtering runs: the batch the relevance stage sends for all
-    of the queries at once. Empty when digest embeds nothing.
-    """
-    kept = [cap.text for cap in track.captions if _informative(cap, cfg)]
-    if _filters_relevance(kept, queries, cfg):
-        return kept + [q.text for q in queries]
-    return kept if len(kept) >= 2 else []

@@ -10,14 +10,14 @@ completion pool of in_flight_limit squared threads, shared by all units,
 so a unit can use the slots another leaves idle and at most
 in_flight_limit squared completions are in flight. At in_flight_limit 1
 there are no pools: everything runs in the caller's thread. Before each
-question, ask sends the digest texts of every question on its video
-through the run's embedding cache, so the questions of one video share
-one embedding request. Each command has one per-text embedding cache,
-in front of an injected embedder as in front of the configured one. A
-missing track or an EgologError fails every key of its unit and nothing
-else. Outputs and failures come back in input query order (track order
-for digest), and each unit's completions in their own order, so results
-are byte-identical regardless of pool size.
+question on a video with several questions, ask sends all of the video's
+caption texts and question texts through the run's embedding cache, so
+those questions share one embedding request. Each command has one
+per-text embedding cache, in front of an injected embedder as in front
+of the configured one. A missing track or an EgologError fails every key
+of its unit and nothing else. Outputs and failures come back in input
+query order (track order for digest), and each unit's completions in
+their own order, so results are byte-identical regardless of pool size.
 
 All derived randomness flows from the config seed: per-question prompts
 use (seed, "ask", qid), tie-breaking uses (seed, "vote", qid), per-video
@@ -45,9 +45,10 @@ from .corpus import (
     load_captions,
     load_queries,
     normalize_seconds,
+    time_pair,
     whole_number,
 )
-from .digest import DigestStats, MergeMode, digest, embedded_texts
+from .digest import DigestStats, MergeMode, digest
 from .ensemble import AnswerPool, vote_by_confidence
 from .errors import ConfigError, EgologError, MetricsError, ParseError
 from .llm import HttpLlmBackend, LlmBackend, ReplayBackend
@@ -61,12 +62,7 @@ from .reasoner import (
     parse_response,
     run,
 )
-from .refine import (
-    CandidateScorer,
-    CaptionOverlapScorer,
-    gen_refinement_dataset,
-    select_candidate,
-)
+from .refine import CaptionOverlapScorer, gen_refinement_dataset, select_candidate
 from .retry import map_in_order
 from .seeding import derive_seed
 from .similarity import CachedEmbedder, EmbedderBackend, HttpEmbedder, MockEmbedder
@@ -234,8 +230,8 @@ def run_ask(
 ) -> tuple[list[dict], list[UnitFailure]]:
     """Answer every QA query: digest, prompt, repeated runs, vote.
 
-    When a video has several questions, each question first sends the
-    texts that the digests of all of them embed through the run's cache,
+    When a video has several questions, each question first sends all of
+    the video's caption texts and question texts through the run's cache,
     so the first fetches them in one request and the others wait for it.
     A failed request is logged and ignored: each question then fetches
     its own texts and fails on its own.
@@ -244,20 +240,21 @@ def run_ask(
     embedder = build_embedder(config) if embedder is None else CachedEmbedder(embedder)
     if llm is None:
         llm = build_llm(config)
-    shared_texts = {
-        vid: embedded_texts(tracks[vid], qs, config.digest)
+    question_texts = {
+        vid: [q.text for q in qs]
         for vid, qs in _by_video(queries).items()
-        if len(qs) > 1 and vid in tracks
+        if len(qs) > 1
     }
 
     def answer(
         track: CaptionTrack, unit_queries: list[Query], pool: Executor | None
     ) -> dict[str, dict]:
         (query,) = unit_queries
-        texts = shared_texts.get(track.video_id)
-        if texts:
+        if track.video_id in question_texts:
             try:
-                embedder.embed_texts(texts)
+                embedder.embed_texts(
+                    [c.text for c in track.captions] + question_texts[track.video_id]
+                )
             except EgologError as exc:
                 logger.warning(
                     "shared embedding request for video %r failed: %s; "
@@ -308,15 +305,13 @@ def run_localize(
     *,
     embedder: EmbedderBackend | None = None,
     llm: LlmBackend | None = None,
-    scorer: CandidateScorer | None = None,
 ) -> tuple[list[dict], list[UnitFailure]]:
     """Localize every NLQ query: digest per video, one batched prompt, refine."""
     tracks, queries = _load_inputs(config, QueryKind.NLQ)
     embedder = build_embedder(config) if embedder is None else CachedEmbedder(embedder)
     if llm is None:
         llm = build_llm(config)
-    if scorer is None:
-        scorer = CaptionOverlapScorer(embedder, config.digest.relevance_threshold)
+    scorer = CaptionOverlapScorer(embedder, config.digest.relevance_threshold)
 
     def localize(
         track: CaptionTrack, video_queries: list[Query], pool: Executor | None
@@ -420,13 +415,16 @@ def _prediction(
     )
     if kind is QueryKind.QA:
         return LlmAnswer(choice_idx=whole_number(row["choice"], "choice"), **common), None
-    candidates = tuple(
-        CandidateInterval(_seconds(c[0]), _seconds(c[1]))
-        for c in row.get("candidates", [])
+    candidates = row.get("candidates", [])
+    if not isinstance(candidates, list):
+        raise ValueError("candidates must be a list")
+    intervals = tuple(
+        CandidateInterval(*time_pair(c, "each candidate", _seconds)) for c in candidates
     )
-    bounds = row["predicted_window"]
-    window = CandidateInterval(_seconds(bounds[0]), _seconds(bounds[1]))
-    return LlmAnswer(intervals=candidates, **common), window.as_pair()
+    window = CandidateInterval(
+        *time_pair(row["predicted_window"], "predicted_window", _seconds)
+    )
+    return LlmAnswer(intervals=intervals, **common), window.as_pair()
 
 
 def run_eval(config: PipelineConfig, predictions_path, task: str) -> EvalReport:
@@ -434,8 +432,8 @@ def run_eval(config: PipelineConfig, predictions_path, task: str) -> EvalReport:
 
     A prediction row without a qid or the answer field of the task, with a
     value of the wrong type (a bool anywhere, a confidence or choice with a
-    fractional part) or with a repeated qid raises MetricsError naming the
-    file and line.
+    fractional part, a window or candidate that is not a [start, end] list)
+    or with a repeated qid raises MetricsError naming the file and line.
     """
     if task not in ("qa", "nlq"):
         raise ConfigError(f"task must be qa or nlq, got {task!r}")

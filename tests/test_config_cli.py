@@ -21,6 +21,7 @@ from egolog.digest import MergeMode
 from egolog.errors import ConfigError
 
 from helpers import (
+    RecordingBackend,
     ScriptedQaBackend,
     synth_nlq_benchmark,
     synth_qa_benchmark,
@@ -560,6 +561,32 @@ class TestCliErrors:
         code = main(["digest", "--config", str(config), "--out", out, *extra])
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_missing_captions_path_exits_1(self, tmp_path, capsys):
+        config = write_config(tmp_path, MINIMAL)
+        out = str(tmp_path / "o.jsonl")
+        code = main(["localize", "--config", str(config), "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: paths.captions is required for this command" in err
+
+    def test_runs_flag_reaches_run_and_manifest(self, tmp_path):
+        _, _, captions, qpath = qa_fixture_on_disk(tmp_path, n_items=2)
+        config = write_config(
+            tmp_path,
+            "[run]\nseed = 3\nruns = 1\n"
+            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n",
+        )
+        out = tmp_path / "answers.jsonl"
+        llm = RecordingBackend(ScriptedQaBackend())
+        with mock.patch.object(pipeline, "build_llm", lambda config: llm):
+            code = main(["ask", "--config", str(config), "--runs", "3", "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "answers.jsonl.manifest.json").read_text())
+        assert manifest["runs"] == 3
+        assert len(llm.transcripts) == 2
+        for runs in llm.transcripts.values():
+            assert sorted(runs) == ["run_0", "run_1", "run_2"]
 
     def test_dotted_override_reaches_pipeline(self, tmp_path):
         tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)

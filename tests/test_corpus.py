@@ -171,6 +171,17 @@ class TestCaptionsIO:
         assert len(tracks["v1"].captions) == 1
         assert "duplicate" in caplog.text
 
+    def test_bounds_record_without_captions_warned_and_dropped(self, tmp_path, caplog):
+        path = tmp_path / "caps.jsonl"
+        rows = [
+            {"video_id": "v1", "start_s": 0, "end_s": 2, "text": "C stands"},
+            {"video_id": "v2", "clip_start_s": 0, "clip_end_s": 9},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        tracks = load_captions(path)
+        assert list(tracks) == ["v1"]
+        assert "bounds record for video 'v2' has no captions" in caplog.text
+
     def test_conflicting_bounds_rejected(self, tmp_path):
         path = tmp_path / "caps.jsonl"
         rows = [
@@ -268,6 +279,34 @@ class TestCaptionsIO:
                 "integer too large for a float",
             ),
             ('["v1", 0, 2, "C sits"]', "record is not an object"),
+            (
+                '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": null}',
+                "text must be a string or a number, got null",
+            ),
+            (
+                '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": {"en": "C sits"}}',
+                "text must be a string or a number, got an object",
+            ),
+            (
+                '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": true}',
+                "text must be a string or a number, got a bool",
+            ),
+            (
+                '{"video_id": null, "start_s": 0, "end_s": 2, "text": "C sits"}',
+                "video_id must be a string or a number, got null",
+            ),
+            (
+                '{"video_id": ["v1"], "start_s": 0, "end_s": 2, "text": "C sits"}',
+                "video_id must be a string or a number, got a list",
+            ),
+            (
+                '{"video_id": null, "clip_start_s": 0, "clip_end_s": 9}',
+                "bad bounds record: video_id must be a string or a number, got null",
+            ),
+            (
+                '{"video_id": "v1", "clip_start_s": 5, "clip_end_s": 5}',
+                re.escape("inverted clip bounds (5.0, 5.0)"),
+            ),
         ],
         ids=[
             "bool-start",
@@ -275,6 +314,13 @@ class TestCaptionsIO:
             "overflowing-clip-bound",
             "huge-int-end",
             "json-array",
+            "null-text",
+            "object-text",
+            "bool-text",
+            "null-video",
+            "list-video",
+            "null-bounds-video",
+            "empty-clip-bounds",
         ],
     )
     def test_coerced_times_rejected_with_path_and_line(self, tmp_path, line, message):
@@ -379,6 +425,16 @@ class TestQueriesIO:
             ('"kind": "nlq", "choices": ["a"]', "NLQ query 'q2' cannot carry choices"),
             ('"kind": "nlq", "gt": [1, 2, 3]', re.escape("'q2' must be [start, end]")),
             ('"kind": "nlq", "gt": 5', re.escape("'q2' must be [start, end]")),
+            ('"kind": "qa", "qid": null', "qid must be a string or a number, got null"),
+            ('"kind": "nlq", "qid": {"id": 2}', "qid must be a string or a number, got an"),
+            ('"kind": "nlq", "video_id": null', "video_id must be a string or a number"),
+            ('"kind": "qa", "question": null', "question must be a string or a number"),
+            ('"kind": "nlq", "query": null', "query must be a string or a number"),
+            ('"kind": "nlq", "query": ["when?"]', "query must be a string or a number, got a"),
+            (
+                '"kind": "qa", "choices": ["a", "b", "c", "d", null]',
+                "a choice must be a string or a number, got null",
+            ),
         ],
         ids=[
             "fractional-answer",
@@ -388,6 +444,13 @@ class TestQueriesIO:
             "nlq-choices",
             "gt-triple",
             "gt-scalar",
+            "null-qid",
+            "object-qid",
+            "null-video",
+            "null-question",
+            "null-query",
+            "list-query",
+            "null-choice",
         ],
     )
     def test_coerced_values_rejected_with_path_and_line(self, tmp_path, fields, message):

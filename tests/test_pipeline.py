@@ -25,7 +25,7 @@ from egolog.pipeline import (
     run_gen_refine_data,
     run_localize,
 )
-from egolog.similarity import CachedEmbedder, MockEmbedder
+from egolog.similarity import CachedEmbedder, HttpEmbedder, MockEmbedder
 
 from helpers import (
     CallableBackend,
@@ -87,6 +87,19 @@ class TestBuildBackends:
             disk_config(tmp_path, tracks, queries, overrides={"run.seed": "999"})
         )
         assert np.array_equal(a.embed_texts(["same text"]), b.embed_texts(["same text"]))
+
+    def test_http_embedder_from_config(self, tmp_path):
+        tracks, queries = synth_qa_benchmark(n_items=1)
+        # building the client sends nothing, so the endpoint need not answer
+        config = disk_config(
+            tmp_path,
+            tracks,
+            queries,
+            "[embedder]\nkind = http\nendpoint = http://127.0.0.1:1/\n",
+        )
+        embedder = build_embedder(config)
+        assert isinstance(embedder, CachedEmbedder)
+        assert isinstance(embedder.backend, HttpEmbedder)
 
     def test_replay_llm_requires_transcripts(self, tmp_path):
         tracks, queries = synth_qa_benchmark(n_items=1)
@@ -748,6 +761,18 @@ class TestRunEval:
         assert report.iou_star == {0.3: 1.0, 0.5: 1.0}
         assert report.recall_at_1 == {0.3: 1.0, 0.5: 1.0}
 
+    def test_query_without_ground_truth_rejected(self, tmp_path):
+        tracks, _ = synth_nlq_benchmark(n_items=1)
+        (vid,) = tracks
+        open_query = Query("n1", vid, QueryKind.NLQ, "find: anything")
+        config = disk_config(tmp_path, tracks, [open_query])
+        preds = tmp_path / "preds.jsonl"
+        write_rows(preds, [{"qid": "n1", "predicted_window": [0, 1]}])
+        with pytest.raises(
+            MetricsError, match=re.escape("queries without ground truth: ['n1']")
+        ):
+            run_eval(config, preds, "nlq")
+
     @pytest.mark.parametrize(
         "edit, line, message",
         [
@@ -755,7 +780,11 @@ class TestRunEval:
             (_at(1, lambda row: {**row, "confidence": "high"}), 2, "invalid literal"),
             (_at(2, lambda row: {"predicted_window": [0, 1]}), 3, "has no 'qid'"),
             (_at(3, lambda row: {**row, "candidates": [[5, 1]]}), 4, "inverted"),
-            (_at(4, lambda row: {**row, "predicted_window": "soon"}), 5, "could not"),
+            (
+                _at(4, lambda row: {**row, "predicted_window": "soon"}),
+                5,
+                re.escape("predicted_window must be [start, end]"),
+            ),
             (_at(4, lambda row: {**row, "predicted_window": [9, 2]}), 5, "inverted"),
             (lambda rows: rows + rows[:1], 6, "duplicate prediction"),
             (
@@ -783,6 +812,31 @@ class TestRunEval:
                 2,
                 "non-finite time inf",
             ),
+            (
+                _at(0, lambda row: {**row, "predicted_window": "02"}),
+                1,
+                re.escape("predicted_window must be [start, end]"),
+            ),
+            (
+                _at(1, lambda row: {**row, "predicted_window": [0, 2, 99]}),
+                2,
+                re.escape("predicted_window must be [start, end]"),
+            ),
+            (
+                _at(2, lambda row: {**row, "candidates": ["02"]}),
+                3,
+                re.escape("each candidate must be [start, end]"),
+            ),
+            (
+                _at(3, lambda row: {**row, "candidates": [[0, 2, 99]]}),
+                4,
+                re.escape("each candidate must be [start, end]"),
+            ),
+            (
+                _at(4, lambda row: {**row, "candidates": "02"}),
+                5,
+                "candidates must be a list",
+            ),
         ],
         ids=[
             "no-window",
@@ -797,6 +851,11 @@ class TestRunEval:
             "bool-window",
             "huge-int-window",
             "infinite-window",
+            "string-window",
+            "triple-window",
+            "string-candidate",
+            "triple-candidate",
+            "string-candidates",
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, edit, line, message):

@@ -1,0 +1,63 @@
+"""The README's examples run as written.
+
+The "Quick look" snippet runs in a fresh interpreter and prints what its
+comment says, and the file-format examples load through the loaders.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from egolog.corpus import QueryKind, load_captions, load_queries
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text("utf-8")
+
+
+def _section(title: str) -> str:
+    start = README.index(f"\n## {title}\n")
+    return README[start : README.index("\n## ", start + 1)]
+
+
+def _blocks(section: str, lang: str) -> list[str]:
+    return re.findall(rf"```{lang}\n(.*?)```", section, re.S)
+
+
+def test_quick_look_merges_the_two_captions_into_one(tmp_path):
+    (code,) = _blocks(_section("Quick look"), "python")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    stats = ast.literal_eval(done.stdout.strip())
+    assert stats["input_captions"] == 2
+    assert stats["output_captions"] == 1
+
+
+def test_file_format_examples_load(tmp_path):
+    captions_block, queries_block = _blocks(_section("File formats"), "json")[:2]
+    captions = tmp_path / "captions.jsonl"
+    captions.write_text(captions_block, encoding="utf-8")
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(queries_block, encoding="utf-8")
+
+    (track,) = load_captions(captions).values()
+    assert track.bounds == (0.0, 180.0)
+    assert [c.text for c in track.captions] == ["C opens the drawer"]
+    qa, nlq = load_queries(queries)
+    assert (qa.kind, qa.gt_answer_idx) == (QueryKind.QA, 2)
+    assert (nlq.kind, nlq.gt_window) == (QueryKind.NLQ, (12.0, 31.5))
