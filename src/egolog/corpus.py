@@ -77,7 +77,7 @@ def time_pair(
     return seconds(value[0]), seconds(value[1])
 
 
-def _text_field(value, name: str) -> str:
+def text_field(value, name: str) -> str:
     """A text field of a record: a string, or a number as its digits.
 
     null, a bool, a list or an object raises ValueError.
@@ -195,6 +195,8 @@ class Query:
     def __post_init__(self) -> None:
         if not self.qid:
             raise ValueError("query qid must be non-empty")
+        if not self.video_id:
+            raise ValueError(f"query {self.qid!r} has empty video_id")
         if not self.text.strip():
             raise ValueError(f"query {self.qid!r} has empty text")
         if self.kind is QueryKind.QA:
@@ -268,7 +270,7 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
         keys = set(record)
         if keys.issuperset(_BOUNDS_KEYS):
             try:
-                vid = _text_field(record["video_id"], "video_id")
+                vid = text_field(record["video_id"], "video_id")
                 lo = normalize_seconds(record["clip_start_s"])
                 hi = normalize_seconds(record["clip_end_s"])
             except (TypeError, ValueError) as exc:
@@ -292,10 +294,10 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
             )
         try:
             cap = Caption(
-                video_id=_text_field(record["video_id"], "video_id"),
+                video_id=text_field(record["video_id"], "video_id"),
                 start_s=normalize_seconds(record["start_s"]),
                 end_s=normalize_seconds(record["end_s"]),
-                text=normalize_caption_text(_text_field(record["text"], "text")),
+                text=normalize_caption_text(text_field(record["text"], "text")),
             )
         except (TypeError, ValueError) as exc:
             raise CorpusError(str(exc), path=str(path), line=lineno) from exc
@@ -358,10 +360,10 @@ def load_queries(path: str | Path) -> list[Query]:
             raise CorpusError(f"unknown kind {kind_raw!r}", path=str(path), line=lineno)
         kind = QueryKind(kind_raw)
         try:
-            qid = _text_field(record.get("qid", ""), "qid")
+            qid = text_field(record.get("qid", ""), "qid")
             if qid in seen:
                 raise CorpusError(f"duplicate qid {qid!r}", path=str(path), line=lineno)
-            video_id = _text_field(record.get("video_id", ""), "video_id")
+            video_id = text_field(record.get("video_id", ""), "video_id")
             if kind is QueryKind.QA:
                 choices_raw = record.get("choices")
                 if not isinstance(choices_raw, list):
@@ -371,8 +373,8 @@ def load_queries(path: str | Path) -> list[Query]:
                     qid=qid,
                     video_id=video_id,
                     kind=kind,
-                    text=_text_field(record.get("question", ""), "question"),
-                    choices=tuple(_text_field(c, "a choice") for c in choices_raw),
+                    text=text_field(record.get("question", ""), "question"),
+                    choices=tuple(text_field(c, "a choice") for c in choices_raw),
                     gt_answer_idx=(
                         None
                         if answer_idx is None
@@ -392,7 +394,7 @@ def load_queries(path: str | Path) -> list[Query]:
                     qid=qid,
                     video_id=video_id,
                     kind=kind,
-                    text=_text_field(record.get("query", ""), "query"),
+                    text=text_field(record.get("query", ""), "query"),
                     gt_window=gt,
                 )
         except (TypeError, ValueError) as exc:

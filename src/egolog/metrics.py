@@ -18,7 +18,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
-from .corpus import QueryKind
+from .corpus import (
+    Query,
+    QueryKind,
+    finite_seconds,
+    iter_jsonl,
+    text_field,
+    time_pair,
+    whole_number,
+)
 from .errors import MetricsError
 from .reasoner import CandidateInterval, LlmAnswer
 
@@ -215,6 +223,77 @@ def evaluate_qa(preds: Mapping[str, LlmAnswer], gts: Mapping[str, int]) -> EvalR
         for qid, a in preds.items()
     ]
     return _stratified(outcomes, _count_qa)
+
+
+def _window_seconds(value) -> float:
+    """A window bound, unrounded; a bool or a non-finite number raises ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"window bounds must be numbers, got {value!r}")
+    return finite_seconds(value)
+
+
+def load_predictions(
+    path, kind: QueryKind, queries: Mapping[str, Query]
+) -> tuple[dict[str, LlmAnswer], dict[str, tuple[float, float]]]:
+    """Each row's answer by qid in file order, and each NLQ row's final window.
+
+    qid follows the text-field rule of load_queries. A row without a qid
+    or the answer field of kind, with a value of the wrong type, or with a
+    repeated qid raises MetricsError naming the file and line. Before any
+    answer is read, MetricsError lists the qids that name no query of kind
+    with ground truth in queries (keyed by qid).
+    """
+    rows: dict[str, tuple[int, dict]] = {}
+    for lineno, row in iter_jsonl(path):
+        where = f"in {path} at line {lineno}"
+        if "qid" not in row:
+            raise MetricsError(f"prediction has no 'qid' {where}")
+        try:
+            qid = text_field(row["qid"], "qid")
+        except ValueError as exc:
+            raise MetricsError(f"bad prediction: {exc} {where}") from None
+        if qid in rows:
+            first = f"(first at line {rows[qid][0]})"
+            raise MetricsError(f"duplicate prediction for {qid!r} {where} {first}")
+        rows[qid] = (lineno, row)
+
+    unknown = sorted(set(rows) - set(queries))
+    if unknown:
+        raise MetricsError(f"predictions for unknown qids: {unknown}")
+    wrong_kind = sorted(qid for qid in rows if queries[qid].kind is not kind)
+    if wrong_kind:
+        raise MetricsError(f"predictions for non-{kind.value} queries: {wrong_kind}")
+    gt_field = "gt_answer_idx" if kind is QueryKind.QA else "gt_window"
+    missing_gt = sorted(qid for qid in rows if getattr(queries[qid], gt_field) is None)
+    if missing_gt:
+        raise MetricsError(f"queries without ground truth: {missing_gt}")
+
+    field = "choice" if kind is QueryKind.QA else "predicted_window"
+    answers, finals = {}, {}
+    for qid, (lineno, row) in rows.items():
+        where = f"in {path} at line {lineno}"
+        if field not in row:
+            raise MetricsError(f"prediction for {qid!r} has no {field!r} {where}")
+        try:
+            confidence = whole_number(row.get("confidence", 1), "confidence")
+            common = dict(confidence=confidence, explanation=str(row.get("explanation", "")))
+            if kind is QueryKind.QA:
+                choice = whole_number(row["choice"], "choice")
+                answers[qid] = LlmAnswer(qid, kind, choice_idx=choice, **common)
+                continue
+            candidates = row.get("candidates", [])
+            if not isinstance(candidates, list):
+                raise ValueError("candidates must be a list")
+            intervals = tuple(
+                CandidateInterval(*time_pair(c, "each candidate", _window_seconds))
+                for c in candidates
+            )
+            window = CandidateInterval(*time_pair(row[field], field, _window_seconds))
+            answers[qid] = LlmAnswer(qid, kind, intervals=intervals, **common)
+        except (TypeError, ValueError, IndexError, KeyError) as exc:
+            raise MetricsError(f"bad prediction for {qid!r}: {exc} {where}") from exc
+        finals[qid] = window.as_pair()
+    return answers, finals
 
 
 def report_as_dict(report: EvalReport) -> dict:

@@ -12,7 +12,7 @@ in_flight_limit squared completions are in flight. At in_flight_limit 1
 there are no pools: everything runs in the caller's thread. Before each
 question on a video with several questions, ask sends all of the video's
 caption texts and question texts through the run's embedding cache, so
-those questions share one embedding request. Each command has one
+those questions share one embedding batch. Each command has one
 per-text embedding cache, in front of an injected embedder as in front
 of the configured one. A missing track or an EgologError fails every key
 of its unit and nothing else. Outputs and failures come back in input
@@ -40,22 +40,16 @@ from .corpus import (
     CaptionTrack,
     Query,
     QueryKind,
-    finite_seconds,
-    iter_jsonl,
     load_captions,
     load_queries,
     normalize_seconds,
-    time_pair,
-    whole_number,
 )
 from .digest import DigestStats, MergeMode, digest
 from .ensemble import AnswerPool, vote_by_confidence
-from .errors import ConfigError, EgologError, MetricsError, ParseError
+from .errors import ConfigError, EgologError, ParseError
 from .llm import HttpLlmBackend, LlmBackend, ReplayBackend
-from .metrics import EvalReport, evaluate_nlq, evaluate_qa
+from .metrics import EvalReport, evaluate_nlq, evaluate_qa, load_predictions
 from .reasoner import (
-    CandidateInterval,
-    LlmAnswer,
     build_nlq_prompt,
     build_qa_prompt,
     clamp_answer_to_bounds,
@@ -232,7 +226,7 @@ def run_ask(
 
     When a video has several questions, each question first sends all of
     the video's caption texts and question texts through the run's cache,
-    so the first fetches them in one request and the others wait for it.
+    so the first fetches them in one batch and the others wait for it.
     A failed request is logged and ignored: each question then fetches
     its own texts and fails on its own.
     """
@@ -375,98 +369,17 @@ def run_gen_refine_data(config: PipelineConfig) -> list[dict]:
     return records
 
 
-def _read_prediction_rows(path) -> list[tuple[str, int, dict]]:
-    """(qid, line number, row) per prediction; every qid present and distinct."""
-    rows: list[tuple[str, int, dict]] = []
-    first_line: dict[str, int] = {}
-    for lineno, row in iter_jsonl(path):
-        if "qid" not in row:
-            raise MetricsError(f"prediction has no 'qid' in {path} at line {lineno}")
-        qid = str(row["qid"])
-        if qid in first_line:
-            raise MetricsError(
-                f"duplicate prediction for {qid!r} in {path} at line {lineno}"
-                f" (first at line {first_line[qid]})"
-            )
-        first_line[qid] = lineno
-        rows.append((qid, lineno, row))
-    return rows
-
-
-def _seconds(value) -> float:
-    """A window bound of a prediction row, unrounded.
-
-    A bool or a non-finite number raises ValueError.
-    """
-    if isinstance(value, bool):
-        raise ValueError(f"window bounds must be numbers, got {value!r}")
-    return finite_seconds(value)
-
-
-def _prediction(
-    qid: str, row: dict, kind: QueryKind
-) -> tuple[LlmAnswer, tuple[float, float] | None]:
-    """The answer a prediction row carries, plus its final window for NLQ."""
-    common = dict(
-        qid=qid,
-        kind=kind,
-        confidence=whole_number(row.get("confidence", 1), "confidence"),
-        explanation=str(row.get("explanation", "")),
-    )
-    if kind is QueryKind.QA:
-        return LlmAnswer(choice_idx=whole_number(row["choice"], "choice"), **common), None
-    candidates = row.get("candidates", [])
-    if not isinstance(candidates, list):
-        raise ValueError("candidates must be a list")
-    intervals = tuple(
-        CandidateInterval(*time_pair(c, "each candidate", _seconds)) for c in candidates
-    )
-    window = CandidateInterval(
-        *time_pair(row["predicted_window"], "predicted_window", _seconds)
-    )
-    return LlmAnswer(intervals=intervals, **common), window.as_pair()
-
-
 def run_eval(config: PipelineConfig, predictions_path, task: str) -> EvalReport:
     """Score a predictions file against the ground truth in the queries file.
 
-    A prediction row without a qid or the answer field of the task, with a
-    value of the wrong type (a bool anywhere, a confidence or choice with a
-    fractional part, a window or candidate that is not a [start, end] list)
-    or with a repeated qid raises MetricsError naming the file and line.
+    Loads the queries, loads the task's predictions checked against them
+    (see metrics.load_predictions), and scores each against its query.
     """
     if task not in ("qa", "nlq"):
         raise ConfigError(f"task must be qa or nlq, got {task!r}")
     kind = QueryKind(task)
-    queries = load_queries(_require(config.queries_path, "queries"))
-    by_qid = {q.qid: q for q in queries}
-    rows = _read_prediction_rows(predictions_path)
-
-    unknown = sorted({qid for qid, _, _ in rows} - set(by_qid))
-    if unknown:
-        raise MetricsError(f"predictions for unknown qids: {unknown}")
-    wrong_kind = sorted(qid for qid, _, _ in rows if by_qid[qid].kind is not kind)
-    if wrong_kind:
-        raise MetricsError(f"predictions for non-{task} queries: {wrong_kind}")
-    gts = {
-        qid: by_qid[qid].gt_answer_idx if task == "qa" else by_qid[qid].gt_window
-        for qid, _, _ in rows
-    }
-    missing_gt = sorted(qid for qid, gt in gts.items() if gt is None)
-    if missing_gt:
-        raise MetricsError(f"queries without ground truth: {missing_gt}")
-
-    field = "choice" if kind is QueryKind.QA else "predicted_window"
-    preds = {}
-    finals = {}
-    for qid, lineno, row in rows:
-        where = f"in {predictions_path} at line {lineno}"
-        if field not in row:
-            raise MetricsError(f"prediction for {qid!r} has no {field!r} {where}")
-        try:
-            preds[qid], finals[qid] = _prediction(qid, row, kind)
-        except (TypeError, ValueError, IndexError, KeyError) as exc:
-            raise MetricsError(f"bad prediction for {qid!r}: {exc} {where}") from exc
+    by_qid = {q.qid: q for q in load_queries(_require(config.queries_path, "queries"))}
+    preds, finals = load_predictions(predictions_path, kind, by_qid)
     if kind is QueryKind.QA:
-        return evaluate_qa(preds, gts)
-    return evaluate_nlq(preds, finals, gts)
+        return evaluate_qa(preds, {qid: by_qid[qid].gt_answer_idx for qid in preds})
+    return evaluate_nlq(preds, finals, {qid: by_qid[qid].gt_window for qid in preds})

@@ -25,6 +25,8 @@ from .errors import BackendProtocolError
 from .retry import bearer_token, call_with_retries, post_json
 
 EMBED_TIMEOUT_S = 60.0
+# inputs per request; hosted embedding endpoints reject larger batches
+EMBED_MAX_TEXTS = 2048
 
 
 class EmbedderBackend(Protocol):
@@ -93,11 +95,11 @@ class MockEmbedder:
 class HttpEmbedder:
     """Client for an HTTP embedding endpoint.
 
-    POSTs ``{"texts": [...]}`` and expects ``{"embeddings": [[...], ...]}``.
-    The bearer token, if any, is read from the environment variable named in
-    the configuration. An unreachable endpoint or a 5xx is retried by
-    call_with_retries (3 attempts in all, 1 s then 2 s apart); sleep is the
-    clock those waits use.
+    POSTs ``{"texts": [...]}``, at most EMBED_MAX_TEXTS texts in order, and
+    expects ``{"embeddings": [[...], ...]}``. The bearer token, if any, is
+    read from the environment variable named in the configuration. A request
+    to an unreachable endpoint or answered by a 5xx is resent by
+    call_with_retries (3 attempts, 1 s then 2 s apart; sleep is their clock).
     """
 
     def __init__(
@@ -112,17 +114,20 @@ class HttpEmbedder:
         self._token = bearer_token(auth_env)
 
     def embed_texts(self, texts: Sequence[str]) -> list[list[float]]:
-        body = {"texts": list(texts)}
-        vectors = call_with_retries(
-            lambda: post_json(
-                self._endpoint, body, self._token, EMBED_TIMEOUT_S, "embedding", "embeddings"
-            ),
-            sleep=self._sleep,
-            what="embedding request",
-        )
-        if not isinstance(vectors, list):
-            raise BackendProtocolError("embeddings field is not a list")
-        return vectors
+        rows: list[list[float]] = []
+        for start in range(0, len(texts), EMBED_MAX_TEXTS):
+            body = {"texts": list(texts[start : start + EMBED_MAX_TEXTS])}
+            vectors = call_with_retries(
+                lambda: post_json(
+                    self._endpoint, body, self._token, EMBED_TIMEOUT_S, "embedding", "embeddings"
+                ),
+                sleep=self._sleep,
+                what="embedding request",
+            )
+            if not isinstance(vectors, list):
+                raise BackendProtocolError("embeddings field is not a list")
+            rows.extend(vectors)
+        return rows
 
 
 class CachedEmbedder:

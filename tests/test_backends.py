@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import threading
@@ -9,6 +10,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from egolog import similarity
+from egolog.config import load_config
 from egolog.errors import (
     BackendProtocolError,
     ConfigError,
@@ -22,7 +25,17 @@ from egolog.llm import (
     run_key,
     write_transcripts,
 )
-from egolog.similarity import CachedEmbedder, HttpEmbedder, embed_batch
+from egolog.pipeline import run_ask, run_localize
+from egolog.similarity import CachedEmbedder, HttpEmbedder, MockEmbedder, embed_batch
+
+from helpers import (
+    ScriptedNlqBackend,
+    ScriptedQaBackend,
+    synth_nlq_benchmark,
+    synth_qa_benchmark,
+    write_config,
+    write_corpus,
+)
 
 
 class TestPromptDigest:
@@ -108,6 +121,7 @@ class _Script:
         self.fail_next = 0  # respond 503 this many times
         self.status = 200
         self.body: dict | str = {}
+        self.reply = None  # if set, maps a request payload to (status, body)
         self.requests: list[dict] = []
         self.headers: list[dict] = []
         self.lock = threading.Lock()
@@ -123,10 +137,11 @@ def _make_handler(script: _Script):
                 script.headers.append(dict(self.headers))
                 if script.fail_next > 0:
                     script.fail_next -= 1
-                    status = 503
+                    status, body = 503, script.body
+                elif script.reply is not None:
+                    status, body = script.reply(payload)
                 else:
-                    status = script.status
-                body = script.body
+                    status, body = script.status, script.body
             raw = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -228,6 +243,71 @@ class TestHttpEmbedder:
         backend = HttpEmbedder("http://127.0.0.1:9/", sleep=lambda s: None)
         with pytest.raises(TransportError, match="unreachable"):
             backend.embed_texts(["alpha"])
+
+    def test_long_batch_sent_in_capped_requests(self, http_script, monkeypatch):
+        monkeypatch.setattr(similarity, "EMBED_MAX_TEXTS", 2)
+        failed = []
+
+        def reply(payload):
+            texts = payload["texts"]
+            if len(texts) > 2:
+                return 413, {"error": "too many inputs"}
+            if texts == ["c", "d"] and not failed:
+                failed.append(texts)
+                return 503, {"error": "busy"}
+            return 200, {"embeddings": [[float(ord(t)), 1.0] for t in texts]}
+
+        http_script.reply = reply
+        backend = HttpEmbedder(http_script.endpoint, sleep=lambda s: None)
+        rows = embed_batch(CachedEmbedder(backend), list("abcde"))
+        assert rows.tolist() == [[float(ord(t)), 1.0] for t in "abcde"]
+        # the 503 resends only the chunk it answered
+        assert [r["texts"] for r in http_script.requests] == [
+            ["a", "b"],
+            ["c", "d"],
+            ["c", "d"],
+            ["e"],
+        ]
+
+
+@pytest.mark.parametrize("command", ["ask", "localize"])
+def test_commands_over_the_cap_match_the_offline_embedder(
+    http_script, monkeypatch, tmp_path, command
+):
+    # 12 captions per video, 3 times the cap; each video of ask has two
+    # questions, so ask also sends its shared request per video
+    monkeypatch.setattr(similarity, "EMBED_MAX_TEXTS", 4)
+    mock = MockEmbedder(seed=0, dim=16)
+
+    def reply(payload):
+        texts = payload["texts"]
+        if len(texts) > 4:
+            return 413, {"error": "too many inputs"}
+        return 200, {"embeddings": mock.embed_texts(texts).tolist()}
+
+    http_script.reply = reply
+    if command == "ask":
+        tracks, queries = synth_qa_benchmark(n_items=2)
+        queries += [dataclasses.replace(q, qid=q.qid + "b") for q in queries]
+        run, llm = run_ask, ScriptedQaBackend()
+    else:
+        tracks, queries = synth_nlq_benchmark(n_items=2)
+        run, llm = run_localize, ScriptedNlqBackend()
+    captions, qpath = write_corpus(tmp_path, tracks, queries)
+    config = load_config(
+        write_config(
+            tmp_path,
+            "[run]\nseed = 5\n"
+            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n"
+            "[digest]\nrelevance_threshold = 0.1\n",
+        )
+    )
+    over_http = run(config, embedder=HttpEmbedder(http_script.endpoint), llm=llm)
+    offline = run(config, embedder=MockEmbedder(seed=0, dim=16), llm=llm)
+    assert over_http == offline
+    assert over_http[1] == []
+    sizes = [len(r["texts"]) for r in http_script.requests]
+    assert max(sizes) == 4 and sum(sizes) > 2 * 12
 
 
 class TestHttpLlmBackend:

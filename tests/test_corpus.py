@@ -435,6 +435,8 @@ class TestQueriesIO:
                 '"kind": "qa", "choices": ["a", "b", "c", "d", null]',
                 "a choice must be a string or a number, got null",
             ),
+            ('"kind": "nlq", "video": "v1"', "query 'q2' has empty video_id"),
+            ('"kind": "qa", "video_id": ""', "query 'q2' has empty video_id"),
         ],
         ids=[
             "fractional-answer",
@@ -451,13 +453,18 @@ class TestQueriesIO:
             "null-query",
             "list-query",
             "null-choice",
+            "no-video",
+            "empty-video",
         ],
     )
     def test_coerced_values_rejected_with_path_and_line(self, tmp_path, fields, message):
         path = tmp_path / "queries.jsonl"
         first = {"qid": "n1", "video_id": "v1", "kind": "nlq", "query": "when?"}
+        # fields with a "video_id" key, or a misspelt "video" one, replace the
+        # row's video_id
+        video = "" if '"video' in fields else '"video_id": "v1", '
         second = (
-            '{"qid": "q2", "video_id": "v1", "question": "what?", "query": "when?", '
+            '{"qid": "q2", ' + video + '"question": "what?", "query": "when?", '
             + ('"choices": ["a", "b", "c", "d", "e"], ' if '"qa"' in fields else "")
             + fields
             + "}"

@@ -837,6 +837,11 @@ class TestRunEval:
                 5,
                 "candidates must be a list",
             ),
+            (
+                _at(1, lambda row: {**row, "qid": None}),
+                2,
+                "qid must be a string or a number, got null",
+            ),
         ],
         ids=[
             "no-window",
@@ -856,6 +861,7 @@ class TestRunEval:
             "string-candidate",
             "triple-candidate",
             "string-candidates",
+            "null-qid",
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, edit, line, message):
@@ -950,9 +956,22 @@ ANY_WINDOW = st.one_of(
 VALID_WINDOW = st.tuples(st.floats(0, 500), st.floats(0.001, 100)).map(
     lambda p: [p[0], p[0] + p[1]]
 )
+# qids that are not text; a string or number qid is read as text and, when
+# no query has it, fails as an unknown qid with no line
+NOT_TEXT = st.one_of(
+    st.sampled_from([None, True, False]),
+    st.lists(ANY_SCALAR, max_size=2),
+    st.dictionaries(st.text(max_size=3), ANY_SCALAR, max_size=2),
+)
 ODD_FIELDS = {
-    "qa": {"choice": ANY_VALUE, "confidence": ANY_VALUE, "explanation": ANY_VALUE},
+    "qa": {
+        "qid": NOT_TEXT,
+        "choice": ANY_VALUE,
+        "confidence": ANY_VALUE,
+        "explanation": ANY_VALUE,
+    },
     "nlq": {
+        "qid": NOT_TEXT,
         "predicted_window": ANY_WINDOW,
         "candidates": st.one_of(st.lists(ANY_WINDOW, max_size=2), ANY_VALUE),
         "confidence": ANY_VALUE,

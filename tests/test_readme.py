@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from egolog.corpus import QueryKind, load_captions, load_queries
+from egolog.metrics import load_predictions
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text("utf-8")
@@ -49,7 +50,8 @@ def test_quick_look_merges_the_two_captions_into_one(tmp_path):
 
 
 def test_file_format_examples_load(tmp_path):
-    captions_block, queries_block = _blocks(_section("File formats"), "json")[:2]
+    blocks = _blocks(_section("File formats"), "json")
+    captions_block, queries_block, predictions_block = blocks[:3]
     captions = tmp_path / "captions.jsonl"
     captions.write_text(captions_block, encoding="utf-8")
     queries = tmp_path / "queries.jsonl"
@@ -61,3 +63,14 @@ def test_file_format_examples_load(tmp_path):
     qa, nlq = load_queries(queries)
     assert (qa.kind, qa.gt_answer_idx) == (QueryKind.QA, 2)
     assert (nlq.kind, nlq.gt_window) == (QueryKind.NLQ, (12.0, 31.5))
+
+    by_qid = {q.qid: q for q in (qa, nlq)}
+    answer_row, window_row = predictions_block.splitlines()
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(answer_row + "\n", encoding="utf-8")
+    answers, finals = load_predictions(predictions, QueryKind.QA, by_qid)
+    assert (answers["q1"].choice_idx, answers["q1"].confidence, finals) == (2, 3, {})
+    predictions.write_text(window_row + "\n", encoding="utf-8")
+    answers, finals = load_predictions(predictions, QueryKind.NLQ, by_qid)
+    assert [c.as_pair() for c in answers["n1"].intervals] == [(12.0, 31.5), (40.0, 52.0)]
+    assert finals == {"n1": (12.0, 31.5)}
