@@ -52,6 +52,8 @@ def normalize_seconds(value: float) -> float:
 
     A bool or a non-finite number raises ValueError.
     """
+    if type(value) is float and math.isfinite(value):
+        return round(value, _TIME_DECIMALS) + 0.0
     if isinstance(value, bool):
         raise ValueError(f"times must be numbers, got {value!r}")
     # adding 0.0 turns a -0.0 (from -0.0 or a tiny negative) into 0.0
@@ -90,7 +92,9 @@ def text_field(value, name: str) -> str:
 
 def normalize_caption_text(text: str) -> str:
     """Replace newlines with spaces and trim the ends."""
-    return text.replace("\r\n", " ").replace("\n", " ").replace("\r", " ").strip()
+    if "\n" in text or "\r" in text:
+        text = text.replace("\r\n", " ").replace("\n", " ").replace("\r", " ")
+    return text.strip()
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,30 +226,65 @@ class Query:
 
 # the keys of a caption record, in the order save_captions writes them
 _CAPTION_KEYS = tuple(f.name for f in fields(Caption))
+_CAPTION_KEY_SET = frozenset(_CAPTION_KEYS)
+_BOUNDS_KEY_SET = frozenset(_BOUNDS_KEYS)
+
+_DECODER = json.JSONDecoder()
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) pairs from a JSONL file; blank lines skipped.
 
-    A byte that is not UTF-8 is a CorpusError naming the line it is on.
+    The file is read and decoded whole, then split into lines at "\\n",
+    "\\r\\n" and "\\r", as text-mode iteration splits them. A line that
+    is exactly one JSON value takes one raw_decode call; any other line
+    goes through json.loads, whose message a malformed line reports. A
+    file that is not UTF-8 is checked line by line, so a byte that is not
+    UTF-8 is a CorpusError naming the line it is on, raised only once the
+    lines before it have been yielded.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    data = path.read_bytes()
+    try:
+        text, valid_utf8 = data.decode("utf-8"), True
+    except UnicodeDecodeError:
+        text, valid_utf8 = data.decode("utf-8", errors="surrogateescape"), False
+    # only the lines stay alive while the records are yielded
+    del data
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    del text
+    for lineno, line in enumerate(lines, start=1):
+        if not valid_utf8 and line.strip():
             try:
                 line.encode("utf-8")  # fails on the surrogate a bad byte decodes to
-                record = json.loads(line)
             except UnicodeEncodeError:
                 raise CorpusError("not valid UTF-8", path=str(path), line=lineno) from None
+        try:
+            record, end = _DECODER.raw_decode(line)
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
+            # json.loads gets the line with its newline, as a text-mode read
+            # gives it: the newline changes the message of an open string
+            if lineno < len(lines):
+                line += "\n"
+            try:
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(
                     f"malformed line: {exc.msg}", path=str(path), line=lineno
                 ) from exc
-            if not isinstance(record, dict):
-                raise CorpusError("record is not an object", path=str(path), line=lineno)
-            yield lineno, record
+            except RecursionError:
+                raise CorpusError(
+                    "malformed line: nested too deeply", path=str(path), line=lineno
+                ) from None
+        if not isinstance(record, dict):
+            raise CorpusError("record is not an object", path=str(path), line=lineno)
+        yield lineno, record
 
 
 def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
@@ -267,8 +306,7 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
     duplicates = 0
 
     for lineno, record in iter_jsonl(path):
-        keys = set(record)
-        if keys.issuperset(_BOUNDS_KEYS):
+        if record.keys() >= _BOUNDS_KEY_SET:
             try:
                 vid = text_field(record["video_id"], "video_id")
                 lo = normalize_seconds(record["clip_start_s"])
@@ -287,8 +325,8 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
                 )
             bounds[vid] = (lo, hi)
             continue
-        if not keys.issuperset(_CAPTION_KEYS):
-            missing = sorted(set(_CAPTION_KEYS) - keys)
+        if not record.keys() >= _CAPTION_KEY_SET:
+            missing = sorted(_CAPTION_KEY_SET - record.keys())
             raise CorpusError(
                 f"record missing fields {missing}", path=str(path), line=lineno
             )

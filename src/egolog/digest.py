@@ -82,10 +82,11 @@ def drop_uninformative(track: CaptionTrack, cfg: DigestConfig) -> CaptionTrack:
     """Remove captions whose lowercase text contains any blocklist phrase."""
     if not cfg.blocklist:
         return track
+    lowered = [cap.text.lower() for cap in track.captions]
     kept = [
         cap
-        for cap in track.captions
-        if not any(phrase in cap.text.lower() for phrase in cfg.blocklist)
+        for cap, text in zip(track.captions, lowered)
+        if not any(phrase in text for phrase in cfg.blocklist)
     ]
     if not kept and track.captions:
         logger.warning(

@@ -62,7 +62,7 @@ class ReplayBackend:
         """Load a store written by write_transcripts; BackendProtocolError if malformed."""
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # invalid UTF-8 or invalid JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
             raise BackendProtocolError(
                 f"transcripts file {path} is not UTF-8 JSON: {exc}"
             ) from exc

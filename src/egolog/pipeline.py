@@ -305,12 +305,13 @@ def run_localize(
     embedder = build_embedder(config) if embedder is None else CachedEmbedder(embedder)
     if llm is None:
         llm = build_llm(config)
-    scorer = CaptionOverlapScorer(embedder, config.digest.relevance_threshold)
 
     def localize(
         track: CaptionTrack, video_queries: list[Query], pool: Executor | None
     ) -> dict[str, dict]:
         digested, _ = digest(track, video_queries, embedder, llm, config.digest, pool)
+        # one scorer per unit: it keeps the digested captions' embeddings
+        scorer = CaptionOverlapScorer(embedder, config.digest.relevance_threshold)
         prompt = build_nlq_prompt(digested, video_queries)
         (reply,) = run(
             prompt, llm, 1, derive_seed(config.seed, "nlq", track.video_id), pool=pool

@@ -22,13 +22,12 @@ import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .corpus import CaptionTrack, QueryKind, normalize_seconds
-from .errors import EgologError, RefineError
+from .errors import BackendProtocolError, EgologError, RefineError
 from .metrics import iou
 from .reasoner import CandidateInterval, LlmAnswer
 from .seeding import derive_seed
@@ -87,7 +86,10 @@ class CaptionOverlapScorer:
     query is at or above the threshold; each relevant caption whose span
     positively intersects the candidate window contributes its full
     duration to the score. Relevance is computed once per call, for all
-    candidates of the query.
+    candidates of the query. The caption embeddings and spans of the
+    track last scored are kept, so the queries of one track embed only
+    their own text; a scorer shared across threads stays correct but
+    rebuilds them whenever the track changes.
     """
 
     def __init__(
@@ -95,18 +97,31 @@ class CaptionOverlapScorer:
     ) -> None:
         self._backend = backend
         self._threshold = relevance_threshold
+        self._memo: tuple[CaptionTrack, np.ndarray, np.ndarray] | None = None
+
+    def _captions(self, track: CaptionTrack) -> tuple[np.ndarray, np.ndarray]:
+        """The track's caption embeddings and (start, end) spans, one row each."""
+        memo = self._memo
+        if memo is None or memo[0] is not track:
+            rows = embed_batch(self._backend, [c.text for c in track.captions])
+            memo = (track, rows, np.array([c.interval for c in track.captions]))
+            self._memo = memo
+        return memo[1], memo[2]
 
     def score(
         self, query_text: str, intervals: Sequence[CandidateInterval], track: CaptionTrack
     ) -> list[float]:
         if not track.captions:
             return [0.0] * len(intervals)
-        embs = embed_batch(self._backend, [query_text] + [c.text for c in track.captions])
-        relevant = cosine_matrix(embs[1:], embs[:1])[:, 0] >= self._threshold
+        query = embed_batch(self._backend, [query_text])
+        rows, spans = self._captions(track)
+        if query.shape[1] != rows.shape[1]:
+            dims = sorted({query.shape[1], rows.shape[1]})
+            raise BackendProtocolError(f"dimension mismatch across batch: {dims}")
+        relevant = cosine_matrix(rows, query)[:, 0] >= self._threshold
         if not relevant.any():
             return [0.0] * len(intervals)
-        spans = np.array([c.interval for c in compress(track.captions, relevant.tolist())])
-        starts, ends = spans[:, 0], spans[:, 1]
+        starts, ends = spans[relevant, 0], spans[relevant, 1]
         windows = np.array([(i.start_s, i.end_s) for i in intervals]).reshape(-1, 2)
         # hits[k, j]: relevant caption j positively intersects window k
         hits = (

@@ -93,6 +93,13 @@ class TestReplayBackend:
         with pytest.raises(BackendProtocolError, match=where):
             ReplayBackend.from_file(path)
 
+    def test_deeply_nested_file_names_it(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        where = f"transcripts file {re.escape(str(path))} is not UTF-8 JSON"
+        with pytest.raises(BackendProtocolError, match=where):
+            ReplayBackend.from_file(path)
+
     @pytest.mark.parametrize(
         "store",
         [{"abc": "text"}, {"abc": ["text"]}, {"abc": {"run_0": 17}}],

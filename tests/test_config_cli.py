@@ -570,6 +570,23 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "error: paths.captions is required for this command" in err
 
+    def test_deeply_nested_captions_line_exits_1(self, tmp_path, capsys):
+        tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
+        captions, qpath = write_corpus(tmp_path, tracks, queries)
+        with captions.open("a", encoding="utf-8") as fh:
+            fh.write("[" * 100_000 + "]" * 100_000 + "\n")
+        line = len(captions.read_text("utf-8").splitlines())
+        config = write_config(
+            tmp_path,
+            "[run]\nseed = 11\n"
+            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n",
+        )
+        out = str(tmp_path / "o.jsonl")
+        code = main(["localize", "--config", str(config), "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: malformed line: nested too deeply in {captions} at line {line}" in err
+
     def test_runs_flag_reaches_run_and_manifest(self, tmp_path):
         _, _, captions, qpath = qa_fixture_on_disk(tmp_path, n_items=2)
         config = write_config(

@@ -5,7 +5,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egolog.corpus import (
@@ -13,6 +13,7 @@ from egolog.corpus import (
     CaptionTrack,
     Query,
     QueryKind,
+    iter_jsonl,
     load_captions,
     load_queries,
     normalize_seconds,
@@ -472,3 +473,91 @@ class TestQueriesIO:
         path.write_text(json.dumps(first) + "\n" + second + "\n")
         with pytest.raises(CorpusError, match=f"{message}.* at line 2"):
             load_queries(path)
+
+
+def per_line_records(path):
+    """Reference reader: text-mode lines, one json.loads each, as iter_jsonl yields."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                line.encode("utf-8")
+                record = json.loads(line)
+            except UnicodeEncodeError:
+                raise CorpusError("not valid UTF-8", path=str(path), line=lineno) from None
+            except json.JSONDecodeError as exc:
+                raise CorpusError(
+                    f"malformed line: {exc.msg}", path=str(path), line=lineno
+                ) from None
+            if not isinstance(record, dict):
+                raise CorpusError("record is not an object", path=str(path), line=lineno)
+            yield lineno, record
+
+
+def outcome(records):
+    """What a reader yields before it stops, and the error it stops on."""
+    got = []
+    try:
+        for item in records:
+            got.append(item)
+    except CorpusError as exc:
+        return repr(got), str(exc)
+    return repr(got), None  # repr, so that NaN values compare equal
+
+
+# line contents: blank, padded, two values on one line, one value over two
+# lines ('{"a":' then ' 2}', or an open string), non-objects, NaN, a BOM,
+# and bytes that are not UTF-8
+JSONL_PIECES = [
+    b"",
+    b"   ",
+    b"\t \x0c",
+    "\u3000\x1c".encode(),
+    b'{"a": 1}',
+    b'{"video_id": "v1", "start_s": 0.5, "text": "C \xc3\xa9"}',
+    b'  {"a": [1, 2]}  ',
+    b'\t{"b": {"c": null}}',
+    b'{"a": 1}{"b": 2}',
+    b'{"a": 1} {"b": 2}',
+    b'{"a":',
+    b" 2}",
+    b'{"a": "open',
+    b'"',
+    b"[1, 2]",
+    b"3",
+    b'"text"',
+    b"null",
+    b"NaN",
+    b'{"a": NaN, "b": -Infinity}',
+    b"\xef\xbb\xbf{}",
+    b'{"a": "\xff"}',
+    b"\xc3",
+]
+LINE_ENDS = [b"\n", b"\r\n", b"\r", b""]
+
+
+class TestIterJsonl:
+    @given(st.lists(st.tuples(st.sampled_from(JSONL_PIECES), st.sampled_from(LINE_ENDS))))
+    @settings(max_examples=400)
+    def test_matches_the_per_line_reader(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
+        path.write_bytes(b"".join(content + end for content, end in lines))
+        assert outcome(iter_jsonl(path)) == outcome(per_line_records(path))
+
+    def test_malformed_line_before_an_undecodable_byte_is_reported(self, tmp_path):
+        path = tmp_path / "caps.jsonl"
+        row = b'{"video_id": "v1", "start_s": 0, "end_s": 2, "text": "C sits"}'
+        lines = [row, b'{"video_id": "v1",', row, row, row.replace(b"sits", b"\xff"), row]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        where = f"in {re.escape(str(path))} at line 2$"
+        with pytest.raises(CorpusError, match=f"^malformed line: .*{where}"):
+            load_captions(path)
+
+    @pytest.mark.parametrize("loader", [load_captions, load_queries])
+    def test_deeply_nested_line_is_malformed(self, tmp_path, loader):
+        path = tmp_path / "rows.jsonl"
+        path.write_text("\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+        where = f"in {re.escape(str(path))} at line 2$"
+        with pytest.raises(CorpusError, match=f"^malformed line: nested too deeply {where}"):
+            loader(path)

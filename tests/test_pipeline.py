@@ -881,6 +881,15 @@ class TestRunEval:
         with pytest.raises(CorpusError, match=where):
             run_eval(config, preds, "nlq")
 
+    def test_deeply_nested_row_names_file_and_line(self, tmp_path):
+        config, preds = self.localize_and_eval(tmp_path)
+        lines = preds.read_text("utf-8").splitlines(keepends=True)
+        lines[2] = "[" * 100_000 + "]" * 100_000 + "\n"
+        preds.write_text("".join(lines), "utf-8")
+        where = f"in {re.escape(str(preds))} at line 3$"
+        with pytest.raises(CorpusError, match=f"malformed line: nested too deeply {where}"):
+            run_eval(config, preds, "nlq")
+
     def test_wrong_task_rejected(self, tmp_path):
         # nlq queries have no answer index, so scoring them as qa fails
         config, preds = self.localize_and_eval(tmp_path)

@@ -320,6 +320,54 @@ class TestCaptionOverlapScorer:
         scorer = CaptionOverlapScorer(MarkedEmbedder())
         assert scorer.score("yes query", [CandidateInterval(0, 4)], track) == [0.0]
 
+    def test_captions_embedded_once_per_track(self):
+        first_texts, second_texts = ["C opens the door", "C sits down"], ["C eats", "C reads"]
+        first = make_track(texts=first_texts)
+        second = make_track(video_id="v2", texts=second_texts)
+        batches = []
+
+        class Recording(MockEmbedder):
+            def embed_texts(self, texts):
+                batches.append(list(texts))
+                return super().embed_texts(texts)
+
+        scorer = CaptionOverlapScorer(Recording(seed=0))
+        windows = [CandidateInterval(0, 4)]
+        for query, track in [("q1", first), ("q2", first), ("q3", second), ("q4", first)]:
+            scorer.score(query, windows, track)
+        assert batches == [
+            ["q1"], first_texts, ["q2"], ["q3"], second_texts, ["q4"], first_texts
+        ]
+
+    QUERIES = ["C cuts", "C eats the", "C looks", "mop"]
+
+    @given(st.lists(st.tuples(st.sampled_from(QUERIES), st.integers(0, 2)), min_size=1))
+    @settings(max_examples=50)
+    def test_one_scorer_equals_the_loop_across_queries_and_tracks(self, calls):
+        # one scorer scores queries on tracks in any order, as fresh batches would
+        texts = [
+            f"C {verb} the {thing}"
+            for verb in ("cuts", "eats", "looks at")
+            for thing in ("bread", "pan", "door", "cup")
+        ]
+        tracks = [make_track(texts=texts[i::3], step=1.5 + i) for i in range(3)]
+        scorer = CaptionOverlapScorer(MockEmbedder(seed=3), relevance_threshold=0.1)
+        windows = [CandidateInterval(0, 3), CandidateInterval(1, 7), CandidateInterval(2, 20)]
+        for query, index in calls:
+            got = scorer.score(query, windows, tracks[index])
+            want = loop_scores(scorer, query, windows, tracks[index])
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_query_and_caption_dimensions_must_match(self):
+        class QueryWider:
+            def embed_texts(self, texts):
+                return [[1.0, 0.0, 1.0] if t == "query" else [1.0, 0.0] for t in texts]
+
+        track = make_track(texts=["C sits"])
+        scorer = CaptionOverlapScorer(QueryWider())
+        with pytest.raises(BackendProtocolError, match=r"dimension mismatch.*\[2, 3\]"):
+            scorer.score("query", [CandidateInterval(0, 2)], track)
+
 
 class TestGenRefinementDataset:
     GTS = [
