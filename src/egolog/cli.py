@@ -195,10 +195,7 @@ def _cmd_localize(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(config: PipelineConfig, args: argparse.Namespace) -> int:
-    predictions = Path(args.predictions)
-    if not predictions.is_file():
-        raise ConfigError(f"predictions file {predictions} does not exist")
-    report = run_eval(config, predictions, args.task)
+    report = run_eval(config, args.predictions, args.task)
     payload = report_as_dict(report)
     if config.output_path is not None:
         _write_json(config.output_path, payload)

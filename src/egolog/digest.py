@@ -170,9 +170,12 @@ def merge_groups(
     degrades that group to concatenation. LLM merges are mapped in order
     on pool when one is given, else one at a time in the caller's thread;
     concatenation always runs in the caller's thread.
-    Returns the merged track and the number of LLM fallbacks.
+    Returns the merged track and the number of LLM fallbacks. LLM mode
+    without an llm raises ValueError.
     """
-    use_llm = cfg.merge_mode is MergeMode.LLM and llm is not None
+    use_llm = cfg.merge_mode is MergeMode.LLM
+    if use_llm and llm is None:
+        raise ValueError("merge_mode llm needs an LLM backend")
 
     def merge(group: range) -> tuple[str, bool]:
         """The merged text and whether it fell back to concatenation."""

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 
 class EgologError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-
-class CorpusError(EgologError):
-    """A captions or queries file is malformed or violates an invariant."""
+    An error about an input file may name it and a line of it; the message
+    then ends with " in <path>" and " at line <n>".
+    """
 
     def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
         self.path = path
@@ -19,6 +19,10 @@ class CorpusError(EgologError):
         if line is not None:
             where += f" at line {line}"
         super().__init__(message + where)
+
+
+class CorpusError(EgologError):
+    """A captions or queries file is malformed or violates an invariant."""
 
 
 class ConfigError(EgologError):

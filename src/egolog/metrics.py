@@ -4,10 +4,13 @@ Each report is built in one pass: the inputs are validated once, every
 query is scored once into an outcome record, and the top report and each
 "confidence >= level" sub-report are counts over those records.
 
+Every query of the task with ground truth is scored. A query without a
+prediction is unanswered: a miss, counted in n_missing and, for
+localization, in the NA ratio; it sits in no confidence stratum.
 Localization is scored at the fixed IoU thresholds 0.3 and 0.5. NA ratio
-is computed over all predictions, while Overlap and IoU*@t are computed
-over non-NA predictions only. R@1 IoU@t scores one final window per
-query over all queries. Threshold comparisons are strict (greater than).
+is computed over all queries, while Overlap and IoU*@t are computed over
+answered predictions only. R@1 IoU@t scores one final window per query
+over all queries. Threshold comparisons are strict (greater than).
 A metric whose denominator is zero is reported as 0 with its name listed
 in undefined_metrics rather than omitted, so reports stay schema-stable.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .corpus import (
@@ -67,15 +71,22 @@ def iou(a: IntervalLike, b: IntervalLike) -> float:
     return inter / union
 
 
+_NO_HITS = (False,) * len(DEFAULT_IOU_THRESHOLDS)
+
+
 class _Outcome(NamedTuple):
     """One query scored once; the hit tuples follow DEFAULT_IOU_THRESHOLDS."""
 
     confidence: int
     answered: bool = True
     overlaps: bool = False
-    iou_star: tuple[bool, ...] = ()
-    recall: tuple[bool, ...] = ()
+    iou_star: tuple[bool, ...] = _NO_HITS
+    recall: tuple[bool, ...] = _NO_HITS
     correct: bool = False
+
+
+# a query with ground truth and no prediction: no hit, in no confidence stratum
+_MISSING = _Outcome(confidence=0, answered=False)
 
 
 @dataclass(frozen=True)
@@ -83,8 +94,10 @@ class EvalReport:
     """Every evaluation quantity for one prediction set.
 
     Zero-denominator metrics are 0 and named in undefined_metrics.
-    per_confidence maps each minimum confidence level to the sub-report
-    over the predictions at or above it; sub-reports do not nest further.
+    n_queries counts every query scored, and n_missing those of them
+    without a prediction. per_confidence maps each minimum confidence
+    level to the sub-report over the predictions at or above it;
+    sub-reports do not nest further.
     """
 
     task: str
@@ -96,6 +109,7 @@ class EvalReport:
     recall_at_1: dict[float, float]
     r1_mean: float
     qa_accuracy: float | None
+    n_missing: int = 0
     undefined_metrics: tuple[str, ...] = ()
     per_confidence: dict[int, "EvalReport"] | None = None
 
@@ -136,7 +150,8 @@ def _stratified(outcomes: list[_Outcome], count: Callable) -> EvalReport:
         level: count([o for o in outcomes if o.confidence >= level])
         for level in CONFIDENCE_LEVELS
     }
-    return replace(count(outcomes), per_confidence=strata)
+    report = count(outcomes)
+    return replace(report, n_missing=outcomes.count(_MISSING), per_confidence=strata)
 
 
 def _count_nlq(outcomes: list[_Outcome]) -> EvalReport:
@@ -170,19 +185,24 @@ def evaluate_nlq(
     finals: Mapping[str, IntervalLike],
     gts: Mapping[str, IntervalLike],
 ) -> EvalReport:
-    """Full localization report.
+    """Full localization report over every qid of gts.
 
     preds are the parsed answers (candidates, possibly NA) and drive NA
     ratio, Overlap, and IoU*@t; finals are the one-window-per-query
-    refinement outputs and drive R@1. Both must cover the same qids.
+    refinement outputs and drive R@1. Both must cover the same qids, each
+    with ground truth; a qid of gts without one is scored as missing.
     """
     if set(preds) != set(finals):
         odd = sorted(set(preds).symmetric_difference(finals))
         raise MetricsError(f"preds and finals disagree on qids: {odd}")
     _check_preds(preds, gts, QueryKind.NLQ, "an NLQ")
     outcomes = []
-    for qid, answer in preds.items():
-        gt = _as_pair(gts[qid])
+    for qid, gt in gts.items():
+        answer = preds.get(qid)
+        if answer is None:
+            outcomes.append(_MISSING)
+            continue
+        gt = _as_pair(gt)
         candidates = [_as_pair(c) for c in answer.intervals]
         ious = [iou(c, gt) for c in candidates]
         final_iou = iou(finals[qid], gt)
@@ -201,10 +221,11 @@ def evaluate_nlq(
 
 def _count_qa(outcomes: list[_Outcome]) -> EvalReport:
     n = len(outcomes)
+    n_answered = sum(o.answered for o in outcomes)
     return EvalReport(
         task="qa",
         n_queries=n,
-        n_answered=n,
+        n_answered=n_answered,
         na_ratio=0.0,
         overlap=0.0,
         iou_star={},
@@ -216,11 +237,16 @@ def _count_qa(outcomes: list[_Outcome]) -> EvalReport:
 
 
 def evaluate_qa(preds: Mapping[str, LlmAnswer], gts: Mapping[str, int]) -> EvalReport:
-    """Full QA report; localization fields are inert zeros."""
+    """Full QA report over every qid of gts; localization fields are inert zeros.
+
+    A qid of gts without a prediction is scored as missing.
+    """
     _check_preds(preds, gts, QueryKind.QA, "a QA")
     outcomes = [
-        _Outcome(confidence=a.confidence, correct=a.choice_idx == gts[qid])
-        for qid, a in preds.items()
+        _Outcome(confidence=preds[qid].confidence, correct=preds[qid].choice_idx == gt)
+        if qid in preds
+        else _MISSING
+        for qid, gt in gts.items()
     ]
     return _stratified(outcomes, _count_qa)
 
@@ -237,24 +263,28 @@ def load_predictions(
 ) -> tuple[dict[str, LlmAnswer], dict[str, tuple[float, float]]]:
     """Each row's answer by qid in file order, and each NLQ row's final window.
 
-    qid follows the text-field rule of load_queries. A row without a qid
-    or the answer field of kind, with a value of the wrong type, or with a
-    repeated qid raises MetricsError naming the file and line. Before any
-    answer is read, MetricsError lists the qids that name no query of kind
-    with ground truth in queries (keyed by qid).
+    A missing file raises MetricsError. qid follows the text-field rule
+    of load_queries. A row without a qid or the answer field of kind, with
+    a value of the wrong type, or with a repeated qid raises MetricsError
+    naming the file and line. Before any answer is read, MetricsError
+    lists the qids that name no query of kind with ground truth in queries
+    (keyed by qid).
     """
+    path = Path(path)
+    if not path.is_file():
+        raise MetricsError(f"predictions file {path} does not exist")
     rows: dict[str, tuple[int, dict]] = {}
     for lineno, row in iter_jsonl(path):
-        where = f"in {path} at line {lineno}"
+        where = dict(path=str(path), line=lineno)
         if "qid" not in row:
-            raise MetricsError(f"prediction has no 'qid' {where}")
+            raise MetricsError("prediction has no 'qid'", **where)
         try:
             qid = text_field(row["qid"], "qid")
         except ValueError as exc:
-            raise MetricsError(f"bad prediction: {exc} {where}") from None
+            raise MetricsError(f"bad prediction: {exc}", **where) from None
         if qid in rows:
             first = f"(first at line {rows[qid][0]})"
-            raise MetricsError(f"duplicate prediction for {qid!r} {where} {first}")
+            raise MetricsError(f"duplicate prediction for {qid!r} {first}", **where)
         rows[qid] = (lineno, row)
 
     unknown = sorted(set(rows) - set(queries))
@@ -271,9 +301,9 @@ def load_predictions(
     field = "choice" if kind is QueryKind.QA else "predicted_window"
     answers, finals = {}, {}
     for qid, (lineno, row) in rows.items():
-        where = f"in {path} at line {lineno}"
+        where = dict(path=str(path), line=lineno)
         if field not in row:
-            raise MetricsError(f"prediction for {qid!r} has no {field!r} {where}")
+            raise MetricsError(f"prediction for {qid!r} has no {field!r}", **where)
         try:
             confidence = whole_number(row.get("confidence", 1), "confidence")
             common = dict(confidence=confidence, explanation=str(row.get("explanation", "")))
@@ -291,7 +321,7 @@ def load_predictions(
             window = CandidateInterval(*time_pair(row[field], field, _window_seconds))
             answers[qid] = LlmAnswer(qid, kind, intervals=intervals, **common)
         except (TypeError, ValueError, IndexError, KeyError) as exc:
-            raise MetricsError(f"bad prediction for {qid!r}: {exc} {where}") from exc
+            raise MetricsError(f"bad prediction for {qid!r}: {exc}", **where) from exc
         finals[qid] = window.as_pair()
     return answers, finals
 
@@ -301,6 +331,7 @@ def report_as_dict(report: EvalReport) -> dict:
         "task": report.task,
         "n_queries": report.n_queries,
         "n_answered": report.n_answered,
+        "n_missing": report.n_missing,
         "na_ratio": report.na_ratio,
     }
     if report.task == "nlq":
@@ -329,7 +360,8 @@ def report_to_text(report: EvalReport) -> str:
     """Flat fixed-width summary for quick reading."""
     lines = [
         f"task: {report.task}   queries: {report.n_queries}   "
-        f"answered: {report.n_answered}   NA ratio: {report.na_ratio:.3f}"
+        f"answered: {report.n_answered}   missing: {report.n_missing}   "
+        f"NA ratio: {report.na_ratio:.3f}"
     ]
     if report.task == "nlq":
         lines.append(f"Overlap: {report.overlap:.3f}")

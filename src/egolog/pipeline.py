@@ -373,14 +373,21 @@ def run_gen_refine_data(config: PipelineConfig) -> list[dict]:
 def run_eval(config: PipelineConfig, predictions_path, task: str) -> EvalReport:
     """Score a predictions file against the ground truth in the queries file.
 
-    Loads the queries, loads the task's predictions checked against them
-    (see metrics.load_predictions), and scores each against its query.
+    Loads the queries, then the task's predictions checked against them
+    (see metrics.load_predictions), and scores every query of the task
+    that has ground truth; one without a prediction is a miss.
     """
     if task not in ("qa", "nlq"):
         raise ConfigError(f"task must be qa or nlq, got {task!r}")
     kind = QueryKind(task)
     by_qid = {q.qid: q for q in load_queries(_require(config.queries_path, "queries"))}
     preds, finals = load_predictions(predictions_path, kind, by_qid)
+    field = "gt_answer_idx" if kind is QueryKind.QA else "gt_window"
+    gts = {
+        qid: getattr(q, field)
+        for qid, q in by_qid.items()
+        if q.kind is kind and getattr(q, field) is not None
+    }
     if kind is QueryKind.QA:
-        return evaluate_qa(preds, {qid: by_qid[qid].gt_answer_idx for qid in preds})
-    return evaluate_nlq(preds, finals, {qid: by_qid[qid].gt_window for qid in preds})
+        return evaluate_qa(preds, gts)
+    return evaluate_nlq(preds, finals, gts)

@@ -149,15 +149,17 @@ def caption_log_lines(track: CaptionTrack) -> list[str]:
     ]
 
 
+def _caption_log_block(track: CaptionTrack) -> list[str]:
+    """The prompt's caption log: its header, the lines or the marker, a blank line."""
+    return ["Caption log:", *(caption_log_lines(track) or [NO_CAPTIONS_MARKER]), ""]
+
+
 def build_qa_prompt(track: CaptionTrack, query: Query) -> Prompt:
     """One prompt per QA question, captions serialized in full."""
     if query.kind is not QueryKind.QA:
         raise ValueError(f"build_qa_prompt requires a QA query, got {query.kind}")
-    lines = caption_log_lines(track) or [NO_CAPTIONS_MARKER]
     assert query.choices is not None
-    parts = ["Caption log:"]
-    parts.extend(lines)
-    parts.append("")
+    parts = _caption_log_block(track)
     parts.append(f"Question (qid {query.qid}): {normalize_caption_text(query.text)}")
     parts.append("Options:")
     for letter, choice in zip(CHOICE_LETTERS, query.choices):
@@ -177,10 +179,7 @@ def build_nlq_prompt(track: CaptionTrack, queries: Sequence[Query]) -> Prompt:
                 f"mixed video_id: query {query.qid!r} is for {query.video_id!r}, "
                 f"track is {track.video_id!r}"
             )
-    lines = caption_log_lines(track) or [NO_CAPTIONS_MARKER]
-    parts = ["Caption log:"]
-    parts.extend(lines)
-    parts.append("")
+    parts = _caption_log_block(track)
     parts.append("Queries:")
     for i, query in enumerate(queries, start=1):
         parts.append(f"{i}. (qid {query.qid}) {normalize_caption_text(query.text)}")

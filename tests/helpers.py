@@ -1,4 +1,5 @@
-"""Shared test helpers: tracks, reply rendering, scripted backends and scorers, oracles.
+"""Shared test helpers: tracks, test runs on disk, reply rendering, scripted
+backends, a recording embedder and scorers, oracles.
 
 The scripted backends answer by reading the caption log serialized into
 the prompt, so synthetic benchmarks where captions literally determine
@@ -19,10 +20,12 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 
-from egolog.corpus import Caption, CaptionTrack, Query, QueryKind
+from egolog.config import load_config
+from egolog.corpus import Caption, CaptionTrack, Query, QueryKind, save_captions
 from egolog.errors import TransportError
 from egolog.llm import prompt_sha256, run_key
 from egolog.reasoner import CHOICE_LETTERS, LlmAnswer
+from egolog.similarity import MockEmbedder
 
 
 def make_track(
@@ -239,6 +242,23 @@ def completion_pool(workers):
         yield pool
 
 
+class RecordingEmbedder:
+    """The seed-0 mock embedder, recording every batch it is sent.
+
+    Each call first sleeps delay_s, so that concurrent callers overlap.
+    """
+
+    def __init__(self, delay_s=0.0):
+        self.inner = MockEmbedder(seed=0)
+        self.calls = []
+        self.delay_s = delay_s
+
+    def embed_texts(self, texts):
+        self.calls.append(list(texts))
+        time.sleep(self.delay_s)
+        return self.inner.embed_texts(texts)
+
+
 class ReplayScorer:
     """Candidate scorer with pinned scores keyed by millisecond-rounded endpoints."""
 
@@ -308,36 +328,9 @@ def synth_nlq_benchmark(n_items=50, captions_per_video=12, seed=321):
     return tracks, queries
 
 
-def write_corpus(tmp_path, tracks, queries):
-    """Write captions and queries files; returns their paths."""
-    captions_path = tmp_path / "captions.jsonl"
-    with open(captions_path, "w", encoding="utf-8") as handle:
-        for vid in sorted(tracks):
-            track = tracks[vid]
-            handle.write(
-                json.dumps(
-                    {
-                        "video_id": vid,
-                        "clip_start_s": track.clip_start_s,
-                        "clip_end_s": track.clip_end_s,
-                    }
-                )
-                + "\n"
-            )
-            for cap in track.captions:
-                handle.write(
-                    json.dumps(
-                        {
-                            "video_id": vid,
-                            "start_s": cap.start_s,
-                            "end_s": cap.end_s,
-                            "text": cap.text,
-                        }
-                    )
-                    + "\n"
-                )
-    queries_path = tmp_path / "queries.jsonl"
-    with open(queries_path, "w", encoding="utf-8") as handle:
+def write_queries(path, queries):
+    """Write queries in the queries file format."""
+    with open(path, "w", encoding="utf-8") as handle:
         for q in queries:
             if q.kind is QueryKind.QA:
                 record = {
@@ -359,13 +352,36 @@ def write_corpus(tmp_path, tracks, queries):
                 if q.gt_window is not None:
                     record["gt"] = list(q.gt_window)
             handle.write(json.dumps(record) + "\n")
-    return captions_path, queries_path
 
 
 def write_config(tmp_path, body: str):
     path = tmp_path / "config.ini"
     path.write_text(body, encoding="utf-8")
     return path
+
+
+def write_run(tmp_path, tracks=None, queries=None, sections="", extra_paths=""):
+    """Write a test run in tmp_path; returns the path of its config.ini.
+
+    The tracks go to captions.jsonl through save_captions and the queries
+    to queries.jsonl, each only when given. The config's [paths] section
+    names the files written, then holds the lines of extra_paths; the
+    caller's own sections follow.
+    """
+    paths = "[paths]\n"
+    if tracks is not None:
+        save_captions(tracks, tmp_path / "captions.jsonl")
+        paths += "captions = captions.jsonl\n"
+    if queries is not None:
+        write_queries(tmp_path / "queries.jsonl", queries)
+        paths += "queries = queries.jsonl\n"
+    return write_config(tmp_path, paths + extra_paths + sections)
+
+
+def disk_config(tmp_path, tracks, queries, extra="", extra_paths="", overrides=None):
+    """The loaded config of a run written by write_run, seed 2024 and 3 runs."""
+    run = "[run]\nseed = 2024\nruns = 3\n" + extra
+    return load_config(write_run(tmp_path, tracks, queries, run, extra_paths), overrides or {})
 
 
 def oracle_iou(a: tuple[float, float], b: tuple[float, float]) -> Fraction:

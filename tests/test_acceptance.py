@@ -42,6 +42,7 @@ from helpers import (
     ScriptedNlqBackend,
     ScriptedQaBackend,
     assert_report_matches_oracle,
+    disk_config,
     format_reference,
     make_track,
     oracle_iou,
@@ -49,8 +50,7 @@ from helpers import (
     random_qa_fixture,
     synth_nlq_benchmark,
     synth_qa_benchmark,
-    write_config,
-    write_corpus,
+    write_run,
 )
 
 IDENTITY_DIGEST = "[digest]\nrelevance_threshold = -1\nadjacency_threshold = 2.0\n"
@@ -58,17 +58,6 @@ IDENTITY_DIGEST = "[digest]\nrelevance_threshold = -1\nadjacency_threshold = 2.0
 
 def _passline(text: str) -> None:
     print(f"[PASS] {text}", flush=True)
-
-
-def _load(tmp_path, tracks, queries, extra="", extra_paths=""):
-    captions, qpath = write_corpus(tmp_path, tracks, queries)
-    body = (
-        "[run]\nseed = 2024\nruns = 3\n"
-        f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n"
-        + extra_paths
-        + extra
-    )
-    return load_config(write_config(tmp_path, body))
 
 
 def test_gate_metric_oracle_equivalence():
@@ -396,7 +385,7 @@ def test_gate_end_to_end_synthetic(tmp_path):
     qa_dir = tmp_path / "qa"
     qa_dir.mkdir()
     tracks, queries = synth_qa_benchmark(n_items=50, captions_per_video=12)
-    config = _load(qa_dir, tracks, queries)
+    config = disk_config(qa_dir, tracks, queries)
     records, failures = run_ask(config, llm=ScriptedQaBackend())
     assert failures == []
     assert len(records) == 50
@@ -407,7 +396,7 @@ def test_gate_end_to_end_synthetic(tmp_path):
     nlq_dir = tmp_path / "nlq"
     nlq_dir.mkdir()
     tracks2, queries2 = synth_nlq_benchmark(n_items=50, captions_per_video=12)
-    config2 = _load(
+    config2 = disk_config(
         nlq_dir, tracks2, queries2, IDENTITY_DIGEST + "[refine]\npad_alpha = 0\n"
     )
     records2, failures2 = run_localize(config2, llm=ScriptedNlqBackend())
@@ -430,24 +419,19 @@ def test_gate_end_to_end_synthetic(tmp_path):
 def test_gate_replay_reproducibility(tmp_path):
     def prepare(subdir, tracks, queries, scripted, runner):
         subdir.mkdir()
-        captions, qpath = write_corpus(subdir, tracks, queries)
-        head = "[run]\nseed = 11\nruns = 3\nin_flight_limit = {pool}\n"
-        paths = f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n"
-        live = load_config(
-            write_config(subdir, head.format(pool=1) + paths + IDENTITY_DIGEST)
-        )
+
+        def config(pool, extra_paths=""):
+            run = f"[run]\nseed = 11\nruns = 3\nin_flight_limit = {pool}\n"
+            return write_run(subdir, tracks, queries, run + IDENTITY_DIGEST, extra_paths)
+
         recorder = RecordingBackend(scripted)
-        runner(live, llm=recorder)
+        runner(load_config(config(1)), llm=recorder)
         write_transcripts(subdir / "transcripts.json", recorder.transcripts)
-        replay_body = (
-            head + paths + "transcripts = transcripts.json\n" + IDENTITY_DIGEST
-        )
-        configs = {}
-        for pool in (1, 8):
-            path = subdir / f"config_pool{pool}.ini"
-            path.write_text(replay_body.format(pool=pool), encoding="utf-8")
-            configs[pool] = path
-        return configs
+        replayed = "transcripts = transcripts.json\n"
+        return {
+            pool: config(pool, replayed).rename(subdir / f"config_pool{pool}.ini")
+            for pool in (1, 8)
+        }
 
     def replay(command, config_path, out_path):
         code = cli_main(

@@ -33,8 +33,7 @@ from helpers import (
     ScriptedQaBackend,
     synth_nlq_benchmark,
     synth_qa_benchmark,
-    write_config,
-    write_corpus,
+    write_run,
 )
 
 
@@ -300,15 +299,8 @@ def test_commands_over_the_cap_match_the_offline_embedder(
     else:
         tracks, queries = synth_nlq_benchmark(n_items=2)
         run, llm = run_localize, ScriptedNlqBackend()
-    captions, qpath = write_corpus(tmp_path, tracks, queries)
-    config = load_config(
-        write_config(
-            tmp_path,
-            "[run]\nseed = 5\n"
-            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n"
-            "[digest]\nrelevance_threshold = 0.1\n",
-        )
-    )
+    sections = "[run]\nseed = 5\n[digest]\nrelevance_threshold = 0.1\n"
+    config = load_config(write_run(tmp_path, tracks, queries, sections))
     over_http = run(config, embedder=HttpEmbedder(http_script.endpoint), llm=llm)
     offline = run(config, embedder=MockEmbedder(seed=0, dim=16), llm=llm)
     assert over_http == offline

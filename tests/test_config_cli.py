@@ -26,7 +26,7 @@ from helpers import (
     synth_nlq_benchmark,
     synth_qa_benchmark,
     write_config,
-    write_corpus,
+    write_run,
 )
 
 MINIMAL = """\
@@ -298,19 +298,14 @@ def minimal_refine():
     return RefineConfig()
 
 
-def qa_fixture_on_disk(tmp_path, n_items=4):
-    tracks, queries = synth_qa_benchmark(n_items=n_items, captions_per_video=6)
-    captions, qpath = write_corpus(tmp_path, tracks, queries)
-    return tracks, queries, captions, qpath
+def qa_fixture(n_items=4):
+    return synth_qa_benchmark(n_items=n_items, captions_per_video=6)
 
 
 class TestCliDigest:
     def test_writes_track_stats_and_manifest(self, tmp_path, capsys):
-        tracks, queries, captions, qpath = qa_fixture_on_disk(tmp_path)
-        config = write_config(
-            tmp_path,
-            f"[run]\nseed = 3\n[paths]\ncaptions = {captions.name}\n",
-        )
+        tracks, _ = qa_fixture()
+        config = write_run(tmp_path, tracks, sections="[run]\nseed = 3\n")
         out = tmp_path / "digested.jsonl"
         code = main(["digest", "--config", str(config), "--out", str(out)])
         assert code == 0
@@ -324,10 +319,7 @@ class TestCliDigest:
         assert manifest["counts"]["digested"] == len(tracks)
 
     def test_missing_out_is_fatal(self, tmp_path, capsys):
-        _, _, captions, _ = qa_fixture_on_disk(tmp_path)
-        config = write_config(
-            tmp_path, f"[run]\nseed = 3\n[paths]\ncaptions = {captions.name}\n"
-        )
+        config = write_run(tmp_path, qa_fixture()[0], sections="[run]\nseed = 3\n")
         code = main(["digest", "--config", str(config)])
         assert code == 1
         assert "no output path" in capsys.readouterr().err
@@ -336,12 +328,11 @@ class TestCliDigest:
 class TestCliGenRefineData:
     def test_balanced_dataset(self, tmp_path):
         tracks, queries = synth_nlq_benchmark(n_items=3, captions_per_video=8)
-        captions, qpath = write_corpus(tmp_path, tracks, queries)
-        config = write_config(
+        config = write_run(
             tmp_path,
-            "[run]\nseed = 11\n"
-            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n"
-            "[refine]\nsamples_per_gt = 4\njitter_shift_max = 6\n",
+            tracks,
+            queries,
+            "[run]\nseed = 11\n[refine]\nsamples_per_gt = 4\njitter_shift_max = 6\n",
         )
         out = tmp_path / "refine.jsonl"
         code = main(["gen-refine-data", "--config", str(config), "--out", str(out)])
@@ -359,13 +350,8 @@ class TestCliGenRefineData:
 
     def test_seed_flag_changes_output(self, tmp_path):
         tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
-        captions, qpath = write_corpus(tmp_path, tracks, queries)
-        config = write_config(
-            tmp_path,
-            "[run]\nseed = 11\n"
-            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n"
-            "[refine]\njitter_shift_max = 6\n",
-        )
+        sections = "[run]\nseed = 11\n[refine]\njitter_shift_max = 6\n"
+        config = write_run(tmp_path, tracks, queries, sections)
         out_a = tmp_path / "a.jsonl"
         out_b = tmp_path / "b.jsonl"
         out_c = tmp_path / "c.jsonl"
@@ -404,12 +390,9 @@ class TestCliEval:
         return preds
 
     def test_qa_eval_to_file(self, tmp_path, capsys):
-        tracks, queries, captions, qpath = qa_fixture_on_disk(tmp_path)
+        _, queries = qa_fixture()
         preds = self.write_preds(tmp_path, queries)
-        config = write_config(
-            tmp_path,
-            f"[run]\nseed = 3\n[paths]\nqueries = {qpath.name}\n",
-        )
+        config = write_run(tmp_path, queries=queries, sections="[run]\nseed = 3\n")
         out = tmp_path / "report.json"
         code = main(
             [
@@ -432,11 +415,9 @@ class TestCliEval:
         assert "accuracy: 1.000" in err
 
     def test_qa_eval_to_stdout(self, tmp_path, capsys):
-        tracks, queries, captions, qpath = qa_fixture_on_disk(tmp_path)
+        _, queries = qa_fixture()
         preds = self.write_preds(tmp_path, queries)
-        config = write_config(
-            tmp_path, f"[run]\nseed = 3\n[paths]\nqueries = {qpath.name}\n"
-        )
+        config = write_run(tmp_path, queries=queries, sections="[run]\nseed = 3\n")
         code = main(
             ["eval", "--config", str(config), "--predictions", str(preds), "--task", "qa"]
         )
@@ -445,10 +426,7 @@ class TestCliEval:
         assert json.loads(out)["qa_accuracy"] == 1.0
 
     def test_missing_predictions_file(self, tmp_path, capsys):
-        _, _, _, qpath = qa_fixture_on_disk(tmp_path)
-        config = write_config(
-            tmp_path, f"[run]\nseed = 3\n[paths]\nqueries = {qpath.name}\n"
-        )
+        config = write_run(tmp_path, queries=qa_fixture()[1], sections="[run]\nseed = 3\n")
         code = main(
             [
                 "eval",
@@ -485,12 +463,7 @@ class TestCliAtomicWrites:
     @pytest.mark.parametrize("target", ["directory", "under-a-file"])
     def test_unwritable_out_path_is_a_located_error(self, tmp_path, capsys, target):
         tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
-        captions, qpath = write_corpus(tmp_path, tracks, queries)
-        config = write_config(
-            tmp_path,
-            "[run]\nseed = 11\n"
-            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n",
-        )
+        config = write_run(tmp_path, tracks, queries, "[run]\nseed = 11\n")
         blocker = tmp_path / "blocker"
         if target == "directory":
             blocker.mkdir()
@@ -526,10 +499,7 @@ class TestCliErrors:
         assert exc.value.code == 2
 
     def test_unknown_override_exits_1(self, tmp_path, capsys):
-        _, _, captions, _ = qa_fixture_on_disk(tmp_path)
-        config = write_config(
-            tmp_path, f"[run]\nseed = 3\n[paths]\ncaptions = {captions.name}\n"
-        )
+        config = write_run(tmp_path, qa_fixture()[0], sections="[run]\nseed = 3\n")
         code = main(
             [
                 "digest",
@@ -572,15 +542,11 @@ class TestCliErrors:
 
     def test_deeply_nested_captions_line_exits_1(self, tmp_path, capsys):
         tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
-        captions, qpath = write_corpus(tmp_path, tracks, queries)
+        config = write_run(tmp_path, tracks, queries, "[run]\nseed = 11\n")
+        captions = tmp_path / "captions.jsonl"
         with captions.open("a", encoding="utf-8") as fh:
             fh.write("[" * 100_000 + "]" * 100_000 + "\n")
         line = len(captions.read_text("utf-8").splitlines())
-        config = write_config(
-            tmp_path,
-            "[run]\nseed = 11\n"
-            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n",
-        )
         out = str(tmp_path / "o.jsonl")
         code = main(["localize", "--config", str(config), "--out", out])
         assert code == 1
@@ -588,12 +554,7 @@ class TestCliErrors:
         assert f"error: malformed line: nested too deeply in {captions} at line {line}" in err
 
     def test_runs_flag_reaches_run_and_manifest(self, tmp_path):
-        _, _, captions, qpath = qa_fixture_on_disk(tmp_path, n_items=2)
-        config = write_config(
-            tmp_path,
-            "[run]\nseed = 3\nruns = 1\n"
-            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n",
-        )
+        config = write_run(tmp_path, *qa_fixture(n_items=2), "[run]\nseed = 3\nruns = 1\n")
         out = tmp_path / "answers.jsonl"
         llm = RecordingBackend(ScriptedQaBackend())
         with mock.patch.object(pipeline, "build_llm", lambda config: llm):
@@ -607,13 +568,8 @@ class TestCliErrors:
 
     def test_dotted_override_reaches_pipeline(self, tmp_path):
         tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
-        captions, qpath = write_corpus(tmp_path, tracks, queries)
-        config = write_config(
-            tmp_path,
-            "[run]\nseed = 11\n"
-            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n"
-            "[refine]\njitter_shift_max = 6\n",
-        )
+        sections = "[run]\nseed = 11\n[refine]\njitter_shift_max = 6\n"
+        config = write_run(tmp_path, tracks, queries, sections)
         out = tmp_path / "r.jsonl"
         code = main(
             [
@@ -634,12 +590,7 @@ class TestCliErrors:
         tracks, queries = synth_qa_benchmark(n_items=3, captions_per_video=6)
         lost = queries[0]
         del tracks[lost.video_id]
-        captions, qpath = write_corpus(tmp_path, tracks, queries)
-        config = write_config(
-            tmp_path,
-            "[run]\nseed = 3\nruns = 1\n"
-            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n",
-        )
+        config = write_run(tmp_path, tracks, queries, "[run]\nseed = 3\nruns = 1\n")
         out = tmp_path / "answers.jsonl"
         llm = ScriptedQaBackend()
         with mock.patch.object(pipeline, "build_llm", lambda config: llm):
@@ -654,11 +605,10 @@ class TestCliErrors:
 
     def test_missing_auth_env_fails_fast(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("EGO_TOKEN", raising=False)
-        tracks, queries, captions, qpath = qa_fixture_on_disk(tmp_path)
-        config = write_config(
+        config = write_run(
             tmp_path,
+            *qa_fixture(),
             "[run]\nseed = 3\n"
-            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n"
             "[llm]\nkind = http\nendpoint = http://127.0.0.1:1/\nauth_env = EGO_TOKEN\n",
         )
         code = main(
@@ -668,14 +618,10 @@ class TestCliErrors:
         assert "EGO_TOKEN" in capsys.readouterr().err
 
     def test_malformed_transcripts_exits_1(self, tmp_path, capsys):
-        tracks, queries, captions, qpath = qa_fixture_on_disk(tmp_path)
         transcripts = tmp_path / "transcripts.json"
         transcripts.write_text('{"abc": "text"}', encoding="utf-8")
-        config = write_config(
-            tmp_path,
-            "[run]\nseed = 3\n"
-            f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n"
-            f"transcripts = {transcripts.name}\n",
+        config = write_run(
+            tmp_path, *qa_fixture(), "[run]\nseed = 3\n", f"transcripts = {transcripts.name}\n"
         )
         code = main(
             ["ask", "--config", str(config), "--out", str(tmp_path / "o.jsonl")]

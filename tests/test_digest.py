@@ -358,6 +358,13 @@ class TestMerging:
         assert 0 < fallbacks < 12
         assert sum(c.text.startswith("reply ") for c in merged.captions) == 12 - fallbacks
 
+    def test_llm_mode_without_a_backend_raises(self):
+        # two identical captions form one group, which only an LLM may merge
+        track = make_track(texts=["C stirs the pot"] * 2)
+        cfg = DigestConfig(merge_mode=MergeMode.LLM, adjacency_threshold=0.9)
+        with pytest.raises(ValueError, match="merge_mode llm needs an LLM backend"):
+            digest(track, [], MockEmbedder(), None, cfg)
+
 
 class TestDigestPipeline:
     def test_identity_config_is_a_no_op(self):

@@ -227,6 +227,31 @@ class TestQaAccuracy:
             evaluate_qa({"a": nlq("a")}, {"a": 0})
 
 
+class TestMissingPredictions:
+    """A qid with ground truth and no prediction is scored as a miss."""
+
+    def test_nlq_miss_counts_in_every_denominator_over_queries(self):
+        preds = {"a": nlq("a", (0.0, 35.0), confidence=3)}
+        gts = {"a": (0.0, 35.0), "b": (0.0, 100.0)}
+        report = evaluate_nlq(preds, {"a": (0.0, 35.0)}, gts)
+        assert (report.n_queries, report.n_answered, report.n_missing) == (2, 1, 1)
+        assert report.na_ratio == 0.5
+        assert report.overlap == 1.0
+        assert report.iou_star == {0.3: 1.0, 0.5: 1.0}
+        assert report.recall_at_1 == {0.3: 0.5, 0.5: 0.5}
+        # the per-answered view: a miss has confidence 0, in no stratum
+        answered = report.per_confidence[1]
+        assert (answered.n_queries, answered.n_missing) == (1, 0)
+        assert answered.recall_at_1 == {0.3: 1.0, 0.5: 1.0}
+
+    def test_qa_miss_is_a_wrong_answer(self):
+        report = evaluate_qa({"a": qa("a", 2)}, {"a": 2, "b": 0, "c": 1})
+        assert (report.n_queries, report.n_answered, report.n_missing) == (3, 1, 2)
+        assert report.qa_accuracy == pytest.approx(1 / 3)
+        assert report.per_confidence[1].qa_accuracy == 1.0
+        assert report_as_dict(report)["n_missing"] == 2
+
+
 class TestEvaluateNlq:
     def fixture(self):
         preds = {

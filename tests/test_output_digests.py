@@ -27,7 +27,13 @@ from unittest import mock
 
 from egolog import cli, pipeline
 
-from helpers import RecordingBackend, ScriptedNlqBackend, ScriptedQaBackend
+from helpers import (
+    RecordingBackend,
+    ScriptedNlqBackend,
+    ScriptedQaBackend,
+    make_track,
+    write_run,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import corpus_gen  # noqa: E402
@@ -64,20 +70,6 @@ CORPORA = {
 }
 
 
-def _write_corpus(out: Path, videos, queries) -> None:
-    step = corpus_gen.STEP_S
-    with open(out / "captions.jsonl", "w", encoding="utf-8") as fh:
-        for video in videos:
-            fh.write(json.dumps({"video_id": video.video_id, "clip_start_s": 0.0,
-                                 "clip_end_s": video.clip_end_s}) + "\n")
-            for i, text in enumerate(video.texts):
-                fh.write(json.dumps({"video_id": video.video_id, "start_s": i * step,
-                                     "end_s": (i + 1) * step, "text": text}) + "\n")
-    with open(out / "queries.jsonl", "w", encoding="utf-8") as fh:
-        for query in queries:
-            fh.write(json.dumps(query) + "\n")
-
-
 def _sha256(path: Path) -> str:
     if path.name.endswith(".manifest.json"):
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -95,14 +87,14 @@ def run_commands(work: Path, pool: int) -> dict[str, tuple[str, str]]:
         out = work / name
         out.mkdir(parents=True)
         videos, queries, _ = generate()
-        _write_corpus(out, videos, queries)
-        config = out / "config.ini"
-        config.write_text(
-            f"[run]\nseed = 7\nruns = 3\nin_flight_limit = {pool}\n"
-            "[paths]\ncaptions = captions.jsonl\nqueries = queries.jsonl\n"
-            f"{sections}\n",
-            encoding="utf-8",
-        )
+        tracks = {
+            v.video_id: make_track(v.video_id, v.texts, step=corpus_gen.STEP_S)
+            for v in videos
+        }
+        with open(out / "queries.jsonl", "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(query) + "\n" for query in queries)
+        run = f"[run]\nseed = 7\nruns = 3\nin_flight_limit = {pool}\n"
+        config = write_run(out, tracks, None, run + sections, "queries = queries.jsonl\n")
         for command, args in commands:
             llm = RecordingBackend(
                 ScriptedNlqBackend() if command == "localize" else ScriptedQaBackend()

@@ -28,8 +28,7 @@ from helpers import (
     ScriptedQaBackend,
     synth_nlq_benchmark,
     synth_qa_benchmark,
-    write_config,
-    write_corpus,
+    write_run,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -56,13 +55,7 @@ def test_target_resolves(owner, attr):
 
 
 
-def _config(tmp_path, tracks, queries, extra=""):
-    captions, qpath = write_corpus(tmp_path, tracks, queries)
-    body = (
-        "[run]\nseed = 5\nruns = 3\nin_flight_limit = 2\n"
-        f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n" + extra
-    )
-    return load_config(write_config(tmp_path, body))
+RUN = "[run]\nseed = 5\nruns = 3\nin_flight_limit = 2\n"
 
 
 def test_hooks_fit_a_traced_run_of_each_command(tmp_path):
@@ -74,10 +67,10 @@ def test_hooks_fit_a_traced_run_of_each_command(tmp_path):
     )
     (tmp_path / "qa").mkdir()
     (tmp_path / "nlq").mkdir()
-    qa = _config(tmp_path / "qa", qa_tracks, qa_queries, "[digest]\nmerge_mode = llm\n")
-    nlq = _config(
-        tmp_path / "nlq", nlq_tracks, nlq_queries, "[digest]\nadjacency_threshold = 2\n"
-    )
+    llm_merges = RUN + "[digest]\nmerge_mode = llm\n"
+    qa = load_config(write_run(tmp_path / "qa", qa_tracks, qa_queries, llm_merges))
+    no_groups = RUN + "[digest]\nadjacency_threshold = 2\n"
+    nlq = load_config(write_run(tmp_path / "nlq", nlq_tracks, nlq_queries, no_groups))
     merger = ScriptedQaBackend()
     runs = [
         ("qid", lambda: cli.run_ask(qa, embedder=MockEmbedder(), llm=ScriptedQaBackend())),
@@ -114,12 +107,7 @@ def test_retry_hook_fits_the_embedders_call():
 
 def test_setup_probe_prints_its_seconds(tmp_path):
     tracks, queries = synth_qa_benchmark(n_items=2, captions_per_video=4)
-    captions, qpath = write_corpus(tmp_path, tracks, queries)
-    config = write_config(
-        tmp_path,
-        "[run]\nseed = 5\n"
-        f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n",
-    )
+    config = write_run(tmp_path, tracks, queries, "[run]\nseed = 5\n")
     probe = [sys.executable, str(REPO / "perfbench" / "setup_probe.py")]
     done = subprocess.run(
         probe + [str(REPO / "src"), str(config)],

@@ -15,7 +15,7 @@ from egolog.corpus import Query, QueryKind
 from egolog.digest import MERGE_PROMPT
 from egolog.errors import BackendProtocolError, ConfigError, CorpusError, MetricsError
 from egolog.llm import ReplayBackend, write_transcripts
-from egolog.metrics import report_as_dict
+from egolog.metrics import load_predictions, report_as_dict
 from egolog.pipeline import (
     build_embedder,
     build_llm,
@@ -32,12 +32,13 @@ from helpers import (
     HashFailingBackend,
     OverlapBackend,
     RecordingBackend,
+    RecordingEmbedder,
     ScriptedNlqBackend,
     ScriptedQaBackend,
+    disk_config,
     synth_nlq_benchmark,
     synth_qa_benchmark,
-    write_config,
-    write_corpus,
+    write_run,
 )
 
 
@@ -58,17 +59,6 @@ class TwoLineMerges(ScriptedQaBackend):
         if system_text == MERGE_PROMPT:
             return "merged line one\nmerged line two"
         return super().complete(system_text, user_text, sampling_seed, run_index)
-
-
-def disk_config(tmp_path, tracks, queries, extra="", extra_paths="", overrides=None):
-    captions, qpath = write_corpus(tmp_path, tracks, queries)
-    body = (
-        "[run]\nseed = 2024\nruns = 3\n"
-        f"[paths]\ncaptions = {captions.name}\nqueries = {qpath.name}\n"
-        + extra_paths
-        + extra
-    )
-    return load_config(write_config(tmp_path, body), overrides or {})
 
 
 class TestBuildBackends:
@@ -235,18 +225,6 @@ def questions_per_video(n_videos=3, per_video=4):
     return tracks, many
 
 
-class CountingEmbedder:
-    """The mock embedder, recording every batch it is sent."""
-
-    def __init__(self):
-        self.batches: list[list[str]] = []
-        self._mock = MockEmbedder()
-
-    def embed_texts(self, texts):
-        self.batches.append(list(texts))
-        return self._mock.embed_texts(texts)
-
-
 class TestSharedPools:
     def test_runs_of_every_unit_share_the_completion_slots(self, tmp_path):
         # a barrier of 4 passes only if 4 runs are in flight at once, which
@@ -310,7 +288,7 @@ class TestSharedEmbeddingRequest:
         config = disk_config(
             tmp_path, tracks, queries, overrides={"run.in_flight_limit": limit}
         )
-        counting = CountingEmbedder()
+        counting = RecordingEmbedder()
         # switch threads often, so units of one video race for the request
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -323,7 +301,7 @@ class TestSharedEmbeddingRequest:
         assert failures == []
         assert len(records) == len(queries)
         # each request is the video's captions plus all of its question texts
-        assert sorted(counting.batches) == sorted(
+        assert sorted(counting.calls) == sorted(
             [c.text for c in track.captions]
             + [q.text for q in queries if q.video_id == vid]
             for vid, track in tracks.items()
@@ -433,13 +411,13 @@ class TestRunLocalize:
         # stages and every refinement score share one fetch per text
         tracks, queries = synth_nlq_benchmark(n_items=4, captions_per_video=8)
         config = disk_config(tmp_path, tracks, queries)
-        counting = CountingEmbedder()
+        counting = RecordingEmbedder()
         records, failures = run_localize(
             config, embedder=counting, llm=ScriptedNlqBackend()
         )
         assert failures == []
         assert len(records) == len(queries)
-        sent = [text for batch in counting.batches for text in batch]
+        sent = [text for batch in counting.calls for text in batch]
         assert len(sent) == len(set(sent))
 
     def test_no_nlq_items_is_fatal(self, tmp_path):
@@ -597,12 +575,7 @@ class TestRunDigest:
 
     def test_queries_file_optional(self, tmp_path):
         tracks, _ = synth_qa_benchmark(n_items=2, captions_per_video=5)
-        captions, _ = write_corpus(tmp_path, tracks, [])
-        config = load_config(
-            write_config(
-                tmp_path, f"[run]\nseed = 1\n[paths]\ncaptions = {captions.name}\n"
-            )
-        )
+        config = load_config(write_run(tmp_path, tracks, sections="[run]\nseed = 1\n"))
         digested, stats, failures = run_digest(config)
         assert set(digested) == set(tracks)
         assert failures == []
@@ -735,6 +708,41 @@ class TestRunEval:
         assert report.overlap == 1.0
         assert report.recall_at_1[0.3] == 1.0
         assert report.r1_mean == 1.0
+
+    def test_missing_predictions_file_is_named(self, tmp_path):
+        tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=4)
+        config = disk_config(tmp_path, tracks, queries)
+        missing = tmp_path / "nope.jsonl"
+        message = re.escape(f"predictions file {missing} does not exist")
+        with pytest.raises(MetricsError, match=message):
+            load_predictions(missing, QueryKind.NLQ, {q.qid: q for q in queries})
+        with pytest.raises(MetricsError, match=message):
+            run_eval(config, missing, "nlq")
+
+    @pytest.mark.parametrize("task", ["nlq", "qa"])
+    def test_every_query_with_ground_truth_is_scored(self, tmp_path, task):
+        # 4 queries with ground truth, and exact predictions for 2 of them
+        synth = synth_nlq_benchmark if task == "nlq" else synth_qa_benchmark
+        tracks, queries = synth(n_items=4, captions_per_video=4)
+        config = disk_config(tmp_path, tracks, queries)
+        if task == "nlq":
+            answers = [
+                {"predicted_window": list(q.gt_window), "candidates": [list(q.gt_window)]}
+                for q in queries
+            ]
+        else:
+            answers = [{"choice": q.gt_answer_idx} for q in queries]
+        preds = tmp_path / "preds.jsonl"
+        write_rows(preds, [{"qid": q.qid, **a} for q, a in zip(queries[:2], answers)])
+        report = run_eval(config, preds, task)
+        assert report.n_queries == 4
+        assert (report.n_answered, report.n_missing) == (2, 2)
+        if task == "nlq":
+            assert report.recall_at_1 == {0.3: 0.5, 0.5: 0.5}
+            assert report.per_confidence[1].recall_at_1 == {0.3: 1.0, 0.5: 1.0}
+        else:
+            assert report.qa_accuracy == 0.5
+            assert report.per_confidence[1].qa_accuracy == 1.0
 
     def test_unknown_qids_rejected(self, tmp_path):
         config, preds = self.localize_and_eval(tmp_path)

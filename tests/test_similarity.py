@@ -22,6 +22,7 @@ from egolog.similarity import (
     embed_batch,
 )
 
+from helpers import RecordingEmbedder
 from test_digest import oracle_cosine
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -40,20 +41,6 @@ def integer_matrices(draw):
     row = st.lists(st.integers(-20, 20), min_size=dim, max_size=dim).filter(any)
     rows = st.lists(row, min_size=1, max_size=6)
     return np.array(draw(rows), dtype=np.float64), np.array(draw(rows), dtype=np.float64)
-
-
-class RecordingEmbedder:
-    """Delegates to a mock embedder and records every batch it is sent."""
-
-    def __init__(self, delay_s=0.0):
-        self.inner = MockEmbedder(seed=0)
-        self.calls = []
-        self.delay_s = delay_s
-
-    def embed_texts(self, texts):
-        self.calls.append(list(texts))
-        time.sleep(self.delay_s)
-        return self.inner.embed_texts(texts)
 
 
 def signed_counts(text, seed, dim):
