@@ -3,7 +3,8 @@ Grounding a text query to a time window, then tightening it
 ===========================================================
 
 For temporal grounding the model proposes coarse candidate windows, or
-says NA when it finds nothing. Candidates are padded outward, clamped to
+says NA when it finds nothing. The parser clamps each candidate to the
+clip as it reads the reply; candidates are then padded outward within
 the clip, and the best-supported one becomes the final window. The same
 padding math also powers a training-set generator for window classifiers:
 jitter each ground-truth window and label the copies by exact IoU.
@@ -12,7 +13,7 @@ jitter each ground-truth window and label the copies by exact IoU.
 import json
 
 from egolog.corpus import Caption, CaptionTrack, QueryKind
-from egolog.reasoner import clamp_answer_to_bounds, parse_response
+from egolog.reasoner import parse_response
 from egolog.refine import (
     CaptionOverlapScorer,
     RefineConfig,
@@ -46,8 +47,8 @@ response = """Looking at the captions, watering happens twice in a row.
 ```
 """
 
-answer = parse_response(response, QueryKind.NLQ, ["water"])[0]
-answer = clamp_answer_to_bounds(answer, track.bounds)
+# given the clip bounds, the parser clamps each window to the clip as it reads it
+answer = parse_response(response, QueryKind.NLQ, ["water"], track.bounds)[0]
 print(f"candidates from the model: {[c.as_pair() for c in answer.intervals]}")
 
 cfg = RefineConfig(pad_alpha=5.0)

@@ -52,7 +52,6 @@ from .metrics import EvalReport, evaluate_nlq, evaluate_qa, load_predictions
 from .reasoner import (
     build_nlq_prompt,
     build_qa_prompt,
-    clamp_answer_to_bounds,
     parse_response,
     run,
 )
@@ -318,12 +317,13 @@ def run_localize(
         )
         if isinstance(reply, EgologError):
             raise reply
-        answers = parse_response(reply, QueryKind.NLQ, [q.qid for q in video_queries])
+        answers = parse_response(
+            reply, QueryKind.NLQ, [q.qid for q in video_queries], digested.bounds
+        )
         records: dict[str, dict] = {}
         for query, answer in zip(video_queries, answers):
-            clamped = clamp_answer_to_bounds(answer, digested.bounds)
             final = select_candidate(
-                clamped, digested, scorer, config.refine, query_text=query.text
+                answer, digested, scorer, config.refine, query_text=query.text
             )
             records[query.qid] = {
                 "qid": query.qid,
@@ -331,13 +331,13 @@ def run_localize(
                     normalize_seconds(final.start_s),
                     normalize_seconds(final.end_s),
                 ],
-                "confidence": clamped.confidence,
-                "explanation": clamped.explanation,
+                "confidence": answer.confidence,
+                "explanation": answer.explanation,
                 "candidates": [
                     [normalize_seconds(c.start_s), normalize_seconds(c.end_s)]
-                    for c in clamped.intervals
+                    for c in answer.intervals
                 ],
-                "na": clamped.is_na,
+                "na": answer.is_na,
             }
         return records
 

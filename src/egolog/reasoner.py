@@ -11,8 +11,9 @@ Parsing is tolerant: the JSON block may sit inside prose or code fences,
 confidence values are coerced and clamped, and anything unusable degrades
 to documented defaults rather than fabricated content. Any reply yields
 either one answer per expected qid or a ParseError, never another
-exception. Intervals are emitted exactly as the numerals found in the
-response; clamping to clip bounds is a separate, explicit step.
+exception. Given clip bounds, each interval is clamped to them as it is
+read, and one that the clamp leaves empty is dropped; without bounds the
+intervals are the numerals found in the response.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import re
 import time
 from concurrent.futures import Executor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .corpus import CaptionTrack, Query, QueryKind, finite_seconds, normalize_caption_text
@@ -241,10 +242,16 @@ _NA_WORDS = ("na", "n/a", "none", "null", "")
 
 
 def parse_response(
-    raw: str, kind: QueryKind, expected_qids: Sequence[str]
+    raw: str,
+    kind: QueryKind,
+    expected_qids: Sequence[str],
+    bounds: tuple[float, float] | None = None,
 ) -> list[LlmAnswer]:
     """Extract the structured block and map entries to the expected qids.
 
+    The model only sees caption timestamps, so with clip bounds (lo, hi)
+    each NLQ interval is clamped to them, and one left empty is dropped
+    (warned); an answer whose intervals are all dropped is NA.
     NLQ qids absent from the block become NA with confidence 1 (warned).
     A QA response with no usable answer entry raises ParseError, since QA
     has no refusal path. So does a reply that nests more than MAX_NESTING
@@ -285,7 +292,7 @@ def parse_response(
             logger.warning("no entry for qid %r; defaulting to NA, confidence 1", qid)
             answers.append(LlmAnswer(qid=qid, kind=QueryKind.NLQ, confidence=1))
             continue
-        answers.append(_entry_to_answer(entry, qid, kind))
+        answers.append(_entry_to_answer(entry, qid, kind, bounds))
     return answers
 
 
@@ -368,7 +375,9 @@ def _looks_like_entry(entry: dict) -> bool:
     return any(key in entry for key in ("qid", "answer", "intervals"))
 
 
-def _entry_to_answer(entry: dict, qid: str, kind: QueryKind) -> LlmAnswer:
+def _entry_to_answer(
+    entry: dict, qid: str, kind: QueryKind, bounds: tuple[float, float] | None
+) -> LlmAnswer:
     explanation = entry.get("explanation")
     if explanation is None:
         logger.warning("entry for qid %r has no explanation", qid)
@@ -383,7 +392,7 @@ def _entry_to_answer(entry: dict, qid: str, kind: QueryKind) -> LlmAnswer:
         if choice_idx is None:
             raise ParseError(f"unparsable answer {entry.get('answer')!r} for qid {qid!r}")
     else:
-        intervals = _parse_intervals(entry.get("intervals"), qid)
+        intervals = _parse_intervals(entry.get("intervals"), qid, bounds)
     return LlmAnswer(
         qid, kind, choice_idx, intervals, explanation=explanation, confidence=confidence
     )
@@ -432,7 +441,9 @@ def _parse_choice(value) -> int | None:
     return None
 
 
-def _parse_intervals(value, qid: str) -> tuple[CandidateInterval, ...]:
+def _parse_intervals(
+    value, qid: str, bounds: tuple[float, float] | None
+) -> tuple[CandidateInterval, ...]:
     if value is None:
         logger.warning("entry for qid %r has no intervals; treating as NA", qid)
         return ()
@@ -460,61 +471,20 @@ def _parse_intervals(value, qid: str) -> tuple[CandidateInterval, ...]:
     if pair(value) is not None:
         # a bare [start, end] pair that forgot its nesting
         value = [value]
+    lo, hi = (-math.inf, math.inf) if bounds is None else bounds
     out: list[CandidateInterval] = []
     for item in value:
-        bounds = pair(item)
-        if bounds is None:
+        window = pair(item)
+        if window is None:
             logger.warning("dropping malformed interval %r for qid %r", item, qid)
             continue
-        start_s, end_s = bounds
+        start_s, end_s = max(window[0], lo), min(window[1], hi)
         if not start_s < end_s:
             logger.warning(
-                "dropping degenerate interval (%s, %s) for qid %r", start_s, end_s, qid
+                "dropping interval %s for qid %r: empty within %s", window, qid, (lo, hi)
             )
             continue
+        if (start_s, end_s) != window:
+            logger.warning("clamped interval %s of qid %r to %s", window, qid, (start_s, end_s))
         out.append(CandidateInterval(start_s, end_s))
     return tuple(out)
-
-
-def clamp_answer_to_bounds(
-    answer: LlmAnswer, bounds: tuple[float, float]
-) -> LlmAnswer:
-    """Clamp NLQ candidate intervals to clip bounds, dropping degenerate ones.
-
-    The model only sees caption timestamps, so out-of-bounds endpoints are
-    corrected rather than rejected. Candidates that vanish entirely are
-    dropped with a warning; if all vanish the answer becomes NA.
-    """
-    if answer.kind is not QueryKind.NLQ or not answer.intervals:
-        return answer
-    lo, hi = bounds
-    kept: list[CandidateInterval] = []
-    changed = False
-    for cand in answer.intervals:
-        start_s = max(cand.start_s, lo)
-        end_s = min(cand.end_s, hi)
-        if not start_s < end_s:
-            logger.warning(
-                "dropping candidate (%s, %s) of qid %r outside clip bounds (%s, %s)",
-                cand.start_s,
-                cand.end_s,
-                answer.qid,
-                lo,
-                hi,
-            )
-            changed = True
-            continue
-        if (start_s, end_s) != (cand.start_s, cand.end_s):
-            logger.warning(
-                "clamped candidate (%s, %s) of qid %r to (%s, %s)",
-                cand.start_s,
-                cand.end_s,
-                answer.qid,
-                start_s,
-                end_s,
-            )
-            changed = True
-        kept.append(CandidateInterval(start_s, end_s))
-    if not changed:
-        return answer
-    return replace(answer, intervals=tuple(kept))

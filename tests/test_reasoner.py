@@ -17,7 +17,6 @@ from egolog.reasoner import (
     build_nlq_prompt,
     build_qa_prompt,
     caption_log_lines,
-    clamp_answer_to_bounds,
     format_seconds,
     parse_response,
     run,
@@ -565,34 +564,47 @@ class TestRoundTrip:
         assert parsed == answers
 
 
+def nlq_reply(intervals, qid="q"):
+    entry = {"qid": qid, "intervals": intervals, "confidence": 2, "explanation": "x"}
+    return json.dumps([entry])
+
+
 class TestClampToBounds:
+    """parse_response with clip bounds clamps each window as it reads it."""
+
     def test_within_bounds_returned_unchanged(self):
-        ans = LlmAnswer(qid="q", kind=QueryKind.NLQ, intervals=(CandidateInterval(5, 10),))
-        assert clamp_answer_to_bounds(ans, (0.0, 100.0)) is ans
-
-    def test_clamps_overhang(self):
-        ans = LlmAnswer(qid="q", kind=QueryKind.NLQ, intervals=(CandidateInterval(-5, 150),))
-        out = clamp_answer_to_bounds(ans, (0.0, 100.0))
-        assert [c.as_pair() for c in out.intervals] == [(0.0, 100.0)]
-
-    def test_fully_outside_candidate_dropped(self, caplog):
         ans = LlmAnswer(
             qid="q",
             kind=QueryKind.NLQ,
-            intervals=(CandidateInterval(200, 300), CandidateInterval(1, 2)),
+            intervals=(CandidateInterval(5, 10),),
+            explanation="x",
+            confidence=2,
         )
+        raw = nlq_reply([[5, 10]])
+        assert parse_response(raw, QueryKind.NLQ, ["q"], bounds=(0.0, 100.0)) == [ans]
+
+    def test_clamps_overhang(self):
+        raw = nlq_reply([[-5, 150]])
+        (out,) = parse_response(raw, QueryKind.NLQ, ["q"], bounds=(0.0, 100.0))
+        assert [c.as_pair() for c in out.intervals] == [(0.0, 100.0)]
+
+    def test_fully_outside_candidate_dropped(self, caplog):
+        raw = nlq_reply([[200, 300], [1, 2]])
         with caplog.at_level("WARNING", logger="egolog.reasoner"):
-            out = clamp_answer_to_bounds(ans, (0.0, 100.0))
+            (out,) = parse_response(raw, QueryKind.NLQ, ["q"], bounds=(0.0, 100.0))
         assert [c.as_pair() for c in out.intervals] == [(1.0, 2.0)]
 
     def test_all_candidates_vanish_becomes_na(self):
-        ans = LlmAnswer(qid="q", kind=QueryKind.NLQ, intervals=(CandidateInterval(200, 300),))
-        out = clamp_answer_to_bounds(ans, (0.0, 100.0))
+        raw = nlq_reply([[200, 300]])
+        (out,) = parse_response(raw, QueryKind.NLQ, ["q"], bounds=(0.0, 100.0))
         assert out.is_na
 
     def test_qa_answers_pass_through(self):
-        ans = LlmAnswer(qid="q", kind=QueryKind.QA, choice_idx=0)
-        assert clamp_answer_to_bounds(ans, (0.0, 1.0)) is ans
+        ans = LlmAnswer(
+            qid="q", kind=QueryKind.QA, choice_idx=0, explanation="x", confidence=2
+        )
+        raw = json.dumps([{"qid": "q", "answer": "A", "confidence": 2, "explanation": "x"}])
+        assert parse_response(raw, QueryKind.QA, ["q"], bounds=(0.0, 1.0)) == [ans]
 
 
 # JSON values no field expects: bools, NaN, infinities, integers too large
@@ -666,3 +678,55 @@ class TestParseAnyReply:
             for c in answer.intervals:
                 assert math.isfinite(c.start_s) and math.isfinite(c.end_s)
                 assert c.start_s < c.end_s
+
+
+TIME = st.one_of(st.integers(-20, 120), st.floats(-20, 120), st.sampled_from(["5", " 7 "]))
+
+
+@st.composite
+def window_replies(draw):
+    """NLQ replies whose entries are mostly lists of [start, end] windows."""
+    entries = [
+        {
+            "qid": qid,
+            "intervals": draw(
+                st.one_of(st.lists(st.lists(TIME, min_size=2, max_size=2), max_size=4), INTERVALS)
+            ),
+            "confidence": draw(st.integers(1, 3)),
+            "explanation": "x",
+        }
+        for qid in draw(st.lists(st.sampled_from(QIDS), max_size=3))
+    ]
+    return json.dumps(entries)
+
+
+CLIP_BOUNDS = st.tuples(
+    st.one_of(st.integers(-5, 50), st.floats(-20, 120)),
+    st.one_of(st.integers(-5, 50), st.floats(-20, 120)),
+).filter(lambda b: b[0] < b[1]).map(lambda b: (float(b[0]), float(b[1])))
+
+
+class TestBoundsMatchClampingAfterTheParse:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(window_replies(), replies()), st.integers(1, 3), CLIP_BOUNDS)
+    def test_windows_and_na_agree(self, raw, n_qids, bounds):
+        qids = QIDS[:n_qids]
+        lo, hi = bounds
+        try:
+            unbounded = parse_response(raw, QueryKind.NLQ, qids)
+        except ParseError:
+            with pytest.raises(ParseError):
+                parse_response(raw, QueryKind.NLQ, qids, bounds=bounds)
+            return
+        bounded = parse_response(raw, QueryKind.NLQ, qids, bounds=bounds)
+        assert len(bounded) == len(unbounded)
+        for got, answer in zip(bounded, unbounded):
+            clamped = [(max(c.start_s, lo), min(c.end_s, hi)) for c in answer.intervals]
+            kept = [(start_s, end_s) for start_s, end_s in clamped if start_s < end_s]
+            assert [c.as_pair() for c in got.intervals] == kept
+            assert got.is_na == (not kept)
+            assert (got.qid, got.confidence, got.explanation) == (
+                answer.qid,
+                answer.confidence,
+                answer.explanation,
+            )
