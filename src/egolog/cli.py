@@ -15,16 +15,14 @@ usage error from argument parsing).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
-import os
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .config import PipelineConfig, config_sha256, load_config, parse_override
-from .corpus import save_captions
+from .corpus import save_captions, write_json, write_jsonl
 from .errors import ConfigError, EgologError
 from .metrics import report_as_dict, report_to_text
 from .pipeline import (
@@ -90,38 +88,6 @@ def _split_overrides(extra: Sequence[str]) -> dict[str, str]:
     return overrides
 
 
-@contextlib.contextmanager
-def _atomic(path: Path) -> Iterator[Path]:
-    """A temporary path next to path, moved over path only if the block succeeds.
-
-    A crash or an exception mid-write leaves the previous file untouched.
-    An OSError while creating the directory, writing or replacing path
-    becomes a ConfigError naming path.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            yield tmp
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
-    with _atomic(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with _atomic(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True))
-        handle.write("\n")
-
-
 def _write_manifest(
     out_path: Path,
     command: str,
@@ -139,7 +105,7 @@ def _write_manifest(
         "counts": counts,
         "failures": [{"qid": f.qid, "error": f.error} for f in failures],
     }
-    _write_json(out_path.with_name(out_path.name + ".manifest.json"), manifest)
+    write_json(out_path.with_name(out_path.name + ".manifest.json"), manifest)
 
 
 def _require_out(config: PipelineConfig) -> Path:
@@ -168,9 +134,8 @@ def _finish(
 def _cmd_digest(config: PipelineConfig, args: argparse.Namespace) -> int:
     out_path = _require_out(config)
     digested, stats, failures = run_digest(config)
-    with _atomic(out_path) as tmp:
-        save_captions(digested, tmp)
-    _write_json(
+    save_captions(digested, out_path)
+    write_json(
         out_path.with_name(out_path.name + ".stats.json"),
         {vid: stats[vid].as_dict() for vid in sorted(stats)},
     )
@@ -181,7 +146,7 @@ def _cmd_digest(config: PipelineConfig, args: argparse.Namespace) -> int:
 def _cmd_ask(config: PipelineConfig, args: argparse.Namespace) -> int:
     out_path = _require_out(config)
     records, failures = run_ask(config)
-    _write_jsonl(out_path, records)
+    write_jsonl(out_path, records)
     counts = {"questions": len(records) + len(failures), "answered": len(records)}
     return _finish("ask", config, out_path, counts, failures)
 
@@ -189,7 +154,7 @@ def _cmd_ask(config: PipelineConfig, args: argparse.Namespace) -> int:
 def _cmd_localize(config: PipelineConfig, args: argparse.Namespace) -> int:
     out_path = _require_out(config)
     records, failures = run_localize(config)
-    _write_jsonl(out_path, records)
+    write_jsonl(out_path, records)
     counts = {"queries": len(records) + len(failures), "localized": len(records)}
     return _finish("localize", config, out_path, counts, failures)
 
@@ -198,7 +163,7 @@ def _cmd_eval(config: PipelineConfig, args: argparse.Namespace) -> int:
     report = run_eval(config, args.predictions, args.task)
     payload = report_as_dict(report)
     if config.output_path is not None:
-        _write_json(config.output_path, payload)
+        write_json(config.output_path, payload)
         _write_manifest(
             config.output_path,
             "eval",
@@ -215,7 +180,7 @@ def _cmd_eval(config: PipelineConfig, args: argparse.Namespace) -> int:
 def _cmd_gen_refine_data(config: PipelineConfig, args: argparse.Namespace) -> int:
     out_path = _require_out(config)
     records = run_gen_refine_data(config)
-    _write_jsonl(out_path, records)
+    write_jsonl(out_path, records)
     counts = {"samples": len(records)}
     return _finish("gen-refine-data", config, out_path, counts, [])
 

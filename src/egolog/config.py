@@ -142,6 +142,8 @@ def load_config(
             cp.read_file(handle)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     for section in cp.sections():
         if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")

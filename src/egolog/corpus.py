@@ -11,15 +11,17 @@ precision on ingest and compared exactly afterwards, no epsilon.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import CorpusError
+from .errors import ConfigError, CorpusError
 
 logger = logging.getLogger(__name__)
 
@@ -34,10 +36,13 @@ _NOT_TEXT = {type(None): "null", bool: "a bool", list: "a list", dict: "an objec
 def finite_seconds(value) -> float:
     """A time as a float, unrounded.
 
-    A non-finite number (NaN, an infinity, a literal like 1e309 that
-    overflows to infinity, or an integer too large for a float) raises
-    ValueError.
+    Anything but an int or a float (a bool, a string, null) raises
+    ValueError, and so does a non-finite number (NaN, an infinity, a
+    literal like 1e309 that overflows to infinity, or an integer too large
+    for a float).
     """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"times must be numbers, got {value!r}")
     try:
         seconds = float(value)
     except OverflowError:
@@ -50,19 +55,23 @@ def finite_seconds(value) -> float:
 def normalize_seconds(value: float) -> float:
     """Normalize a timestamp to millisecond precision, never negative zero.
 
-    A bool or a non-finite number raises ValueError.
+    What finite_seconds rejects raises ValueError.
     """
     if type(value) is float and math.isfinite(value):
         return round(value, _TIME_DECIMALS) + 0.0
-    if isinstance(value, bool):
-        raise ValueError(f"times must be numbers, got {value!r}")
     # adding 0.0 turns a -0.0 (from -0.0 or a tiny negative) into 0.0
     return round(finite_seconds(value), _TIME_DECIMALS) + 0.0
 
 
 def whole_number(value, name: str) -> int:
-    """An integer field of a record; a bool or a fraction raises ValueError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer field of a record: an int, or a float with no fraction.
+
+    Anything else (a bool, a string, null, a fraction, a non-finite float)
+    raises ValueError.
+    """
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -241,10 +250,14 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     goes through json.loads, whose message a malformed line reports. A
     file that is not UTF-8 is checked line by line, so a byte that is not
     UTF-8 is a CorpusError naming the line it is on, raised only once the
-    lines before it have been yielded.
+    lines before it have been yielded. A file that cannot be read (a
+    directory, an I/O error) is a CorpusError naming it.
     """
     path = Path(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         text, valid_utf8 = data.decode("utf-8"), True
     except UnicodeDecodeError:
@@ -363,20 +376,54 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
 
 
 def save_captions(tracks: Mapping[str, CaptionTrack], path: str | Path) -> None:
-    """Write tracks in the canonical captions file format.
+    """Write tracks in the canonical captions file format, through write_jsonl.
 
     One bounds record per track followed by its caption records, videos in
     sorted order. `load_captions` of the output reproduces identical tracks.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+
+    def rows() -> Iterator[dict]:
         for vid in sorted(tracks):
             track = tracks[vid]
-            for record, keys in [(track, _BOUNDS_KEYS)] + [
-                (cap, _CAPTION_KEYS) for cap in track.captions
-            ]:
-                row = {key: getattr(record, key) for key in keys}
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            yield {key: getattr(track, key) for key in _BOUNDS_KEYS}
+            for cap in track.captions:
+                yield {key: getattr(cap, key) for key in _CAPTION_KEYS}
+
+    write_jsonl(path, rows())
+
+
+@contextlib.contextmanager
+def _atomic(path: Path) -> Iterator[Path]:
+    """A temporary path next to path, moved over path only if the block succeeds.
+
+    A crash or an exception mid-write leaves the previous file untouched.
+    An OSError while creating the directory, writing or replacing path
+    becomes a ConfigError naming path.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            yield tmp
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    """Write rows as JSON lines, one object per line, atomically."""
+    with _atomic(Path(path)) as tmp, open(tmp, "w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def write_json(path: str | Path, payload: Mapping) -> None:
+    """Write payload as indented JSON with sorted keys, atomically."""
+    with _atomic(Path(path)) as tmp, open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True))
+        handle.write("\n")
 
 
 def load_queries(path: str | Path) -> list[Query]:

@@ -15,6 +15,7 @@ import logging
 from pathlib import Path
 from typing import Mapping, Protocol
 
+from .corpus import write_json
 from .errors import BackendProtocolError, ReplayMissError
 from .retry import bearer_token, post_json
 
@@ -59,12 +60,19 @@ class ReplayBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayBackend":
-        """Load a store written by write_transcripts; BackendProtocolError if malformed."""
+        """Load a store written by write_transcripts.
+
+        A file that cannot be read or is malformed raises BackendProtocolError.
+        """
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
             raise BackendProtocolError(
                 f"transcripts file {path} is not UTF-8 JSON: {exc}"
+            ) from exc
+        except OSError as exc:
+            raise BackendProtocolError(
+                f"cannot read transcripts file {path}: {exc.strerror or exc}"
             ) from exc
         if not isinstance(data, dict):
             raise BackendProtocolError(f"transcripts file {path} is not a JSON object")
@@ -95,10 +103,8 @@ class ReplayBackend:
 
 
 def write_transcripts(path: str | Path, transcripts: Mapping[str, Mapping[str, str]]) -> None:
-    """Write a replay transcript store as stable, sorted JSON."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(transcripts, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write a replay transcript store as stable, sorted JSON, atomically."""
+    write_json(path, transcripts)
 
 
 class HttpLlmBackend:

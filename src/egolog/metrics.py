@@ -251,13 +251,6 @@ def evaluate_qa(preds: Mapping[str, LlmAnswer], gts: Mapping[str, int]) -> EvalR
     return _stratified(outcomes, _count_qa)
 
 
-def _window_seconds(value) -> float:
-    """A window bound, unrounded; a bool or a non-finite number raises ValueError."""
-    if isinstance(value, bool):
-        raise ValueError(f"window bounds must be numbers, got {value!r}")
-    return finite_seconds(value)
-
-
 def load_predictions(
     path, kind: QueryKind, queries: Mapping[str, Query]
 ) -> tuple[dict[str, LlmAnswer], dict[str, tuple[float, float]]]:
@@ -315,10 +308,10 @@ def load_predictions(
             if not isinstance(candidates, list):
                 raise ValueError("candidates must be a list")
             intervals = tuple(
-                CandidateInterval(*time_pair(c, "each candidate", _window_seconds))
+                CandidateInterval(*time_pair(c, "each candidate", finite_seconds))
                 for c in candidates
             )
-            window = CandidateInterval(*time_pair(row[field], field, _window_seconds))
+            window = CandidateInterval(*time_pair(row[field], field, finite_seconds))
             answers[qid] = LlmAnswer(qid, kind, intervals=intervals, **common)
         except (TypeError, ValueError, IndexError, KeyError) as exc:
             raise MetricsError(f"bad prediction for {qid!r}: {exc}", **where) from exc

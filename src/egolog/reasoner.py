@@ -457,14 +457,13 @@ def _parse_intervals(
         """item as finite (start, end) bounds, numeric strings included."""
         if not isinstance(item, list) or len(item) != 2:
             return None
-        if any(isinstance(v, bool) for v in item):
-            return None
         try:
             # str.strip() removes \x1c-\x1f, which float() keeps
             start_s, end_s = (
-                finite_seconds(v.strip() if isinstance(v, str) else v) for v in item
+                finite_seconds(float(v.strip()) if isinstance(v, str) else v)
+                for v in item
             )
-        except (TypeError, ValueError):
+        except ValueError:
             return None
         return start_s, end_s
 

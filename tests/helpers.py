@@ -19,6 +19,9 @@ from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from egolog.config import load_config
 from egolog.corpus import Caption, CaptionTrack, Query, QueryKind, save_captions
@@ -26,6 +29,13 @@ from egolog.errors import TransportError
 from egolog.llm import prompt_sha256, run_key
 from egolog.reasoner import CHOICE_LETTERS, LlmAnswer
 from egolog.similarity import MockEmbedder
+
+
+# a regular file whose read fails (EIO), on Linux
+UNREADABLE = Path("/proc/self/mem")
+needs_unreadable = pytest.mark.skipif(
+    not UNREADABLE.is_file(), reason="needs /proc/self/mem"
+)
 
 
 def make_track(

@@ -29,8 +29,10 @@ from egolog.pipeline import run_ask, run_localize
 from egolog.similarity import CachedEmbedder, HttpEmbedder, MockEmbedder, embed_batch
 
 from helpers import (
+    UNREADABLE,
     ScriptedNlqBackend,
     ScriptedQaBackend,
+    needs_unreadable,
     synth_nlq_benchmark,
     synth_qa_benchmark,
     write_run,
@@ -91,6 +93,12 @@ class TestReplayBackend:
         where = f"transcripts file {re.escape(str(path))} is not"
         with pytest.raises(BackendProtocolError, match=where):
             ReplayBackend.from_file(path)
+
+    @needs_unreadable
+    def test_unreadable_file_names_it(self):
+        where = f"cannot read transcripts file {UNREADABLE}: "
+        with pytest.raises(BackendProtocolError, match=where):
+            ReplayBackend.from_file(UNREADABLE)
 
     def test_deeply_nested_file_names_it(self, tmp_path):
         path = tmp_path / "deep.json"
@@ -237,6 +245,12 @@ class TestHttpEmbedder:
         http_script.body = {"vectors": [[1.0]]}
         backend = HttpEmbedder(http_script.endpoint, sleep=lambda s: None)
         with pytest.raises(BackendProtocolError, match="bad embedding response"):
+            backend.embed_texts(["alpha"])
+
+    def test_embeddings_field_not_a_list(self, http_script):
+        http_script.body = {"embeddings": {"alpha": [1.0]}}
+        backend = HttpEmbedder(http_script.endpoint, sleep=lambda s: None)
+        with pytest.raises(BackendProtocolError, match="embeddings field is not a list"):
             backend.embed_texts(["alpha"])
 
     def test_count_mismatch(self, http_script):

@@ -21,8 +21,10 @@ from egolog.digest import MergeMode
 from egolog.errors import ConfigError
 
 from helpers import (
+    UNREADABLE,
     RecordingBackend,
     ScriptedQaBackend,
+    needs_unreadable,
     synth_nlq_benchmark,
     synth_qa_benchmark,
     write_config,
@@ -70,6 +72,11 @@ def minimal_config(tmp_path, body=MINIMAL, overrides=None):
 
 
 class TestLoadConfig:
+    @needs_unreadable
+    def test_unreadable_file_is_named(self):
+        with pytest.raises(ConfigError, match=f"^cannot read config {UNREADABLE}: "):
+            load_config(UNREADABLE)
+
     def test_defaults(self, tmp_path):
         config = minimal_config(tmp_path)
         assert config.seed == 7
@@ -483,6 +490,26 @@ class TestCliAtomicWrites:
 
 
 class TestCliErrors:
+    @needs_unreadable
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["digest", "--config", str(UNREADABLE)],
+            ["digest", "--config", "{config}", "--paths.captions", str(UNREADABLE)],
+            ["ask", "--config", "{config}", "--paths.transcripts", str(UNREADABLE)],
+            ["eval", "--config", "{config}", "--task", "qa", "--predictions", str(UNREADABLE)],
+        ],
+        ids=["config", "captions", "transcripts", "predictions"],
+    )
+    def test_unreadable_input_file_exits_1(self, tmp_path, capsys, argv):
+        config = write_run(tmp_path, *qa_fixture(), "[run]\nseed = 3\n")
+        out = str(tmp_path / "o.jsonl")
+        code = main([arg.format(config=config) for arg in argv] + ["--out", out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "cannot read" in err and str(UNREADABLE) in err
+        assert "Traceback" not in err
+
     def test_fatal_config_error_exits_1(self, tmp_path, capsys):
         code = main(["digest", "--config", str(tmp_path / "nope.ini")])
         assert code == 1

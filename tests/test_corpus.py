@@ -22,7 +22,7 @@ from egolog.corpus import (
 from egolog.errors import CorpusError
 from egolog.reasoner import caption_log_lines
 
-from helpers import make_track
+from helpers import UNREADABLE, make_track, needs_unreadable
 
 
 class TestCaption:
@@ -259,6 +259,16 @@ class TestCaptionsIO:
         with pytest.raises(CorpusError, match="not found"):
             load_captions(tmp_path / "absent.jsonl")
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "caps.jsonl"
+        save_captions({"v1": make_track("v1")}, path)
+        before = path.read_bytes()
+        # the second value is not a track, so the write fails part-way
+        with pytest.raises(AttributeError):
+            save_captions({"v1": make_track("v1", n=3), "v2": None}, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["caps.jsonl"]
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -273,6 +283,22 @@ class TestCaptionsIO:
             (
                 '{"video_id": "v1", "clip_start_s": 0, "clip_end_s": 1e309}',
                 "non-finite time inf",
+            ),
+            (
+                '{"video_id": "v1", "start_s": "1_0", "end_s": 12, "text": "C sits"}',
+                re.escape("times must be numbers, got '1_0'"),
+            ),
+            (
+                '{"video_id": "v1", "start_s": 0, "end_s": " 12.5 ", "text": "C sits"}',
+                re.escape("times must be numbers, got ' 12.5 '"),
+            ),
+            (
+                '{"video_id": "v1", "start_s": null, "end_s": 2, "text": "C sits"}',
+                "times must be numbers, got None",
+            ),
+            (
+                '{"video_id": "v1", "clip_start_s": "0", "clip_end_s": 9}',
+                "bad bounds record: times must be numbers, got '0'",
             ),
             (
                 '{"video_id": "v1", "start_s": 0, "end_s": 1%s, "text": "C sits"}'
@@ -313,6 +339,10 @@ class TestCaptionsIO:
             "bool-start",
             "overflowing-end",
             "overflowing-clip-bound",
+            "string-start",
+            "padded-string-end",
+            "null-start",
+            "string-clip-bound",
             "huge-int-end",
             "json-array",
             "null-text",
@@ -421,7 +451,9 @@ class TestQueriesIO:
         [
             ('"kind": "qa", "answer_idx": 2.9', "answer_idx must be a whole number, got 2.9"),
             ('"kind": "qa", "answer_idx": true', "answer_idx must be a whole number, got True"),
+            ('"kind": "qa", "answer_idx": "3"', "answer_idx must be a whole number, got '3'"),
             ('"kind": "nlq", "gt": [true, 5]', "times must be numbers, got True"),
+            ('"kind": "nlq", "gt": ["1", 5]', "times must be numbers, got '1'"),
             ('"kind": "nlq", "gt": [1, NaN]', "non-finite time nan"),
             ('"kind": "nlq", "choices": ["a"]', "NLQ query 'q2' cannot carry choices"),
             ('"kind": "nlq", "gt": [1, 2, 3]', re.escape("'q2' must be [start, end]")),
@@ -442,7 +474,9 @@ class TestQueriesIO:
         ids=[
             "fractional-answer",
             "bool-answer",
+            "string-answer",
             "bool-gt",
+            "string-gt",
             "nan-gt",
             "nlq-choices",
             "gt-triple",
@@ -561,3 +595,14 @@ class TestIterJsonl:
         where = f"in {re.escape(str(path))} at line 2$"
         with pytest.raises(CorpusError, match=f"^malformed line: nested too deeply {where}"):
             loader(path)
+
+    @pytest.mark.parametrize("loader", [load_captions, load_queries])
+    def test_directory_is_named(self, tmp_path, loader):
+        with pytest.raises(CorpusError, match=f"^cannot read {re.escape(str(tmp_path))}: "):
+            loader(tmp_path)
+
+    @needs_unreadable
+    @pytest.mark.parametrize("loader", [load_captions, load_queries])
+    def test_unreadable_file_is_named(self, loader):
+        with pytest.raises(CorpusError, match=f"^cannot read {UNREADABLE}: "):
+            loader(UNREADABLE)

@@ -443,6 +443,9 @@ class TestReportSerialization:
         assert "Mean:" in text
         assert "confidence >= 3:" in text
 
+    def test_undefined_metrics_listed(self):
+        assert "undefined: qa_accuracy" in report_to_text(evaluate_qa({}, {}))
+
     def test_qa_text(self):
         report = evaluate_qa({"a": qa("a", 0)}, {"a": 0})
         text = report_to_text(report)

@@ -785,7 +785,11 @@ class TestRunEval:
         "edit, line, message",
         [
             (_at(0, lambda row: {"qid": row["qid"]}), 1, "has no 'predicted_window'"),
-            (_at(1, lambda row: {**row, "confidence": "high"}), 2, "invalid literal"),
+            (
+                _at(1, lambda row: {**row, "confidence": "high"}),
+                2,
+                "confidence must be a whole number, got 'high'",
+            ),
             (_at(2, lambda row: {"predicted_window": [0, 1]}), 3, "has no 'qid'"),
             (_at(3, lambda row: {**row, "candidates": [[5, 1]]}), 4, "inverted"),
             (
@@ -808,7 +812,22 @@ class TestRunEval:
             (
                 _at(3, lambda row: {**row, "predicted_window": [False, 1e6]}),
                 4,
-                "window bounds must be numbers, got False",
+                "times must be numbers, got False",
+            ),
+            (
+                _at(1, lambda row: {**row, "confidence": "2"}),
+                2,
+                "confidence must be a whole number, got '2'",
+            ),
+            (
+                _at(3, lambda row: {**row, "predicted_window": ["0", 5]}),
+                4,
+                "times must be numbers, got '0'",
+            ),
+            (
+                _at(2, lambda row: {**row, "candidates": [[0, " 2 "]]}),
+                3,
+                "times must be numbers, got ' 2 '",
             ),
             (
                 _at(2, lambda row: {**row, "predicted_window": [0, 10**400]}),
@@ -862,6 +881,9 @@ class TestRunEval:
             "fractional-confidence",
             "bool-confidence",
             "bool-window",
+            "numeric-string-confidence",
+            "numeric-string-window",
+            "padded-string-candidate",
             "huge-int-window",
             "infinite-window",
             "string-window",
@@ -932,7 +954,7 @@ class TestRunEval:
         with pytest.raises(MetricsError, match="non-nlq queries"):
             run_eval(config, preds, "nlq")
 
-    @pytest.mark.parametrize("choice", [True, 1.5], ids=["bool", "fractional"])
+    @pytest.mark.parametrize("choice", [True, 1.5, "3"], ids=["bool", "fractional", "string"])
     def test_qa_choice_must_be_a_whole_number(self, tmp_path, choice):
         tracks, queries = synth_qa_benchmark(n_items=3, captions_per_video=6)
         config = disk_config(tmp_path, tracks, queries)

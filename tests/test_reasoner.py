@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -331,6 +332,11 @@ class TestParseQa:
         with pytest.raises(ParseError, match="unparsable answer"):
             parse_response(raw, QueryKind.QA, ["q1"])
 
+    def test_bracket_alone_is_unparsable(self):
+        raw = json.dumps([{"qid": "q1", "answer": "(", "confidence": 2, "explanation": "x"}])
+        with pytest.raises(ParseError, match=re.escape("unparsable answer '('")):
+            parse_response(raw, QueryKind.QA, ["q1"])
+
     def test_missing_qa_entry_raises(self):
         raw = json.dumps([{"qid": "other", "answer": "A", "confidence": 1, "explanation": "x"}])
         with pytest.raises(ParseError, match="no answer entry"):
@@ -506,6 +512,14 @@ class TestNestingLimit:
         raw = 'He said "' + "[" * 900 + self.block
         with pytest.raises(ParseError, match="nests deeper than the JSON decoder allows"):
             _frames_deeper(depth, lambda: parse_response(raw, QueryKind.QA, ["q1"]))
+
+    def test_bracket_after_a_backslash_counts(self):
+        # outside a string the decoder stops at a backslash, but still
+        # tries the bracket after it as a start
+        with pytest.raises(ParseError, match="nests deeper than the JSON decoder allows"):
+            parse_response("\\" + "[" * (MAX_NESTING + 1), QueryKind.QA, ["q1"])
+        with pytest.raises(ParseError, match="no structured block"):
+            parse_response("\\" + "[" * MAX_NESTING, QueryKind.QA, ["q1"])
 
     def test_brackets_inside_strings_do_not_count(self):
         # escaped quotes inside the string do not end it
