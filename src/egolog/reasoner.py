@@ -484,6 +484,8 @@ def _parse_intervals(
             )
             continue
         if (start_s, end_s) != window:
-            logger.warning("clamped interval %s of qid %r to %s", window, qid, (start_s, end_s))
+            logger.warning(
+                "clamped interval %s of qid %r to %s", window, qid, (start_s, end_s)
+            )
         out.append(CandidateInterval(start_s, end_s))
     return tuple(out)

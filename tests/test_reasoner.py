@@ -695,6 +695,7 @@ class TestParseAnyReply:
 
 
 TIME = st.one_of(st.integers(-20, 120), st.floats(-20, 120), st.sampled_from(["5", " 7 "]))
+WINDOWS = st.lists(st.lists(TIME, min_size=2, max_size=2), max_size=4)
 
 
 @st.composite
@@ -703,9 +704,7 @@ def window_replies(draw):
     entries = [
         {
             "qid": qid,
-            "intervals": draw(
-                st.one_of(st.lists(st.lists(TIME, min_size=2, max_size=2), max_size=4), INTERVALS)
-            ),
+            "intervals": draw(st.one_of(WINDOWS, INTERVALS)),
             "confidence": draw(st.integers(1, 3)),
             "explanation": "x",
         }
