@@ -49,18 +49,18 @@ response = """Looking at the captions, watering happens twice in a row.
 
 # given the clip bounds, the parser clamps each window to the clip as it reads it
 answer = parse_response(response, QueryKind.NLQ, ["water"], track.bounds)[0]
-print(f"candidates from the model: {[c.as_pair() for c in answer.intervals]}")
+print(f"candidates from the model: {list(answer.intervals)}")
 
 cfg = RefineConfig(pad_alpha=5.0)
 padded = [pad_interval(c, cfg, track.bounds) for c in answer.intervals]
-print(f"after 5 s padding:         {[p.as_pair() for p in padded]}")
+print(f"after 5 s padding:         {padded}")
 
 # the scorer sums the duration of query-relevant captions inside each window
 scorer = CaptionOverlapScorer(MockEmbedder(), relevance_threshold=0.25)
 final = select_candidate(
     answer, track, scorer, cfg, query_text="when does C water the flowers?"
 )
-print(f"selected final window:     {final.as_pair()}")
+print(f"selected final window:     {final}")
 print()
 
 # jittered copies of a known window, rounded to the millisecond and

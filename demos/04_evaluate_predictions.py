@@ -11,14 +11,14 @@ against you since it falls back to the whole clip).
 
 from egolog.corpus import QueryKind
 from egolog.metrics import evaluate_nlq, report_to_text
-from egolog.reasoner import CandidateInterval, LlmAnswer
+from egolog.reasoner import LlmAnswer
 
 
 def nlq(qid, intervals, confidence):
     return LlmAnswer(
         qid=qid,
         kind=QueryKind.NLQ,
-        intervals=tuple(CandidateInterval(s, e) for s, e in intervals),
+        intervals=tuple(intervals),
         confidence=confidence,
     )
 

@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import ConfigError, CorpusError
+from .errors import CorpusError
 
 logger = logging.getLogger(__name__)
 
@@ -306,8 +306,9 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
     Each line is either a caption record
     ``{"video_id", "start_s", "end_s", "text"}`` or an optional bounds record
     ``{"video_id", "clip_start_s", "clip_end_s"}``. Without a bounds record
-    the clip bounds default to the hull of the video's captions. Exact
-    duplicate caption records are dropped with a warning count.
+    the clip bounds default to the hull of the video's captions. A record
+    with the fields of both raises CorpusError. Exact duplicate caption
+    records are dropped with a warning count.
     """
     path = Path(path)
     if not path.exists():
@@ -320,6 +321,10 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
 
     for lineno, record in iter_jsonl(path):
         if record.keys() >= _BOUNDS_KEY_SET:
+            if record.keys() >= _CAPTION_KEY_SET:
+                raise CorpusError(
+                    "record has both caption and bounds fields", path=str(path), line=lineno
+                )
             try:
                 vid = text_field(record["video_id"], "video_id")
                 lo = normalize_seconds(record["clip_start_s"])
@@ -398,7 +403,7 @@ def _atomic(path: Path) -> Iterator[Path]:
 
     A crash or an exception mid-write leaves the previous file untouched.
     An OSError while creating the directory, writing or replacing path
-    becomes a ConfigError naming path.
+    becomes a CorpusError naming path.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -409,7 +414,7 @@ def _atomic(path: Path) -> Iterator[Path]:
         finally:
             tmp.unlink(missing_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise CorpusError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
@@ -431,7 +436,9 @@ def load_queries(path: str | Path) -> list[Query]:
 
     QA records: ``{"qid", "video_id", "kind": "qa", "question",
     "choices": [5 strings], "answer_idx"?}``. NLQ records: ``{"qid",
-    "video_id", "kind": "nlq", "query", "gt": [start, end]?}``.
+    "video_id", "kind": "nlq", "query", "gt": [start, end]?}``. A QA
+    record with a "gt", or an NLQ one with "choices" or "answer_idx", raises
+    CorpusError.
     """
     path = Path(path)
     if not path.exists():
@@ -460,6 +467,8 @@ def load_queries(path: str | Path) -> list[Query]:
                     kind=kind,
                     text=text_field(record.get("question", ""), "question"),
                     choices=tuple(text_field(c, "a choice") for c in choices_raw),
+                    # Query rejects a gt the row carries
+                    gt_window=record.get("gt"),
                     gt_answer_idx=(
                         None
                         if answer_idx is None
@@ -481,6 +490,8 @@ def load_queries(path: str | Path) -> list[Query]:
                     kind=kind,
                     text=text_field(record.get("query", ""), "query"),
                     gt_window=gt,
+                    # Query rejects an answer index the row carries
+                    gt_answer_idx=record.get("answer_idx"),
                 )
         except (TypeError, ValueError) as exc:
             raise CorpusError(str(exc), path=str(path), line=lineno) from exc

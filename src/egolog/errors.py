@@ -22,7 +22,7 @@ class EgologError(Exception):
 
 
 class CorpusError(EgologError):
-    """A captions or queries file is malformed or violates an invariant."""
+    """A file cannot be read or written, or an input file holds an invalid record."""
 
 
 class ConfigError(EgologError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     Query,
@@ -32,17 +32,13 @@ from .corpus import (
     whole_number,
 )
 from .errors import MetricsError
-from .reasoner import CandidateInterval, LlmAnswer
-
-IntervalLike = Union[CandidateInterval, Sequence[float]]
+from .reasoner import LlmAnswer
 
 DEFAULT_IOU_THRESHOLDS = (0.3, 0.5)
 CONFIDENCE_LEVELS = (1, 2, 3)
 
 
-def _as_pair(value: IntervalLike) -> tuple[float, float]:
-    if isinstance(value, CandidateInterval):
-        return value.as_pair()
+def _float_pair(value: Sequence[float]) -> tuple[float, float]:
     try:
         start_s, end_s = float(value[0]), float(value[1])
     except (TypeError, ValueError, IndexError) as exc:
@@ -52,14 +48,14 @@ def _as_pair(value: IntervalLike) -> tuple[float, float]:
     return (start_s, end_s)
 
 
-def iou(a: IntervalLike, b: IntervalLike) -> float:
+def iou(a: Sequence[float], b: Sequence[float]) -> float:
     """Intersection over union of two intervals; disjoint pairs score 0.
 
     If a width or the union overflows a float, the endpoints are scored
     again scaled by 2**-3, which is exact and keeps the union finite.
     """
-    s1, e1 = _as_pair(a)
-    s2, e2 = _as_pair(b)
+    s1, e1 = _float_pair(a)
+    s2, e2 = _float_pair(b)
     for scale in (1.0, 2.0**-3):
         s1, e1, s2, e2 = s1 * scale, e1 * scale, s2 * scale, e2 * scale
         inter = min(e1, e2) - max(s1, s2)
@@ -182,8 +178,8 @@ def _count_nlq(outcomes: list[_Outcome]) -> EvalReport:
 
 def evaluate_nlq(
     preds: Mapping[str, LlmAnswer],
-    finals: Mapping[str, IntervalLike],
-    gts: Mapping[str, IntervalLike],
+    finals: Mapping[str, Sequence[float]],
+    gts: Mapping[str, Sequence[float]],
 ) -> EvalReport:
     """Full localization report over every qid of gts.
 
@@ -202,8 +198,8 @@ def evaluate_nlq(
         if answer is None:
             outcomes.append(_MISSING)
             continue
-        gt = _as_pair(gt)
-        candidates = [_as_pair(c) for c in answer.intervals]
+        gt = _float_pair(gt)
+        candidates = [_float_pair(c) for c in answer.intervals]
         ious = [iou(c, gt) for c in candidates]
         final_iou = iou(finals[qid], gt)
         outcomes.append(
@@ -308,14 +304,15 @@ def load_predictions(
             if not isinstance(candidates, list):
                 raise ValueError("candidates must be a list")
             intervals = tuple(
-                CandidateInterval(*time_pair(c, "each candidate", finite_seconds))
-                for c in candidates
+                time_pair(c, "each candidate", finite_seconds) for c in candidates
             )
-            window = CandidateInterval(*time_pair(row[field], field, finite_seconds))
+            window = time_pair(row[field], field, finite_seconds)
+            if not window[0] < window[1]:
+                raise ValueError(f"inverted interval {window}")
             answers[qid] = LlmAnswer(qid, kind, intervals=intervals, **common)
         except (TypeError, ValueError, IndexError, KeyError) as exc:
             raise MetricsError(f"bad prediction for {qid!r}: {exc}", **where) from exc
-        finals[qid] = window.as_pair()
+        finals[qid] = window
     return answers, finals
 
 

@@ -327,15 +327,11 @@ def run_localize(
             )
             records[query.qid] = {
                 "qid": query.qid,
-                "predicted_window": [
-                    normalize_seconds(final.start_s),
-                    normalize_seconds(final.end_s),
-                ],
+                "predicted_window": [normalize_seconds(t) for t in final],
                 "confidence": answer.confidence,
                 "explanation": answer.explanation,
                 "candidates": [
-                    [normalize_seconds(c.start_s), normalize_seconds(c.end_s)]
-                    for c in answer.intervals
+                    [normalize_seconds(t) for t in c] for c in answer.intervals
                 ],
                 "na": answer.is_na,
             }

@@ -86,39 +86,26 @@ def format_seconds(value: float) -> str:
     return text if text else "0"
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateInterval:
-    """A coarse (start, end) window proposed for an NLQ query, in seconds."""
-
-    start_s: float
-    end_s: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start_s", float(self.start_s))
-        object.__setattr__(self, "end_s", float(self.end_s))
-        if not self.start_s < self.end_s:
-            raise ValueError(f"inverted interval ({self.start_s}, {self.end_s})")
-
-    def as_pair(self) -> tuple[float, float]:
-        return (self.start_s, self.end_s)
-
-
 @dataclass(frozen=True)
 class LlmAnswer:
     """Parsed structured output for one query.
 
     QA answers carry a 0-based choice index; NLQ answers carry candidate
-    intervals, where an empty tuple means the model refused (NA).
+    intervals, each a (start_s, end_s) pair in seconds with start < end,
+    where an empty tuple means the model refused (NA).
     """
 
     qid: str
     kind: QueryKind
     choice_idx: int | None = None
-    intervals: tuple[CandidateInterval, ...] = ()
+    intervals: tuple[tuple[float, float], ...] = ()
     explanation: str = ""
     confidence: int = 1
 
     def __post_init__(self) -> None:
+        for start_s, end_s in self.intervals:
+            if not start_s < end_s:
+                raise ValueError(f"inverted interval ({start_s}, {end_s})")
         if self.confidence not in (1, 2, 3):
             raise ValueError(f"confidence must be 1, 2, or 3, got {self.confidence}")
         if self.kind is QueryKind.QA:
@@ -386,7 +373,7 @@ def _entry_to_answer(
         explanation = str(explanation)
     confidence = _parse_confidence(entry.get("confidence"), qid)
     choice_idx = None
-    intervals: tuple[CandidateInterval, ...] = ()
+    intervals: tuple[tuple[float, float], ...] = ()
     if kind is QueryKind.QA:
         choice_idx = _parse_choice(entry.get("answer"))
         if choice_idx is None:
@@ -443,7 +430,7 @@ def _parse_choice(value) -> int | None:
 
 def _parse_intervals(
     value, qid: str, bounds: tuple[float, float] | None
-) -> tuple[CandidateInterval, ...]:
+) -> tuple[tuple[float, float], ...]:
     if value is None:
         logger.warning("entry for qid %r has no intervals; treating as NA", qid)
         return ()
@@ -471,7 +458,7 @@ def _parse_intervals(
         # a bare [start, end] pair that forgot its nesting
         value = [value]
     lo, hi = (-math.inf, math.inf) if bounds is None else bounds
-    out: list[CandidateInterval] = []
+    out: list[tuple[float, float]] = []
     for item in value:
         window = pair(item)
         if window is None:
@@ -487,5 +474,5 @@ def _parse_intervals(
             logger.warning(
                 "clamped interval %s of qid %r to %s", window, qid, (start_s, end_s)
             )
-        out.append(CandidateInterval(start_s, end_s))
+        out.append((start_s, end_s))
     return tuple(out)

@@ -29,7 +29,7 @@ import numpy as np
 from .corpus import CaptionTrack, QueryKind, normalize_seconds
 from .errors import BackendProtocolError, EgologError, RefineError
 from .metrics import iou
-from .reasoner import CandidateInterval, LlmAnswer
+from .reasoner import LlmAnswer
 from .seeding import derive_seed
 from .similarity import EmbedderBackend, cosine_matrix, embed_batch
 
@@ -75,7 +75,7 @@ class CandidateScorer(Protocol):
     """
 
     def score(
-        self, query_text: str, intervals: Sequence[CandidateInterval], track: CaptionTrack
+        self, query_text: str, intervals: Sequence[tuple[float, float]], track: CaptionTrack
     ) -> list[float]: ...
 
 
@@ -109,7 +109,7 @@ class CaptionOverlapScorer:
         return memo[1], memo[2]
 
     def score(
-        self, query_text: str, intervals: Sequence[CandidateInterval], track: CaptionTrack
+        self, query_text: str, intervals: Sequence[tuple[float, float]], track: CaptionTrack
     ) -> list[float]:
         if not track.captions:
             return [0.0] * len(intervals)
@@ -122,7 +122,7 @@ class CaptionOverlapScorer:
         if not relevant.any():
             return [0.0] * len(intervals)
         starts, ends = spans[relevant, 0], spans[relevant, 1]
-        windows = np.array([(i.start_s, i.end_s) for i in intervals]).reshape(-1, 2)
+        windows = np.array(intervals, dtype=np.float64).reshape(-1, 2)
         # hits[k, j]: relevant caption j positively intersects window k
         hits = (
             np.minimum(ends, windows[:, 1:]) - np.maximum(starts, windows[:, :1]) > 0
@@ -137,20 +137,19 @@ class CaptionOverlapScorer:
 
 
 def pad_interval(
-    c: CandidateInterval, cfg: RefineConfig, bounds: tuple[float, float]
-) -> CandidateInterval:
-    """Widen c by pad_alpha on each side, clamped to the clip bounds."""
+    c: tuple[float, float], cfg: RefineConfig, bounds: tuple[float, float]
+) -> tuple[float, float]:
+    """Widen the window c by pad_alpha on each side, clamped to the clip bounds."""
     lo, hi = bounds
     if not lo < hi:
         raise RefineError(f"degenerate clip bounds ({lo}, {hi})")
-    start_s = max(c.start_s - cfg.pad_alpha, lo)
-    end_s = min(c.end_s + cfg.pad_alpha, hi)
+    start_s = max(c[0] - cfg.pad_alpha, lo)
+    end_s = min(c[1] + cfg.pad_alpha, hi)
     if not start_s < end_s:
         raise RefineError(
-            f"candidate ({c.start_s}, {c.end_s}) vanished when clamped to "
-            f"bounds ({lo}, {hi})"
+            f"candidate ({c[0]}, {c[1]}) vanished when clamped to bounds ({lo}, {hi})"
         )
-    return CandidateInterval(start_s, end_s)
+    return (start_s, end_s)
 
 
 def select_candidate(
@@ -160,7 +159,7 @@ def select_candidate(
     cfg: RefineConfig,
     *,
     query_text: str,
-) -> CandidateInterval:
+) -> tuple[float, float]:
     """Pick one final window from an NLQ answer.
 
     NA answers map to the full clip. A single candidate is returned
@@ -172,13 +171,11 @@ def select_candidate(
         raise ValueError(f"select_candidate requires an NLQ answer, got {answer.kind}")
     bounds = track.bounds
     if answer.is_na:
-        return CandidateInterval(*bounds)
+        return bounds
     padded = [pad_interval(c, cfg, bounds) for c in answer.intervals]
     if len(padded) == 1:
         return padded[0]
-    order = sorted(
-        range(len(padded)), key=lambda i: (padded[i].start_s, padded[i].end_s)
-    )
+    order = sorted(range(len(padded)), key=padded.__getitem__)
     try:
         scores = scorer.score(query_text, padded, track)
     except EgologError as exc:

@@ -83,7 +83,7 @@ def format_reference(answers: Sequence[LlmAnswer]) -> str:
             entry["intervals"] = (
                 "NA"
                 if not answer.intervals
-                else [[c.start_s, c.end_s] for c in answer.intervals]
+                else [list(c) for c in answer.intervals]
             )
         entry["explanation"] = answer.explanation
         entry["confidence"] = answer.confidence
@@ -278,8 +278,8 @@ class ReplayScorer:
 
     def score(self, query_text, intervals, track):
         return [
-            self._scores.get((round(i.start_s, 3), round(i.end_s, 3)), self._default)
-            for i in intervals
+            self._scores.get((round(s, 3), round(e, 3)), self._default)
+            for s, e in intervals
         ]
 
 
@@ -426,7 +426,7 @@ def oracle_nlq_report(preds, finals, gts, thresholds) -> dict:
     n_overlap = sum(
         1
         for qid in answered
-        if any(_float_iou(c.as_pair(), tuple(gts[qid])) > 0 for c in preds[qid].intervals)
+        if any(_float_iou(c, tuple(gts[qid])) > 0 for c in preds[qid].intervals)
     )
     out["na_ratio"] = (
         Fraction(n_total - n_answered, n_total) if n_total else Fraction(0)
@@ -437,7 +437,7 @@ def oracle_nlq_report(preds, finals, gts, thresholds) -> dict:
             1
             for qid in answered
             if any(
-                _float_iou(c.as_pair(), tuple(gts[qid])) > t
+                _float_iou(c, tuple(gts[qid])) > t
                 for c in preds[qid].intervals
             )
         )
@@ -470,7 +470,7 @@ def assert_report_matches_oracle(report, preds, finals, gts, thresholds, tol=1e-
 def random_nlq_fixture(rng, n_queries, na_rate=0.25):
     """Random predictions, final windows, and ground truths for recounts."""
     from egolog.corpus import QueryKind
-    from egolog.reasoner import CandidateInterval, LlmAnswer
+    from egolog.reasoner import LlmAnswer
 
     preds, finals, gts = {}, {}, {}
     for i in range(n_queries):
@@ -488,14 +488,14 @@ def random_nlq_fixture(rng, n_queries, na_rate=0.25):
             for _ in range(rng.randint(1, 3)):
                 start = rng.uniform(0.0, clip_end - 0.5)
                 end = start + rng.uniform(0.25, 80.0)
-                candidates.append(CandidateInterval(start, end))
+                candidates.append((start, end))
             answer = LlmAnswer(
                 qid=qid,
                 kind=QueryKind.NLQ,
                 intervals=tuple(candidates),
                 confidence=confidence,
             )
-            finals[qid] = rng.choice(candidates).as_pair()
+            finals[qid] = rng.choice(candidates)
         preds[qid] = answer
     return preds, finals, gts
 

@@ -30,7 +30,6 @@ from egolog.llm import write_transcripts
 from egolog.metrics import evaluate_nlq, evaluate_qa, iou
 from egolog.pipeline import run_ask, run_eval, run_localize
 from egolog.reasoner import (
-    CandidateInterval,
     LlmAnswer,
     parse_response,
 )
@@ -101,15 +100,15 @@ def test_gate_interval_invariants():
         start = lo + rng.uniform(0.0, (hi - lo) * 0.9)
         end = start + rng.uniform((hi - lo) * 1e-4, hi - start)
         alpha = rng.choice([0.0, rng.uniform(0.0, 60.0)])
-        candidate = CandidateInterval(start, end)
+        candidate = (start, end)
         padded = pad_interval(candidate, RefineConfig(pad_alpha=alpha), (lo, hi))
-        assert padded.start_s <= start and padded.end_s >= end
-        assert padded.start_s >= lo and padded.end_s <= hi
-        assert padded.start_s == max(start - alpha, lo)
-        assert padded.end_s == min(end + alpha, hi)
-        assert end - start <= padded.end_s - padded.start_s <= (end + alpha) - (start - alpha)
+        assert padded[0] <= start and padded[1] >= end
+        assert padded[0] >= lo and padded[1] <= hi
+        assert padded[0] == max(start - alpha, lo)
+        assert padded[1] == min(end + alpha, hi)
+        assert end - start <= padded[1] - padded[0] <= (end + alpha) - (start - alpha)
         identity = pad_interval(candidate, zero_cfg, (lo, hi))
-        assert (identity.start_s, identity.end_s) == (start, end)
+        assert (identity[0], identity[1]) == (start, end)
     _passline("10,000 padding cases hold containment, clamping, width, identity")
 
 
@@ -194,7 +193,7 @@ def _random_wellformed_answer(rng, qid, kind):
     intervals = []
     for _ in range(rng.randint(1, 3)):
         start = rng.uniform(0.0, 400.0)
-        intervals.append(CandidateInterval(start, start + rng.uniform(0.5, 60.0)))
+        intervals.append((start, start + rng.uniform(0.5, 60.0)))
     return LlmAnswer(
         qid=qid,
         kind=kind,
@@ -276,9 +275,9 @@ def test_gate_parser_round_trip():
                 assert answer.is_na
                 continue
             for interval in answer.intervals:
-                assert math.isfinite(interval.start_s)
-                assert math.isfinite(interval.end_s)
-                assert interval.start_s < interval.end_s
+                assert math.isfinite(interval[0])
+                assert math.isfinite(interval[1])
+                assert interval[0] < interval[1]
         if not any(ch.isdigit() for ch in text):
             assert all(a.is_na for a in parsed)
     _passline("1,000 round trips exact; 200 malformed inputs degrade safely")

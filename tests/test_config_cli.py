@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import configparser
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -178,10 +181,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="must be an integer"):
             minimal_config(tmp_path, body="[run]\nseed = 1.5\n")
 
-    def test_invalid_stage_value_becomes_config_error(self, tmp_path):
-        body = MINIMAL + "[refine]\npos_iou = 0.1\nneg_iou = 0.5\n"
-        with pytest.raises(ConfigError, match="thresholds"):
-            minimal_config(tmp_path, body=body)
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ("[refine]\npos_iou = 0.1\nneg_iou = 0.5\n", "thresholds"),
+            ("[refine]\njitter_shift_max = -1\n", "jitter_shift_max must be >= 0"),
+        ],
+        ids=["pos-below-neg", "negative-jitter-shift"],
+    )
+    def test_invalid_stage_value_becomes_config_error(self, tmp_path, section, message):
+        with pytest.raises(ConfigError, match=message):
+            minimal_config(tmp_path, body=MINIMAL + section)
 
     def test_overrides_applied(self, tmp_path):
         config = minimal_config(
@@ -509,6 +519,26 @@ class TestCliErrors:
         assert code == 1
         assert "cannot read" in err and str(UNREADABLE) in err
         assert "Traceback" not in err
+
+    def test_exit_codes_reach_the_shell(self, tmp_path):
+        tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
+        config = str(write_run(tmp_path, tracks, queries, "[run]\nseed = 11\n"))
+        (tmp_path / "empty.json").write_text("{}\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+
+        def exit_code(*argv):
+            cmd = [sys.executable, "-m", "egolog.cli", argv[0], "--config", config, *argv[1:]]
+            done = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, timeout=120)
+            return done.returncode
+
+        assert exit_code("gen-refine-data", "--out", "refine.jsonl") == 0
+        # every unit misses the empty transcripts store
+        replay = ["--llm.kind", "replay", "--paths.transcripts", "empty.json"]
+        assert exit_code("localize", *replay, "--out", "windows.jsonl") == 2
+        missing = ["--paths.captions", "absent.jsonl"]
+        assert exit_code("localize", *missing, "--out", "windows.jsonl") == 1
 
     def test_fatal_config_error_exits_1(self, tmp_path, capsys):
         code = main(["digest", "--config", str(tmp_path / "nope.ini")])

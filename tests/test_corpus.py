@@ -20,6 +20,7 @@ from egolog.corpus import (
     save_captions,
 )
 from egolog.errors import CorpusError
+from egolog.llm import write_transcripts
 from egolog.reasoner import caption_log_lines
 
 from helpers import UNREADABLE, make_track, needs_unreadable
@@ -259,6 +260,19 @@ class TestCaptionsIO:
         with pytest.raises(CorpusError, match="not found"):
             load_captions(tmp_path / "absent.jsonl")
 
+    @pytest.mark.parametrize(
+        "write",
+        [lambda p: save_captions({"v1": make_track("v1")}, p), lambda p: write_transcripts(p, {})],
+        ids=["save_captions", "write_transcripts"],
+    )
+    def test_failed_write_is_a_corpus_error(self, tmp_path, write):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep me\n")
+        out = blocker / "out.jsonl"
+        with pytest.raises(CorpusError, match=f"^cannot write {re.escape(str(out))}: "):
+            write(out)
+        assert blocker.read_text() == "keep me\n"
+
     def test_failed_save_keeps_the_previous_file(self, tmp_path):
         path = tmp_path / "caps.jsonl"
         save_captions({"v1": make_track("v1")}, path)
@@ -334,6 +348,15 @@ class TestCaptionsIO:
                 '{"video_id": "v1", "clip_start_s": 5, "clip_end_s": 5}',
                 re.escape("inverted clip bounds (5.0, 5.0)"),
             ),
+            (
+                '{"video_id": "", "start_s": 0, "end_s": 2, "text": "C sits"}',
+                "caption video_id must be non-empty",
+            ),
+            (
+                '{"video_id": "v1", "clip_start_s": 0, "clip_end_s": 9, '
+                '"start_s": 0, "end_s": 2, "text": "C sits"}',
+                "record has both caption and bounds fields",
+            ),
         ],
         ids=[
             "bool-start",
@@ -352,6 +375,8 @@ class TestCaptionsIO:
             "list-video",
             "null-bounds-video",
             "empty-clip-bounds",
+            "empty-video",
+            "caption-and-bounds",
         ],
     )
     def test_coerced_times_rejected_with_path_and_line(self, tmp_path, line, message):
@@ -470,6 +495,10 @@ class TestQueriesIO:
             ),
             ('"kind": "nlq", "video": "v1"', "query 'q2' has empty video_id"),
             ('"kind": "qa", "video_id": ""', "query 'q2' has empty video_id"),
+            ('"kind": "nlq", "qid": ""', "query qid must be non-empty"),
+            ('"kind": "nlq", "query": "   "', "query 'q2' has empty text"),
+            ('"kind": "qa", "gt": [1, 2]', "QA query 'q2' cannot carry a gt window"),
+            ('"kind": "nlq", "answer_idx": 1', "NLQ query 'q2' cannot carry an answer index"),
         ],
         ids=[
             "fractional-answer",
@@ -490,6 +519,10 @@ class TestQueriesIO:
             "null-choice",
             "no-video",
             "empty-video",
+            "empty-qid",
+            "blank-query",
+            "qa-gt",
+            "nlq-answer-idx",
         ],
     )
     def test_coerced_values_rejected_with_path_and_line(self, tmp_path, fields, message):

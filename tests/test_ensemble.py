@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from egolog.corpus import QueryKind
 from egolog.ensemble import AnswerPool, vote_by_confidence
 from egolog.metrics import evaluate_qa
-from egolog.reasoner import CandidateInterval, LlmAnswer
+from egolog.reasoner import LlmAnswer
 
 
 def qa(choice: str, confidence: int, qid: str = "q1") -> LlmAnswer:
@@ -30,9 +30,7 @@ class TestAnswerPool:
             AnswerPool(qid="q1", answers=(qa("A", 1, qid="q2"),))
 
     def test_nlq_answer_rejected(self):
-        nlq = LlmAnswer(
-            qid="q1", kind=QueryKind.NLQ, intervals=(CandidateInterval(0, 1),)
-        )
+        nlq = LlmAnswer(qid="q1", kind=QueryKind.NLQ, intervals=((0, 1),))
         with pytest.raises(ValueError, match="non-QA"):
             AnswerPool(qid="q1", answers=(nlq,))
 

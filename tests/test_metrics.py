@@ -17,7 +17,7 @@ from egolog.metrics import (
     report_as_dict,
     report_to_text,
 )
-from egolog.reasoner import CandidateInterval, LlmAnswer
+from egolog.reasoner import LlmAnswer
 
 from helpers import (
     assert_report_matches_oracle,
@@ -31,7 +31,7 @@ def nlq(qid, *pairs, confidence=2):
     return LlmAnswer(
         qid=qid,
         kind=QueryKind.NLQ,
-        intervals=tuple(CandidateInterval(s, e) for s, e in pairs),
+        intervals=tuple(pairs),
         confidence=confidence,
     )
 
@@ -55,7 +55,7 @@ class TestIou:
         assert iou((0.0, 10.0), (5.0, 20.0)) == 0.25
 
     def test_accepts_candidate_intervals(self):
-        assert iou(CandidateInterval(0, 10), (0.0, 10.0)) == 1.0
+        assert iou((0, 10), (0.0, 10.0)) == 1.0
 
     def test_symmetric(self):
         assert iou((0.0, 10.0), (5.0, 20.0)) == iou((5.0, 20.0), (0.0, 10.0))

@@ -72,5 +72,5 @@ def test_file_format_examples_load(tmp_path):
     assert (answers["q1"].choice_idx, answers["q1"].confidence, finals) == (2, 3, {})
     predictions.write_text(window_row + "\n", encoding="utf-8")
     answers, finals = load_predictions(predictions, QueryKind.NLQ, by_qid)
-    assert [c.as_pair() for c in answers["n1"].intervals] == [(12.0, 31.5), (40.0, 52.0)]
+    assert list(answers["n1"].intervals) == [(12.0, 31.5), (40.0, 52.0)]
     assert finals == {"n1": (12.0, 31.5)}

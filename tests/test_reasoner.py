@@ -13,7 +13,6 @@ from egolog.errors import EgologError, ParseError, TransportError
 from egolog.reasoner import (
     MAX_NESTING,
     NO_CAPTIONS_MARKER,
-    CandidateInterval,
     LlmAnswer,
     build_nlq_prompt,
     build_qa_prompt,
@@ -58,17 +57,6 @@ class TestFormatSeconds:
         assert format_seconds(value) == expected
 
 
-class TestCandidateInterval:
-    def test_width_and_pair(self):
-        c = CandidateInterval(2, 8)
-        assert c.end_s - c.start_s == 6.0
-        assert c.as_pair() == (2.0, 8.0)
-
-    def test_inverted_rejected(self):
-        with pytest.raises(ValueError, match="inverted"):
-            CandidateInterval(5.0, 5.0)
-
-
 class TestLlmAnswer:
     def test_qa_requires_choice(self):
         with pytest.raises(ValueError, match="choice_idx"):
@@ -80,8 +68,12 @@ class TestLlmAnswer:
                 qid="q",
                 kind=QueryKind.QA,
                 choice_idx=0,
-                intervals=(CandidateInterval(0, 1),),
+                intervals=((0, 1),),
             )
+
+    def test_nlq_rejects_inverted_interval(self):
+        with pytest.raises(ValueError, match=r"inverted interval \(5.0, 5.0\)"):
+            LlmAnswer(qid="q", kind=QueryKind.NLQ, intervals=((0.0, 1.0), (5.0, 5.0)))
 
     def test_nlq_rejects_choice(self):
         with pytest.raises(ValueError, match="choice index"):
@@ -93,9 +85,7 @@ class TestLlmAnswer:
 
     def test_na_property(self):
         assert LlmAnswer(qid="q", kind=QueryKind.NLQ).is_na
-        assert not LlmAnswer(
-            qid="q", kind=QueryKind.NLQ, intervals=(CandidateInterval(0, 1),)
-        ).is_na
+        assert not LlmAnswer(qid="q", kind=QueryKind.NLQ, intervals=((0, 1),)).is_na
 
 
 class TestQaPrompt:
@@ -386,7 +376,7 @@ class TestParseNlq:
             [{"qid": "q1", "intervals": [[10, 20], [30.5, 40]], "confidence": 3, "explanation": "x"}]
         )
         (ans,) = parse_response(raw, QueryKind.NLQ, ["q1"])
-        assert [c.as_pair() for c in ans.intervals] == [(10.0, 20.0), (30.5, 40.0)]
+        assert list(ans.intervals) == [(10.0, 20.0), (30.5, 40.0)]
 
     def test_na_string(self):
         for na in ("NA", "na", "N/A", "none", "null", ""):
@@ -397,14 +387,14 @@ class TestParseNlq:
     def test_bare_pair_wrapped(self):
         raw = json.dumps([{"qid": "q1", "intervals": [12, 30], "confidence": 2, "explanation": "x"}])
         (ans,) = parse_response(raw, QueryKind.NLQ, ["q1"])
-        assert [c.as_pair() for c in ans.intervals] == [(12.0, 30.0)]
+        assert list(ans.intervals) == [(12.0, 30.0)]
 
     def test_numeric_strings_accepted(self):
         raw = json.dumps(
             [{"qid": "q1", "intervals": [["5", "9.5"]], "confidence": 2, "explanation": "x"}]
         )
         (ans,) = parse_response(raw, QueryKind.NLQ, ["q1"])
-        assert [c.as_pair() for c in ans.intervals] == [(5.0, 9.5)]
+        assert list(ans.intervals) == [(5.0, 9.5)]
 
     def test_degenerate_and_malformed_items_dropped(self, caplog):
         raw = json.dumps(
@@ -419,7 +409,7 @@ class TestParseNlq:
         )
         with caplog.at_level("WARNING", logger="egolog.reasoner"):
             (ans,) = parse_response(raw, QueryKind.NLQ, ["q1"])
-        assert [c.as_pair() for c in ans.intervals] == [(3.0, 8.0)]
+        assert list(ans.intervals) == [(3.0, 8.0)]
         malformed = [r.message for r in caplog.records if "malformed" in r.message]
         assert len(malformed) == 3
         assert malformed[-1].startswith("dropping malformed interval [0, 1000")
@@ -467,7 +457,7 @@ class TestParseNlq:
             [{"qid": "q1", "intervals": [[" 5\x1c", "\x1f9.5 "]], "confidence": 2}]
         )
         (ans,) = parse_response(raw, QueryKind.NLQ, ["q1"])
-        assert [c.as_pair() for c in ans.intervals] == [(5.0, 9.5)]
+        assert list(ans.intervals) == [(5.0, 9.5)]
 
     def test_bool_bounds_rejected(self):
         raw = json.dumps([{"qid": "q1", "intervals": [[False, True]], "confidence": 2}])
@@ -543,7 +533,7 @@ answer_strategy = st.one_of(
         lambda qid, pairs, expl, conf: LlmAnswer(
             qid=qid,
             kind=QueryKind.NLQ,
-            intervals=tuple(CandidateInterval(a, a + w) for a, w in pairs),
+            intervals=tuple((a, a + w) for a, w in pairs),
             explanation=expl,
             confidence=conf,
         ),
@@ -571,7 +561,7 @@ class TestRoundTrip:
 
     def test_multi_entry_round_trip(self):
         answers = [
-            LlmAnswer(qid="a", kind=QueryKind.NLQ, intervals=(CandidateInterval(0, 2),), confidence=3),
+            LlmAnswer(qid="a", kind=QueryKind.NLQ, intervals=((0, 2),), confidence=3),
             LlmAnswer(qid="b", kind=QueryKind.NLQ, confidence=1),
         ]
         parsed = parse_response(format_reference(answers), QueryKind.NLQ, ["a", "b"])
@@ -590,7 +580,7 @@ class TestClampToBounds:
         ans = LlmAnswer(
             qid="q",
             kind=QueryKind.NLQ,
-            intervals=(CandidateInterval(5, 10),),
+            intervals=((5, 10),),
             explanation="x",
             confidence=2,
         )
@@ -600,13 +590,13 @@ class TestClampToBounds:
     def test_clamps_overhang(self):
         raw = nlq_reply([[-5, 150]])
         (out,) = parse_response(raw, QueryKind.NLQ, ["q"], bounds=(0.0, 100.0))
-        assert [c.as_pair() for c in out.intervals] == [(0.0, 100.0)]
+        assert list(out.intervals) == [(0.0, 100.0)]
 
     def test_fully_outside_candidate_dropped(self, caplog):
         raw = nlq_reply([[200, 300], [1, 2]])
         with caplog.at_level("WARNING", logger="egolog.reasoner"):
             (out,) = parse_response(raw, QueryKind.NLQ, ["q"], bounds=(0.0, 100.0))
-        assert [c.as_pair() for c in out.intervals] == [(1.0, 2.0)]
+        assert list(out.intervals) == [(1.0, 2.0)]
 
     def test_all_candidates_vanish_becomes_na(self):
         raw = nlq_reply([[200, 300]])
@@ -690,8 +680,8 @@ class TestParseAnyReply:
         for answer in answers:
             assert answer.kind is kind
             for c in answer.intervals:
-                assert math.isfinite(c.start_s) and math.isfinite(c.end_s)
-                assert c.start_s < c.end_s
+                assert math.isfinite(c[0]) and math.isfinite(c[1])
+                assert c[0] < c[1]
 
 
 TIME = st.one_of(st.integers(-20, 120), st.floats(-20, 120), st.sampled_from(["5", " 7 "]))
@@ -734,9 +724,9 @@ class TestBoundsMatchClampingAfterTheParse:
         bounded = parse_response(raw, QueryKind.NLQ, qids, bounds=bounds)
         assert len(bounded) == len(unbounded)
         for got, answer in zip(bounded, unbounded):
-            clamped = [(max(c.start_s, lo), min(c.end_s, hi)) for c in answer.intervals]
+            clamped = [(max(s, lo), min(e, hi)) for s, e in answer.intervals]
             kept = [(start_s, end_s) for start_s, end_s in clamped if start_s < end_s]
-            assert [c.as_pair() for c in got.intervals] == kept
+            assert list(got.intervals) == kept
             assert got.is_na == (not kept)
             assert (got.qid, got.confidence, got.explanation) == (
                 answer.qid,

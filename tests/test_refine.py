@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from egolog.corpus import Caption, CaptionTrack, QueryKind
 from egolog.errors import BackendProtocolError, RefineError
-from egolog.reasoner import CandidateInterval, LlmAnswer
+from egolog.reasoner import LlmAnswer
 from egolog.refine import (
     CaptionOverlapScorer,
     RefineConfig,
@@ -29,7 +29,7 @@ def nlq_answer(*pairs, qid="q1", confidence=2):
     return LlmAnswer(
         qid=qid,
         kind=QueryKind.NLQ,
-        intervals=tuple(CandidateInterval(s, e) for s, e in pairs),
+        intervals=tuple(pairs),
         confidence=confidence,
     )
 
@@ -67,32 +67,32 @@ class TestRefineConfig:
 class TestPadInterval:
     def test_plain_padding(self):
         cfg = RefineConfig(pad_alpha=5.0)
-        out = pad_interval(CandidateInterval(100, 110), cfg, (0.0, 480.0))
-        assert out.as_pair() == (95.0, 115.0)
+        out = pad_interval((100, 110), cfg, (0.0, 480.0))
+        assert out == (95.0, 115.0)
 
     def test_clamped_at_start(self):
         cfg = RefineConfig(pad_alpha=5.0)
-        out = pad_interval(CandidateInterval(2, 10), cfg, (0.0, 480.0))
-        assert out.as_pair() == (0.0, 15.0)
+        out = pad_interval((2, 10), cfg, (0.0, 480.0))
+        assert out == (0.0, 15.0)
 
     def test_clamped_at_end(self):
         cfg = RefineConfig(pad_alpha=5.0)
-        out = pad_interval(CandidateInterval(470, 478), cfg, (0.0, 480.0))
-        assert out.as_pair() == (465.0, 480.0)
+        out = pad_interval((470, 478), cfg, (0.0, 480.0))
+        assert out == (465.0, 480.0)
 
     def test_zero_alpha_is_identity(self):
         cfg = RefineConfig(pad_alpha=0.0)
-        c = CandidateInterval(12.25, 30.5)
-        assert pad_interval(c, cfg, (0.0, 100.0)).as_pair() == c.as_pair()
+        c = (12.25, 30.5)
+        assert pad_interval(c, cfg, (0.0, 100.0)) == c
 
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(RefineError, match="degenerate clip bounds"):
-            pad_interval(CandidateInterval(1, 2), RefineConfig(), (5.0, 5.0))
+            pad_interval((1, 2), RefineConfig(), (5.0, 5.0))
 
     def test_candidate_outside_bounds_vanishes(self):
         cfg = RefineConfig(pad_alpha=0.0)
         with pytest.raises(RefineError, match="vanished"):
-            pad_interval(CandidateInterval(50, 60), cfg, (0.0, 40.0))
+            pad_interval((50, 60), cfg, (0.0, 40.0))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -102,12 +102,12 @@ class TestPadInterval:
     )
     def test_padding_invariants(self, start, width, alpha):
         bounds = (0.0, 500.0)
-        c = CandidateInterval(start, start + width)
+        c = (start, start + width)
         out = pad_interval(c, RefineConfig(pad_alpha=alpha), bounds)
         # padded window stays in bounds, contains the original, never shrinks
-        assert bounds[0] <= out.start_s <= c.start_s
-        assert c.end_s <= out.end_s <= bounds[1]
-        assert out.end_s - out.start_s >= c.end_s - c.start_s
+        assert bounds[0] <= out[0] <= c[0]
+        assert c[1] <= out[1] <= bounds[1]
+        assert out[1] - out[0] >= c[1] - c[0]
 
 
 class TestSelectCandidate:
@@ -119,7 +119,7 @@ class TestSelectCandidate:
         out = select_candidate(
             nlq_answer(), track, ReplayScorer({}), RefineConfig(), query_text="q"
         )
-        assert out.as_pair() == (0.0, 522.0)
+        assert out == (0.0, 522.0)
 
     def test_single_candidate_padded(self):
         out = select_candidate(
@@ -129,7 +129,7 @@ class TestSelectCandidate:
             RefineConfig(pad_alpha=3.0),
             query_text="q",
         )
-        assert out.as_pair() == (7.0, 15.0)
+        assert out == (7.0, 15.0)
 
     def test_multiple_candidates_best_score_wins(self):
         cfg = RefineConfig(pad_alpha=0.0)
@@ -137,7 +137,7 @@ class TestSelectCandidate:
         out = select_candidate(
             nlq_answer((2, 5), (11, 14)), self.track(), scorer, cfg, query_text="q"
         )
-        assert out.as_pair() == (11.0, 14.0)
+        assert out == (11.0, 14.0)
 
     def test_scores_computed_on_padded_windows(self):
         cfg = RefineConfig(pad_alpha=1.0)
@@ -145,7 +145,7 @@ class TestSelectCandidate:
         out = select_candidate(
             nlq_answer((2, 5), (11, 14)), self.track(), scorer, cfg, query_text="q"
         )
-        assert out.as_pair() == (10.0, 15.0)
+        assert out == (10.0, 15.0)
 
     def test_tie_goes_to_earliest_start(self):
         cfg = RefineConfig(pad_alpha=0.0)
@@ -156,7 +156,7 @@ class TestSelectCandidate:
             cfg,
             query_text="q",
         )
-        assert out.as_pair() == (2.0, 5.0)
+        assert out == (2.0, 5.0)
 
     def test_scorer_failure_falls_back_to_earliest(self, caplog):
         class Broken:
@@ -168,7 +168,7 @@ class TestSelectCandidate:
             out = select_candidate(
                 nlq_answer((11, 14), (2, 5)), self.track(), Broken(), cfg, query_text="q"
             )
-        assert out.as_pair() == (2.0, 5.0)
+        assert out == (2.0, 5.0)
         assert any("falling back" in rec.message for rec in caplog.records)
 
     def test_scorer_programming_error_propagates(self):
@@ -199,10 +199,10 @@ def loop_scores(scorer, query_text, intervals, track):
     relevance = cosine_matrix(embs[1:], embs[:1])[:, 0]
     relevant = [c for c, r in zip(track.captions, relevance) if r >= scorer._threshold]
     scores = []
-    for interval in intervals:
+    for start_s, end_s in intervals:
         total = 0.0
         for caption in relevant:
-            if min(caption.end_s, interval.end_s) - max(caption.start_s, interval.start_s) > 0:
+            if min(caption.end_s, end_s) - max(caption.start_s, start_s) > 0:
                 total += caption.end_s - caption.start_s
         scores.append(total)
     return scores
@@ -244,7 +244,7 @@ def tracks_and_windows(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         a, b = draw(point), draw(point)
         if a != b:
-            windows.append(CandidateInterval(min(a, b), max(a, b)))
+            windows.append((min(a, b), max(a, b)))
     windows += draw(st.lists(st.sampled_from(windows), max_size=2)) if windows else []
     return CaptionTrack.build("v1", captions, 0.0, clip_end), windows
 
@@ -260,13 +260,13 @@ class TestCaptionOverlapScorer:
         track = make_track(texts=texts, step=2.0)
         scorer = CaptionOverlapScorer(MockEmbedder(seed=0), relevance_threshold=0.3)
         query = "C scrubs the frying pan"
-        scores = scorer.score(query, [CandidateInterval(0, 5), CandidateInterval(0, 8)], track)
+        scores = scorer.score(query, [(0, 5), (0, 8)], track)
         assert scores == [4.0, 6.0]  # two relevant captions of 2 s each, then three
 
     def test_deterministic_per_instance(self):
         track = make_track(n=5)
         scorer = CaptionOverlapScorer(MockEmbedder(seed=1))
-        windows = [CandidateInterval(0, 10)]
+        windows = [(0, 10)]
         assert scorer.score("q text", windows, track) == scorer.score(
             "q text", windows, track
         )
@@ -274,12 +274,12 @@ class TestCaptionOverlapScorer:
     def test_boundary_touch_does_not_count(self):
         track = make_track(texts=["C scrubs the pan"], step=2.0)  # caption 0-2
         scorer = CaptionOverlapScorer(MockEmbedder(seed=0), relevance_threshold=-1.0)
-        assert scorer.score("C scrubs the pan", [CandidateInterval(2, 4)], track) == [0.0]
+        assert scorer.score("C scrubs the pan", [(2, 4)], track) == [0.0]
 
     def test_empty_track_scores_zero(self):
         track = CaptionTrack.build("v1", [], 0.0, 10.0)
         scorer = CaptionOverlapScorer(MockEmbedder(seed=0))
-        assert scorer.score("anything", [CandidateInterval(0, 10)], track) == [0.0]
+        assert scorer.score("anything", [(0, 10)], track) == [0.0]
 
 
     @given(tracks_and_windows())
@@ -299,7 +299,7 @@ class TestCaptionOverlapScorer:
         captions = [Caption("v1", s, e, f"yes {i}") for i, (s, e) in enumerate(spans)]
         track = CaptionTrack.build("v1", captions, 0.0, 1.0)
         scorer = CaptionOverlapScorer(MarkedEmbedder())
-        (got,) = scorer.score("yes query", [CandidateInterval(0.0, 1.0)], track)
+        (got,) = scorer.score("yes query", [(0.0, 1.0)], track)
         assert got == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
 
     def test_many_hits_add_left_to_right_not_pairwise(self):
@@ -313,12 +313,12 @@ class TestCaptionOverlapScorer:
             running += duration
         assert running != np.sum(durations)  # np.sum adds 24 values pairwise
         scorer = CaptionOverlapScorer(MarkedEmbedder())
-        assert scorer.score("yes query", [CandidateInterval(0.0, 20.0)], track) == [running]
+        assert scorer.score("yes query", [(0.0, 20.0)], track) == [running]
 
     def test_no_relevant_caption_scores_zero(self):
         track = make_track(texts=["no one", "no two"], step=2.0)
         scorer = CaptionOverlapScorer(MarkedEmbedder())
-        assert scorer.score("yes query", [CandidateInterval(0, 4)], track) == [0.0]
+        assert scorer.score("yes query", [(0, 4)], track) == [0.0]
 
     def test_captions_embedded_once_per_track(self):
         first_texts, second_texts = ["C opens the door", "C sits down"], ["C eats", "C reads"]
@@ -332,7 +332,7 @@ class TestCaptionOverlapScorer:
                 return super().embed_texts(texts)
 
         scorer = CaptionOverlapScorer(Recording(seed=0))
-        windows = [CandidateInterval(0, 4)]
+        windows = [(0, 4)]
         for query, track in [("q1", first), ("q2", first), ("q3", second), ("q4", first)]:
             scorer.score(query, windows, track)
         assert batches == [
@@ -352,7 +352,7 @@ class TestCaptionOverlapScorer:
         ]
         tracks = [make_track(texts=texts[i::3], step=1.5 + i) for i in range(3)]
         scorer = CaptionOverlapScorer(MockEmbedder(seed=3), relevance_threshold=0.1)
-        windows = [CandidateInterval(0, 3), CandidateInterval(1, 7), CandidateInterval(2, 20)]
+        windows = [(0, 3), (1, 7), (2, 20)]
         for query, index in calls:
             got = scorer.score(query, windows, tracks[index])
             want = loop_scores(scorer, query, windows, tracks[index])
@@ -366,7 +366,7 @@ class TestCaptionOverlapScorer:
         track = make_track(texts=["C sits"])
         scorer = CaptionOverlapScorer(QueryWider())
         with pytest.raises(BackendProtocolError, match=r"dimension mismatch.*\[2, 3\]"):
-            scorer.score("query", [CandidateInterval(0, 2)], track)
+            scorer.score("query", [(0, 2)], track)
 
 
 class TestGenRefinementDataset:
