@@ -58,7 +58,7 @@ print("--- prompt sent to the model ---")
 print(prompt.user_text)
 print()
 
-replies = run(prompt, WaveringBackend(), runs=5, seed=derive_seed(7, "ask", "tool"))
+(replies,) = run([(prompt, derive_seed(7, "ask", "tool"))], WaveringBackend(), runs=5)
 answers = []
 for run_index, reply in enumerate(replies):
     answers.extend(parse_response(reply, QueryKind.QA, ["tool"]))

@@ -237,6 +237,8 @@ class Query:
 _CAPTION_KEYS = tuple(f.name for f in fields(Caption))
 _CAPTION_KEY_SET = frozenset(_CAPTION_KEYS)
 _BOUNDS_KEY_SET = frozenset(_BOUNDS_KEYS)
+_CAPTION_ONLY = _CAPTION_KEY_SET - _BOUNDS_KEY_SET
+_BOUNDS_ONLY = _BOUNDS_KEY_SET - _CAPTION_KEY_SET
 
 _DECODER = json.JSONDecoder()
 
@@ -300,6 +302,15 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
         yield lineno, record
 
 
+def _mixed_shapes(record: dict, other_keys: frozenset, path: Path, line: int) -> CorpusError:
+    """The error for a caption or bounds record that carries other_keys, of the other shape."""
+    if record.keys() >= _CAPTION_KEY_SET | _BOUNDS_KEY_SET:
+        message = "record has both caption and bounds fields"
+    else:
+        message = f"record mixes caption and bounds fields: {sorted(record.keys() & other_keys)}"
+    return CorpusError(message, path=str(path), line=line)
+
+
 def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
     """Load a captions file into tracks keyed by video_id.
 
@@ -307,8 +318,8 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
     ``{"video_id", "start_s", "end_s", "text"}`` or an optional bounds record
     ``{"video_id", "clip_start_s", "clip_end_s"}``. Without a bounds record
     the clip bounds default to the hull of the video's captions. A record
-    with the fields of both raises CorpusError. Exact duplicate caption
-    records are dropped with a warning count.
+    of one shape that carries a field of the other raises CorpusError.
+    Exact duplicate caption records are dropped with a warning count.
     """
     path = Path(path)
     if not path.exists():
@@ -321,10 +332,8 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
 
     for lineno, record in iter_jsonl(path):
         if record.keys() >= _BOUNDS_KEY_SET:
-            if record.keys() >= _CAPTION_KEY_SET:
-                raise CorpusError(
-                    "record has both caption and bounds fields", path=str(path), line=lineno
-                )
+            if not record.keys().isdisjoint(_CAPTION_ONLY):
+                raise _mixed_shapes(record, _CAPTION_ONLY, path, lineno)
             try:
                 vid = text_field(record["video_id"], "video_id")
                 lo = normalize_seconds(record["clip_start_s"])
@@ -348,6 +357,8 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
             raise CorpusError(
                 f"record missing fields {missing}", path=str(path), line=lineno
             )
+        if not record.keys().isdisjoint(_BOUNDS_ONLY):
+            raise _mixed_shapes(record, _BOUNDS_ONLY, path, lineno)
         try:
             cap = Caption(
                 video_id=text_field(record["video_id"], "video_id"),

@@ -1,23 +1,23 @@
 """End-to-end orchestration: wire config, corpus, backends, and stages.
 
 digest, ask and localize share one unit runner. A unit is (keys,
-video_id, queries): one video keyed by its id (digest), one QA question
-keyed by its qid (ask), or one video with all of its NLQ queries keyed
-by their qids (localize). Units run on in_flight_limit threads. Every
-completion of the command (the runs of an ask prompt, the one localize
-prompt of a video, the LLM caption merges of a digest) runs on one
+video_id, queries): one video, keyed by its id (digest) or by the qids
+of its queries in input order (ask, localize). Units run on
+in_flight_limit threads. Every completion of the command (the runs of
+every question of a video, sent in one map by ask; the one localize
+prompt of a video; the LLM caption merges of a digest) runs on one
 completion pool of in_flight_limit squared threads, shared by all units,
 so a unit can use the slots another leaves idle and at most
 in_flight_limit squared completions are in flight. At in_flight_limit 1
-there are no pools: everything runs in the caller's thread. Before each
-question on a video with several questions, ask sends all of the video's
-caption texts and question texts through the run's embedding cache, so
-those questions share one embedding batch. Each command has one
-per-text embedding cache, in front of an injected embedder as in front
-of the configured one. A missing track or an EgologError fails every key
-of its unit and nothing else. Outputs and failures come back in input
-query order (track order for digest), and each unit's completions in
-their own order, so results are byte-identical regardless of pool size.
+there are no pools: everything runs in the caller's thread. On a video
+with several questions, ask first embeds all of the video's caption
+texts and question texts in one batch. Each command has one per-text
+embedding cache, in front of an injected embedder as in front of the
+configured one. A missing track or an EgologError fails every key of its
+unit and nothing else; an ask question whose digest or runs fail fails
+alone. Outputs and failures come back in input query order (track order
+for digest), and each unit's completions in their own order, so results
+are byte-identical regardless of pool size.
 
 All derived randomness flows from the config seed: per-question prompts
 use (seed, "ask", qid), tie-breaking uses (seed, "vote", qid), per-video
@@ -137,8 +137,8 @@ def _run_units(
     """Map work over units; returns outputs and failures by order.
 
     work gets the unit's track, its queries and the completion pool, and
-    returns one output per key of its unit. A missing track or an
-    EgologError fails every key of the unit and nothing else.
+    returns an output or a UnitFailure per key of its unit. A missing
+    track or an EgologError fails every key of the unit and nothing else.
 
     At in_flight_limit n > 1 units run on n threads and every completion
     on one pool of n * n threads; at 1 both run in the caller's thread.
@@ -223,47 +223,17 @@ def run_ask(
 ) -> tuple[list[dict], list[UnitFailure]]:
     """Answer every QA query: digest, prompt, repeated runs, vote.
 
-    When a video has several questions, each question first sends all of
-    the video's caption texts and question texts through the run's cache,
-    so the first fetches them in one batch and the others wait for it.
-    A failed request is logged and ignored: each question then fetches
-    its own texts and fails on its own.
+    One unit per video: it embeds the video's caption and question texts
+    in one batch when it has several questions (a failed batch is logged,
+    and each question then fetches its own), digests and prompts each
+    question in order, and sends every run of every question in one map.
     """
     tracks, queries = _load_inputs(config, QueryKind.QA)
     embedder = build_embedder(config) if embedder is None else CachedEmbedder(embedder)
     if llm is None:
         llm = build_llm(config)
-    question_texts = {
-        vid: [q.text for q in qs]
-        for vid, qs in _by_video(queries).items()
-        if len(qs) > 1
-    }
 
-    def answer(
-        track: CaptionTrack, unit_queries: list[Query], pool: Executor | None
-    ) -> dict[str, dict]:
-        (query,) = unit_queries
-        if track.video_id in question_texts:
-            try:
-                embedder.embed_texts(
-                    [c.text for c in track.captions] + question_texts[track.video_id]
-                )
-            except EgologError as exc:
-                logger.warning(
-                    "shared embedding request for video %r failed: %s; "
-                    "each question fetches its own texts",
-                    track.video_id,
-                    exc,
-                )
-        digested, _ = digest(track, [query], embedder, llm, config.digest, pool)
-        prompt = build_qa_prompt(digested, query)
-        replies = run(
-            prompt,
-            llm,
-            config.runs,
-            derive_seed(config.seed, "ask", query.qid),
-            pool=pool,
-        )
+    def vote(query: Query, replies: list) -> dict | UnitFailure:
         answers = []
         for run_index, reply in enumerate(replies):
             if isinstance(reply, EgologError):
@@ -275,21 +245,49 @@ def run_ask(
                     "discarding run %d for qid %r: %s", run_index, query.qid, exc
                 )
         if not answers:
-            raise ParseError(f"no usable answers from {config.runs} runs")
+            return UnitFailure(query.qid, f"no usable answers from {config.runs} runs")
         chosen = vote_by_confidence(
             AnswerPool(query.qid, tuple(answers)),
             derive_seed(config.seed, "vote", query.qid),
         )
         return {
-            query.qid: {
-                "qid": query.qid,
-                "choice": chosen.choice_idx,
-                "confidence": chosen.confidence,
-                "explanation": chosen.explanation,
-            }
+            "qid": query.qid,
+            "choice": chosen.choice_idx,
+            "confidence": chosen.confidence,
+            "explanation": chosen.explanation,
         }
 
-    units = [([q.qid], q.video_id, [q]) for q in queries]
+    def answer(
+        track: CaptionTrack, video_queries: list[Query], pool: Executor | None
+    ) -> dict[str, dict | UnitFailure]:
+        if len(video_queries) > 1:
+            try:
+                embedder.embed_texts(
+                    [c.text for c in track.captions] + [q.text for q in video_queries]
+                )
+            except EgologError as exc:
+                logger.warning(
+                    "shared embedding request for video %r failed: %s; "
+                    "each question fetches its own texts",
+                    track.video_id,
+                    exc,
+                )
+        outcomes: dict[str, dict | UnitFailure] = {}
+        asked, jobs = [], []
+        for query in video_queries:
+            try:
+                digested, _ = digest(track, [query], embedder, llm, config.digest, pool)
+            except EgologError as exc:
+                outcomes[query.qid] = UnitFailure(query.qid, str(exc))
+                continue
+            asked.append(query)
+            prompt = build_qa_prompt(digested, query)
+            jobs.append((prompt, derive_seed(config.seed, "ask", query.qid)))
+        for query, replies in zip(asked, run(jobs, llm, config.runs, pool=pool)):
+            outcomes[query.qid] = vote(query, replies)
+        return outcomes
+
+    units = [([q.qid for q in qs], vid, qs) for vid, qs in _by_video(queries).items()]
     return _run_units("ask", config, tracks, units, answer, [q.qid for q in queries])
 
 
@@ -312,8 +310,8 @@ def run_localize(
         # one scorer per unit: it keeps the digested captions' embeddings
         scorer = CaptionOverlapScorer(embedder, config.digest.relevance_threshold)
         prompt = build_nlq_prompt(digested, video_queries)
-        (reply,) = run(
-            prompt, llm, 1, derive_seed(config.seed, "nlq", track.video_id), pool=pool
+        ((reply,),) = run(
+            [(prompt, derive_seed(config.seed, "nlq", track.video_id))], llm, 1, pool=pool
         )
         if isinstance(reply, EgologError):
             raise reply

@@ -175,28 +175,29 @@ def build_nlq_prompt(track: CaptionTrack, queries: Sequence[Query]) -> Prompt:
 
 
 def run(
-    prompt: Prompt,
+    jobs: Sequence[tuple[Prompt, int]],
     backend: LlmBackend,
     runs: int,
-    seed: int,
     *,
     sleep: Callable[[float], None] = time.sleep,
     pool: Executor | None = None,
-) -> list[str | EgologError]:
-    """Issue `runs` independent completions for one prompt.
+) -> list[list[str | EgologError]]:
+    """Issue `runs` independent completions for each (prompt, seed) job.
 
-    Returns one entry per run in run-index order: the reply text, or the
-    EgologError that ended the run. Per-run sampling seeds are derived
-    from (seed, run index). A TransportError is retried by
-    call_with_retries (3 attempts in all, 1 s then 2 s apart); a run that
-    exhausts them, or fails any other way, is logged and its error
-    returned in its place. The runs go through map_in_order: all of them
-    on pool when one is given, else one at a time in the caller's thread.
+    Returns one list per job, each with one entry per run in run-index
+    order: the reply text, or the EgologError that ended the run. Per-run
+    sampling seeds are derived from (job seed, run index). A TransportError
+    is retried by call_with_retries (3 attempts in all, 1 s then 2 s
+    apart); a run that exhausts them, or fails any other way, is logged and
+    its error returned in its place. All runs of all jobs go through one
+    map_in_order: on pool when one is given, else one at a time in the
+    caller's thread.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
 
-    def one(run_index: int) -> str | EgologError:
+    def one(item: tuple[Prompt, int, int]) -> str | EgologError:
+        prompt, seed, run_index = item
         sampling_seed = derive_seed(seed, "run", run_index)
         try:
             return call_with_retries(
@@ -213,7 +214,8 @@ def run(
             logger.warning("run %d failed permanently: %s", run_index, exc)
             return exc
 
-    return map_in_order(one, range(runs), pool)
+    replies = map_in_order(one, [(p, s, i) for p, s in jobs for i in range(runs)], pool)
+    return [replies[i : i + runs] for i in range(0, len(replies), runs)]
 
 
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*[ \t]*\n?(.*?)```", re.DOTALL)

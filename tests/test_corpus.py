@@ -357,6 +357,15 @@ class TestCaptionsIO:
                 '"start_s": 0, "end_s": 2, "text": "C sits"}',
                 "record has both caption and bounds fields",
             ),
+            (
+                '{"video_id": "v1", "clip_start_s": 0, "clip_end_s": 9, "text": "C sits"}',
+                re.escape("record mixes caption and bounds fields: ['text']"),
+            ),
+            (
+                '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": "C sits", '
+                '"clip_end_s": 5}',
+                re.escape("record mixes caption and bounds fields: ['clip_end_s']"),
+            ),
         ],
         ids=[
             "bool-start",
@@ -377,6 +386,8 @@ class TestCaptionsIO:
             "empty-clip-bounds",
             "empty-video",
             "caption-and-bounds",
+            "bounds-with-text",
+            "caption-with-a-bound",
         ],
     )
     def test_coerced_times_rejected_with_path_and_line(self, tmp_path, line, message):
@@ -385,6 +396,17 @@ class TestCaptionsIO:
         path.write_text(json.dumps(first) + "\n" + line + "\n")
         with pytest.raises(CorpusError, match=f"{message}.* at line 2"):
             load_captions(path)
+
+    def test_keys_of_no_record_shape_load(self, tmp_path):
+        path = tmp_path / "caps.jsonl"
+        rows = [
+            {"video_id": "v1", "start_s": 0, "end_s": 2, "text": "C sits", "source": "x"},
+            {"video_id": "v1", "clip_start_s": 0, "clip_end_s": 9, "note": 1},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        track = load_captions(path)["v1"]
+        assert track.bounds == (0.0, 9.0)
+        assert [c.text for c in track.captions] == ["C sits"]
 
     def test_newlines_in_text_normalized(self, tmp_path):
         path = tmp_path / "caps.jsonl"

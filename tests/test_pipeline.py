@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -242,6 +241,46 @@ class TestSharedPools:
         assert [r["choice"] for r in records] == [1, 1, 1]
         assert backend.max_in_flight == 4
 
+    def test_runs_of_one_video_fill_every_completion_slot(self, tmp_path):
+        # one run per question: the barrier of 4 passes only if the runs of
+        # all four questions of the video are in flight at once
+        tracks, queries = questions_per_video(n_videos=1, per_video=4)
+        config = disk_config(
+            tmp_path,
+            tracks,
+            queries,
+            overrides={"run.in_flight_limit": "2", "run.runs": "1"},
+        )
+        backend = OverlapBackend(parties=4, reply=ANONYMOUS_ANSWER)
+        records, failures = run_ask(config, llm=backend)
+        assert failures == []
+        assert [r["qid"] for r in records] == [q.qid for q in queries]
+        assert backend.max_in_flight == 4
+
+    def test_question_without_usable_runs_fails_alone_in_its_video(self, tmp_path):
+        tracks, queries = questions_per_video(n_videos=1, per_video=3)
+        bad = queries[1].qid
+        good = ScriptedQaBackend()
+
+        class BadForOne:
+            def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
+                if f"(qid {bad})" in user_text:
+                    return "nothing structured"
+                return good.complete(system_text, user_text, sampling_seed, run_index)
+
+        outcomes = []
+        for limit in ("1", "2"):
+            config = disk_config(
+                tmp_path, tracks, queries, overrides={"run.in_flight_limit": limit}
+            )
+            outcomes.append(run_ask(config, llm=BadForOne()))
+        assert outcomes[0] == outcomes[1]
+        records, failures = outcomes[0]
+        assert [r["qid"] for r in records] == [q.qid for q in queries if q.qid != bad]
+        assert [(f.qid, f.error) for f in failures] == [
+            (bad, "no usable answers from 3 runs")
+        ]
+
     def test_merges_of_one_video_fill_every_completion_slot(self, tmp_path):
         tracks, queries = synth_qa_benchmark(n_items=1, captions_per_video=16)
         config = disk_config(
@@ -289,15 +328,7 @@ class TestSharedEmbeddingRequest:
             tmp_path, tracks, queries, overrides={"run.in_flight_limit": limit}
         )
         counting = RecordingEmbedder()
-        # switch threads often, so units of one video race for the request
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            records, failures = run_ask(
-                config, embedder=counting, llm=ScriptedQaBackend()
-            )
-        finally:
-            sys.setswitchinterval(interval)
+        records, failures = run_ask(config, embedder=counting, llm=ScriptedQaBackend())
         assert failures == []
         assert len(records) == len(queries)
         # each request is the video's captions plus all of its question texts

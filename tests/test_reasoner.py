@@ -161,7 +161,7 @@ class TestRun:
         texts = iter(["first", "second", "third"])
         backend = CallableBackend(lambda s, u: next(texts))
         prompt = build_qa_prompt(make_track(), qa_query())
-        replies = run(prompt, backend, 3, seed=11, sleep=lambda s: None)
+        (replies,) = run([(prompt, 11)], backend, 3, sleep=lambda s: None)
         assert replies == ["first", "second", "third"]
 
     def test_per_run_seeds_derived_from_run_index(self):
@@ -173,7 +173,7 @@ class TestRun:
                 return "ok"
 
         prompt = build_qa_prompt(make_track(), qa_query())
-        run(prompt, SeedSpy(), 3, seed=11, sleep=lambda s: None)
+        run([(prompt, 11)], SeedSpy(), 3, sleep=lambda s: None)
         assert seeds == [derive_seed(11, "run", i) for i in range(3)]
         assert len(set(seeds)) == 3
 
@@ -187,7 +187,7 @@ class TestRun:
             return "recovered"
 
         prompt = build_qa_prompt(make_track(), qa_query())
-        replies = run(prompt, CallableBackend(flaky), 1, seed=0, sleep=lambda s: None)
+        (replies,) = run([(prompt, 0)], CallableBackend(flaky), 1, sleep=lambda s: None)
         assert replies == ["recovered"]
         assert len(attempts) == 3
 
@@ -202,36 +202,60 @@ class TestRun:
             return "late success"
 
         prompt = build_qa_prompt(make_track(), qa_query())
-        replies = run(prompt, CallableBackend(flaky), 2, seed=0, sleep=lambda s: None)
+        (replies,) = run([(prompt, 0)], CallableBackend(flaky), 2, sleep=lambda s: None)
         assert [type(r) for r in replies] == [TransportError, TransportError]
         assert [str(r) for r in replies] == ["down", "down"]
 
     def test_runs_must_be_positive(self):
         prompt = build_qa_prompt(make_track(), qa_query())
         with pytest.raises(ValueError, match="runs"):
-            run(prompt, CallableBackend(lambda s, u: "x"), 0, seed=0)
+            run([(prompt, 0)], CallableBackend(lambda s, u: "x"), 0)
 
     def test_runs_in_flight_together_up_to_the_limit(self):
         prompt = build_qa_prompt(make_track(), qa_query())
         backend = OverlapBackend(parties=2)
         with completion_pool(2) as pool:
-            replies = run(prompt, backend, 2, seed=11, pool=pool)
+            (replies,) = run([(prompt, 11)], backend, 2, pool=pool)
         assert replies == [backend.reply, backend.reply]
         assert backend.max_in_flight == 2
         serial = OverlapBackend(parties=1)
-        run(prompt, serial, 4, seed=11)
+        run([(prompt, 11)], serial, 4)
         assert serial.max_in_flight == 1
+
+    def test_each_job_gets_its_own_runs_and_seeds(self):
+        class Echo:
+            def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
+                return f"{user_text.splitlines()[-1]} {run_index} {sampling_seed}"
+
+        prompts = [build_qa_prompt(make_track(), qa_query(qid)) for qid in ("q1", "q2")]
+        jobs = list(zip(prompts, (5, 7)))
+        expected = [
+            [f"{p.user_text.splitlines()[-1]} {i} {derive_seed(seed, 'run', i)}" for i in (0, 1)]
+            for p, seed in jobs
+        ]
+        for limit in (1, 3):
+            with completion_pool(limit) as pool:
+                assert run(jobs, Echo(), 2, pool=pool) == expected
+        assert run([], Echo(), 2) == []
+
+    def test_runs_of_every_job_share_the_slots(self):
+        # a barrier of 4 passes only if both jobs' runs are in flight at once
+        prompts = [build_qa_prompt(make_track(), qa_query(qid)) for qid in ("q1", "q2")]
+        backend = OverlapBackend(parties=4)
+        with completion_pool(4) as pool:
+            replies = run([(prompts[0], 5), (prompts[1], 7)], backend, 2, pool=pool)
+        assert replies == [[backend.reply] * 2] * 2
+        assert backend.max_in_flight == 4
 
     def test_outcome_independent_of_in_flight_limit(self):
         prompt = build_qa_prompt(make_track(), qa_query())
         outcomes = []
         for limit in (1, 2, 8):
             with completion_pool(limit) as pool:
-                replies = run(
-                    prompt,
+                (replies,) = run(
+                    [(prompt, 11)],
                     HashFailingBackend(),
                     12,
-                    seed=11,
                     sleep=lambda s: None,
                     pool=pool,
                 )
