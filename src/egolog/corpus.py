@@ -448,8 +448,9 @@ def load_queries(path: str | Path) -> list[Query]:
     QA records: ``{"qid", "video_id", "kind": "qa", "question",
     "choices": [5 strings], "answer_idx"?}``. NLQ records: ``{"qid",
     "video_id", "kind": "nlq", "query", "gt": [start, end]?}``. A QA
-    record with a "gt", or an NLQ one with "choices" or "answer_idx", raises
-    CorpusError.
+    record with a "gt" or a "query", or an NLQ one with "choices",
+    "answer_idx" or a "question", raises CorpusError (a null "gt",
+    "answer_idx", "query" or "question" counts as absent).
     """
     path = Path(path)
     if not path.exists():
@@ -486,6 +487,8 @@ def load_queries(path: str | Path) -> list[Query]:
                         else whole_number(answer_idx, "answer_idx")
                     ),
                 )
+                if record.get("query") is not None:
+                    raise ValueError(f"QA query {qid!r} cannot carry NLQ query text")
             else:
                 if "choices" in record:
                     raise ValueError(f"NLQ query {qid!r} cannot carry choices")
@@ -504,6 +507,8 @@ def load_queries(path: str | Path) -> list[Query]:
                     # Query rejects an answer index the row carries
                     gt_answer_idx=record.get("answer_idx"),
                 )
+                if record.get("question") is not None:
+                    raise ValueError(f"NLQ query {qid!r} cannot carry a question")
         except (TypeError, ValueError) as exc:
             raise CorpusError(str(exc), path=str(path), line=lineno) from exc
         seen.add(qid)

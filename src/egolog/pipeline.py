@@ -9,15 +9,16 @@ prompt of a video; the LLM caption merges of a digest) runs on one
 completion pool of in_flight_limit squared threads, shared by all units,
 so a unit can use the slots another leaves idle and at most
 in_flight_limit squared completions are in flight. At in_flight_limit 1
-there are no pools: everything runs in the caller's thread. On a video
-with several questions, ask first embeds all of the video's caption
-texts and question texts in one batch. Each command has one per-text
-embedding cache, in front of an injected embedder as in front of the
-configured one. A missing track or an EgologError fails every key of its
-unit and nothing else; an ask question whose digest or runs fail fails
-alone. Outputs and failures come back in input query order (track order
-for digest), and each unit's completions in their own order, so results
-are byte-identical regardless of pool size.
+there are no pools: everything runs in the caller's thread. Each unit
+has its own per-text embedding cache, in front of an injected embedder
+as in front of the configured one, and drops it when it ends, so a text
+shared by several videos is embedded once per video. On a video with
+several questions, ask first embeds all of the video's caption texts and
+question texts in one batch. A missing track or an EgologError fails
+every key of its unit and nothing else; an ask question whose digest or
+runs fail fails alone. Outputs and failures come back in input query
+order (track order for digest), and each unit's completions in their own
+order, so results are byte-identical regardless of pool size.
 
 All derived randomness flows from the config seed: per-question prompts
 use (seed, "ask", qid), tie-breaking uses (seed, "vote", qid), per-video
@@ -74,15 +75,13 @@ class UnitFailure:
     error: str
 
 
-def build_embedder(config: PipelineConfig) -> CachedEmbedder:
-    """The configured embedding backend behind the run's per-text cache."""
+def build_embedder(config: PipelineConfig) -> EmbedderBackend:
+    """The configured embedding backend; each unit puts its own cache in front."""
     if config.embedder_kind == "mock":
         # the mock stands in for a fixed pretrained model, so its features
         # do not vary with the pipeline seed
-        return CachedEmbedder(MockEmbedder(seed=0, dim=config.embedder_dim))
-    return CachedEmbedder(
-        HttpEmbedder(config.embedder_endpoint, auth_env=config.embedder_auth_env)
-    )
+        return MockEmbedder(seed=0, dim=config.embedder_dim)
+    return HttpEmbedder(config.embedder_endpoint, auth_env=config.embedder_auth_env)
 
 
 def build_llm(config: PipelineConfig) -> LlmBackend:
@@ -131,20 +130,27 @@ def _run_units(
     config: PipelineConfig,
     tracks: dict[str, CaptionTrack],
     units: Sequence[Unit],
-    work: Callable[[CaptionTrack, list[Query], Executor | None], dict[str, T]],
+    work: Callable[
+        [CaptionTrack, list[Query], CachedEmbedder, Executor | None], dict[str, T]
+    ],
     order: Sequence[str],
+    embedder: EmbedderBackend | None,
 ) -> tuple[list[T], list[UnitFailure]]:
     """Map work over units; returns outputs and failures by order.
 
-    work gets the unit's track, its queries and the completion pool, and
-    returns an output or a UnitFailure per key of its unit. A missing
-    track or an EgologError fails every key of the unit and nothing else.
+    work gets the unit's track, its queries, its own embedding cache (in
+    front of embedder, or of the configured backend if that is None) and
+    the completion pool, and returns an output or a UnitFailure per key of
+    its unit. A missing track or an EgologError fails every key of the
+    unit and nothing else.
 
     At in_flight_limit n > 1 units run on n threads and every completion
     on one pool of n * n threads; at 1 both run in the caller's thread.
     No deadlock: unit tasks wait only on the completion pool, and
-    completion tasks wait on no pool.
+    completion tasks wait on no pool. Completion tasks never embed, so
+    each unit's cache is used by its unit's thread alone.
     """
+    backend = build_embedder(config) if embedder is None else embedder
 
     def one(unit: Unit) -> dict[str, T | UnitFailure]:
         keys, video_id, queries = unit
@@ -152,7 +158,7 @@ def _run_units(
         try:
             if video_id not in tracks:
                 raise ConfigError(f"no captions for video {video_id!r}")
-            outputs = work(tracks[video_id], queries, completions)
+            outputs = work(tracks[video_id], queries, CachedEmbedder(backend), completions)
         except EgologError as exc:
             return {key: UnitFailure(key, str(exc)) for key in keys}
         _log_event(
@@ -196,19 +202,18 @@ def run_digest(
     queries = (
         load_queries(config.queries_path) if config.queries_path is not None else []
     )
-    embedder = build_embedder(config) if embedder is None else CachedEmbedder(embedder)
     if llm is None and config.digest.merge_mode is MergeMode.LLM:
         llm = build_llm(config)
 
     def digest_video(
-        track: CaptionTrack, qs: list[Query], pool: Executor | None
+        track: CaptionTrack, qs: list[Query], cache: CachedEmbedder, pool: Executor | None
     ) -> dict:
-        return {track.video_id: digest(track, qs, embedder, llm, config.digest, pool)}
+        return {track.video_id: digest(track, qs, cache, llm, config.digest, pool)}
 
     by_video = _by_video(queries)
     units = [([vid], vid, by_video.get(vid, [])) for vid in tracks]
     results, failures = _run_units(
-        "digest", config, tracks, units, digest_video, list(tracks)
+        "digest", config, tracks, units, digest_video, list(tracks), embedder
     )
     digested_tracks = {track.video_id: track for track, _ in results}
     stats_by_video = {track.video_id: stats for track, stats in results}
@@ -229,7 +234,6 @@ def run_ask(
     question in order, and sends every run of every question in one map.
     """
     tracks, queries = _load_inputs(config, QueryKind.QA)
-    embedder = build_embedder(config) if embedder is None else CachedEmbedder(embedder)
     if llm is None:
         llm = build_llm(config)
 
@@ -258,13 +262,11 @@ def run_ask(
         }
 
     def answer(
-        track: CaptionTrack, video_queries: list[Query], pool: Executor | None
+        track: CaptionTrack, qs: list[Query], cache: CachedEmbedder, pool: Executor | None
     ) -> dict[str, dict | UnitFailure]:
-        if len(video_queries) > 1:
+        if len(qs) > 1:
             try:
-                embedder.embed_texts(
-                    [c.text for c in track.captions] + [q.text for q in video_queries]
-                )
+                cache.embed_texts([c.text for c in track.captions] + [q.text for q in qs])
             except EgologError as exc:
                 logger.warning(
                     "shared embedding request for video %r failed: %s; "
@@ -274,9 +276,9 @@ def run_ask(
                 )
         outcomes: dict[str, dict | UnitFailure] = {}
         asked, jobs = [], []
-        for query in video_queries:
+        for query in qs:
             try:
-                digested, _ = digest(track, [query], embedder, llm, config.digest, pool)
+                digested, _ = digest(track, [query], cache, llm, config.digest, pool)
             except EgologError as exc:
                 outcomes[query.qid] = UnitFailure(query.qid, str(exc))
                 continue
@@ -288,7 +290,9 @@ def run_ask(
         return outcomes
 
     units = [([q.qid for q in qs], vid, qs) for vid, qs in _by_video(queries).items()]
-    return _run_units("ask", config, tracks, units, answer, [q.qid for q in queries])
+    return _run_units(
+        "ask", config, tracks, units, answer, [q.qid for q in queries], embedder
+    )
 
 
 def run_localize(
@@ -299,27 +303,26 @@ def run_localize(
 ) -> tuple[list[dict], list[UnitFailure]]:
     """Localize every NLQ query: digest per video, one batched prompt, refine."""
     tracks, queries = _load_inputs(config, QueryKind.NLQ)
-    embedder = build_embedder(config) if embedder is None else CachedEmbedder(embedder)
     if llm is None:
         llm = build_llm(config)
 
     def localize(
-        track: CaptionTrack, video_queries: list[Query], pool: Executor | None
+        track: CaptionTrack, qs: list[Query], cache: CachedEmbedder, pool: Executor | None
     ) -> dict[str, dict]:
-        digested, _ = digest(track, video_queries, embedder, llm, config.digest, pool)
+        digested, _ = digest(track, qs, cache, llm, config.digest, pool)
         # one scorer per unit: it keeps the digested captions' embeddings
-        scorer = CaptionOverlapScorer(embedder, config.digest.relevance_threshold)
-        prompt = build_nlq_prompt(digested, video_queries)
+        scorer = CaptionOverlapScorer(cache, config.digest.relevance_threshold)
+        prompt = build_nlq_prompt(digested, qs)
         ((reply,),) = run(
             [(prompt, derive_seed(config.seed, "nlq", track.video_id))], llm, 1, pool=pool
         )
         if isinstance(reply, EgologError):
             raise reply
         answers = parse_response(
-            reply, QueryKind.NLQ, [q.qid for q in video_queries], digested.bounds
+            reply, QueryKind.NLQ, [q.qid for q in qs], digested.bounds
         )
         records: dict[str, dict] = {}
-        for query, answer in zip(video_queries, answers):
+        for query, answer in zip(qs, answers):
             final = select_candidate(
                 answer, digested, scorer, config.refine, query_text=query.text
             )
@@ -337,7 +340,7 @@ def run_localize(
 
     units = [([q.qid for q in qs], vid, qs) for vid, qs in _by_video(queries).items()]
     return _run_units(
-        "localize", config, tracks, units, localize, [q.qid for q in queries]
+        "localize", config, tracks, units, localize, [q.qid for q in queries], embedder
     )
 
 

@@ -88,8 +88,9 @@ class CaptionOverlapScorer:
     duration to the score. Relevance is computed once per call, for all
     candidates of the query. The caption embeddings and spans of the
     track last scored are kept, so the queries of one track embed only
-    their own text; a scorer shared across threads stays correct but
-    rebuilds them whenever the track changes.
+    their own text. The pipeline builds one scorer per unit, on the
+    unit's embedding cache; a scorer shared across threads stays correct
+    but rebuilds them whenever the track changes.
     """
 
     def __init__(

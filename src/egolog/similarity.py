@@ -6,16 +6,16 @@ vector per text; `embed_batch` checks that contract and returns the
 vectors as the rows of one float64 array. `cosine_matrix` scores every
 row of one array against every row of another and `cosine_rows` scores
 paired rows. `CachedEmbedder` is the one per-text embedding cache; the
-pipeline puts it in front of the configured backend for a whole run. Two
-backends ship with the package: a deterministic offline mock (seeded
-feature hashing of character trigrams, for tests and desk runs) and an
-HTTP client for a real embedding service.
+pipeline gives each unit (one video) its own, in front of the run's
+backend, and drops it when the unit ends. Two backends ship with the
+package: a deterministic offline mock (seeded feature hashing of
+character trigrams, for tests and desk runs) and an HTTP client for a
+real embedding service.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from typing import Callable, Protocol, Sequence
 
@@ -96,10 +96,12 @@ class HttpEmbedder:
     """Client for an HTTP embedding endpoint.
 
     POSTs ``{"texts": [...]}``, at most EMBED_MAX_TEXTS texts in order, and
-    expects ``{"embeddings": [[...], ...]}``. The bearer token, if any, is
-    read from the environment variable named in the configuration. A request
-    to an unreachable endpoint or answered by a 5xx is resent by
-    call_with_retries (3 attempts, 1 s then 2 s apart; sleep is their clock).
+    expects ``{"embeddings": [[...], ...]}``, one per text of that request,
+    so a short reply cannot shift later rows onto other texts. The bearer
+    token, if any, is read from the environment variable named in the
+    configuration. A request to an unreachable endpoint or answered by a
+    5xx is resent by call_with_retries (3 attempts, 1 s then 2 s apart;
+    sleep is their clock).
     """
 
     def __init__(
@@ -126,51 +128,36 @@ class HttpEmbedder:
             )
             if not isinstance(vectors, list):
                 raise BackendProtocolError("embeddings field is not a list")
+            if len(vectors) != len(body["texts"]):
+                raise BackendProtocolError(
+                    f"count mismatch: sent {len(body['texts'])} texts in one request, "
+                    f"got {len(vectors)} embeddings"
+                )
             rows.extend(vectors)
         return rows
 
 
 class CachedEmbedder:
-    """Thread-safe per-text embedding cache in front of a backend.
+    """Per-text embedding cache in front of a backend, for one unit's thread.
 
-    Texts neither cached nor being fetched are de-duplicated and sent to
-    the backend as one batch in first-seen order; a text another thread is
-    already fetching is waited for, not sent again. If that fetch fails,
-    the waiting threads fetch the text themselves, so the failure stays
-    with the caller that made it. Rows are kept read-only for the
-    wrapper's lifetime.
+    Texts not yet cached are de-duplicated and sent to the backend as one
+    batch in first-seen order; a failed batch caches nothing. Rows are
+    kept read-only for the wrapper's lifetime, which the pipeline bounds
+    by one unit (one video), so it has no lock: a unit embeds only from
+    its own thread.
     """
 
     def __init__(self, backend: EmbedderBackend):
         self.backend = backend
         self._rows: dict[str, np.ndarray] = {}
-        self._fetching: dict[str, threading.Event] = {}
-        self._lock = threading.Lock()
 
     def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
-        while True:
-            with self._lock:
-                missing = [t for t in dict.fromkeys(texts) if t not in self._rows]
-                if not missing:
-                    return [self._rows[t] for t in texts]
-                others = {self._fetching[t] for t in missing if t in self._fetching}
-                mine = [t for t in missing if t not in self._fetching]
-                done = threading.Event()
-                for text in mine:
-                    self._fetching[text] = done
-            if mine:
-                try:
-                    fresh = embed_batch(self.backend, mine)
-                    fresh.setflags(write=False)
-                    with self._lock:
-                        self._rows.update(zip(mine, fresh))
-                finally:
-                    with self._lock:
-                        for text in mine:
-                            del self._fetching[text]
-                    done.set()
-            for event in others:
-                event.wait()
+        missing = [t for t in dict.fromkeys(texts) if t not in self._rows]
+        if missing:
+            fresh = embed_batch(self.backend, missing)
+            fresh.setflags(write=False)
+            self._rows.update(zip(missing, fresh))
+        return [self._rows[t] for t in texts]
 
 
 def embed_batch(backend: EmbedderBackend, texts: Sequence[str]) -> np.ndarray:

@@ -255,17 +255,19 @@ def completion_pool(workers):
 class RecordingEmbedder:
     """The seed-0 mock embedder, recording every batch it is sent.
 
-    Each call first sleeps delay_s, so that concurrent callers overlap.
+    threads[k] is the name of the thread that sent calls[k].
     """
 
-    def __init__(self, delay_s=0.0):
+    def __init__(self):
         self.inner = MockEmbedder(seed=0)
         self.calls = []
-        self.delay_s = delay_s
+        self.threads = []
+        self._lock = threading.Lock()
 
     def embed_texts(self, texts):
-        self.calls.append(list(texts))
-        time.sleep(self.delay_s)
+        with self._lock:
+            self.calls.append(list(texts))
+            self.threads.append(threading.current_thread().name)
         return self.inner.embed_texts(texts)
 
 

@@ -190,7 +190,7 @@ class TestHttpEmbedder:
         out = backend.embed_texts(["alpha", "beta"])
         assert out == [[1.0, 0.0], [0.0, 1.0]]
         assert http_script.requests == [{"texts": ["alpha", "beta"]}]
-        # the client itself keeps nothing; the pipeline's cache wraps it, and
+        # the client itself keeps nothing; each unit's cache wraps it, and
         # serves cached texts without a second request
         cached = CachedEmbedder(backend)
         assert embed_batch(cached, ["alpha", "beta"]).tolist() == out
@@ -288,6 +288,22 @@ class TestHttpEmbedder:
             ["c", "d"],
             ["e"],
         ]
+
+    def test_each_capped_request_checks_its_row_count(self, http_script, monkeypatch):
+        # one row short, then one row long: the total of 4 matches the texts
+        monkeypatch.setattr(similarity, "EMBED_MAX_TEXTS", 2)
+        replies = {
+            ("a", "b"): [[1.0, 0.0]],
+            ("c", "d"): [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]],
+        }
+        http_script.reply = lambda payload: (
+            200,
+            {"embeddings": replies[tuple(payload["texts"])]},
+        )
+        backend = HttpEmbedder(http_script.endpoint, sleep=lambda s: None)
+        with pytest.raises(BackendProtocolError, match="count mismatch: sent 2 texts"):
+            backend.embed_texts(list("abcd"))
+        assert [r["texts"] for r in http_script.requests] == [["a", "b"]]
 
 
 @pytest.mark.parametrize("command", ["ask", "localize"])

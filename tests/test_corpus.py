@@ -521,6 +521,9 @@ class TestQueriesIO:
             ('"kind": "nlq", "query": "   "', "query 'q2' has empty text"),
             ('"kind": "qa", "gt": [1, 2]', "QA query 'q2' cannot carry a gt window"),
             ('"kind": "nlq", "answer_idx": 1', "NLQ query 'q2' cannot carry an answer index"),
+            # the row carries both "question" and "query"; its kind decides
+            ('"kind": "qa"', "QA query 'q2' cannot carry NLQ query text"),
+            ('"kind": "nlq"', "NLQ query 'q2' cannot carry a question"),
         ],
         ids=[
             "fractional-answer",
@@ -545,6 +548,8 @@ class TestQueriesIO:
             "blank-query",
             "qa-gt",
             "nlq-answer-idx",
+            "qa-query",
+            "nlq-question",
         ],
     )
     def test_coerced_values_rejected_with_path_and_line(self, tmp_path, fields, message):

@@ -24,7 +24,7 @@ from egolog.pipeline import (
     run_gen_refine_data,
     run_localize,
 )
-from egolog.similarity import CachedEmbedder, HttpEmbedder, MockEmbedder
+from egolog.similarity import HttpEmbedder, MockEmbedder
 
 from helpers import (
     CallableBackend,
@@ -35,6 +35,7 @@ from helpers import (
     ScriptedNlqBackend,
     ScriptedQaBackend,
     disk_config,
+    make_track,
     synth_nlq_benchmark,
     synth_qa_benchmark,
     write_run,
@@ -65,8 +66,7 @@ class TestBuildBackends:
         tracks, queries = synth_qa_benchmark(n_items=1)
         config = disk_config(tmp_path, tracks, queries, "[embedder]\ndim = 32\n")
         embedder = build_embedder(config)
-        assert isinstance(embedder, CachedEmbedder)
-        assert isinstance(embedder.backend, MockEmbedder)
+        assert isinstance(embedder, MockEmbedder)
         assert len(embedder.embed_texts(["some text"])[0]) == 32
 
     def test_mock_embedder_ignores_pipeline_seed(self, tmp_path):
@@ -86,9 +86,7 @@ class TestBuildBackends:
             queries,
             "[embedder]\nkind = http\nendpoint = http://127.0.0.1:1/\n",
         )
-        embedder = build_embedder(config)
-        assert isinstance(embedder, CachedEmbedder)
-        assert isinstance(embedder.backend, HttpEmbedder)
+        assert isinstance(build_embedder(config), HttpEmbedder)
 
     def test_replay_llm_requires_transcripts(self, tmp_path):
         tracks, queries = synth_qa_benchmark(n_items=1)
@@ -293,6 +291,37 @@ class TestSharedPools:
         assert (video_stats.groups_merged, video_stats.merge_fallbacks) == (8, 0)
         assert backend.max_in_flight == 4
 
+    @pytest.mark.parametrize("command", ["ask", "localize", "digest"])
+    def test_each_video_embeds_from_one_thread(self, tmp_path, command):
+        # a unit's embedding cache has no lock, so no completion task (an
+        # LLM merge, a run) may embed: every batch of a video's texts must
+        # come from the thread running its unit
+        if command == "localize":
+            tracks, queries = synth_nlq_benchmark(n_items=6, captions_per_video=8)
+            config = disk_config(
+                tmp_path, tracks, queries, overrides={"run.in_flight_limit": "4"}
+            )
+            llm, command_fn = ScriptedNlqBackend(), run_localize
+        else:
+            tracks, queries = questions_per_video(n_videos=6)
+            config = disk_config(
+                tmp_path, tracks, queries, PAIR_MERGES, overrides={"run.in_flight_limit": "4"}
+            )
+            llm = ScriptedQaBackend()
+            command_fn = run_ask if command == "ask" else run_digest
+        owner = {c.text: vid for vid, track in tracks.items() for c in track.captions}
+        owner.update((q.text, q.video_id) for q in queries)
+        recording = RecordingEmbedder()
+        *_, failures = command_fn(config, embedder=recording, llm=llm)
+        assert failures == []
+        threads_by_video: dict[str, set[str]] = {}
+        for thread, texts in zip(recording.threads, recording.calls):
+            (video,) = {owner[t] for t in texts}
+            threads_by_video.setdefault(video, set()).add(thread)
+        assert sorted(threads_by_video) == sorted(tracks)
+        assert all(len(threads) == 1 for threads in threads_by_video.values())
+        assert all(t.startswith("egolog-unit") for t in recording.threads)
+
     def test_outputs_independent_of_in_flight_limit(self, tmp_path):
         tracks, queries = questions_per_video()
         orphan = Query("orphan", "ghost", QueryKind.QA, "What?", ("a",) * 5)
@@ -438,9 +467,15 @@ class TestRunLocalize:
         assert len(records) == 5
 
     def test_injected_backend_gets_each_text_once(self, tmp_path):
-        # the run's cache fronts an injected backend too, so the digest
-        # stages and every refinement score share one fetch per text
+        # each unit's cache fronts an injected backend too, so the digest
+        # stages and every refinement score of a video share one fetch per
+        # text; the cache ends with its unit, so a caption text that two
+        # videos share is fetched once for each
         tracks, queries = synth_nlq_benchmark(n_items=4, captions_per_video=8)
+        shared = "C wipes the table with a cloth"
+        for vid in list(tracks)[:2]:
+            texts = [c.text for c in tracks[vid].captions]
+            tracks[vid] = make_track(vid, texts=texts + [shared])
         config = disk_config(tmp_path, tracks, queries)
         counting = RecordingEmbedder()
         records, failures = run_localize(
@@ -449,7 +484,9 @@ class TestRunLocalize:
         assert failures == []
         assert len(records) == len(queries)
         sent = [text for batch in counting.calls for text in batch]
-        assert len(sent) == len(set(sent))
+        assert sent.count(shared) == 2
+        others = [text for text in sent if text != shared]
+        assert len(others) == len(set(others))
 
     def test_no_nlq_items_is_fatal(self, tmp_path):
         tracks, queries = synth_qa_benchmark(n_items=2)

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import sys
 import threading
-import time
 from decimal import Decimal, getcontext
 from pathlib import Path
 
@@ -329,78 +328,21 @@ class TestCachedEmbedder:
         with pytest.raises(ValueError):
             row[0] = 9.0
 
-    def test_overlapping_threads_get_identical_rows(self):
-        # the backend delay keeps the threads inside it at once, so threads
-        # that want a text another one is fetching must wait for its row
-        backend = RecordingEmbedder(delay_s=0.02)
-        cached = CachedEmbedder(backend)
-        texts = [f"C moves box {i} to the shelf" for i in range(100)]
-        lists = [texts[i * 10 : i * 10 + 30] for i in range(8)]
-        results = [None] * len(lists)
-        barrier = threading.Barrier(len(lists))
-
-        def work(k):
-            barrier.wait(timeout=10)
-            results[k] = dict(zip(lists[k], cached.embed_texts(lists[k])))
-
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(lists))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        sent = [text for call in backend.calls for text in call]
-        assert sorted(sent) == sorted(set(sum(lists, [])))
-        expected = dict(zip(texts, MockEmbedder(seed=0).embed_texts(texts)))
-        for text in set(sent):
-            rows = [rows_k[text] for rows_k in results if text in rows_k]
-            assert all(row is rows[0] for row in rows)
-            assert np.array_equal(rows[0], expected[text])
-
-    def test_threads_waiting_on_a_failed_fetch_fetch_for_themselves(self):
-        release = threading.Event()
-
-        class FirstFetchFails(RecordingEmbedder):
+    def test_failed_batch_caches_nothing(self):
+        class FirstCallFails(RecordingEmbedder):
             def embed_texts(self, texts):
                 if not self.calls:
                     self.calls.append(list(texts))
-                    release.wait(timeout=10)
                     raise TransportError("embedding endpoint returned 503")
                 return super().embed_texts(texts)
 
-        backend = FirstFetchFails(delay_s=0.05)
+        backend = FirstCallFails()
         cached = CachedEmbedder(backend)
         texts = ["C opens the fridge", "C takes the milk"]
-        outcomes = {}
-
-        def work(name):
-            try:
-                outcomes[name] = cached.embed_texts(texts)
-            except TransportError as exc:
-                outcomes[name] = exc
-
-        owner = threading.Thread(target=work, args=("owner",))
-        owner.start()
-        deadline = time.monotonic() + 10
-        while not backend.calls and time.monotonic() < deadline:
-            time.sleep(0.001)
-        waiters = [threading.Thread(target=work, args=(k,)) for k in range(3)]
-        for thread in waiters:
-            thread.start()
-        time.sleep(0.1)  # let the waiters block on the owner's fetch
-        release.set()
-        for thread in [owner, *waiters]:
-            thread.join(timeout=10)
-        assert not any(thread.is_alive() for thread in [owner, *waiters])
-        assert isinstance(outcomes["owner"], TransportError)
-        expected = MockEmbedder(seed=0).embed_texts(texts)
-        for k in range(3):
-            assert np.array_equal(np.array(outcomes[k]), expected)
+        with pytest.raises(TransportError):
+            cached.embed_texts(texts)
+        rows = cached.embed_texts(texts)
+        assert np.array_equal(np.array(rows), MockEmbedder(seed=0).embed_texts(texts))
         assert backend.calls == [texts, texts]
 
     def test_dimension_change_between_batches_is_protocol_error(self):
