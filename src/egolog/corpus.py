@@ -18,6 +18,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -174,7 +175,7 @@ class CaptionTrack:
         clip_end_s: float | None = None,
     ) -> "CaptionTrack":
         """Sort captions (stable, by start then end) and default bounds to their hull."""
-        ordered = sorted(captions, key=lambda c: (c.start_s, c.end_s))
+        ordered = sorted(captions, key=attrgetter("start_s", "end_s"))
         if not ordered and None in (clip_start_s, clip_end_s):
             raise ValueError(f"cannot infer clip bounds for empty track {video_id!r}")
         if clip_start_s is None:
@@ -240,7 +241,9 @@ _BOUNDS_KEY_SET = frozenset(_BOUNDS_KEYS)
 _CAPTION_ONLY = _CAPTION_KEY_SET - _BOUNDS_KEY_SET
 _BOUNDS_ONLY = _BOUNDS_KEY_SET - _CAPTION_KEY_SET
 
-_DECODER = json.JSONDecoder()
+# the decoder's scanner: raw_decode(line) without its Python frame, raising
+# StopIteration where raw_decode raises "Expecting value"
+_SCAN = json.JSONDecoder().scan_once
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -248,12 +251,12 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
     The file is read and decoded whole, then split into lines at "\\n",
     "\\r\\n" and "\\r", as text-mode iteration splits them. A line that
-    is exactly one JSON value takes one raw_decode call; any other line
-    goes through json.loads, whose message a malformed line reports. A
-    file that is not UTF-8 is checked line by line, so a byte that is not
-    UTF-8 is a CorpusError naming the line it is on, raised only once the
-    lines before it have been yielded. A file that cannot be read (a
-    directory, an I/O error) is a CorpusError naming it.
+    is exactly one JSON value takes one call of the decoder's scanner;
+    any other line goes through json.loads, whose message a malformed
+    line reports. A file that is not UTF-8 is checked line by line, so a
+    byte that is not UTF-8 is a CorpusError naming the line it is on,
+    raised only once the lines before it have been yielded. A file that
+    cannot be read (a directory, an I/O error) is a CorpusError naming it.
     """
     path = Path(path)
     try:
@@ -277,8 +280,8 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             except UnicodeEncodeError:
                 raise CorpusError("not valid UTF-8", path=str(path), line=lineno) from None
         try:
-            record, end = _DECODER.raw_decode(line)
-        except (ValueError, RecursionError):
+            record, end = _SCAN(line, 0)
+        except (StopIteration, ValueError, RecursionError):
             end = -1
         if end != len(line):
             if not line.strip():
@@ -331,8 +334,11 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
     duplicates = 0
 
     for lineno, record in iter_jsonl(path):
-        if record.keys() >= _BOUNDS_KEY_SET:
-            if not record.keys().isdisjoint(_CAPTION_ONLY):
+        keys = record.keys()
+        if keys == _CAPTION_KEY_SET:
+            pass  # the common row: a caption with no other key to check
+        elif keys >= _BOUNDS_KEY_SET:
+            if not keys.isdisjoint(_CAPTION_ONLY):
                 raise _mixed_shapes(record, _CAPTION_ONLY, path, lineno)
             try:
                 vid = text_field(record["video_id"], "video_id")
@@ -352,19 +358,23 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
                 )
             bounds[vid] = (lo, hi)
             continue
-        if not record.keys() >= _CAPTION_KEY_SET:
-            missing = sorted(_CAPTION_KEY_SET - record.keys())
+        elif not keys >= _CAPTION_KEY_SET:
+            missing = sorted(_CAPTION_KEY_SET - keys)
             raise CorpusError(
                 f"record missing fields {missing}", path=str(path), line=lineno
             )
-        if not record.keys().isdisjoint(_BOUNDS_ONLY):
+        elif not keys.isdisjoint(_BOUNDS_ONLY):
             raise _mixed_shapes(record, _BOUNDS_ONLY, path, lineno)
+        vid, text = record["video_id"], record["text"]
         try:
+            # text_field of a str is the str itself
             cap = Caption(
-                video_id=text_field(record["video_id"], "video_id"),
+                video_id=vid if type(vid) is str else text_field(vid, "video_id"),
                 start_s=normalize_seconds(record["start_s"]),
                 end_s=normalize_seconds(record["end_s"]),
-                text=normalize_caption_text(text_field(record["text"], "text")),
+                text=normalize_caption_text(
+                    text if type(text) is str else text_field(text, "text")
+                ),
             )
         except (TypeError, ValueError) as exc:
             raise CorpusError(str(exc), path=str(path), line=lineno) from exc
@@ -450,7 +460,8 @@ def load_queries(path: str | Path) -> list[Query]:
     "video_id", "kind": "nlq", "query", "gt": [start, end]?}``. A QA
     record with a "gt" or a "query", or an NLQ one with "choices",
     "answer_idx" or a "question", raises CorpusError (a null "gt",
-    "answer_idx", "query" or "question" counts as absent).
+    "answer_idx", "query", "question" or, on an NLQ record, "choices"
+    counts as absent).
     """
     path = Path(path)
     if not path.exists():
@@ -490,7 +501,7 @@ def load_queries(path: str | Path) -> list[Query]:
                 if record.get("query") is not None:
                     raise ValueError(f"QA query {qid!r} cannot carry NLQ query text")
             else:
-                if "choices" in record:
+                if record.get("choices") is not None:
                     raise ValueError(f"NLQ query {qid!r} cannot carry choices")
                 gt_raw = record.get("gt")
                 gt = (

@@ -12,6 +12,7 @@ track's clip bounds, and never crosses video boundaries.
 from __future__ import annotations
 
 import logging
+import re
 from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -79,15 +80,17 @@ class DigestStats:
 
 
 def drop_uninformative(track: CaptionTrack, cfg: DigestConfig) -> CaptionTrack:
-    """Remove captions whose lowercase text contains any blocklist phrase."""
+    """Remove captions whose lowercase text contains any blocklist phrase.
+
+    The phrases are matched as plain substrings, all in one scan per
+    caption: one regular expression alternates the escaped phrases, so a
+    phrase with regex metacharacters matches only itself, and an empty
+    phrase matches every caption.
+    """
     if not cfg.blocklist:
         return track
-    lowered = [cap.text.lower() for cap in track.captions]
-    kept = [
-        cap
-        for cap, text in zip(track.captions, lowered)
-        if not any(phrase in text for phrase in cfg.blocklist)
-    ]
+    search = re.compile("|".join(map(re.escape, cfg.blocklist))).search
+    kept = [cap for cap in track.captions if not search(cap.text.lower())]
     if not kept and track.captions:
         logger.warning(
             "all %d captions of video %r matched the blocklist",

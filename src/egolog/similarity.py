@@ -53,6 +53,11 @@ class MockEmbedder:
     one language, at most 2**24). It needs no lock: an entry is a pure
     function of the trigram, the seed and the dimension, so two threads
     that insert the same trigram at once store the same value.
+
+    A text's counts stay a Python list until `embed_texts` stacks the
+    batch into one float64 array. `_embed` runs once per text, not over
+    the whole batch, because the benchmark's tracer counts the texts a
+    backend embedded by its calls.
     """
 
     def __init__(self, seed: int = 0, dim: int = 64):
@@ -63,9 +68,11 @@ class MockEmbedder:
         self._features: dict[bytes, tuple[int, float]] = {}
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        return np.array([self._embed(text) for text in texts])
+        # one _embed call per text: perfbench's similarity.backend_texts
+        # counts these calls
+        return np.array([self._embed(text) for text in texts], dtype=np.float64)
 
-    def _embed(self, text: str) -> np.ndarray:
+    def _embed(self, text: str) -> list[float]:
         data = b"\x02" + text.encode("utf-8") + b"\x03"
         # sums of +-1.0 are exact, so the order of the additions cannot matter
         counts = [0.0] * self._dim
@@ -76,13 +83,12 @@ class MockEmbedder:
                 feature = self._features[trigram] = self._feature(trigram)
             slot, sign = feature
             counts[slot] += sign
-        vec = np.array(counts)
-        if not np.any(vec):
+        if not any(counts):
             # signed counts of a degenerate text cancelled out; fall back to
             # a whole-text hash so the vector stays usable
             slot, sign = self._feature(data)
-            vec[slot] = sign
-        return vec
+            counts[slot] = sign
+        return counts
 
     def _feature(self, data: bytes) -> tuple[int, float]:
         """The slot and sign that the keyed hash of data picks."""

@@ -366,6 +366,19 @@ class TestCaptionsIO:
                 '"clip_end_s": 5}',
                 re.escape("record mixes caption and bounds fields: ['clip_end_s']"),
             ),
+            (
+                '{"video_id": 7, "start_s": 0, "end_s": 2, "text": null}',
+                "text must be a string or a number, got null",
+            ),
+            (
+                '{"video_id": true, "start_s": 0, "end_s": 2, "text": 5}',
+                "video_id must be a string or a number, got a bool",
+            ),
+            (
+                '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": ["C sits"], '
+                '"source": "x"}',
+                "text must be a string or a number, got a list",
+            ),
         ],
         ids=[
             "bool-start",
@@ -388,6 +401,9 @@ class TestCaptionsIO:
             "caption-and-bounds",
             "bounds-with-text",
             "caption-with-a-bound",
+            "int-video-null-text",
+            "bool-video-numeric-text",
+            "extra-key-list-text",
         ],
     )
     def test_coerced_times_rejected_with_path_and_line(self, tmp_path, line, message):
@@ -407,6 +423,30 @@ class TestCaptionsIO:
         track = load_captions(path)["v1"]
         assert track.bounds == (0.0, 9.0)
         assert [c.text for c in track.captions] == ["C sits"]
+
+    @pytest.mark.parametrize(
+        "line, video_id, text",
+        [
+            ('{"video_id": 7, "start_s": 0, "end_s": 2, "text": "C sits"}', "7", "C sits"),
+            ('{"video_id": "v1", "start_s": 0, "end_s": 2, "text": 12}', "v1", "12"),
+            ('{"video_id": "v1", "start_s": 0, "end_s": 2, "text": 2.5}', "v1", "2.5"),
+            (
+                '{"video_id": 7.0, "start_s": 0, "end_s": 2, "text": " C sits ", '
+                '"source": "x"}',
+                "7.0",
+                "C sits",
+            ),
+        ],
+        ids=["int-video", "int-text", "float-text", "extra-key"],
+    )
+    def test_caption_values_that_are_not_strings_load_as_text(
+        self, tmp_path, line, video_id, text
+    ):
+        path = tmp_path / "caps.jsonl"
+        path.write_text(line + "\n")
+        ((vid, track),) = load_captions(path).items()
+        assert vid == video_id
+        assert [(c.video_id, c.text) for c in track.captions] == [(video_id, text)]
 
     def test_newlines_in_text_normalized(self, tmp_path):
         path = tmp_path / "caps.jsonl"
@@ -470,7 +510,9 @@ class TestQueriesIO:
         with pytest.raises(CorpusError, match="queries file not found"):
             load_queries(tmp_path / "absent.jsonl")
 
-    @pytest.mark.parametrize("choices", [None, '"abcde"'], ids=["absent", "string"])
+    @pytest.mark.parametrize(
+        "choices", [None, '"abcde"', "null"], ids=["absent", "string", "null"]
+    )
     def test_qa_without_a_choices_list_rejected(self, tmp_path, choices):
         path = tmp_path / "queries.jsonl"
         row = '{"qid": "q1", "video_id": "v1", "kind": "qa", "question": "what?"'
@@ -479,6 +521,37 @@ class TestQueriesIO:
         message = "expected 5 choices for QA query 'q1', got none in .* at line 1"
         with pytest.raises(CorpusError, match=message):
             load_queries(path)
+
+    def test_null_fields_of_the_other_kind_count_as_absent(self, tmp_path):
+        # a unified export writes every field on every row, null where unused
+        path = tmp_path / "queries.jsonl"
+        rows = [
+            {
+                "qid": "q1",
+                "video_id": "v1",
+                "kind": "qa",
+                "question": "What is stirred?",
+                "choices": ["a", "b", "c", "d", "e"],
+                "answer_idx": 2,
+                "query": None,
+                "gt": None,
+            },
+            {
+                "qid": "n1",
+                "video_id": "v1",
+                "kind": "nlq",
+                "question": None,
+                "choices": None,
+                "answer_idx": None,
+                "query": "When was the pot stirred?",
+                "gt": [3.5, 9.25],
+            },
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        qa, nlq = load_queries(path)
+        assert (qa.choices, qa.gt_answer_idx, qa.gt_window) == (tuple("abcde"), 2, None)
+        assert (nlq.text, nlq.choices, nlq.gt_answer_idx) == ("When was the pot stirred?", None, None)
+        assert nlq.gt_window == (3.5, 9.25)
 
     def test_gt_normalized_to_milliseconds(self, tmp_path):
         path = tmp_path / "queries.jsonl"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egolog.corpus import Caption, CaptionTrack, Query, QueryKind
@@ -69,6 +69,11 @@ def oracle_groups(track, backend, threshold, cap):
     return [tuple(run) for run in runs if len(run) >= 2]
 
 
+# phrases and captions drawn from these carry every regex metacharacter,
+# upper case letters and a dotted capital I, whose lowercase is two characters
+BLOCKLIST_CHARS = "abAB .()[]{}|\\^$*+?-İ"
+
+
 class TestBlocklist:
     def test_default_phrases_dropped(self):
         track = make_track(
@@ -110,6 +115,24 @@ class TestBlocklist:
 
     def test_default_blocklist_value(self):
         assert DEFAULT_BLOCKLIST == ("looks around", "looks at the camera")
+
+    @given(
+        st.lists(st.text(BLOCKLIST_CHARS, min_size=1, max_size=12), min_size=1, max_size=8),
+        st.lists(st.text(BLOCKLIST_CHARS, max_size=3), max_size=4),
+    )
+    @example(["C looks (around)", "a.b", "x|y", "back\\slash"], ["(around)", "|", "\\"])
+    @example(["C looks around", "C sits"], ["a.", "s?"])
+    @example(["C sits"], [""])
+    def test_matches_a_substring_test_of_every_phrase(self, texts, phrases):
+        texts = [t for t in texts if t.strip()] or ["C sits"]
+        track = make_track(texts=texts)
+        cfg = DigestConfig(blocklist=tuple(phrases))
+        expected = [
+            cap.text
+            for cap in track.captions
+            if not any(phrase in cap.text.lower() for phrase in cfg.blocklist)
+        ]
+        assert [c.text for c in drop_uninformative(track, cfg).captions] == expected
 
 
 class TestRelevanceFilter:

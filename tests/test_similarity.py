@@ -66,6 +66,34 @@ def reference_embedding(text, seed, dim):
     return vec
 
 
+class PerTextArrayMock(MockEmbedder):
+    """The mock as it was before its counts stayed a list: one array per text."""
+
+    def embed_texts(self, texts):
+        return np.array([self._embed(text) for text in texts])
+
+    def _embed(self, text):
+        data = b"\x02" + text.encode("utf-8") + b"\x03"
+        counts = [0.0] * self._dim
+        for i in range(len(data) - 2):
+            trigram = data[i : i + 3]
+            feature = self._features.get(trigram)
+            if feature is None:
+                feature = self._features[trigram] = self._feature(trigram)
+            slot, sign = feature
+            counts[slot] += sign
+        vec = np.array(counts)
+        if not np.any(vec):
+            slot, sign = self._feature(data)
+            vec[slot] = sign
+        return vec
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def assert_rows_bit_identical(rows, texts, seed, dim):
     assert rows.dtype == np.float64 and rows.shape == (len(texts), dim)
     for row, text in zip(rows, texts):
@@ -158,6 +186,44 @@ class TestMockEmbedder:
         assert not any(thread.is_alive() for thread in threads)
         for k, rows in enumerate(results):
             assert_rows_bit_identical(rows, texts[k:] + texts[:k], 4, 32)
+
+    @given(
+        st.lists(st.text(max_size=40), max_size=6),
+        st.integers(-(2**63), 2**63 - 1),
+        st.sampled_from([1, 64]),
+    )
+    @example(["C coupe l'oignon à côté du évier", "切る 🍳 — ½ ∞", "\x00\U0010ffff"], 5, 64)
+    # the signed counts of "ab", "ax" and "cc" cancel at seed 0, dim 1, and ""
+    # has no trigram, so all four take the whole-text fallback
+    @example(["ab", "ax", "cc", ""], 0, 1)
+    @example([], 0, 64)
+    def test_batch_array_is_bit_identical_to_one_array_per_text(self, texts, seed, dim):
+        assert_same_array(
+            MockEmbedder(seed=seed, dim=dim).embed_texts(texts),
+            PerTextArrayMock(seed=seed, dim=dim).embed_texts(texts),
+        )
+
+    def test_batch_array_is_bit_identical_to_one_array_per_text_at_dim_1536(self):
+        texts = ["C picks up the red cup on the table", "é€𝄞 — ½", "", "C picks up"]
+        assert_same_array(
+            MockEmbedder(seed=9, dim=1536).embed_texts(texts),
+            PerTextArrayMock(seed=9, dim=1536).embed_texts(texts),
+        )
+
+    def test_embed_runs_once_per_text(self, monkeypatch):
+        # perfbench's similarity.backend_texts counts the texts the mock
+        # embedded by counting its _embed calls
+        seen = []
+        embed = MockEmbedder._embed
+
+        def counted(self, text):
+            seen.append(text)
+            return embed(self, text)
+
+        monkeypatch.setattr(MockEmbedder, "_embed", counted)
+        texts = ["C sits", "C stands", "C sits", ""]
+        MockEmbedder().embed_texts(texts)
+        assert seen == texts
 
     @given(st.lists(st.text(min_size=1, max_size=40), min_size=1, max_size=6))
     @example(["C picks up the red cup on the table", "zy", "é€𝄞"])
