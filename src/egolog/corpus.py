@@ -107,6 +107,24 @@ def normalize_caption_text(text: str) -> str:
     return text.strip()
 
 
+def _check_caption(video_id: str, start_s: float, end_s: float, text: str) -> None:
+    """Raise ValueError unless the fields make a valid Caption.
+
+    The video id and the text must be non-empty, the start non-negative
+    and before the end, and the text free of newlines.
+    """
+    if not video_id:
+        raise ValueError("caption video_id must be non-empty")
+    if start_s < 0:
+        raise ValueError(f"caption start must be non-negative, got {start_s}")
+    if not start_s < end_s:
+        raise ValueError(f"inverted interval ({start_s}, {end_s})")
+    if "\n" in text or "\r" in text:
+        raise ValueError("caption text must not contain newlines")
+    if not text.strip():
+        raise ValueError("caption text must be non-empty")
+
+
 @dataclass(frozen=True, slots=True)
 class Caption:
     """One timestamped description of a short clip; the atomic memory unit."""
@@ -117,16 +135,7 @@ class Caption:
     text: str
 
     def __post_init__(self) -> None:
-        if not self.video_id:
-            raise ValueError("caption video_id must be non-empty")
-        if self.start_s < 0:
-            raise ValueError(f"caption start must be non-negative, got {self.start_s}")
-        if not self.start_s < self.end_s:
-            raise ValueError(f"inverted interval ({self.start_s}, {self.end_s})")
-        if "\n" in self.text or "\r" in self.text:
-            raise ValueError("caption text must not contain newlines")
-        if not self.text.strip():
-            raise ValueError("caption text must be non-empty")
+        _check_caption(self.video_id, self.start_s, self.end_s, self.text)
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -314,25 +323,20 @@ def _mixed_shapes(record: dict, other_keys: frozenset, path: Path, line: int) ->
     return CorpusError(message, path=str(path), line=line)
 
 
-def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
-    """Load a captions file into tracks keyed by video_id.
+def _caption_rows(
+    path: Path, bounds: dict[str, tuple[float, float]]
+) -> Iterator[tuple[int, tuple[str, float, float, str]]]:
+    """Yield (line_number, (video_id, start_s, end_s, text)) per caption record.
 
-    Each line is either a caption record
-    ``{"video_id", "start_s", "end_s", "text"}`` or an optional bounds record
-    ``{"video_id", "clip_start_s", "clip_end_s"}``. Without a bounds record
-    the clip bounds default to the hull of the video's captions. A record
-    of one shape that carries a field of the other raises CorpusError.
-    Exact duplicate caption records are dropped with a warning count.
+    Picks each record's shape and reads its fields as a Caption takes
+    them (times normalized, text normalized), without checking the
+    Caption's invariants. Each bounds record is checked and put in
+    bounds, so bounds is complete once the rows run out. A record of the
+    wrong shape or with a field that cannot be read raises CorpusError
+    naming its line; a missing file raises CorpusError at the first row.
     """
-    path = Path(path)
     if not path.exists():
         raise CorpusError(f"captions file not found: {path}")
-
-    captions: dict[str, list[Caption]] = {}
-    bounds: dict[str, tuple[float, float]] = {}
-    seen: set[tuple[str, float, float, str]] = set()
-    duplicates = 0
-
     for lineno, record in iter_jsonl(path):
         keys = record.keys()
         if keys == _CAPTION_KEY_SET:
@@ -344,6 +348,10 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
                 vid = text_field(record["video_id"], "video_id")
                 lo = normalize_seconds(record["clip_start_s"])
                 hi = normalize_seconds(record["clip_end_s"])
+                if not vid:
+                    raise ValueError("video_id must be non-empty")
+                if lo < 0:
+                    raise ValueError(f"clip_start_s must be non-negative, got {lo}")
             except (TypeError, ValueError) as exc:
                 raise CorpusError(f"bad bounds record: {exc}", path=str(path), line=lineno)
             if not lo < hi:
@@ -368,21 +376,53 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
         vid, text = record["video_id"], record["text"]
         try:
             # text_field of a str is the str itself
-            cap = Caption(
-                video_id=vid if type(vid) is str else text_field(vid, "video_id"),
-                start_s=normalize_seconds(record["start_s"]),
-                end_s=normalize_seconds(record["end_s"]),
-                text=normalize_caption_text(
+            row = (
+                vid if type(vid) is str else text_field(vid, "video_id"),
+                normalize_seconds(record["start_s"]),
+                normalize_seconds(record["end_s"]),
+                normalize_caption_text(
                     text if type(text) is str else text_field(text, "text")
                 ),
             )
         except (TypeError, ValueError) as exc:
             raise CorpusError(str(exc), path=str(path), line=lineno) from exc
-        key = (cap.video_id, cap.start_s, cap.end_s, cap.text)
-        if key in seen:
+        yield lineno, row
+
+
+def _warn_unused_bounds(bounds: Mapping, videos: Mapping, path: Path) -> None:
+    for vid in bounds:
+        if vid not in videos:
+            logger.warning("bounds record for video %r has no captions in %s", vid, path)
+
+
+def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
+    """Load a captions file into tracks keyed by video_id.
+
+    Each line is either a caption record
+    ``{"video_id", "start_s", "end_s", "text"}`` or an optional bounds record
+    ``{"video_id", "clip_start_s", "clip_end_s"}``. Without a bounds record
+    the clip bounds default to the hull of the video's captions. A record
+    of one shape that carries a field of the other raises CorpusError, and
+    so does a bounds record with an empty video_id or a negative clip
+    start. Exact duplicate caption records are dropped with a warning count.
+    """
+    path = Path(path)
+
+    captions: dict[str, list[Caption]] = {}
+    bounds: dict[str, tuple[float, float]] = {}
+    seen: set[tuple[str, float, float, str]] = set()
+    duplicates = 0
+
+    for lineno, row in _caption_rows(path, bounds):
+        # a row equal to one seen before was a valid caption there
+        if row in seen:
             duplicates += 1
             continue
-        seen.add(key)
+        try:
+            cap = Caption(*row)
+        except ValueError as exc:
+            raise CorpusError(str(exc), path=str(path), line=lineno) from exc
+        seen.add(row)
         captions.setdefault(cap.video_id, []).append(cap)
 
     if duplicates:
@@ -395,10 +435,48 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
             tracks[vid] = CaptionTrack.build(vid, caps, lo, hi)
         except ValueError as exc:
             raise CorpusError(str(exc), path=str(path)) from exc
-    for vid in bounds:
-        if vid not in tracks:
-            logger.warning("bounds record for video %r has no captions in %s", vid, path)
+    _warn_unused_bounds(bounds, tracks, path)
     return tracks
+
+
+def load_clip_bounds(path: str | Path) -> dict[str, tuple[float, float]]:
+    """The clip bounds of each video of a captions file, as load_captions gives them.
+
+    Equal to ``{v: t.bounds for v, t in load_captions(path).items()}``, and
+    fails where load_captions fails, with the same error. It makes every
+    row check in one pass and keeps only each video's earliest start and
+    latest end; it does not look for duplicate captions, which cannot
+    change a bound.
+    """
+    path = Path(path)
+
+    bounds: dict[str, tuple[float, float]] = {}
+    hulls: dict[str, list[float]] = {}
+    for lineno, (vid, start, end, text) in _caption_rows(path, bounds):
+        try:
+            _check_caption(vid, start, end, text)
+        except ValueError as exc:
+            raise CorpusError(str(exc), path=str(path), line=lineno) from exc
+        hull = hulls.get(vid)
+        if hull is None:
+            hulls[vid] = [start, end]
+            continue
+        if start < hull[0]:
+            hull[0] = start
+        if end > hull[1]:
+            hull[1] = end
+
+    clips: dict[str, tuple[float, float]] = {}
+    for vid, (start, end) in hulls.items():
+        clip = bounds.get(vid)
+        if clip is None:
+            clip = (start, end)
+        elif start < clip[0] or end > clip[1]:
+            # load_captions fails here, naming the first caption outside the clip
+            return {v: track.bounds for v, track in load_captions(path).items()}
+        clips[vid] = clip
+    _warn_unused_bounds(bounds, clips, path)
+    return clips
 
 
 def save_captions(tracks: Mapping[str, CaptionTrack], path: str | Path) -> None:
@@ -440,9 +518,11 @@ def _atomic(path: Path) -> Iterator[Path]:
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     """Write rows as JSON lines, one object per line, atomically."""
+    # the encoder json.dumps(row, ensure_ascii=False) builds per call, built once
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     with _atomic(Path(path)) as tmp, open(tmp, "w", encoding="utf-8") as handle:
         for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+            handle.write(encode(row) + "\n")
 
 
 def write_json(path: str | Path, payload: Mapping) -> None:

@@ -42,6 +42,7 @@ from .corpus import (
     Query,
     QueryKind,
     load_captions,
+    load_clip_bounds,
     load_queries,
     normalize_seconds,
 )
@@ -346,7 +347,7 @@ def run_localize(
 
 def run_gen_refine_data(config: PipelineConfig) -> list[dict]:
     """Generate the balanced refinement dataset from NLQ ground truths."""
-    tracks = load_captions(_require(config.captions_path, "captions"))
+    clips = load_clip_bounds(_require(config.captions_path, "captions"))
     queries = load_queries(_require(config.queries_path, "queries"))
     targets = [
         q for q in queries if q.kind is QueryKind.NLQ and q.gt_window is not None
@@ -355,13 +356,13 @@ def run_gen_refine_data(config: PipelineConfig) -> list[dict]:
         raise ConfigError("the queries file contains no NLQ items with ground truth")
     gts = []
     for query in targets:
-        track = tracks.get(query.video_id)
-        if track is None:
+        bounds = clips.get(query.video_id)
+        if bounds is None:
             raise ConfigError(
                 f"query {query.qid!r} references video {query.video_id!r} "
                 "with no captions"
             )
-        gts.append((query.qid, query.gt_window, track.bounds))
+        gts.append((query.qid, query.gt_window, bounds))
     records = gen_refinement_dataset(gts, config.refine, config.seed)
     _log_event("gen-refine-data", queries=len(targets), samples=len(records))
     return records

@@ -15,15 +15,123 @@ from egolog.corpus import (
     QueryKind,
     iter_jsonl,
     load_captions,
+    load_clip_bounds,
     load_queries,
     normalize_seconds,
     save_captions,
+    write_jsonl,
 )
 from egolog.errors import CorpusError
 from egolog.llm import write_transcripts
 from egolog.reasoner import caption_log_lines
 
 from helpers import UNREADABLE, make_track, needs_unreadable
+
+
+# captions rows that fail, each as the second line of a file, with its message
+BAD_CAPTION_ROWS = {
+    "bool-start": (
+        '{"video_id": "v1", "start_s": true, "end_s": 2, "text": "C sits"}',
+        "times must be numbers, got True",
+    ),
+    "overflowing-end": (
+        '{"video_id": "v1", "start_s": 0, "end_s": 1e309, "text": "C sits"}',
+        "non-finite time inf",
+    ),
+    "overflowing-clip-bound": (
+        '{"video_id": "v1", "clip_start_s": 0, "clip_end_s": 1e309}',
+        "non-finite time inf",
+    ),
+    "string-start": (
+        '{"video_id": "v1", "start_s": "1_0", "end_s": 12, "text": "C sits"}',
+        re.escape("times must be numbers, got '1_0'"),
+    ),
+    "padded-string-end": (
+        '{"video_id": "v1", "start_s": 0, "end_s": " 12.5 ", "text": "C sits"}',
+        re.escape("times must be numbers, got ' 12.5 '"),
+    ),
+    "null-start": (
+        '{"video_id": "v1", "start_s": null, "end_s": 2, "text": "C sits"}',
+        "times must be numbers, got None",
+    ),
+    "string-clip-bound": (
+        '{"video_id": "v1", "clip_start_s": "0", "clip_end_s": 9}',
+        "bad bounds record: times must be numbers, got '0'",
+    ),
+    "huge-int-end": (
+        '{"video_id": "v1", "start_s": 0, "end_s": 1%s, "text": "C sits"}'
+        % ("0" * 400),
+        "integer too large for a float",
+    ),
+    "json-array": ('["v1", 0, 2, "C sits"]', "record is not an object"),
+    "null-text": (
+        '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": null}',
+        "text must be a string or a number, got null",
+    ),
+    "object-text": (
+        '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": {"en": "C sits"}}',
+        "text must be a string or a number, got an object",
+    ),
+    "bool-text": (
+        '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": true}',
+        "text must be a string or a number, got a bool",
+    ),
+    "null-video": (
+        '{"video_id": null, "start_s": 0, "end_s": 2, "text": "C sits"}',
+        "video_id must be a string or a number, got null",
+    ),
+    "list-video": (
+        '{"video_id": ["v1"], "start_s": 0, "end_s": 2, "text": "C sits"}',
+        "video_id must be a string or a number, got a list",
+    ),
+    "null-bounds-video": (
+        '{"video_id": null, "clip_start_s": 0, "clip_end_s": 9}',
+        "bad bounds record: video_id must be a string or a number, got null",
+    ),
+    "empty-clip-bounds": (
+        '{"video_id": "v1", "clip_start_s": 5, "clip_end_s": 5}',
+        re.escape("inverted clip bounds (5.0, 5.0)"),
+    ),
+    "empty-video": (
+        '{"video_id": "", "start_s": 0, "end_s": 2, "text": "C sits"}',
+        "caption video_id must be non-empty",
+    ),
+    "caption-and-bounds": (
+        '{"video_id": "v1", "clip_start_s": 0, "clip_end_s": 9, '
+        '"start_s": 0, "end_s": 2, "text": "C sits"}',
+        "record has both caption and bounds fields",
+    ),
+    "bounds-with-text": (
+        '{"video_id": "v1", "clip_start_s": 0, "clip_end_s": 9, "text": "C sits"}',
+        re.escape("record mixes caption and bounds fields: ['text']"),
+    ),
+    "caption-with-a-bound": (
+        '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": "C sits", '
+        '"clip_end_s": 5}',
+        re.escape("record mixes caption and bounds fields: ['clip_end_s']"),
+    ),
+    "int-video-null-text": (
+        '{"video_id": 7, "start_s": 0, "end_s": 2, "text": null}',
+        "text must be a string or a number, got null",
+    ),
+    "bool-video-numeric-text": (
+        '{"video_id": true, "start_s": 0, "end_s": 2, "text": 5}',
+        "video_id must be a string or a number, got a bool",
+    ),
+    "extra-key-list-text": (
+        '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": ["C sits"], '
+        '"source": "x"}',
+        "text must be a string or a number, got a list",
+    ),
+    "negative-clip-start": (
+        '{"video_id": "v1", "clip_start_s": -5, "clip_end_s": 5}',
+        re.escape("bad bounds record: clip_start_s must be non-negative, got -5.0"),
+    ),
+    "empty-bounds-video": (
+        '{"video_id": "", "clip_start_s": 0, "clip_end_s": 9}',
+        "bad bounds record: video_id must be non-empty",
+    ),
+}
 
 
 class TestCaption:
@@ -284,127 +392,7 @@ class TestCaptionsIO:
         assert [p.name for p in tmp_path.iterdir()] == ["caps.jsonl"]
 
     @pytest.mark.parametrize(
-        "line, message",
-        [
-            (
-                '{"video_id": "v1", "start_s": true, "end_s": 2, "text": "C sits"}',
-                "times must be numbers, got True",
-            ),
-            (
-                '{"video_id": "v1", "start_s": 0, "end_s": 1e309, "text": "C sits"}',
-                "non-finite time inf",
-            ),
-            (
-                '{"video_id": "v1", "clip_start_s": 0, "clip_end_s": 1e309}',
-                "non-finite time inf",
-            ),
-            (
-                '{"video_id": "v1", "start_s": "1_0", "end_s": 12, "text": "C sits"}',
-                re.escape("times must be numbers, got '1_0'"),
-            ),
-            (
-                '{"video_id": "v1", "start_s": 0, "end_s": " 12.5 ", "text": "C sits"}',
-                re.escape("times must be numbers, got ' 12.5 '"),
-            ),
-            (
-                '{"video_id": "v1", "start_s": null, "end_s": 2, "text": "C sits"}',
-                "times must be numbers, got None",
-            ),
-            (
-                '{"video_id": "v1", "clip_start_s": "0", "clip_end_s": 9}',
-                "bad bounds record: times must be numbers, got '0'",
-            ),
-            (
-                '{"video_id": "v1", "start_s": 0, "end_s": 1%s, "text": "C sits"}'
-                % ("0" * 400),
-                "integer too large for a float",
-            ),
-            ('["v1", 0, 2, "C sits"]', "record is not an object"),
-            (
-                '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": null}',
-                "text must be a string or a number, got null",
-            ),
-            (
-                '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": {"en": "C sits"}}',
-                "text must be a string or a number, got an object",
-            ),
-            (
-                '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": true}',
-                "text must be a string or a number, got a bool",
-            ),
-            (
-                '{"video_id": null, "start_s": 0, "end_s": 2, "text": "C sits"}',
-                "video_id must be a string or a number, got null",
-            ),
-            (
-                '{"video_id": ["v1"], "start_s": 0, "end_s": 2, "text": "C sits"}',
-                "video_id must be a string or a number, got a list",
-            ),
-            (
-                '{"video_id": null, "clip_start_s": 0, "clip_end_s": 9}',
-                "bad bounds record: video_id must be a string or a number, got null",
-            ),
-            (
-                '{"video_id": "v1", "clip_start_s": 5, "clip_end_s": 5}',
-                re.escape("inverted clip bounds (5.0, 5.0)"),
-            ),
-            (
-                '{"video_id": "", "start_s": 0, "end_s": 2, "text": "C sits"}',
-                "caption video_id must be non-empty",
-            ),
-            (
-                '{"video_id": "v1", "clip_start_s": 0, "clip_end_s": 9, '
-                '"start_s": 0, "end_s": 2, "text": "C sits"}',
-                "record has both caption and bounds fields",
-            ),
-            (
-                '{"video_id": "v1", "clip_start_s": 0, "clip_end_s": 9, "text": "C sits"}',
-                re.escape("record mixes caption and bounds fields: ['text']"),
-            ),
-            (
-                '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": "C sits", '
-                '"clip_end_s": 5}',
-                re.escape("record mixes caption and bounds fields: ['clip_end_s']"),
-            ),
-            (
-                '{"video_id": 7, "start_s": 0, "end_s": 2, "text": null}',
-                "text must be a string or a number, got null",
-            ),
-            (
-                '{"video_id": true, "start_s": 0, "end_s": 2, "text": 5}',
-                "video_id must be a string or a number, got a bool",
-            ),
-            (
-                '{"video_id": "v1", "start_s": 0, "end_s": 2, "text": ["C sits"], '
-                '"source": "x"}',
-                "text must be a string or a number, got a list",
-            ),
-        ],
-        ids=[
-            "bool-start",
-            "overflowing-end",
-            "overflowing-clip-bound",
-            "string-start",
-            "padded-string-end",
-            "null-start",
-            "string-clip-bound",
-            "huge-int-end",
-            "json-array",
-            "null-text",
-            "object-text",
-            "bool-text",
-            "null-video",
-            "list-video",
-            "null-bounds-video",
-            "empty-clip-bounds",
-            "empty-video",
-            "caption-and-bounds",
-            "bounds-with-text",
-            "caption-with-a-bound",
-            "int-video-null-text",
-            "bool-video-numeric-text",
-            "extra-key-list-text",
-        ],
+        "line, message", BAD_CAPTION_ROWS.values(), ids=list(BAD_CAPTION_ROWS)
     )
     def test_coerced_times_rejected_with_path_and_line(self, tmp_path, line, message):
         path = tmp_path / "caps.jsonl"
@@ -454,6 +442,150 @@ class TestCaptionsIO:
         path.write_text(json.dumps(record) + "\n")
         (cap,) = load_captions(path)["v1"].captions
         assert cap.text == "a b"
+
+
+def read_outcome(read, path):
+    """The (video, value) pairs read returns for path, or its CorpusError's text."""
+    try:
+        return list(read(path).items()), None
+    except CorpusError as exc:
+        return None, str(exc)
+
+
+def track_bounds(path):
+    return {vid: track.bounds for vid, track in load_captions(path).items()}
+
+
+GOOD_VIDEOS = ["v1", "v2", 7]
+GOOD_SPANS = [(0, 2), (1, 3.5), (2.5, 4), (0.0004, 6), (4, 9), (3, 10), (-0.0004, 1)]
+GOOD_TEXTS = ["C sits", "C opens a door", "a\nb", 5]
+BAD_VIDEOS = ["", None, ["v1"]]
+BAD_SPANS = [(2, 2), (3, 1), (-1, 2), (math.inf, 2), ("1", 2), (None, 2), (True, 3)]
+BAD_TEXTS = ["  ", None, ["C"]]
+
+
+def captions_row(caption, vid, span, text):
+    """A caption row, or a bounds row over the same span."""
+    if caption:
+        return {"video_id": vid, "start_s": span[0], "end_s": span[1], "text": text}
+    return {"video_id": vid, "clip_start_s": span[0], "clip_end_s": span[1]}
+
+
+def edited(row, edit, key):
+    """row as it is, with key set to 1, or without key."""
+    if edit == "set":
+        return {**row, key: 1}
+    if edit == "drop":
+        return {k: v for k, v in row.items() if k != key}
+    return row
+
+
+CAPTION_ROWS = st.builds(
+    captions_row,
+    st.just(True),
+    st.sampled_from(GOOD_VIDEOS),
+    st.sampled_from(GOOD_SPANS),
+    st.sampled_from(GOOD_TEXTS),
+)
+BOUNDS_ROWS = st.builds(
+    captions_row,
+    st.just(False),
+    st.sampled_from(GOOD_VIDEOS),
+    st.sampled_from([(0, 10), (0, 4), (1, 9)]),
+    st.none(),
+)
+# any field value, good or bad, and a key of the other shape or of no
+# shape, or a field missing
+ANY_ROWS = st.builds(
+    edited,
+    st.builds(
+        captions_row,
+        st.booleans(),
+        st.sampled_from(GOOD_VIDEOS + BAD_VIDEOS),
+        st.sampled_from(GOOD_SPANS + BAD_SPANS),
+        st.sampled_from(GOOD_TEXTS + BAD_TEXTS),
+    ),
+    st.sampled_from(["keep", "set", "drop"]),
+    st.sampled_from(["video_id", "end_s", "text", "clip_start_s", "clip_end_s", "source"]),
+)
+# one line of a generated captions file, mostly valid; None is a blank line
+CAPTIONS_LINES = st.one_of(
+    CAPTION_ROWS, CAPTION_ROWS, CAPTION_ROWS, CAPTION_ROWS, BOUNDS_ROWS, st.none(), ANY_ROWS
+)
+
+
+class TestClipBounds:
+    @given(st.lists(CAPTIONS_LINES, max_size=10))
+    @settings(max_examples=400)
+    def test_matches_the_tracks_bounds(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("captions") / "caps.jsonl"
+        path.write_text("".join(("" if r is None else json.dumps(r)) + "\n" for r in lines))
+        assert read_outcome(load_clip_bounds, path) == read_outcome(track_bounds, path)
+
+    @pytest.mark.parametrize(
+        "line, message", BAD_CAPTION_ROWS.values(), ids=list(BAD_CAPTION_ROWS)
+    )
+    def test_bad_rows_rejected_as_load_captions_rejects_them(self, tmp_path, line, message):
+        path = tmp_path / "caps.jsonl"
+        first = {"video_id": "v1", "start_s": 0, "end_s": 2, "text": "C stands"}
+        path.write_text(json.dumps(first) + "\n" + line + "\n")
+        with pytest.raises(CorpusError, match=f"{message}.* at line 2"):
+            load_clip_bounds(path)
+
+    def test_hull_or_bounds_record_per_video(self, tmp_path):
+        path = tmp_path / "caps.jsonl"
+        rows = [
+            {"video_id": "v2", "start_s": 4, "end_s": 6, "text": "C sweeps"},
+            {"video_id": "v1", "clip_start_s": 0, "clip_end_s": 30},
+            {"video_id": "v2", "start_s": 1.0004, "end_s": 3, "text": "C waters a plant"},
+            {"video_id": "v1", "start_s": 3, "end_s": 5, "text": "C picks up a pot"},
+            {"video_id": "v3", "clip_start_s": 0, "clip_end_s": 9},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert list(load_clip_bounds(path).items()) == [("v2", (1.0, 6.0)), ("v1", (0.0, 30.0))]
+
+    def test_bounds_record_without_captions_warned(self, tmp_path, caplog):
+        path = tmp_path / "caps.jsonl"
+        rows = [
+            {"video_id": "v1", "start_s": 0, "end_s": 2, "text": "C stands"},
+            {"video_id": "v2", "clip_start_s": 0, "clip_end_s": 9},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert load_clip_bounds(path) == {"v1": (0.0, 2.0)}
+        assert "bounds record for video 'v2' has no captions" in caplog.text
+
+    def test_caption_outside_its_bounds_record_is_the_tracks_error(self, tmp_path):
+        path = tmp_path / "caps.jsonl"
+        rows = [
+            {"video_id": "v1", "clip_start_s": 0, "clip_end_s": 10},
+            {"video_id": "v1", "start_s": 9, "end_s": 11, "text": "C closes the door"},
+            {"video_id": "v1", "start_s": 8, "end_s": 12, "text": "C opens the door"},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        message = f"caption (8.0, 12.0) outside clip bounds (0.0, 10.0) in video 'v1' in {path}"
+        with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+            load_clip_bounds(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(CorpusError, match="not found"):
+            load_clip_bounds(tmp_path / "absent.jsonl")
+
+
+# any value json.dumps writes, with non-ASCII text and non-finite floats
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestWriteJsonl:
+    @given(st.lists(st.dictionaries(st.text(), JSON_VALUES, max_size=4), max_size=5))
+    def test_writes_what_json_dumps_writes(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
+        write_jsonl(path, rows)
+        expected = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestQueriesIO:
@@ -721,7 +853,7 @@ class TestIterJsonl:
         with pytest.raises(CorpusError, match=f"^malformed line: .*{where}"):
             load_captions(path)
 
-    @pytest.mark.parametrize("loader", [load_captions, load_queries])
+    @pytest.mark.parametrize("loader", [load_captions, load_queries, load_clip_bounds])
     def test_deeply_nested_line_is_malformed(self, tmp_path, loader):
         path = tmp_path / "rows.jsonl"
         path.write_text("\n" + "[" * 100_000 + "]" * 100_000 + "\n")
@@ -729,13 +861,13 @@ class TestIterJsonl:
         with pytest.raises(CorpusError, match=f"^malformed line: nested too deeply {where}"):
             loader(path)
 
-    @pytest.mark.parametrize("loader", [load_captions, load_queries])
+    @pytest.mark.parametrize("loader", [load_captions, load_queries, load_clip_bounds])
     def test_directory_is_named(self, tmp_path, loader):
         with pytest.raises(CorpusError, match=f"^cannot read {re.escape(str(tmp_path))}: "):
             loader(tmp_path)
 
     @needs_unreadable
-    @pytest.mark.parametrize("loader", [load_captions, load_queries])
+    @pytest.mark.parametrize("loader", [load_captions, load_queries, load_clip_bounds])
     def test_unreadable_file_is_named(self, loader):
         with pytest.raises(CorpusError, match=f"^cannot read {UNREADABLE}: "):
             loader(UNREADABLE)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egolog import corpus, pipeline
 from egolog.config import load_config
 from egolog.corpus import Query, QueryKind
 from egolog.digest import MERGE_PROMPT
@@ -24,6 +25,7 @@ from egolog.pipeline import (
     run_gen_refine_data,
     run_localize,
 )
+from egolog.refine import gen_refinement_dataset
 from egolog.similarity import HttpEmbedder, MockEmbedder
 
 from helpers import (
@@ -724,6 +726,19 @@ class TestRunGenRefineData:
             labels = [r["label"] for r in records if r["qid"] == qid]
             assert labels.count("pos") == 5
             assert labels.count("neg") == 5
+
+    def test_reads_clip_bounds_without_building_tracks(self, tmp_path, monkeypatch):
+        tracks, queries = synth_nlq_benchmark(n_items=3, captions_per_video=8)
+        config = disk_config(tmp_path, tracks, queries)
+        gts = [(q.qid, q.gt_window, tracks[q.video_id].bounds) for q in queries]
+        expected = gen_refinement_dataset(gts, config.refine, config.seed)
+
+        def refuse(path):
+            raise AssertionError(f"load_captions({path}) called")
+
+        monkeypatch.setattr(pipeline, "load_captions", refuse)
+        monkeypatch.setattr(corpus, "load_captions", refuse)
+        assert run_gen_refine_data(config) == expected
 
     def test_requires_ground_truth(self, tmp_path):
         tracks, queries = synth_nlq_benchmark(n_items=2)
