@@ -30,8 +30,9 @@ _TIME_DECIMALS = 3
 
 _BOUNDS_KEYS = ("video_id", "clip_start_s", "clip_end_s")
 
-# how a value that is not text is named, by its JSON type
-_NOT_TEXT = {type(None): "null", bool: "a bool", list: "a list", dict: "an object"}
+# how a message names a value, by its JSON type
+_JSON_TYPE = {type(None): "null", bool: "a bool", list: "a list", dict: "an object"}
+_JSON_TYPE |= {str: "a string", int: "a number", float: "a number"}
 
 
 def finite_seconds(value) -> float:
@@ -95,7 +96,7 @@ def text_field(value, name: str) -> str:
     null, a bool, a list or an object raises ValueError.
     """
     if type(value) not in (str, int, float):
-        got = _NOT_TEXT[type(value)]
+        got = _JSON_TYPE[type(value)]
         raise ValueError(f"{name} must be a string or a number, got {got}")
     return str(value)
 
@@ -215,6 +216,11 @@ class Query:
     gt_answer_idx: int | None = None
     gt_window: tuple[float, float] | None = None
 
+    @property
+    def gt(self) -> int | tuple[float, float] | None:
+        """The ground truth of the query's kind: gt_answer_idx (QA) or gt_window (NLQ)."""
+        return self.gt_answer_idx if self.kind is QueryKind.QA else self.gt_window
+
     def __post_init__(self) -> None:
         if not self.qid:
             raise ValueError("query qid must be non-empty")
@@ -247,8 +253,14 @@ class Query:
 _CAPTION_KEYS = tuple(f.name for f in fields(Caption))
 _CAPTION_KEY_SET = frozenset(_CAPTION_KEYS)
 _BOUNDS_KEY_SET = frozenset(_BOUNDS_KEYS)
-_CAPTION_ONLY = _CAPTION_KEY_SET - _BOUNDS_KEY_SET
-_BOUNDS_ONLY = _BOUNDS_KEY_SET - _CAPTION_KEY_SET
+
+# an input file's record shapes, in the order messages name them, each
+# with every key that belongs to it; see check_shape
+CAPTION_SHAPES = {"caption": _CAPTION_KEY_SET, "bounds": _BOUNDS_KEY_SET}
+QUERY_SHAPES = {
+    "qa": frozenset({"qid", "video_id", "kind", "question", "choices", "answer_idx"}),
+    "nlq": frozenset({"qid", "video_id", "kind", "query", "gt"}),
+}
 
 # the decoder's scanner: raw_decode(line) without its Python frame, raising
 # StopIteration where raw_decode raises "Expecting value"
@@ -314,13 +326,17 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
         yield lineno, record
 
 
-def _mixed_shapes(record: dict, other_keys: frozenset, path: Path, line: int) -> CorpusError:
-    """The error for a caption or bounds record that carries other_keys, of the other shape."""
-    if record.keys() >= _CAPTION_KEY_SET | _BOUNDS_KEY_SET:
-        message = "record has both caption and bounds fields"
-    else:
-        message = f"record mixes caption and bounds fields: {sorted(record.keys() & other_keys)}"
-    return CorpusError(message, path=str(path), line=line)
+def check_shape(record: Mapping, shapes: Mapping[str, frozenset], shape: str) -> None:
+    """Raise ValueError naming the keys of record that belong only to other shapes.
+
+    shapes is the record's file's table (CAPTION_SHAPES, QUERY_SHAPES or
+    metrics.PREDICTION_SHAPES) and shape the one its loader picked. A
+    null value counts as absent, and a key of no shape is ignored.
+    """
+    others = frozenset().union(*shapes.values()) - shapes[shape]
+    stray = sorted(k for k in record.keys() & others if record[k] is not None)
+    if stray:
+        raise ValueError(f"record mixes {' and '.join(shapes)} fields: {stray}")
 
 
 def _caption_rows(
@@ -339,40 +355,34 @@ def _caption_rows(
         raise CorpusError(f"captions file not found: {path}")
     for lineno, record in iter_jsonl(path):
         keys = record.keys()
-        if keys == _CAPTION_KEY_SET:
-            pass  # the common row: a caption with no other key to check
-        elif keys >= _BOUNDS_KEY_SET:
-            if not keys.isdisjoint(_CAPTION_ONLY):
-                raise _mixed_shapes(record, _CAPTION_ONLY, path, lineno)
+        # the common row, a caption with no other key, takes no shape check
+        if keys != _CAPTION_KEY_SET:
+            where = dict(path=str(path), line=lineno)
+            shape = "bounds" if keys >= _BOUNDS_KEY_SET else "caption"
+            if shape == "caption" and not keys >= _CAPTION_KEY_SET:
+                missing = sorted(_CAPTION_KEY_SET - keys)
+                raise CorpusError(f"record missing fields {missing}", **where)
             try:
-                vid = text_field(record["video_id"], "video_id")
-                lo = normalize_seconds(record["clip_start_s"])
-                hi = normalize_seconds(record["clip_end_s"])
-                if not vid:
-                    raise ValueError("video_id must be non-empty")
-                if lo < 0:
-                    raise ValueError(f"clip_start_s must be non-negative, got {lo}")
-            except (TypeError, ValueError) as exc:
-                raise CorpusError(f"bad bounds record: {exc}", path=str(path), line=lineno)
-            if not lo < hi:
-                raise CorpusError(
-                    f"inverted clip bounds ({lo}, {hi})", path=str(path), line=lineno
-                )
-            if vid in bounds and bounds[vid] != (lo, hi):
-                raise CorpusError(
-                    f"conflicting bounds records for video {vid!r}",
-                    path=str(path),
-                    line=lineno,
-                )
-            bounds[vid] = (lo, hi)
-            continue
-        elif not keys >= _CAPTION_KEY_SET:
-            missing = sorted(_CAPTION_KEY_SET - keys)
-            raise CorpusError(
-                f"record missing fields {missing}", path=str(path), line=lineno
-            )
-        elif not keys.isdisjoint(_BOUNDS_ONLY):
-            raise _mixed_shapes(record, _BOUNDS_ONLY, path, lineno)
+                check_shape(record, CAPTION_SHAPES, shape)
+            except ValueError as exc:
+                raise CorpusError(str(exc), **where) from None
+            if shape == "bounds":
+                try:
+                    vid = text_field(record["video_id"], "video_id")
+                    lo = normalize_seconds(record["clip_start_s"])
+                    hi = normalize_seconds(record["clip_end_s"])
+                    if not vid:
+                        raise ValueError("video_id must be non-empty")
+                    if lo < 0:
+                        raise ValueError(f"clip_start_s must be non-negative, got {lo}")
+                except (TypeError, ValueError) as exc:
+                    raise CorpusError(f"bad bounds record: {exc}", **where)
+                if not lo < hi:
+                    raise CorpusError(f"inverted clip bounds ({lo}, {hi})", **where)
+                if bounds.setdefault(vid, (lo, hi)) != (lo, hi):
+                    message = f"conflicting bounds records for video {vid!r}"
+                    raise CorpusError(message, **where)
+                continue
         vid, text = record["video_id"], record["text"]
         try:
             # text_field of a str is the str itself
@@ -402,9 +412,10 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
     ``{"video_id", "start_s", "end_s", "text"}`` or an optional bounds record
     ``{"video_id", "clip_start_s", "clip_end_s"}``. Without a bounds record
     the clip bounds default to the hull of the video's captions. A record
-    of one shape that carries a field of the other raises CorpusError, and
-    so does a bounds record with an empty video_id or a negative clip
-    start. Exact duplicate caption records are dropped with a warning count.
+    of one shape with a non-null field of the other raises CorpusError
+    (see check_shape), and so does a bounds record with an empty video_id
+    or a negative clip start. Exact duplicate caption records are dropped
+    with a warning count.
     """
     path = Path(path)
 
@@ -537,11 +548,9 @@ def load_queries(path: str | Path) -> list[Query]:
 
     QA records: ``{"qid", "video_id", "kind": "qa", "question",
     "choices": [5 strings], "answer_idx"?}``. NLQ records: ``{"qid",
-    "video_id", "kind": "nlq", "query", "gt": [start, end]?}``. A QA
-    record with a "gt" or a "query", or an NLQ one with "choices",
-    "answer_idx" or a "question", raises CorpusError (a null "gt",
-    "answer_idx", "query", "question" or, on an NLQ record, "choices"
-    counts as absent).
+    "video_id", "kind": "nlq", "query", "gt": [start, end]?}``. A record
+    that carries a key of the other kind raises CorpusError (see
+    check_shape); a null "answer_idx" or "gt" counts as absent.
     """
     path = Path(path)
     if not path.exists():
@@ -562,47 +571,23 @@ def load_queries(path: str | Path) -> list[Query]:
             if kind is QueryKind.QA:
                 choices_raw = record.get("choices")
                 if not isinstance(choices_raw, list):
-                    raise ValueError(f"expected 5 choices for QA query {qid!r}, got none")
+                    got = "none" if choices_raw is None else _JSON_TYPE[type(choices_raw)]
+                    raise ValueError(f"expected 5 choices for QA query {qid!r}, got {got}")
+                text = text_field(record.get("question", ""), "question")
+                choices = tuple(text_field(c, "a choice") for c in choices_raw)
                 answer_idx = record.get("answer_idx")
-                query = Query(
-                    qid=qid,
-                    video_id=video_id,
-                    kind=kind,
-                    text=text_field(record.get("question", ""), "question"),
-                    choices=tuple(text_field(c, "a choice") for c in choices_raw),
-                    # Query rejects a gt the row carries
-                    gt_window=record.get("gt"),
-                    gt_answer_idx=(
-                        None
-                        if answer_idx is None
-                        else whole_number(answer_idx, "answer_idx")
-                    ),
-                )
-                if record.get("query") is not None:
-                    raise ValueError(f"QA query {qid!r} cannot carry NLQ query text")
+                if answer_idx is not None:
+                    answer_idx = whole_number(answer_idx, "answer_idx")
+                query = Query(qid, video_id, kind, text, choices, gt_answer_idx=answer_idx)
             else:
-                if record.get("choices") is not None:
-                    raise ValueError(f"NLQ query {qid!r} cannot carry choices")
-                gt_raw = record.get("gt")
-                gt = (
-                    None
-                    if gt_raw is None
-                    else time_pair(gt_raw, f"gt for query {qid!r}", normalize_seconds)
-                )
-                query = Query(
-                    qid=qid,
-                    video_id=video_id,
-                    kind=kind,
-                    text=text_field(record.get("query", ""), "query"),
-                    gt_window=gt,
-                    # Query rejects an answer index the row carries
-                    gt_answer_idx=record.get("answer_idx"),
-                )
-                if record.get("question") is not None:
-                    raise ValueError(f"NLQ query {qid!r} cannot carry a question")
+                gt = record.get("gt")
+                if gt is not None:
+                    gt = time_pair(gt, f"gt for query {qid!r}", normalize_seconds)
+                text = text_field(record.get("query", ""), "query")
+                query = Query(qid, video_id, kind, text, gt_window=gt)
+            check_shape(record, QUERY_SHAPES, kind.value)
         except (TypeError, ValueError) as exc:
             raise CorpusError(str(exc), path=str(path), line=lineno) from exc
         seen.add(qid)
         queries.append(query)
     return queries
-

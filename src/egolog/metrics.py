@@ -25,6 +25,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .corpus import (
     Query,
     QueryKind,
+    check_shape,
     finite_seconds,
     iter_jsonl,
     text_field,
@@ -36,6 +37,12 @@ from .reasoner import LlmAnswer
 
 DEFAULT_IOU_THRESHOLDS = (0.3, 0.5)
 CONFIDENCE_LEVELS = (1, 2, 3)
+
+# a predictions file's record shapes, by task, as corpus.QUERY_SHAPES
+PREDICTION_SHAPES = {
+    "qa": frozenset({"qid", "choice", "confidence", "explanation"}),
+    "nlq": frozenset({"qid", "predicted_window", "candidates", "na", "confidence", "explanation"}),
+}
 
 
 def _float_pair(value: Sequence[float]) -> tuple[float, float]:
@@ -252,12 +259,13 @@ def load_predictions(
 ) -> tuple[dict[str, LlmAnswer], dict[str, tuple[float, float]]]:
     """Each row's answer by qid in file order, and each NLQ row's final window.
 
-    A missing file raises MetricsError. qid follows the text-field rule
-    of load_queries. A row without a qid or the answer field of kind, with
-    a value of the wrong type, or with a repeated qid raises MetricsError
-    naming the file and line. Before any answer is read, MetricsError
-    lists the qids that name no query of kind with ground truth in queries
-    (keyed by qid).
+    A missing file raises MetricsError. qid and explanation follow the
+    text-field rule of load_queries, and a null value but qid's counts as
+    absent. A row without a qid or the answer field of kind, with a key
+    of the other task (see PREDICTION_SHAPES), a value of the wrong type,
+    or a repeated qid raises MetricsError naming the file and line. Before
+    any answer is read, MetricsError lists the qids that name no query of
+    kind with ground truth in queries (keyed by qid).
     """
     path = Path(path)
     if not path.is_file():
@@ -282,8 +290,7 @@ def load_predictions(
     wrong_kind = sorted(qid for qid in rows if queries[qid].kind is not kind)
     if wrong_kind:
         raise MetricsError(f"predictions for non-{kind.value} queries: {wrong_kind}")
-    gt_field = "gt_answer_idx" if kind is QueryKind.QA else "gt_window"
-    missing_gt = sorted(qid for qid in rows if getattr(queries[qid], gt_field) is None)
+    missing_gt = sorted(qid for qid in rows if queries[qid].gt is None)
     if missing_gt:
         raise MetricsError(f"queries without ground truth: {missing_gt}")
 
@@ -291,11 +298,15 @@ def load_predictions(
     answers, finals = {}, {}
     for qid, (lineno, row) in rows.items():
         where = dict(path=str(path), line=lineno)
+        row = {key: value for key, value in row.items() if value is not None}
         if field not in row:
             raise MetricsError(f"prediction for {qid!r} has no {field!r}", **where)
         try:
-            confidence = whole_number(row.get("confidence", 1), "confidence")
-            common = dict(confidence=confidence, explanation=str(row.get("explanation", "")))
+            check_shape(row, PREDICTION_SHAPES, kind.value)
+            common = dict(
+                confidence=whole_number(row.get("confidence", 1), "confidence"),
+                explanation=text_field(row.get("explanation", ""), "explanation"),
+            )
             if kind is QueryKind.QA:
                 choice = whole_number(row["choice"], "choice")
                 answers[qid] = LlmAnswer(qid, kind, choice_idx=choice, **common)

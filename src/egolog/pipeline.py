@@ -380,12 +380,7 @@ def run_eval(config: PipelineConfig, predictions_path, task: str) -> EvalReport:
     kind = QueryKind(task)
     by_qid = {q.qid: q for q in load_queries(_require(config.queries_path, "queries"))}
     preds, finals = load_predictions(predictions_path, kind, by_qid)
-    field = "gt_answer_idx" if kind is QueryKind.QA else "gt_window"
-    gts = {
-        qid: getattr(q, field)
-        for qid, q in by_qid.items()
-        if q.kind is kind and getattr(q, field) is not None
-    }
+    gts = {qid: q.gt for qid, q in by_qid.items() if q.kind is kind and q.gt is not None}
     if kind is QueryKind.QA:
         return evaluate_qa(preds, gts)
     return evaluate_nlq(preds, finals, gts)

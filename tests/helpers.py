@@ -1,5 +1,5 @@
 """Shared test helpers: tracks, test runs on disk, reply rendering, scripted
-backends, a recording embedder and scorers, oracles.
+backends, a recording embedder and scorers, oracles, a record-shape probe.
 
 The scripted backends answer by reading the caption log serialized into
 the prompt, so synthetic benchmarks where captions literally determine
@@ -22,10 +22,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from egolog.config import load_config
 from egolog.corpus import Caption, CaptionTrack, Query, QueryKind, save_captions
-from egolog.errors import TransportError
+from egolog.errors import EgologError, TransportError
 from egolog.llm import prompt_sha256, run_key
 from egolog.reasoner import CHOICE_LETTERS, LlmAnswer
 from egolog.similarity import MockEmbedder
@@ -518,3 +519,27 @@ def random_qa_fixture(rng, n_queries):
             confidence=rng.randint(1, 3),
         )
     return preds, gts
+
+
+def known_key_rows(values: dict) -> st.SearchStrategy:
+    """Rows with any subset of the keys of values, each holding one of its
+    values or null, and a "source" key that belongs to no record shape."""
+    return st.fixed_dictionaries(
+        {"source": st.sampled_from([None, "x"])},
+        optional={k: st.one_of(st.none(), st.sampled_from(v)) for k, v in values.items()},
+    )
+
+
+def assert_loads_as_its_shape(load, path, row, shapes, picked):
+    """load of a file whose one line is row either raises an EgologError
+    naming path and line 1, or uses the row as the shape picked(result)
+    names, so every non-null key of row that shapes knows belongs to it."""
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    try:
+        result = load(path)
+    except EgologError as exc:
+        assert (exc.path, exc.line) == (str(path), 1), exc
+        return
+    known = set().union(*shapes.values())
+    carried = {k for k, v in row.items() if k in known and v is not None}
+    assert carried <= shapes[picked(result)], (row, picked(result))

@@ -25,7 +25,13 @@ from egolog.errors import CorpusError
 from egolog.llm import write_transcripts
 from egolog.reasoner import caption_log_lines
 
-from helpers import UNREADABLE, make_track, needs_unreadable
+from helpers import (
+    UNREADABLE,
+    assert_loads_as_its_shape,
+    known_key_rows,
+    make_track,
+    needs_unreadable,
+)
 
 
 # captions rows that fail, each as the second line of a file, with its message
@@ -99,7 +105,7 @@ BAD_CAPTION_ROWS = {
     "caption-and-bounds": (
         '{"video_id": "v1", "clip_start_s": 0, "clip_end_s": 9, '
         '"start_s": 0, "end_s": 2, "text": "C sits"}',
-        "record has both caption and bounds fields",
+        re.escape("record mixes caption and bounds fields: ['end_s', 'start_s', 'text']"),
     ),
     "bounds-with-text": (
         '{"video_id": "v1", "clip_start_s": 0, "clip_end_s": 9, "text": "C sits"}',
@@ -412,6 +418,43 @@ class TestCaptionsIO:
         assert track.bounds == (0.0, 9.0)
         assert [c.text for c in track.captions] == ["C sits"]
 
+    def test_null_field_of_the_other_shape_counts_as_absent(self, tmp_path):
+        path = tmp_path / "caps.jsonl"
+        rows = [
+            {"video_id": "v1", "start_s": 1, "end_s": 2, "text": "C sits", "clip_end_s": None},
+            {"video_id": "v1", "clip_start_s": 0, "clip_end_s": 9, "text": None},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        track = load_captions(path)["v1"]
+        assert track.bounds == (0.0, 9.0)
+        assert [c.text for c in track.captions] == ["C sits"]
+
+    @given(
+        known_key_rows(
+            {
+                "video_id": ["v1", 7],
+                "start_s": [0, 1.5],
+                "end_s": [2, 3],
+                "text": ["C sits"],
+                "clip_start_s": [0],
+                "clip_end_s": [5, 9],
+            }
+        )
+    )
+    @settings(max_examples=400)
+    def test_row_loads_as_its_shape_or_fails_at_its_line(self, tmp_path_factory, row):
+        # a lone bounds record loads as no track
+        assert_loads_as_its_shape(
+            load_captions,
+            tmp_path_factory.mktemp("captions") / "caps.jsonl",
+            row,
+            {
+                "caption": {"video_id", "start_s", "end_s", "text"},
+                "bounds": {"video_id", "clip_start_s", "clip_end_s"},
+            },
+            lambda tracks: "caption" if tracks else "bounds",
+        )
+
     @pytest.mark.parametrize(
         "line, video_id, text",
         [
@@ -643,14 +686,16 @@ class TestQueriesIO:
             load_queries(tmp_path / "absent.jsonl")
 
     @pytest.mark.parametrize(
-        "choices", [None, '"abcde"', "null"], ids=["absent", "string", "null"]
+        "choices, got",
+        [(None, "none"), ('"abcde"', "a string"), ("null", "none")],
+        ids=["absent", "string", "null"],
     )
-    def test_qa_without_a_choices_list_rejected(self, tmp_path, choices):
+    def test_qa_without_a_choices_list_rejected(self, tmp_path, choices, got):
         path = tmp_path / "queries.jsonl"
         row = '{"qid": "q1", "video_id": "v1", "kind": "qa", "question": "what?"'
         row += "}" if choices is None else f', "choices": {choices}}}'
         path.write_text(row + "\n")
-        message = "expected 5 choices for QA query 'q1', got none in .* at line 1"
+        message = f"expected 5 choices for QA query 'q1', got {got} in .* at line 1"
         with pytest.raises(CorpusError, match=message):
             load_queries(path)
 
@@ -685,6 +730,33 @@ class TestQueriesIO:
         assert (nlq.text, nlq.choices, nlq.gt_answer_idx) == ("When was the pot stirred?", None, None)
         assert nlq.gt_window == (3.5, 9.25)
 
+    @given(
+        known_key_rows(
+            {
+                "qid": ["q1", 2],
+                "video_id": ["v1"],
+                "kind": ["qa", "nlq"],
+                "question": ["what?"],
+                "choices": [["a", "b", "c", "d", "e"]],
+                "answer_idx": [0, 4],
+                "query": ["when?"],
+                "gt": [[1, 2.5]],
+            }
+        )
+    )
+    @settings(max_examples=400)
+    def test_row_loads_as_its_shape_or_fails_at_its_line(self, tmp_path_factory, row):
+        assert_loads_as_its_shape(
+            load_queries,
+            tmp_path_factory.mktemp("queries") / "queries.jsonl",
+            row,
+            {
+                "qa": {"qid", "video_id", "kind", "question", "choices", "answer_idx"},
+                "nlq": {"qid", "video_id", "kind", "query", "gt"},
+            },
+            lambda queries: queries[0].kind.value,
+        )
+
     def test_gt_normalized_to_milliseconds(self, tmp_path):
         path = tmp_path / "queries.jsonl"
         row = {
@@ -707,7 +779,10 @@ class TestQueriesIO:
             ('"kind": "nlq", "gt": [true, 5]', "times must be numbers, got True"),
             ('"kind": "nlq", "gt": ["1", 5]', "times must be numbers, got '1'"),
             ('"kind": "nlq", "gt": [1, NaN]', "non-finite time nan"),
-            ('"kind": "nlq", "choices": ["a"]', "NLQ query 'q2' cannot carry choices"),
+            (
+                '"kind": "nlq", "choices": ["a"]',
+                re.escape("record mixes qa and nlq fields: ['choices', 'question']"),
+            ),
             ('"kind": "nlq", "gt": [1, 2, 3]', re.escape("'q2' must be [start, end]")),
             ('"kind": "nlq", "gt": 5', re.escape("'q2' must be [start, end]")),
             ('"kind": "qa", "qid": null', "qid must be a string or a number, got null"),
@@ -724,11 +799,17 @@ class TestQueriesIO:
             ('"kind": "qa", "video_id": ""', "query 'q2' has empty video_id"),
             ('"kind": "nlq", "qid": ""', "query qid must be non-empty"),
             ('"kind": "nlq", "query": "   "', "query 'q2' has empty text"),
-            ('"kind": "qa", "gt": [1, 2]', "QA query 'q2' cannot carry a gt window"),
-            ('"kind": "nlq", "answer_idx": 1', "NLQ query 'q2' cannot carry an answer index"),
+            (
+                '"kind": "qa", "gt": [1, 2]',
+                re.escape("record mixes qa and nlq fields: ['gt', 'query']"),
+            ),
+            (
+                '"kind": "nlq", "answer_idx": 1',
+                re.escape("record mixes qa and nlq fields: ['answer_idx', 'question']"),
+            ),
             # the row carries both "question" and "query"; its kind decides
-            ('"kind": "qa"', "QA query 'q2' cannot carry NLQ query text"),
-            ('"kind": "nlq"', "NLQ query 'q2' cannot carry a question"),
+            ('"kind": "qa"', re.escape("record mixes qa and nlq fields: ['query']")),
+            ('"kind": "nlq"', re.escape("record mixes qa and nlq fields: ['question']")),
         ],
         ids=[
             "fractional-answer",

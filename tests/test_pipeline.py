@@ -36,7 +36,9 @@ from helpers import (
     RecordingEmbedder,
     ScriptedNlqBackend,
     ScriptedQaBackend,
+    assert_loads_as_its_shape,
     disk_config,
+    known_key_rows,
     make_track,
     synth_nlq_benchmark,
     synth_qa_benchmark,
@@ -952,6 +954,26 @@ class TestRunEval:
                 2,
                 "qid must be a string or a number, got null",
             ),
+            (
+                _at(2, lambda row: {**row, "choice": 1}),
+                3,
+                re.escape("bad prediction for 'n002': record mixes qa and nlq fields: ['choice']"),
+            ),
+            (
+                _at(0, lambda row: {**row, "explanation": ["x", {"y": 1}]}),
+                1,
+                "bad prediction for 'n000': explanation must be a string or a number, got a list",
+            ),
+            (
+                _at(3, lambda row: {**row, "explanation": True}),
+                4,
+                "explanation must be a string or a number, got a bool",
+            ),
+            (
+                _at(4, lambda row: {**row, "explanation": {"why": "x"}}),
+                5,
+                "explanation must be a string or a number, got an object",
+            ),
         ],
         ids=[
             "no-window",
@@ -975,6 +997,10 @@ class TestRunEval:
             "triple-candidate",
             "string-candidates",
             "null-qid",
+            "nlq-choice",
+            "list-explanation",
+            "bool-explanation",
+            "object-explanation",
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, edit, line, message):
@@ -984,6 +1010,45 @@ class TestRunEval:
         where = f"in {re.escape(str(preds))} at line {line}"
         with pytest.raises(MetricsError, match=f"{message}.*{where}"):
             run_eval(config, preds, "nlq")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"predicted_window": [0, 1]}, "['predicted_window']"),
+            ({"candidates": [[0, 1]]}, "['candidates']"),
+            ({"na": False}, "['na']"),
+            ({"na": True, "candidates": []}, "['candidates', 'na']"),
+            ({"explanation": ["x"]}, "explanation must be a string or a number, got a list"),
+        ],
+        ids=["qa-window", "qa-candidates", "qa-na", "qa-na-and-candidates", "list-explanation"],
+    )
+    def test_malformed_qa_row_names_file_and_line(self, tmp_path, change, message):
+        tracks, queries = synth_qa_benchmark(n_items=3, captions_per_video=6)
+        config = disk_config(tmp_path, tracks, queries)
+        records, _ = run_ask(config, llm=ScriptedQaBackend())
+        records[1].update(change)
+        preds = tmp_path / "qa_preds.jsonl"
+        write_rows(preds, records)
+        where = f"in {re.escape(str(preds))} at line 2"
+        message = re.escape("bad prediction for 'q001': ") + ".*" + re.escape(message)
+        with pytest.raises(MetricsError, match=f"{message}.*{where}"):
+            run_eval(config, preds, "qa")
+
+    def test_null_optional_fields_read_as_absent(self, tmp_path):
+        _, queries = synth_qa_benchmark(n_items=2, captions_per_video=4)
+        _, windows = synth_nlq_benchmark(n_items=1, captions_per_video=4)
+        by_qid = {q.qid: q for q in queries + windows}
+        preds = tmp_path / "preds.jsonl"
+        rows = [
+            {"qid": "q000", "choice": 1, "explanation": None, "confidence": None},
+            {"qid": "q001", "choice": 1, "explanation": 7},
+        ]
+        write_rows(preds, rows)
+        answers, _ = load_predictions(preds, QueryKind.QA, by_qid)
+        assert [(a.explanation, a.confidence) for a in answers.values()] == [("", 1), ("7", 1)]
+        write_rows(preds, [{"qid": "n000", "predicted_window": [0, 1], "candidates": None}])
+        answers, _ = load_predictions(preds, QueryKind.NLQ, by_qid)
+        assert (answers["n000"].intervals, answers["n000"].explanation) == ((), "")
 
     def test_undecodable_byte_names_file_and_line(self, tmp_path):
         config, preds = self.localize_and_eval(tmp_path)
@@ -1147,3 +1212,40 @@ def test_eval_scores_independent_of_row_order(eval_corpus, task, data):
     before = json.dumps(report_as_dict(run_eval(config, path, task)))
     write_rows(path, data.draw(st.permutations(rows)))
     assert json.dumps(report_as_dict(run_eval(config, path, task))) == before
+
+
+# one query with ground truth per task, and the keys of each task's prediction
+SHAPE_QUERIES = {
+    "q1": Query("q1", "v1", QueryKind.QA, "what?", tuple("abcde"), gt_answer_idx=2),
+    "n1": Query("n1", "v1", QueryKind.NLQ, "when?", gt_window=(1.0, 2.0)),
+}
+PREDICTION_KEYS = {
+    "qa": {"qid", "choice", "confidence", "explanation"},
+    "nlq": {"qid", "predicted_window", "candidates", "na", "confidence", "explanation"},
+}
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_prediction_loads_as_its_task_or_fails_at_its_line(tmp_path_factory, data):
+    task = data.draw(st.sampled_from(["qa", "nlq"]))
+    row = data.draw(
+        known_key_rows(
+            {
+                "qid": ["q1" if task == "qa" else "n1"],
+                "choice": [0, 3],
+                "confidence": [1, 3],
+                "explanation": ["x", 5],
+                "predicted_window": [[0, 1.5]],
+                "candidates": [[], [[0, 1.5], [2, 3]]],
+                "na": [True, False],
+            }
+        )
+    )
+    assert_loads_as_its_shape(
+        lambda path: load_predictions(path, QueryKind(task), SHAPE_QUERIES),
+        tmp_path_factory.mktemp("predictions") / "preds.jsonl",
+        row,
+        PREDICTION_KEYS,
+        lambda loaded: task,
+    )

@@ -1,7 +1,8 @@
 """The README's examples run as written.
 
 The "Quick look" snippet runs in a fresh interpreter and prints what its
-comment says, and the file-format examples load through the loaders.
+comment says, the file-format examples load through the loaders, and
+the table of record shapes is the loaders' own.
 """
 
 from __future__ import annotations
@@ -13,8 +14,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from egolog.corpus import QueryKind, load_captions, load_queries
-from egolog.metrics import load_predictions
+from egolog.corpus import (
+    CAPTION_SHAPES,
+    QUERY_SHAPES,
+    QueryKind,
+    load_captions,
+    load_queries,
+)
+from egolog.metrics import PREDICTION_SHAPES, load_predictions
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text("utf-8")
@@ -74,3 +81,24 @@ def test_file_format_examples_load(tmp_path):
     answers, finals = load_predictions(predictions, QueryKind.NLQ, by_qid)
     assert list(answers["n1"].intervals) == [(12.0, 31.5), (40.0, 52.0)]
     assert finals == {"n1": (12.0, 31.5)}
+
+
+def test_record_shape_table_is_the_loaders_tables():
+    rows = re.findall(
+        r"^\| (captions|queries|predictions) \| `(\w+)` \| (.*) \|$",
+        _section("File formats"),
+        re.M,
+    )
+    documented: dict[str, dict[str, set[str]]] = {}
+    for name, shape, keys in rows:
+        documented.setdefault(name, {})[shape] = set(re.findall(r"`(\w+)`", keys))
+    tables = {
+        "captions": CAPTION_SHAPES,
+        "queries": QUERY_SHAPES,
+        "predictions": PREDICTION_SHAPES,
+    }
+    assert documented == {name: dict(table) for name, table in tables.items()}
+    # the shapes in the order the mixed-shape message names them
+    assert [list(shapes) for shapes in documented.values()] == [
+        list(table) for table in tables.values()
+    ]
