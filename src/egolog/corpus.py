@@ -194,10 +194,6 @@ class CaptionTrack:
             clip_end_s = max(c.end_s for c in ordered)
         return CaptionTrack(video_id, clip_start_s, clip_end_s, tuple(ordered))
 
-    def replace_captions(self, captions: Iterable[Caption]) -> "CaptionTrack":
-        """Same video and bounds, different caption list (re-sorted)."""
-        return CaptionTrack.build(self.video_id, captions, *self.bounds)
-
 
 class QueryKind(str, Enum):
     QA = "qa"
@@ -344,12 +340,12 @@ def _caption_rows(
 ) -> Iterator[tuple[int, tuple[str, float, float, str]]]:
     """Yield (line_number, (video_id, start_s, end_s, text)) per caption record.
 
-    Picks each record's shape and reads its fields as a Caption takes
-    them (times normalized, text normalized), without checking the
-    Caption's invariants. Each bounds record is checked and put in
-    bounds, so bounds is complete once the rows run out. A record of the
-    wrong shape or with a field that cannot be read raises CorpusError
-    naming its line; a missing file raises CorpusError at the first row.
+    Picks each record's shape (bounds only if a bounds-only key is not
+    null) and reads its fields as a Caption takes them, normalized but
+    unchecked. Each bounds record is checked and put in bounds, so bounds
+    is complete once the rows run out. A record of the wrong shape or with
+    a field that cannot be read raises CorpusError naming its line; a
+    missing file raises CorpusError at the first row.
     """
     if not path.exists():
         raise CorpusError(f"captions file not found: {path}")
@@ -358,7 +354,8 @@ def _caption_rows(
         # the common row, a caption with no other key, takes no shape check
         if keys != _CAPTION_KEY_SET:
             where = dict(path=str(path), line=lineno)
-            shape = "bounds" if keys >= _BOUNDS_KEY_SET else "caption"
+            clip = record.get("clip_start_s"), record.get("clip_end_s")
+            shape = "bounds" if keys >= _BOUNDS_KEY_SET and clip != (None, None) else "caption"
             if shape == "caption" and not keys >= _CAPTION_KEY_SET:
                 missing = sorted(_CAPTION_KEY_SET - keys)
                 raise CorpusError(f"record missing fields {missing}", **where)

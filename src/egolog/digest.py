@@ -4,9 +4,9 @@ Three stages run in order: drop captions carrying uninformative blocklist
 phrases, drop captions irrelevant to every query (embedding similarity),
 then group similar consecutive captions and merge each group into one
 caption, either through the LLM backend or by deterministic concatenation.
-A group is the range of its captions' indices in the track, and one merge
-function serves both modes. Every stage preserves caption order and the
-track's clip bounds, and never crosses video boundaries.
+The stages take and return tuples of one video's captions in track order,
+a group is the range of its captions' indices, and one merge function serves
+both modes. `digest` builds its output track once, with the input's bounds.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import re
 from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Sequence
 
 from .corpus import Caption, CaptionTrack, Query, normalize_caption_text
@@ -79,8 +80,10 @@ class DigestStats:
         return asdict(self)
 
 
-def drop_uninformative(track: CaptionTrack, cfg: DigestConfig) -> CaptionTrack:
-    """Remove captions whose lowercase text contains any blocklist phrase.
+def drop_uninformative(
+    captions: tuple[Caption, ...], cfg: DigestConfig
+) -> tuple[Caption, ...]:
+    """The captions whose lowercase text contains no blocklist phrase, in order.
 
     The phrases are matched as plain substrings, all in one scan per
     caption: one regular expression alternates the escaped phrases, so a
@@ -88,44 +91,46 @@ def drop_uninformative(track: CaptionTrack, cfg: DigestConfig) -> CaptionTrack:
     phrase matches every caption.
     """
     if not cfg.blocklist:
-        return track
+        return captions
     search = re.compile("|".join(map(re.escape, cfg.blocklist))).search
-    kept = [cap for cap in track.captions if not search(cap.text.lower())]
-    if not kept and track.captions:
+    kept = tuple(cap for cap in captions if not search(cap.text.lower()))
+    if not kept and captions:
         logger.warning(
             "all %d captions of video %r matched the blocklist",
-            len(track.captions),
-            track.video_id,
+            len(captions),
+            captions[0].video_id,
         )
-    return track.replace_captions(kept)
+    return kept
 
 
 def filter_by_relevance(
-    track: CaptionTrack,
+    captions: tuple[Caption, ...],
     queries: Sequence[Query],
     backend: EmbedderBackend,
     cfg: DigestConfig,
-) -> CaptionTrack:
-    """Keep captions whose best cosine against any query clears the threshold.
+) -> tuple[Caption, ...]:
+    """The captions whose best cosine against any query clears the threshold.
 
-    Captions and queries are embedded in one batch, so they are checked
-    against one embedding dimension.
+    The distinct caption texts, then the query texts not among them, are
+    embedded in one batch in first-seen order: one embedding dimension for
+    all, one row per distinct text. Each caption takes its text's score.
     """
     if not queries:
         raise ValueError("filter_by_relevance requires at least one query")
-    if not track.captions:
-        return track
-    n = len(track.captions)
-    embs = embed_batch(backend, [c.text for c in track.captions] + [q.text for q in queries])
-    best = cosine_matrix(embs[:n], embs[n:]).max(axis=1)
-    kept = [
-        cap for cap, score in zip(track.captions, best) if score >= cfg.relevance_threshold
-    ]
-    return track.replace_captions(kept)
+    if not captions:
+        return captions
+    texts = dict.fromkeys(c.text for c in captions)
+    n = len(texts)
+    texts.update(dict.fromkeys(q.text for q in queries))
+    embs = embed_batch(backend, list(texts))
+    rows = dict(zip(texts, range(len(texts))))
+    best = cosine_matrix(embs[:n], embs[[rows[q.text] for q in queries]]).max(axis=1)
+    relevant = (best >= cfg.relevance_threshold).tolist()
+    return tuple(cap for cap in captions if relevant[rows[cap.text]])
 
 
 def group_consecutive(
-    track: CaptionTrack, backend: EmbedderBackend, cfg: DigestConfig
+    captions: tuple[Caption, ...], backend: EmbedderBackend, cfg: DigestConfig
 ) -> list[range]:
     """Greedy left-to-right chaining of similar adjacent captions.
 
@@ -134,9 +139,9 @@ def group_consecutive(
     Each group of two or more captions is returned as the range of its
     caption indices; everything else stays a singleton.
     """
-    if len(track.captions) < 2:
+    if len(captions) < 2:
         return []
-    embs = embed_batch(backend, [c.text for c in track.captions])
+    embs = embed_batch(backend, [c.text for c in captions])
     adjacent = cosine_rows(embs[1:], embs[:-1])
     groups: list[range] = []
     start = 0
@@ -146,8 +151,8 @@ def group_consecutive(
         if i - start >= 2:
             groups.append(range(start, i))
         start = i
-    if len(track.captions) - start >= 2:
-        groups.append(range(start, len(track.captions)))
+    if len(captions) - start >= 2:
+        groups.append(range(start, len(captions)))
     return groups
 
 
@@ -157,12 +162,12 @@ def concat_merge_text(texts: Sequence[str]) -> str:
 
 
 def merge_groups(
-    track: CaptionTrack,
+    captions: tuple[Caption, ...],
     groups: Sequence[range],
     llm: LlmBackend | None,
     cfg: DigestConfig,
     pool: Executor | None = None,
-) -> tuple[CaptionTrack, int]:
+) -> tuple[tuple[Caption, ...], int]:
     """Replace each group of caption indices with one caption spanning them.
 
     The merged caption runs from the earliest start to the latest end of
@@ -173,8 +178,10 @@ def merge_groups(
     degrades that group to concatenation. LLM merges are mapped in order
     on pool when one is given, else one at a time in the caller's thread;
     concatenation always runs in the caller's thread.
-    Returns the merged track and the number of LLM fallbacks. LLM mode
-    without an llm raises ValueError.
+    Returns the ungrouped captions and then the merged ones, stably sorted
+    by start then end (a merged caption follows an ungrouped one with the
+    same interval), and the number of LLM fallbacks. LLM mode without an
+    llm raises ValueError.
     """
     use_llm = cfg.merge_mode is MergeMode.LLM
     if use_llm and llm is None:
@@ -182,7 +189,7 @@ def merge_groups(
 
     def merge(group: range) -> tuple[str, bool]:
         """The merged text and whether it fell back to concatenation."""
-        texts = [cap.text for cap in track.captions[group.start : group.stop]]
+        texts = [cap.text for cap in captions[group.start : group.stop]]
         if not use_llm:
             return concat_merge_text(texts), False
         try:
@@ -192,7 +199,7 @@ def merge_groups(
         except EgologError as exc:
             logger.warning(
                 "merge failed for video %r group %s: %s; falling back to concat",
-                track.video_id,
+                captions[group.start].video_id,
                 tuple(group),
                 exc,
             )
@@ -201,18 +208,13 @@ def merge_groups(
 
     merged = map_in_order(merge, groups, pool if use_llm else None)
     grouped = {i for group in groups for i in group}
-    captions = [cap for i, cap in enumerate(track.captions) if i not in grouped]
+    out = [cap for i, cap in enumerate(captions) if i not in grouped]
     for group, (text, _) in zip(groups, merged):
-        members = track.captions[group.start : group.stop]
-        captions.append(
-            Caption(
-                video_id=track.video_id,
-                start_s=min(c.start_s for c in members),
-                end_s=max(c.end_s for c in members),
-                text=text,
-            )
-        )
-    return track.replace_captions(captions), sum(fell_back for _, fell_back in merged)
+        members = captions[group.start : group.stop]
+        start, end = min(c.start_s for c in members), max(c.end_s for c in members)
+        out.append(Caption(members[0].video_id, start, end, text))
+    out.sort(key=attrgetter("start_s", "end_s"))
+    return tuple(out), sum(fell_back for _, fell_back in merged)
 
 
 def digest(
@@ -232,20 +234,20 @@ def digest(
     """
     stats = DigestStats(input_captions=len(track.captions))
 
-    stage1 = drop_uninformative(track, cfg)
-    stats.dropped_uninformative = len(track.captions) - len(stage1.captions)
+    stage1 = drop_uninformative(track.captions, cfg)
+    stats.dropped_uninformative = len(track.captions) - len(stage1)
 
-    if queries and cfg.relevance_threshold > -1.0 and stage1.captions:
+    if queries and cfg.relevance_threshold > -1.0 and stage1:
         stage2 = filter_by_relevance(stage1, queries, backend, cfg)
     else:
         stage2 = stage1
-    stats.dropped_irrelevant = len(stage1.captions) - len(stage2.captions)
+    stats.dropped_irrelevant = len(stage1) - len(stage2)
 
     groups = group_consecutive(stage2, backend, cfg)
     merged, fallbacks = merge_groups(stage2, groups, llm, cfg, pool)
     stats.groups_merged = len(groups)
     stats.captions_merged_away = sum(len(g) - 1 for g in groups)
     stats.merge_fallbacks = fallbacks
-    stats.output_captions = len(merged.captions)
-    return merged, stats
+    stats.output_captions = len(merged)
+    return CaptionTrack(track.video_id, *track.bounds, merged), stats
 

@@ -340,13 +340,13 @@ def test_gate_digest_matches_brute_force():
         return max(_pure_cosine(vectors[text], qv) for qv in query_vecs)
 
     expected_survivors = [c for c in track.captions if relevance(c.text) >= 0.30]
-    survivors = filter_by_relevance(track, queries, embedder, cfg)
-    assert list(survivors.captions) == expected_survivors
+    survivors = filter_by_relevance(track.captions, queries, embedder, cfg)
+    assert list(survivors) == expected_survivors
     assert 0 < len(expected_survivors) < len(track.captions)
 
     expected_groups = []
     current = [0]
-    caps = survivors.captions
+    caps = survivors
     for i in range(1, len(caps)):
         adjacent = _pure_cosine(vectors[caps[i].text], vectors[caps[i - 1].text])
         if adjacent >= 0.95 and len(current) < cfg.max_merge_group:

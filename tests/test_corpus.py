@@ -205,12 +205,6 @@ class TestCaptionTrack:
         with pytest.raises(ValueError, match="not sorted"):
             CaptionTrack("v1", 0.0, 6.0, caps)
 
-    def test_replace_captions_keeps_bounds(self):
-        track = make_track(n=3)
-        replaced = track.replace_captions(track.captions[:1])
-        assert replaced.bounds == track.bounds
-        assert len(replaced.captions) == 1
-
 
 class TestQuery:
     def test_qa_needs_five_choices(self):
@@ -428,6 +422,34 @@ class TestCaptionsIO:
         track = load_captions(path)["v1"]
         assert track.bounds == (0.0, 9.0)
         assert [c.text for c in track.captions] == ["C sits"]
+
+    @pytest.mark.parametrize(
+        "load, read",
+        [(load_captions, lambda track: track.bounds), (load_clip_bounds, lambda b: b)],
+        ids=["load_captions", "load_clip_bounds"],
+    )
+    def test_null_keys_of_the_other_shape_do_not_pick_it(self, tmp_path, load, read):
+        # a unified export writes every key on every row, null where unused
+        unused_clip = {"clip_start_s": None, "clip_end_s": None}
+        unused_caption = {"start_s": None, "end_s": None, "text": None}
+        rows = [
+            {"video_id": "v1", "start_s": 1, "end_s": 2, "text": "C sits", **unused_clip},
+            {"video_id": "v1", "clip_start_s": 0, "clip_end_s": 9, **unused_caption},
+            {"video_id": "v2", "start_s": 3, "end_s": 5, "text": "C stands", **unused_clip},
+        ]
+        path = tmp_path / "caps.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        loaded = load(path)
+        assert {vid: read(value) for vid, value in loaded.items()} == {
+            "v1": (0.0, 9.0),
+            "v2": (3.0, 5.0),
+        }
+        # one non-null bounds-only key makes the row a bounds record
+        mixed = {"video_id": "v1", "start_s": 1, "end_s": 2, "text": "C sits"}
+        path.write_text(json.dumps(mixed | {"clip_start_s": 0, "clip_end_s": None}) + "\n")
+        message = "record mixes caption and bounds fields: ['end_s', 'start_s', 'text']"
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            load(path)
 
     @given(
         known_key_rows(
