@@ -4,21 +4,25 @@ Settings live under [paths], [run], [llm], [embedder], [digest], and
 [refine]. Any key can be overridden on the command line by its dotted
 name (for example --digest.relevance_threshold 0.4). The seed is
 mandatory; nothing in the pipeline ever seeds from the clock. Paths are
-resolved relative to the config file, and every configured input file
-must exist at load time. Auth tokens are named here as environment
+resolved relative to the config file; every configured input file
+must exist at load time, and the output path must not be a directory or
+lie under a file. Auth tokens are named here as environment
 variable names, never written as values.
 """
 
 from __future__ import annotations
 
 import configparser
+import errno
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, get_type_hints
 
+from .corpus import why_not_a_file
 from .digest import DigestConfig, MergeMode
 from .errors import ConfigError
 from .refine import RefineConfig
@@ -119,6 +123,25 @@ def _parse(cp: configparser.ConfigParser, section: str, key: str):
     return value
 
 
+def _check_writable(path: Path) -> None:
+    """Reject an output path that is a directory or lies under a non-directory.
+
+    Checked before any unit runs; the atomic writer checks again, since the
+    file system can change in between.
+    """
+    try:
+        if path.is_dir():
+            reason = os.strerror(errno.EISDIR)
+        # the nearest existing ancestor; the root always exists
+        elif not next(p for p in path.parents if p.exists()).is_dir():
+            reason = os.strerror(errno.ENOTDIR)
+        else:
+            return
+    except OSError as exc:  # a name too long, a directory that cannot be searched
+        reason = exc.strerror or str(exc)
+    raise ConfigError(f"cannot write {path}: {reason}")
+
+
 def parse_override(flag: str) -> tuple[str, str]:
     """Split a dotted override name "section.key" after validating it."""
     if flag.count(".") != 1:
@@ -134,8 +157,9 @@ def load_config(
 ) -> PipelineConfig:
     """Read an INI file, apply dotted overrides, and validate everything."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file {path} does not exist")
+    reason = why_not_a_file(path)
+    if reason:
+        raise ConfigError(f"config file {path} {reason}")
     cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
@@ -166,8 +190,10 @@ def load_config(
         key: None if raw is None else base / raw for key, raw in values["paths"].items()
     }
     for key, p in paths.items():
-        if key != "output" and p is not None and not p.is_file():
-            raise ConfigError(f"paths.{key} file {p} does not exist")
+        if key != "output" and p is not None and (reason := why_not_a_file(p)):
+            raise ConfigError(f"paths.{key} file {p} {reason}")
+    if paths["output"] is not None:
+        _check_writable(paths["output"])
     if values["run"]["seed"] is None:
         raise ConfigError("run.seed is required; runs are never seeded from the clock")
 

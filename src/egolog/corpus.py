@@ -263,6 +263,16 @@ QUERY_SHAPES = {
 _SCAN = json.JSONDecoder().scan_once
 
 
+def why_not_a_file(path: Path) -> str | None:
+    """Why path cannot be read as a regular file, or None if it can."""
+    try:
+        if path.is_file():
+            return None
+        return "is not a file" if path.exists() else "does not exist"
+    except OSError as exc:  # a name too long, a directory that cannot be searched
+        return f"cannot be read: {exc.strerror or exc}"
+
+
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) pairs from a JSONL file; blank lines skipped.
 

@@ -31,6 +31,7 @@ from .corpus import (
     text_field,
     time_pair,
     whole_number,
+    why_not_a_file,
 )
 from .errors import MetricsError
 from .reasoner import LlmAnswer
@@ -259,7 +260,7 @@ def load_predictions(
 ) -> tuple[dict[str, LlmAnswer], dict[str, tuple[float, float]]]:
     """Each row's answer by qid in file order, and each NLQ row's final window.
 
-    A missing file raises MetricsError. qid and explanation follow the
+    A path that is not a file raises MetricsError. qid and explanation follow the
     text-field rule of load_queries, and a null value but qid's counts as
     absent. A row without a qid or the answer field of kind, with a key
     of the other task (see PREDICTION_SHAPES), a value of the wrong type,
@@ -268,8 +269,9 @@ def load_predictions(
     kind with ground truth in queries (keyed by qid).
     """
     path = Path(path)
-    if not path.is_file():
-        raise MetricsError(f"predictions file {path} does not exist")
+    reason = why_not_a_file(path)
+    if reason:
+        raise MetricsError(f"predictions file {path} {reason}")
     rows: dict[str, tuple[int, dict]] = {}
     for lineno, row in iter_jsonl(path):
         where = dict(path=str(path), line=lineno)

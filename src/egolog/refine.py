@@ -22,9 +22,7 @@ import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .corpus import CaptionTrack, QueryKind, normalize_seconds
 from .errors import BackendProtocolError, EgologError, RefineError
@@ -32,6 +30,10 @@ from .metrics import iou
 from .reasoner import LlmAnswer
 from .seeding import derive_seed
 from .similarity import EmbedderBackend, cosine_matrix, embed_batch
+
+if TYPE_CHECKING:
+    # for annotations only; the scorer imports numpy where it computes
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -102,6 +104,8 @@ class CaptionOverlapScorer:
 
     def _captions(self, track: CaptionTrack) -> tuple[np.ndarray, np.ndarray]:
         """The track's caption embeddings and (start, end) spans, one row each."""
+        import numpy as np
+
         memo = self._memo
         if memo is None or memo[0] is not track:
             rows = embed_batch(self._backend, [c.text for c in track.captions])
@@ -112,6 +116,8 @@ class CaptionOverlapScorer:
     def score(
         self, query_text: str, intervals: Sequence[tuple[float, float]], track: CaptionTrack
     ) -> list[float]:
+        import numpy as np
+
         if not track.captions:
             return [0.0] * len(intervals)
         query = embed_batch(self._backend, [query_text])

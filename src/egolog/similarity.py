@@ -11,18 +11,24 @@ backend, and drops it when the unit ends. Two backends ship with the
 package: a deterministic offline mock (seeded feature hashing of
 character trigrams, for tests and desk runs) and an HTTP client for a
 real embedding service.
+
+numpy is imported inside the functions that compute with it, not at the
+top, so that the commands that never embed (eval, gen-refine-data) and
+every configuration or input error never load it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from typing import Callable, Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from .errors import BackendProtocolError
 from .retry import bearer_token, call_with_retries, post_json
+
+if TYPE_CHECKING:
+    # for annotations only; the functions that compute import numpy themselves
+    import numpy as np
 
 EMBED_TIMEOUT_S = 60.0
 # inputs per request; hosted embedding endpoints reject larger batches
@@ -68,6 +74,8 @@ class MockEmbedder:
         self._features: dict[bytes, tuple[int, float]] = {}
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        import numpy as np
+
         # one _embed call per text: perfbench's similarity.backend_texts
         # counts these calls
         return np.array([self._embed(text) for text in texts], dtype=np.float64)
@@ -174,6 +182,8 @@ def embed_batch(backend: EmbedderBackend, texts: Sequence[str]) -> np.ndarray:
     and no NaN or infinite entries.
     A violation raises BackendProtocolError.
     """
+    import numpy as np
+
     if len(texts) == 0:
         raise ValueError("embed_batch requires at least one text")
     for text in texts:
@@ -210,6 +220,8 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with integer-valued vectors, whose dot products are exact, that moves
     scores lying exactly on a threshold to either side of it.
     """
+    import numpy as np
+
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     a, norms_a = _rows_and_norms(a)
@@ -219,6 +231,8 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine similarity of each row of a with the same row of b, as in cosine_matrix."""
+    import numpy as np
+
     a, norms_a = _rows_and_norms(a)
     b, norms_b = _rows_and_norms(b)
     return np.einsum("ij,ij->i", a, b) / (norms_a * norms_b)
@@ -236,6 +250,8 @@ def _rows_and_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact and cancels in the cosine, and every other row is left untouched,
     so its scores stay bit for bit those of the plain formula.
     """
+    import numpy as np
+
     squares = np.einsum("ij,ij->i", x, x)
     odd = (squares < _TINY_SQUARES) | np.isinf(squares)
     if odd.any():

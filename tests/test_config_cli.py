@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import configparser
+import errno
 import json
 import os
 import re
@@ -26,6 +27,7 @@ from egolog.errors import ConfigError
 from helpers import (
     UNREADABLE,
     RecordingBackend,
+    ScriptedNlqBackend,
     ScriptedQaBackend,
     needs_unreadable,
     synth_nlq_benchmark,
@@ -105,6 +107,9 @@ class TestLoadConfig:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             load_config(tmp_path / "nope.ini")
+        message = f"^config file {re.escape(str(tmp_path))} is not a file$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(tmp_path)
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match=r"unknown config section \[model\]"):
@@ -132,11 +137,31 @@ class TestLoadConfig:
         body = MINIMAL + "[paths]\ncaptions = missing.jsonl\n"
         with pytest.raises(ConfigError, match="paths.captions.*does not exist"):
             minimal_config(tmp_path, body=body)
+        (tmp_path / "caps").mkdir()
+        body = MINIMAL + "[paths]\ncaptions = caps\n"
+        message = f"^paths.captions file {re.escape(str(tmp_path / 'caps'))} is not a file$"
+        with pytest.raises(ConfigError, match=message):
+            minimal_config(tmp_path, body=body)
 
     def test_output_path_need_not_exist(self, tmp_path):
         body = MINIMAL + "[paths]\noutput = out/preds.jsonl\n"
         config = minimal_config(tmp_path, body=body)
         assert config.output_path == tmp_path / "out" / "preds.jsonl"
+
+    def test_output_path_that_cannot_be_written_fails_at_load(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep me\n")
+        cases = [
+            (tmp_path, "Is a directory"),
+            (blocker / "out.jsonl", "Not a directory"),
+            (blocker / "sub" / "out.jsonl", "Not a directory"),
+        ]
+        for out, reason in cases:
+            body = MINIMAL + f"[paths]\noutput = {out}\n"
+            message = f"^cannot write {re.escape(str(out))}: {reason}$"
+            with pytest.raises(ConfigError, match=message):
+                minimal_config(tmp_path, body=body)
+        assert blocker.read_text() == "keep me\n"
 
     def test_blocklist_comma_split(self, tmp_path):
         body = MINIMAL + "[digest]\nblocklist = waves hello, nods, smiles\n"
@@ -457,6 +482,9 @@ class TestCliEval:
         )
         assert code == 1
         assert "does not exist" in capsys.readouterr().err
+        argv = ["eval", "--config", str(config), "--predictions", str(tmp_path), "--task", "qa"]
+        assert main(argv) == 1
+        assert f"error: predictions file {tmp_path} is not a file\n" in capsys.readouterr().err
 
 
 class TestCliAtomicWrites:
@@ -498,6 +526,27 @@ class TestCliAtomicWrites:
         if target == "under-a-file":
             assert blocker.read_text() == "keep me\n"
 
+    @pytest.mark.parametrize("command", ["localize", "ask", "digest"])
+    def test_directory_out_path_fails_before_any_completion(self, tmp_path, capsys, command):
+        if command == "localize":
+            tracks, queries = synth_nlq_benchmark(n_items=3, captions_per_video=8)
+            llm = ScriptedNlqBackend()
+        else:
+            tracks, queries = synth_qa_benchmark(n_items=3, captions_per_video=8)
+            llm = ScriptedQaBackend()
+        sections = "[run]\nseed = 11\nruns = 1\n[digest]\nmerge_mode = llm\n"
+        config = write_run(tmp_path, tracks, queries, sections)
+        argv = [command, "--config", str(config), "--out"]
+        blocker = tmp_path / "blocker"
+        blocker.mkdir()
+        with mock.patch.object(pipeline, "build_llm", lambda config: llm):
+            assert main(argv + [str(tmp_path / "out.jsonl")]) == 0
+            sent = llm.calls
+            assert sent > 0
+            assert main(argv + [str(blocker)]) == 1
+        assert llm.calls == sent
+        assert f"error: cannot write {blocker}: Is a directory\n" in capsys.readouterr().err
+
 
 class TestCliErrors:
     @needs_unreadable
@@ -519,6 +568,25 @@ class TestCliErrors:
         assert code == 1
         assert "cannot read" in err and str(UNREADABLE) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["digest", "--config", "{long}"],
+            ["digest", "--config", "{config}", "--paths.captions", "{long}"],
+            ["eval", "--config", "{config}", "--task", "qa", "--predictions", "{long}"],
+            ["ask", "--config", "{config}", "--out", "{long}"],
+        ],
+        ids=["config", "captions", "predictions", "output"],
+    )
+    def test_path_that_cannot_be_looked_up_exits_1(self, tmp_path, capsys, argv):
+        config = write_run(tmp_path, *qa_fixture(), "[run]\nseed = 3\n")
+        # a file name longer than the file system allows: stat fails with ENAMETOOLONG
+        long = str(tmp_path / ("a" * 300))
+        code = main([arg.format(config=config, long=long) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert long in err and f": {os.strerror(errno.ENAMETOOLONG)}" in err
 
     def test_exit_codes_reach_the_shell(self, tmp_path):
         tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)

@@ -803,6 +803,11 @@ class TestRunEval:
             load_predictions(missing, QueryKind.NLQ, {q.qid: q for q in queries})
         with pytest.raises(MetricsError, match=message):
             run_eval(config, missing, "nlq")
+        message = re.escape(f"predictions file {tmp_path} is not a file")
+        with pytest.raises(MetricsError, match=message):
+            load_predictions(tmp_path, QueryKind.NLQ, {q.qid: q for q in queries})
+        with pytest.raises(MetricsError, match=message):
+            run_eval(config, tmp_path, "nlq")
 
     @pytest.mark.parametrize("task", ["nlq", "qa"])
     def test_every_query_with_ground_truth_is_scored(self, tmp_path, task):
