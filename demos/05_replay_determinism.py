@@ -17,7 +17,7 @@ from pathlib import Path
 
 from egolog.cli import main as cli_main
 from egolog.config import load_config
-from egolog.llm import prompt_sha256, run_key, write_transcripts
+from egolog.llm import RecordingBackend, write_transcripts
 from egolog.pipeline import run_ask
 
 OPTION = re.compile(r"^\(([A-E])\) (.*)$", re.MULTILINE)
@@ -40,20 +40,6 @@ class LiveStandIn:
             "confidence": 3,
         }
         return "```json\n" + json.dumps([entry]) + "\n```"
-
-
-class Recorder:
-    """Wraps a backend and keeps every exchange for the transcripts file."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.transcripts = {}
-
-    def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
-        text = self.inner.complete(system_text, user_text, sampling_seed, run_index)
-        key = prompt_sha256(system_text, user_text)
-        self.transcripts.setdefault(key, {})[run_key(run_index)] = text
-        return text
 
 
 with tempfile.TemporaryDirectory() as raw:
@@ -95,7 +81,7 @@ with tempfile.TemporaryDirectory() as raw:
     )
 
     # pass one: the live stand-in answers, the recorder captures everything
-    recorder = Recorder(LiveStandIn())
+    recorder = RecordingBackend(LiveStandIn())
     records, failures = run_ask(load_config(root / "config.ini"), llm=recorder)
     assert not failures
     write_transcripts(root / "transcripts.json", recorder.transcripts)

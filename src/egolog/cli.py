@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .config import PipelineConfig, config_sha256, load_config, parse_override
+from .config import PipelineConfig, check_not_input, config_sha256, load_config, parse_override
 from .corpus import save_captions, write_json, write_jsonl
 from .errors import ConfigError, EgologError
 from .metrics import report_as_dict, report_to_text
@@ -160,6 +160,8 @@ def _cmd_localize(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(config: PipelineConfig, args: argparse.Namespace) -> int:
+    if config.output_path is not None:
+        check_not_input(config.output_path, {"--predictions": Path(args.predictions)})
     report = run_eval(config, args.predictions, args.task)
     payload = report_as_dict(report)
     if config.output_path is not None:

@@ -5,9 +5,9 @@ Settings live under [paths], [run], [llm], [embedder], [digest], and
 name (for example --digest.relevance_threshold 0.4). The seed is
 mandatory; nothing in the pipeline ever seeds from the clock. Paths are
 resolved relative to the config file; every configured input file
-must exist at load time, and the output path must not be a directory or
-lie under a file. Auth tokens are named here as environment
-variable names, never written as values.
+must exist at load time, and the output path must not be a directory,
+lie under a file or be an input file. Auth tokens are named here as
+environment variable names, never written as values.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, get_type_hints
+from urllib.parse import urlsplit
 
 from .corpus import why_not_a_file
 from .digest import DigestConfig, MergeMode
@@ -103,6 +104,9 @@ class PipelineConfig:
             raise ConfigError("llm.kind is http but llm.endpoint is not set")
         if self.embedder_kind == "http" and not self.embedder_endpoint:
             raise ConfigError("embedder.kind is http but embedder.endpoint is not set")
+        for key, url in (("llm", self.llm_endpoint), ("embedder", self.embedder_endpoint)):
+            if url is not None and not _is_http_url(url):
+                raise ConfigError(f"{key}.endpoint must be an http(s) URL with a host: {url!r}")
         if self.embedder_dim < 1:
             raise ConfigError("embedder.dim must be >= 1")
 
@@ -121,6 +125,25 @@ def _parse(cp: configparser.ConfigParser, section: str, key: str):
     if parser is float and not math.isfinite(value):
         raise ConfigError(f"{section}.{key} must be a finite number, got {raw!r}")
     return value
+
+
+def _is_http_url(url: str) -> bool:
+    try:
+        parts = urlsplit(url)
+        return parts.scheme in ("http", "https") and bool(parts.hostname)
+    except ValueError:  # a malformed IPv6 host
+        return False
+
+
+def check_not_input(path: Path, inputs: Mapping[str, Path | None]) -> None:
+    """Reject an output path that is one of the named input files, links too."""
+    for name, source in inputs.items():
+        try:
+            same = source is not None and os.path.samefile(path, source)
+        except OSError:  # either does not exist, or cannot be looked up
+            same = False
+        if same:
+            raise ConfigError(f"cannot write {path}: it is the {name} file {source}")
 
 
 def _check_writable(path: Path) -> None:
@@ -194,6 +217,8 @@ def load_config(
             raise ConfigError(f"paths.{key} file {p} {reason}")
     if paths["output"] is not None:
         _check_writable(paths["output"])
+        inputs = {f"paths.{k}": p for k, p in paths.items() if k != "output"}
+        check_not_input(paths["output"], inputs)
     if values["run"]["seed"] is None:
         raise ConfigError("run.seed is required; runs are never seeded from the clock")
 

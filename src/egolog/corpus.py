@@ -406,19 +406,14 @@ def _caption_rows(
         yield lineno, row
 
 
-def _warn_unused_bounds(bounds: Mapping, videos: Mapping, path: Path) -> None:
-    for vid in bounds:
-        if vid not in videos:
-            logger.warning("bounds record for video %r has no captions in %s", vid, path)
-
-
 def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
     """Load a captions file into tracks keyed by video_id.
 
     Each line is either a caption record
     ``{"video_id", "start_s", "end_s", "text"}`` or an optional bounds record
     ``{"video_id", "clip_start_s", "clip_end_s"}``. Without a bounds record
-    the clip bounds default to the hull of the video's captions. A record
+    the clip bounds default to the hull of the video's captions; a bounds
+    record without captions is an empty track, after the others. A record
     of one shape with a non-null field of the other raises CorpusError
     (see check_shape), and so does a bounds record with an empty video_id
     or a negative clip start. Exact duplicate caption records are dropped
@@ -453,7 +448,9 @@ def load_captions(path: str | Path) -> dict[str, CaptionTrack]:
             tracks[vid] = CaptionTrack.build(vid, caps, lo, hi)
         except ValueError as exc:
             raise CorpusError(str(exc), path=str(path)) from exc
-    _warn_unused_bounds(bounds, tracks, path)
+    for vid, (lo, hi) in bounds.items():
+        if vid not in tracks:
+            tracks[vid] = CaptionTrack(vid, lo, hi, ())
     return tracks
 
 
@@ -493,7 +490,8 @@ def load_clip_bounds(path: str | Path) -> dict[str, tuple[float, float]]:
             # load_captions fails here, naming the first caption outside the clip
             return {v: track.bounds for v, track in load_captions(path).items()}
         clips[vid] = clip
-    _warn_unused_bounds(bounds, clips, path)
+    for vid, clip in bounds.items():
+        clips.setdefault(vid, clip)
     return clips
 
 

@@ -1,10 +1,11 @@
 """LLM completion backends.
 
 The pipeline talks to any model through one call: complete(system_text,
-user_text, sampling_seed, run_index) -> raw text. Two implementations
-ship here: an HTTP client for a remote model and a replay backend that
+user_text, sampling_seed, run_index) -> raw text. Three implementations
+ship here: an HTTP client for a remote model, a replay backend that
 returns recorded transcripts keyed by (prompt digest, run index) for
-bit-exact reruns.
+bit-exact reruns, and a recorder that wraps any backend and keeps its
+replies in that store.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import threading
 from pathlib import Path
 from typing import Mapping, Protocol
 
@@ -45,6 +47,11 @@ def prompt_sha256(system_text: str, user_text: str) -> str:
 
 def run_key(run_index: int) -> str:
     return f"run_{run_index}"
+
+
+def _store_keys(system_text: str, user_text: str, run_index: int) -> tuple[str, str]:
+    """Where a transcript store keeps a reply: (prompt digest, run key)."""
+    return prompt_sha256(system_text, user_text), run_key(run_index)
 
 
 class ReplayBackend:
@@ -90,15 +97,42 @@ class ReplayBackend:
         sampling_seed: int | None = None,
         run_index: int = 0,
     ) -> str:
-        digest = prompt_sha256(system_text, user_text)
+        digest, run = _store_keys(system_text, user_text, run_index)
         runs = self._transcripts.get(digest)
         if runs is None:
             raise ReplayMissError(f"no transcript recorded for prompt {digest[:12]}...")
-        text = runs.get(run_key(run_index))
+        text = runs.get(run)
         if text is None:
             raise ReplayMissError(
                 f"no transcript recorded for prompt {digest[:12]}... run {run_index}"
             )
+        return text
+
+
+class RecordingBackend:
+    """Passes each completion to inner and keeps its reply in .transcripts.
+
+    .transcripts is the store write_transcripts writes and ReplayBackend
+    reads; a prompt and run answered twice keeps the later reply. Safe to
+    call from the completion pool's threads.
+    """
+
+    def __init__(self, inner: LlmBackend):
+        self.inner = inner
+        self.transcripts: dict[str, dict[str, str]] = {}
+        self._lock = threading.Lock()
+
+    def complete(
+        self,
+        system_text: str,
+        user_text: str,
+        sampling_seed: int | None = None,
+        run_index: int = 0,
+    ) -> str:
+        text = self.inner.complete(system_text, user_text, sampling_seed, run_index)
+        digest, run = _store_keys(system_text, user_text, run_index)
+        with self._lock:
+            self.transcripts.setdefault(digest, {})[run] = text
         return text
 
 

@@ -3,8 +3,8 @@ backends, a recording embedder and scorers, oracles, a record-shape probe.
 
 The scripted backends answer by reading the caption log serialized into
 the prompt, so synthetic benchmarks where captions literally determine
-the answer are solvable without any model. A recording wrapper captures
-transcripts for replay fixtures.
+the answer are solvable without any model; egolog.llm.RecordingBackend
+wrapped around one records the transcripts of replay fixtures.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from egolog.config import load_config
 from egolog.corpus import Caption, CaptionTrack, Query, QueryKind, save_captions
 from egolog.errors import EgologError, TransportError
-from egolog.llm import prompt_sha256, run_key
 from egolog.reasoner import CHOICE_LETTERS, LlmAnswer
 from egolog.similarity import MockEmbedder
 
@@ -168,24 +167,6 @@ class CallableBackend:
 
     def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
         return self._fn(system_text, user_text)
-
-
-class RecordingBackend:
-    """Delegates to another backend and records every exchange."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.transcripts: dict[str, dict[str, str]] = {}
-        self._lock = threading.Lock()
-
-    def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
-        text = self.inner.complete(
-            system_text, user_text, sampling_seed=sampling_seed, run_index=run_index
-        )
-        key = prompt_sha256(system_text, user_text)
-        with self._lock:
-            self.transcripts.setdefault(key, {})[run_key(run_index)] = text
-        return text
 
 
 class OverlapBackend:

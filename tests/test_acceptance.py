@@ -26,7 +26,7 @@ from egolog.digest import (
 )
 from egolog.ensemble import AnswerPool, vote_by_confidence
 from egolog.errors import ParseError
-from egolog.llm import write_transcripts
+from egolog.llm import RecordingBackend, write_transcripts
 from egolog.metrics import evaluate_nlq, evaluate_qa, iou
 from egolog.pipeline import run_ask, run_eval, run_localize
 from egolog.reasoner import (
@@ -37,7 +37,6 @@ from egolog.refine import RefineConfig, gen_refinement_dataset, pad_interval
 from egolog.similarity import MockEmbedder
 
 from helpers import (
-    RecordingBackend,
     ScriptedNlqBackend,
     ScriptedQaBackend,
     assert_report_matches_oracle,

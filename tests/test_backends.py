@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from egolog import similarity
+from egolog.cli import main as cli_main
 from egolog.config import load_config
 from egolog.errors import (
     BackendProtocolError,
@@ -20,6 +21,7 @@ from egolog.errors import (
 )
 from egolog.llm import (
     HttpLlmBackend,
+    RecordingBackend,
     ReplayBackend,
     prompt_sha256,
     run_key,
@@ -30,6 +32,8 @@ from egolog.similarity import CachedEmbedder, HttpEmbedder, MockEmbedder, embed_
 
 from helpers import (
     UNREADABLE,
+    CallableBackend,
+    HashFailingBackend,
     ScriptedNlqBackend,
     ScriptedQaBackend,
     needs_unreadable,
@@ -126,6 +130,63 @@ class TestReplayBackend:
         assert backend.complete("s", "u", sampling_seed=1) == backend.complete(
             "s", "u", sampling_seed=999
         )
+
+
+class _ThreadNames:
+    """Passes completions on to inner, noting the name of each calling thread."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.names = set()
+        self._lock = threading.Lock()
+
+    def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
+        with self._lock:
+            self.names.add(threading.current_thread().name)
+        return self.inner.complete(system_text, user_text, sampling_seed, run_index)
+
+
+class TestRecordingBackend:
+    def test_stores_replies_where_replay_reads_them(self):
+        replies = iter(["first", "second", "third"])
+        recorder = RecordingBackend(CallableBackend(lambda system, user: next(replies)))
+        assert recorder.complete("s", "u", sampling_seed=4) == "first"
+        assert recorder.complete("s", "u", run_index=2) == "second"
+        # a prompt and run answered twice keeps the later reply
+        assert recorder.complete("s", "u") == "third"
+        digest = prompt_sha256("s", "u")
+        assert recorder.transcripts == {digest: {"run_0": "third", "run_2": "second"}}
+        replay = ReplayBackend(recorder.transcripts)
+        assert [replay.complete("s", "u", run_index=i) for i in (0, 2)] == ["third", "second"]
+
+    def test_store_recorded_on_64_completion_threads_replays_exactly(self, tmp_path):
+        tracks, queries = synth_qa_benchmark(n_items=16, captions_per_video=6)
+        config = write_run(tmp_path, tracks, queries, "[run]\nseed = 5\nruns = 5\n")
+        stores, live = {}, {}
+        for limit in (1, 8):
+            # waits up to 5 ms per completion, so concurrent ones finish out of order
+            threads = _ThreadNames(HashFailingBackend(fail_share=0, inner=ScriptedQaBackend()))
+            recorder = RecordingBackend(threads)
+            loaded = load_config(config, {"run.in_flight_limit": str(limit)})
+            live[limit], failures = run_ask(loaded, llm=recorder)
+            assert failures == []
+            stores[limit] = recorder.transcripts
+        # the pass at limit 8 recorded from several completion threads
+        assert len({n for n in threads.names if n.startswith("egolog-completion")}) > 1
+        assert stores[8] == stores[1]
+        assert [len(runs) for runs in stores[1].values()] == [5] * 16
+        assert live[8] == live[1]
+
+        write_transcripts(tmp_path / "transcripts.json", stores[8])
+        replayed = []
+        for limit in (1, 8):
+            out = tmp_path / f"replayed_{limit}.jsonl"
+            argv = ["ask", "--config", str(config), "--out", str(out)]
+            argv += [f"--run.in_flight_limit={limit}", "--paths.transcripts=transcripts.json"]
+            assert cli_main(argv) == 0
+            replayed.append(out.read_bytes())
+        assert replayed[0] == replayed[1]
+        assert [json.loads(line) for line in replayed[0].splitlines()] == live[1]
 
 
 class _Script:

@@ -23,10 +23,10 @@ from egolog.config import (
 )
 from egolog.digest import MergeMode
 from egolog.errors import ConfigError
+from egolog.llm import RecordingBackend
 
 from helpers import (
     UNREADABLE,
-    RecordingBackend,
     ScriptedNlqBackend,
     ScriptedQaBackend,
     needs_unreadable,
@@ -486,6 +486,22 @@ class TestCliEval:
         assert main(argv) == 1
         assert f"error: predictions file {tmp_path} is not a file\n" in capsys.readouterr().err
 
+    def test_out_path_naming_the_predictions_file_fails(self, tmp_path, capsys):
+        _, queries = qa_fixture()
+        preds = self.write_preds(tmp_path, queries)
+        before = preds.read_bytes()
+        config = write_run(tmp_path, queries=queries, sections="[run]\nseed = 3\n")
+        argv = ["eval", "--config", str(config), "--predictions", str(preds), "--task", "qa"]
+        assert main(argv + ["--out", str(preds)]) == 1
+        message = f"error: cannot write {preds}: it is the --predictions file {preds}\n"
+        assert message in capsys.readouterr().err
+        assert preds.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.ini",
+            "preds.jsonl",
+            "queries.jsonl",
+        ]
+
 
 class TestCliAtomicWrites:
     @pytest.mark.parametrize("command", ["ask", "localize"])
@@ -547,6 +563,45 @@ class TestCliAtomicWrites:
         assert llm.calls == sent
         assert f"error: cannot write {blocker}: Is a directory\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, out, source",
+        [
+            ("--out", "captions.jsonl", "paths.captions"),
+            ("--out", "queries.jsonl", "paths.queries"),
+            ("--out", "transcripts.json", "paths.transcripts"),
+            ("--out", "hard-link.jsonl", "paths.captions"),
+            ("--paths.output", "soft-link.jsonl", "paths.captions"),
+        ],
+        ids=["captions", "queries", "transcripts", "hard-link", "soft-link"],
+    )
+    def test_out_path_naming_an_input_fails_before_any_unit(
+        self, tmp_path, capsys, flag, out, source
+    ):
+        tracks, queries = qa_fixture(n_items=2)
+        (tmp_path / "transcripts.json").write_text("{}\n")
+        config = write_run(
+            tmp_path,
+            tracks,
+            queries,
+            "[run]\nseed = 3\nruns = 1\n[digest]\nmerge_mode = llm\n",
+            extra_paths="transcripts = transcripts.json\n",
+        )
+        os.link(tmp_path / "captions.jsonl", tmp_path / "hard-link.jsonl")
+        (tmp_path / "soft-link.jsonl").symlink_to("captions.jsonl")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        llm = ScriptedQaBackend()
+        with mock.patch.object(pipeline, "build_llm", lambda config: llm):
+            for command in ("digest", "ask"):
+                # --out resolves against the working directory, paths.output
+                # against the config file's, without following links
+                target = tmp_path / out if flag == "--out" else out
+                argv = [command, "--config", str(config), f"{flag}={target}"]
+                assert main(argv) == 1
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: cannot write {tmp_path / out}: it is the {source} ")
+        assert llm.calls == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestCliErrors:
     @needs_unreadable
@@ -607,6 +662,26 @@ class TestCliErrors:
         assert exit_code("localize", *replay, "--out", "windows.jsonl") == 2
         missing = ["--paths.captions", "absent.jsonl"]
         assert exit_code("localize", *missing, "--out", "windows.jsonl") == 1
+
+    @pytest.mark.parametrize("section", ["llm", "embedder"])
+    @pytest.mark.parametrize(
+        "url",
+        ["localhost:8000/complete", "ftp://localhost:8000/complete", "http:///complete"],
+        ids=["no-scheme", "ftp", "no-host"],
+    )
+    def test_endpoint_without_http_scheme_or_host_exits_1(
+        self, tmp_path, capsys, section, url
+    ):
+        tracks, queries = qa_fixture(n_items=2)
+        sections = f"[run]\nseed = 3\nruns = 1\n[{section}]\nkind = http\nendpoint = {url}\n"
+        config = write_run(tmp_path, tracks, queries, sections)
+        llm = ScriptedQaBackend()
+        with mock.patch.object(pipeline, "build_llm", lambda config: llm):
+            code = main(["ask", "--config", str(config), "--out", str(tmp_path / "a.jsonl")])
+        assert code == 1
+        assert llm.calls == 0
+        message = f"error: {section}.endpoint must be an http(s) URL with a host: {url!r}\n"
+        assert capsys.readouterr().err == message
 
     def test_fatal_config_error_exits_1(self, tmp_path, capsys):
         code = main(["digest", "--config", str(tmp_path / "nope.ini")])

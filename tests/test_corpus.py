@@ -281,16 +281,41 @@ class TestCaptionsIO:
         assert len(tracks["v1"].captions) == 1
         assert "duplicate" in caplog.text
 
-    def test_bounds_record_without_captions_warned_and_dropped(self, tmp_path, caplog):
+    def test_bounds_record_without_captions_is_an_empty_track(self, tmp_path, caplog):
         path = tmp_path / "caps.jsonl"
         rows = [
-            {"video_id": "v1", "start_s": 0, "end_s": 2, "text": "C stands"},
             {"video_id": "v2", "clip_start_s": 0, "clip_end_s": 9},
+            {"video_id": "v1", "start_s": 0, "end_s": 2, "text": "C stands"},
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         tracks = load_captions(path)
-        assert list(tracks) == ["v1"]
-        assert "bounds record for video 'v2' has no captions" in caplog.text
+        # videos with captions first, in their order, then the empty ones
+        assert list(tracks) == ["v1", "v2"]
+        assert tracks["v2"] == CaptionTrack("v2", 0.0, 9.0, ())
+        assert caplog.text == ""
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(["v1", "v2", "v3", "v4"]),
+            st.tuples(st.sampled_from([(0.0, 9.0), (1.5, 4.0)]), st.integers(0, 3)),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=100)
+    def test_save_then_load_keeps_every_track(self, tmp_path_factory, spec):
+        tracks = {
+            vid: CaptionTrack.build(
+                vid,
+                [Caption(vid, lo + i, lo + i + 0.5, f"C does {i}") for i in range(n)],
+                lo,
+                hi,
+            )
+            for vid, ((lo, hi), n) in spec.items()
+        }
+        path = tmp_path_factory.mktemp("captions") / "caps.jsonl"
+        save_captions(tracks, path)
+        assert load_captions(path) == tracks
+        assert read_outcome(load_clip_bounds, path) == read_outcome(track_bounds, path)
 
     def test_conflicting_bounds_rejected(self, tmp_path):
         path = tmp_path / "caps.jsonl"
@@ -465,7 +490,7 @@ class TestCaptionsIO:
     )
     @settings(max_examples=400)
     def test_row_loads_as_its_shape_or_fails_at_its_line(self, tmp_path_factory, row):
-        # a lone bounds record loads as no track
+        # a lone bounds record loads as an empty track
         assert_loads_as_its_shape(
             load_captions,
             tmp_path_factory.mktemp("captions") / "caps.jsonl",
@@ -474,7 +499,7 @@ class TestCaptionsIO:
                 "caption": {"video_id", "start_s", "end_s", "text"},
                 "bounds": {"video_id", "clip_start_s", "clip_end_s"},
             },
-            lambda tracks: "caption" if tracks else "bounds",
+            lambda tracks: "caption" if any(t.captions for t in tracks.values()) else "bounds",
         )
 
     @pytest.mark.parametrize(
@@ -607,17 +632,21 @@ class TestClipBounds:
             {"video_id": "v3", "clip_start_s": 0, "clip_end_s": 9},
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        assert list(load_clip_bounds(path).items()) == [("v2", (1.0, 6.0)), ("v1", (0.0, 30.0))]
+        assert list(load_clip_bounds(path).items()) == [
+            ("v2", (1.0, 6.0)),
+            ("v1", (0.0, 30.0)),
+            ("v3", (0.0, 9.0)),
+        ]
 
-    def test_bounds_record_without_captions_warned(self, tmp_path, caplog):
+    def test_bounds_record_without_captions_gives_its_clip(self, tmp_path, caplog):
         path = tmp_path / "caps.jsonl"
         rows = [
             {"video_id": "v1", "start_s": 0, "end_s": 2, "text": "C stands"},
             {"video_id": "v2", "clip_start_s": 0, "clip_end_s": 9},
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        assert load_clip_bounds(path) == {"v1": (0.0, 2.0)}
-        assert "bounds record for video 'v2' has no captions" in caplog.text
+        assert load_clip_bounds(path) == {"v1": (0.0, 2.0), "v2": (0.0, 9.0)}
+        assert caplog.text == ""
 
     def test_caption_outside_its_bounds_record_is_the_tracks_error(self, tmp_path):
         path = tmp_path / "caps.jsonl"

@@ -18,10 +18,9 @@ import pytest
 
 from egolog import pipeline
 from egolog.cli import main
-from egolog.llm import write_transcripts
+from egolog.llm import RecordingBackend, write_transcripts
 
 from helpers import (
-    RecordingBackend,
     ScriptedNlqBackend,
     synth_nlq_benchmark,
     synth_qa_benchmark,

@@ -26,9 +26,9 @@ from pathlib import Path
 from unittest import mock
 
 from egolog import cli, pipeline
+from egolog.llm import RecordingBackend
 
 from helpers import (
-    RecordingBackend,
     ScriptedNlqBackend,
     ScriptedQaBackend,
     make_track,

@@ -14,7 +14,7 @@ from egolog.config import load_config
 from egolog.corpus import Query, QueryKind
 from egolog.digest import MERGE_PROMPT
 from egolog.errors import BackendProtocolError, ConfigError, CorpusError, MetricsError
-from egolog.llm import ReplayBackend, write_transcripts
+from egolog.llm import RecordingBackend, ReplayBackend, write_transcripts
 from egolog.metrics import load_predictions, report_as_dict
 from egolog.pipeline import (
     build_embedder,
@@ -32,7 +32,6 @@ from helpers import (
     CallableBackend,
     HashFailingBackend,
     OverlapBackend,
-    RecordingBackend,
     RecordingEmbedder,
     ScriptedNlqBackend,
     ScriptedQaBackend,

@@ -1,13 +1,15 @@
 """The README's examples run as written.
 
 The "Quick look" snippet runs in a fresh interpreter and prints what its
-comment says, the file-format examples load through the loaders, and
-the table of record shapes is the loaders' own.
+comment says, the file-format examples load through the loaders, the
+table of record shapes is the loaders' own, and every
+egolog.<module>.<name> it names exists.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -102,3 +104,14 @@ def test_record_shape_table_is_the_loaders_tables():
     assert [list(shapes) for shapes in documented.values()] == [
         list(table) for table in tables.values()
     ]
+
+
+def test_every_named_package_attribute_resolves():
+    named = set(re.findall(r"\begolog\.(\w+)\.(\w+)\b", README))
+    assert ("llm", "RecordingBackend") in named
+    missing = [
+        f"egolog.{module}.{name}"
+        for module, name in sorted(named)
+        if not hasattr(importlib.import_module(f"egolog.{module}"), name)
+    ]
+    assert missing == []
