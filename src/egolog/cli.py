@@ -207,7 +207,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.runs is not None:
             overrides["run.runs"] = str(args.runs)
         if args.out is not None:
-            overrides["paths.output"] = str(Path(args.out).resolve())
+            overrides["paths.output"] = str(Path(args.out).absolute())
         config = load_config(args.config, overrides)
         return _COMMANDS[args.command](config, args)
     except EgologError as exc:

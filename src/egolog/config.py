@@ -146,22 +146,23 @@ def check_not_input(path: Path, inputs: Mapping[str, Path | None]) -> None:
             raise ConfigError(f"cannot write {path}: it is the {name} file {source}")
 
 
-def _check_writable(path: Path) -> None:
-    """Reject an output path that is a directory or lies under a non-directory.
+def _writable(path: Path) -> Path:
+    """path with its links followed, so a link stays and its target is rewritten.
 
-    Checked before any unit runs; the atomic writer checks again, since the
-    file system can change in between.
+    A directory or a path under a non-directory fails before any unit runs;
+    the atomic writer checks again, as the file system can change meanwhile.
     """
     try:
-        if path.is_dir():
+        target = path.resolve()
+        if target.is_dir():
             reason = os.strerror(errno.EISDIR)
         # the nearest existing ancestor; the root always exists
-        elif not next(p for p in path.parents if p.exists()).is_dir():
+        elif not next(p for p in target.parents if p.exists()).is_dir():
             reason = os.strerror(errno.ENOTDIR)
         else:
-            return
-    except OSError as exc:  # a name too long, a directory that cannot be searched
-        reason = exc.strerror or str(exc)
+            return target
+    except (OSError, RuntimeError) as exc:  # a name too long, a search denied, a link loop
+        reason = getattr(exc, "strerror", None) or str(exc)
     raise ConfigError(f"cannot write {path}: {reason}")
 
 
@@ -216,9 +217,9 @@ def load_config(
         if key != "output" and p is not None and (reason := why_not_a_file(p)):
             raise ConfigError(f"paths.{key} file {p} {reason}")
     if paths["output"] is not None:
-        _check_writable(paths["output"])
         inputs = {f"paths.{k}": p for k, p in paths.items() if k != "output"}
         check_not_input(paths["output"], inputs)
+        paths["output"] = _writable(paths["output"])
     if values["run"]["seed"] is None:
         raise ConfigError("run.seed is required; runs are never seeded from the clock")
 

@@ -28,6 +28,7 @@ from .corpus import (
     check_shape,
     finite_seconds,
     iter_jsonl,
+    normalize_seconds,
     text_field,
     time_pair,
     whole_number,
@@ -253,6 +254,24 @@ def evaluate_qa(preds: Mapping[str, LlmAnswer], gts: Mapping[str, int]) -> EvalR
         for qid, gt in gts.items()
     ]
     return _stratified(outcomes, _count_qa)
+
+
+def prediction_row(answer: LlmAnswer, window: Sequence[float] | None = None) -> dict:
+    """answer as a predictions-file row, times to the millisecond.
+
+    QA: {qid, choice, confidence, explanation}; NLQ, with its final window:
+    {qid, predicted_window, confidence, explanation, candidates, na}.
+    """
+    common = {"confidence": answer.confidence, "explanation": answer.explanation}
+    if answer.kind is QueryKind.QA:
+        return {"qid": answer.qid, "choice": answer.choice_idx, **common}
+    return {
+        "qid": answer.qid,
+        "predicted_window": [normalize_seconds(t) for t in window],
+        **common,
+        "candidates": [[normalize_seconds(t) for t in c] for c in answer.intervals],
+        "na": answer.is_na,
+    }
 
 
 def load_predictions(

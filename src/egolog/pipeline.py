@@ -44,19 +44,13 @@ from .corpus import (
     load_captions,
     load_clip_bounds,
     load_queries,
-    normalize_seconds,
 )
 from .digest import DigestStats, MergeMode, digest
 from .ensemble import AnswerPool, vote_by_confidence
 from .errors import ConfigError, EgologError, ParseError
 from .llm import HttpLlmBackend, LlmBackend, ReplayBackend
-from .metrics import EvalReport, evaluate_nlq, evaluate_qa, load_predictions
-from .reasoner import (
-    build_nlq_prompt,
-    build_qa_prompt,
-    parse_response,
-    run,
-)
+from .metrics import EvalReport, evaluate_nlq, evaluate_qa, load_predictions, prediction_row
+from .reasoner import build_nlq_prompt, build_qa_prompt, parse_response, run
 from .refine import CaptionOverlapScorer, gen_refinement_dataset, select_candidate
 from .retry import map_in_order
 from .seeding import derive_seed
@@ -255,12 +249,7 @@ def run_ask(
             AnswerPool(query.qid, tuple(answers)),
             derive_seed(config.seed, "vote", query.qid),
         )
-        return {
-            "qid": query.qid,
-            "choice": chosen.choice_idx,
-            "confidence": chosen.confidence,
-            "explanation": chosen.explanation,
-        }
+        return prediction_row(chosen)
 
     def answer(
         track: CaptionTrack, qs: list[Query], cache: CachedEmbedder, pool: Executor | None
@@ -319,25 +308,12 @@ def run_localize(
         )
         if isinstance(reply, EgologError):
             raise reply
-        answers = parse_response(
-            reply, QueryKind.NLQ, [q.qid for q in qs], digested.bounds
-        )
-        records: dict[str, dict] = {}
-        for query, answer in zip(qs, answers):
-            final = select_candidate(
-                answer, digested, scorer, config.refine, query_text=query.text
-            )
-            records[query.qid] = {
-                "qid": query.qid,
-                "predicted_window": [normalize_seconds(t) for t in final],
-                "confidence": answer.confidence,
-                "explanation": answer.explanation,
-                "candidates": [
-                    [normalize_seconds(t) for t in c] for c in answer.intervals
-                ],
-                "na": answer.is_na,
-            }
-        return records
+        answers = parse_response(reply, QueryKind.NLQ, [q.qid for q in qs], digested.bounds)
+        finals = [
+            select_candidate(answer, digested, scorer, config.refine, query_text=query.text)
+            for query, answer in zip(qs, answers)
+        ]
+        return {q.qid: prediction_row(a, f) for q, a, f in zip(qs, answers, finals)}
 
     units = [([q.qid for q in qs], vid, qs) for vid, qs in _by_video(queries).items()]
     return _run_units(

@@ -12,8 +12,9 @@ confidence values are coerced and clamped, and anything unusable degrades
 to documented defaults rather than fabricated content. Any reply yields
 either one answer per expected qid or a ParseError, never another
 exception. Given clip bounds, each interval is clamped to them as it is
-read, and one that the clamp leaves empty is dropped; without bounds the
-intervals are the numerals found in the response.
+read. An interval that is empty once its ends are rounded to the
+millisecond, by the clamp or as written, is dropped; the ones kept are
+the numerals found in the response, clamped but unrounded.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .corpus import CaptionTrack, Query, QueryKind, finite_seconds, normalize_caption_text
+from .corpus import normalize_seconds
 from .errors import EgologError, ParseError
 from .llm import LlmBackend
 from .retry import call_with_retries, map_in_order
@@ -239,8 +241,9 @@ def parse_response(
     """Extract the structured block and map entries to the expected qids.
 
     The model only sees caption timestamps, so with clip bounds (lo, hi)
-    each NLQ interval is clamped to them, and one left empty is dropped
-    (warned); an answer whose intervals are all dropped is NA.
+    each NLQ interval is clamped to them. One left empty on the millisecond
+    grid, with or without bounds, is dropped (warned); an answer whose
+    intervals are all dropped is NA.
     NLQ qids absent from the block become NA with confidence 1 (warned).
     A QA response with no usable answer entry raises ParseError, since QA
     has no refusal path. So does a reply that nests more than MAX_NESTING
@@ -467,7 +470,7 @@ def _parse_intervals(
             logger.warning("dropping malformed interval %r for qid %r", item, qid)
             continue
         start_s, end_s = max(window[0], lo), min(window[1], hi)
-        if not start_s < end_s:
+        if not normalize_seconds(start_s) < normalize_seconds(end_s):
             logger.warning(
                 "dropping interval %s for qid %r: empty within %s", window, qid, (lo, hi)
             )

@@ -27,6 +27,7 @@ from egolog.llm import RecordingBackend
 
 from helpers import (
     UNREADABLE,
+    CallableBackend,
     ScriptedNlqBackend,
     ScriptedQaBackend,
     needs_unreadable,
@@ -486,6 +487,32 @@ class TestCliEval:
         assert main(argv) == 1
         assert f"error: predictions file {tmp_path} is not a file\n" in capsys.readouterr().err
 
+    def test_localize_output_scores(self, tmp_path, capsys):
+        # a reply window narrower than a millisecond, next to a normal one:
+        # localize writes times to the millisecond, and eval reads every row
+        tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
+        config = write_run(tmp_path, tracks, queries, "[run]\nseed = 3\n")
+
+        def reply(system_text, user_text):
+            windows = [[10.0001, 10.0004], [2, 6]]
+            entries = [
+                {"qid": qid, "intervals": windows, "confidence": 2, "explanation": "x"}
+                for qid in re.findall(r"^\d+\. \(qid (.+?)\) ", user_text, re.M)
+            ]
+            return json.dumps(entries)
+
+        out = tmp_path / "preds.jsonl"
+        llm = CallableBackend(reply)
+        with mock.patch.object(pipeline, "build_llm", lambda config: llm):
+            assert main(["localize", "--config", str(config), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["candidates"] for row in rows] == [[[2.0, 6.0]]] * 2
+        capsys.readouterr()
+        argv = ["eval", "--config", str(config), "--predictions", str(out), "--task", "nlq"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["n_queries"], report["n_answered"], report["n_missing"]) == (2, 2, 0)
+
     def test_out_path_naming_the_predictions_file_fails(self, tmp_path, capsys):
         _, queries = qa_fixture()
         preds = self.write_preds(tmp_path, queries)
@@ -601,6 +628,23 @@ class TestCliAtomicWrites:
                 assert err.startswith(f"error: cannot write {tmp_path / out}: it is the {source} ")
         assert llm.calls == 0
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+    @pytest.mark.parametrize("flag", ["--out", "--paths.output"])
+    def test_symlinked_output_keeps_the_link_and_rewrites_its_target(self, tmp_path, flag):
+        tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=8)
+        config = write_run(tmp_path, tracks, queries, "[run]\nseed = 11\n")
+        target = tmp_path / "target.jsonl"
+        target.write_text("old\n")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to("target.jsonl")
+        # --out resolves against the working directory, paths.output against
+        # the config file's
+        out = str(link) if flag == "--out" else link.name
+        assert main(["gen-refine-data", "--config", str(config), f"{flag}={out}"]) == 0
+        assert link.is_symlink() and os.readlink(link) == "target.jsonl"
+        rows = [json.loads(line) for line in target.read_text().splitlines()]
+        assert rows and all(row["qid"] in ("n000", "n001") for row in rows)
 
 
 class TestCliErrors:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egolog.corpus import QueryKind
+from egolog.corpus import CaptionTrack, Query, QueryKind, normalize_seconds, write_jsonl
 from egolog.errors import MetricsError
 from egolog.metrics import (
     DEFAULT_IOU_THRESHOLDS,
@@ -14,10 +16,14 @@ from egolog.metrics import (
     evaluate_nlq,
     evaluate_qa,
     iou,
+    load_predictions,
+    prediction_row,
     report_as_dict,
     report_to_text,
 )
-from egolog.reasoner import LlmAnswer
+from egolog.reasoner import LlmAnswer, parse_response
+from egolog.refine import CaptionOverlapScorer, RefineConfig, select_candidate
+from egolog.similarity import MockEmbedder
 
 from helpers import (
     assert_report_matches_oracle,
@@ -451,3 +457,46 @@ class TestReportSerialization:
         text = report_to_text(report)
         assert "task: qa" in text
         assert "accuracy: 1.000" in text
+
+
+# reply times on and off the millisecond grid, negative zero, and past either
+# end of the clip (0, 100); a window may be narrower than a millisecond
+REPLY_TIME = st.one_of(st.floats(-10, 110), st.sampled_from([-0.0, 0.0004, 99.9996, 100.0004]))
+REPLY_WINDOW = st.one_of(
+    st.tuples(REPLY_TIME, REPLY_TIME),
+    st.tuples(REPLY_TIME, st.floats(0, 0.002)).map(lambda w: (w[0], w[0] + w[1])),
+).map(list)
+CLIP = CaptionTrack("v1", 0.0, 100.0, ())
+
+
+class TestPredictionRow:
+    def test_keys_in_file_order(self):
+        assert list(prediction_row(qa("q1", 2))) == ["qid", "choice", "confidence", "explanation"]
+        row = prediction_row(nlq("n1", (1.0, 2.0)), (0.0, 3.0))
+        keys = ["qid", "predicted_window", "confidence", "explanation", "candidates", "na"]
+        assert list(row) == keys
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(REPLY_WINDOW, max_size=3), min_size=1, max_size=4))
+    def test_every_row_written_loads_back_to_the_millisecond(self, tmp_path_factory, replies):
+        qids = [f"n{i}" for i in range(len(replies))]
+        entries = [
+            {"qid": qid, "intervals": windows, "confidence": 2, "explanation": "x"}
+            for qid, windows in zip(qids, replies)
+        ]
+        answers = parse_response(json.dumps(entries), QueryKind.NLQ, qids, CLIP.bounds)
+        scorer = CaptionOverlapScorer(MockEmbedder(seed=0))
+        finals = [select_candidate(a, CLIP, scorer, RefineConfig(), query_text="q") for a in answers]
+        path = tmp_path_factory.mktemp("predictions") / "preds.jsonl"
+        write_jsonl(path, [prediction_row(a, f) for a, f in zip(answers, finals)])
+        assert "-0.0" not in path.read_text()
+        queries = {q: Query(q, "v1", QueryKind.NLQ, "when?", gt_window=(1.0, 2.0)) for q in qids}
+        loaded, loaded_finals = load_predictions(path, QueryKind.NLQ, queries)
+
+        def ms(window):
+            return tuple(normalize_seconds(t) for t in window)
+
+        assert loaded == {a.qid: replace(a, intervals=tuple(map(ms, a.intervals))) for a in answers}
+        assert loaded_finals == {a.qid: ms(f) for a, f in zip(answers, finals)}
+        report = evaluate_nlq(loaded, loaded_finals, {q: (1.0, 2.0) for q in qids})
+        assert report.n_missing == 0

@@ -22,8 +22,9 @@ from egolog.corpus import (
     QueryKind,
     load_captions,
     load_queries,
+    write_jsonl,
 )
-from egolog.metrics import PREDICTION_SHAPES, load_predictions
+from egolog.metrics import PREDICTION_SHAPES, load_predictions, prediction_row
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text("utf-8")
@@ -83,6 +84,18 @@ def test_file_format_examples_load(tmp_path):
     answers, finals = load_predictions(predictions, QueryKind.NLQ, by_qid)
     assert list(answers["n1"].intervals) == [(12.0, 31.5), (40.0, 52.0)]
     assert finals == {"n1": (12.0, 31.5)}
+
+
+def test_prediction_examples_are_what_the_writer_writes(tmp_path):
+    _, queries_block, predictions_block = _blocks(_section("File formats"), "json")[:3]
+    (tmp_path / "queries.jsonl").write_text(queries_block, encoding="utf-8")
+    by_qid = {q.qid: q for q in load_queries(tmp_path / "queries.jsonl")}
+    path = tmp_path / "predictions.jsonl"
+    for row, kind in zip(predictions_block.splitlines(), (QueryKind.QA, QueryKind.NLQ)):
+        path.write_text(row + "\n", encoding="utf-8")
+        answers, finals = load_predictions(path, kind, by_qid)
+        write_jsonl(path, [prediction_row(a, finals.get(q)) for q, a in answers.items()])
+        assert path.read_text("utf-8") == row + "\n"
 
 
 def test_record_shape_table_is_the_loaders_tables():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egolog.corpus import Query, QueryKind
+from egolog.corpus import Query, QueryKind, normalize_seconds
 from egolog.errors import EgologError, ParseError, TransportError
 from egolog.reasoner import (
     MAX_NESTING,
@@ -622,6 +622,22 @@ class TestClampToBounds:
             (out,) = parse_response(raw, QueryKind.NLQ, ["q"], bounds=(0.0, 100.0))
         assert list(out.intervals) == [(1.0, 2.0)]
 
+    @pytest.mark.parametrize(
+        "window, bounds, message",
+        [
+            ([10.0001, 10.0004], None, "(10.0001, 10.0004) for qid 'q': empty within (-inf, inf)"),
+            ([99.9996, 120], (0.0, 100.0), "(99.9996, 120.0) for qid 'q': empty within (0.0, 100.0)"),
+        ],
+        ids=["sub-millisecond", "clamped-to-sub-millisecond"],
+    )
+    def test_window_empty_on_the_millisecond_grid_dropped(self, caplog, window, bounds, message):
+        raw = nlq_reply([window, [1.0001, 1.0014]])
+        with caplog.at_level("WARNING", logger="egolog.reasoner"):
+            (out,) = parse_response(raw, QueryKind.NLQ, ["q"], bounds=bounds)
+        # the window kept is read exactly, not rounded
+        assert list(out.intervals) == [(1.0001, 1.0014)]
+        assert [r.message for r in caplog.records] == [f"dropping interval {message}"]
+
     def test_all_candidates_vanish_becomes_na(self):
         raw = nlq_reply([[200, 300]])
         (out,) = parse_response(raw, QueryKind.NLQ, ["q"], bounds=(0.0, 100.0))
@@ -749,7 +765,8 @@ class TestBoundsMatchClampingAfterTheParse:
         assert len(bounded) == len(unbounded)
         for got, answer in zip(bounded, unbounded):
             clamped = [(max(s, lo), min(e, hi)) for s, e in answer.intervals]
-            kept = [(start_s, end_s) for start_s, end_s in clamped if start_s < end_s]
+            # a window empty on the millisecond grid is dropped, as the parser does
+            kept = [(s, e) for s, e in clamped if normalize_seconds(s) < normalize_seconds(e)]
             assert list(got.intervals) == kept
             assert got.is_na == (not kept)
             assert (got.qid, got.confidence, got.explanation) == (
