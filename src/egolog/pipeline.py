@@ -1,24 +1,25 @@
 """End-to-end orchestration: wire config, corpus, backends, and stages.
 
-digest, ask and localize share one unit runner. A unit is (keys,
-video_id, queries): one video, keyed by its id (digest) or by the qids
-of its queries in input order (ask, localize). Units run on
-in_flight_limit threads. Every completion of the command (the runs of
-every question of a video, sent in one map by ask; the one localize
-prompt of a video; the LLM caption merges of a digest) runs on one
-completion pool of in_flight_limit squared threads, shared by all units,
-so a unit can use the slots another leaves idle and at most
-in_flight_limit squared completions are in flight. At in_flight_limit 1
-there are no pools: everything runs in the caller's thread. Each unit
-has its own per-text embedding cache, in front of an injected embedder
-as in front of the configured one, and drops it when it ends, so a text
-shared by several videos is embedded once per video. On a video with
-several questions, ask first embeds all of the video's caption texts and
-question texts in one batch. A missing track or an EgologError fails
-every key of its unit and nothing else; an ask question whose digest or
-runs fail fails alone. Outputs and failures come back in input query
-order (track order for digest), and each unit's completions in their own
-order, so results are byte-identical regardless of pool size.
+digest, ask and localize share one unit runner. A Unit is one video: its
+keys (its id for digest, the qids of its queries in input order for ask
+and localize), its track, its queries, its own embedding cache and the
+command's completion pool. Units run on in_flight_limit threads. Every
+completion of the command (the runs of every question of a video, sent
+in one map by ask; the one localize prompt of a video; the LLM caption
+merges of a digest) runs on one completion pool of in_flight_limit
+squared threads, shared by all units, so a unit can use the slots
+another leaves idle and at most in_flight_limit squared completions are
+in flight. At in_flight_limit 1 there are no pools: everything runs in
+the caller's thread. Each unit has its own per-text embedding cache, in
+front of an injected embedder as in front of the configured one, and
+drops it when it ends, so a text shared by several videos is embedded
+once per video. On a video with several questions, ask first embeds all
+of the video's caption texts and question texts in one batch. A missing
+track or an EgologError fails every key of its unit and nothing else; an
+ask question whose digest or runs fail fails alone. Outputs and failures
+come back in input query order (track order for digest), and each unit's
+completions in their own order, so results are byte-identical regardless
+of pool size.
 
 All derived randomness flows from the config seed: per-question prompts
 use (seed, "ask", qid), tie-breaking uses (seed, "vote", qid), per-video
@@ -34,7 +35,7 @@ import logging
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 from .config import PipelineConfig
 from .corpus import (
@@ -58,8 +59,16 @@ from .similarity import CachedEmbedder, EmbedderBackend, HttpEmbedder, MockEmbed
 
 logger = logging.getLogger(__name__)
 
-T = TypeVar("T")
-Unit = tuple[list[str], str, list[Query]]
+
+@dataclass(frozen=True)
+class Unit:
+    """One video's work, owned by the one thread that runs it: no lock."""
+
+    keys: list[str]
+    track: CaptionTrack
+    queries: list[Query]
+    cache: CachedEmbedder
+    pool: Executor | None
 
 
 @dataclass(frozen=True)
@@ -112,31 +121,23 @@ def _load_inputs(
     return tracks, queries
 
 
-def _by_video(queries: Sequence[Query]) -> dict[str, list[Query]]:
-    """Queries grouped by video, videos and queries in input order."""
-    grouped: dict[str, list[Query]] = {}
-    for query in queries:
-        grouped.setdefault(query.video_id, []).append(query)
-    return grouped
-
-
 def _run_units(
     command: str,
     config: PipelineConfig,
     tracks: dict[str, CaptionTrack],
-    units: Sequence[Unit],
-    work: Callable[
-        [CaptionTrack, list[Query], CachedEmbedder, Executor | None], dict[str, T]
-    ],
-    order: Sequence[str],
+    queries: Sequence[Query],
+    work: Callable[[Unit], dict],
     embedder: EmbedderBackend | None,
-) -> tuple[list[T], list[UnitFailure]]:
-    """Map work over units; returns outputs and failures by order.
+    per_track: bool = False,
+) -> tuple[list, list[UnitFailure]]:
+    """Map work over one Unit per video; returns outputs and failures.
 
-    work gets the unit's track, its queries, its own embedding cache (in
-    front of embedder, or of the configured backend if that is None) and
-    the completion pool, and returns an output or a UnitFailure per key of
-    its unit. A missing track or an EgologError fails every key of the
+    The units are the videos of queries, keyed by their qids, and outputs
+    come back in query order; per_track (digest), every track, keyed by
+    its video id, with its queries (maybe none), in track order. Each
+    Unit's cache sits in front of embedder, or of the configured backend
+    if that is None. work returns an output or a UnitFailure for every key
+    of its unit. A missing track or an EgologError fails every key of the
     unit and nothing else.
 
     At in_flight_limit n > 1 units run on n threads and every completion
@@ -146,14 +147,24 @@ def _run_units(
     each unit's cache is used by its unit's thread alone.
     """
     backend = build_embedder(config) if embedder is None else embedder
+    by_video: dict[str, list[Query]] = {}
+    for query in queries:
+        by_video.setdefault(query.video_id, []).append(query)
+    if per_track:
+        plan = [([vid], vid, by_video.get(vid, [])) for vid in tracks]
+        order = list(tracks)
+    else:
+        plan = [([q.qid for q in qs], vid, qs) for vid, qs in by_video.items()]
+        order = [q.qid for q in queries]
 
-    def one(unit: Unit) -> dict[str, T | UnitFailure]:
-        keys, video_id, queries = unit
+    def one(planned: tuple[list[str], str, list[Query]]) -> dict:
+        keys, video_id, unit_queries = planned
         started = time.monotonic()
         try:
             if video_id not in tracks:
                 raise ConfigError(f"no captions for video {video_id!r}")
-            outputs = work(tracks[video_id], queries, CachedEmbedder(backend), completions)
+            track, cache = tracks[video_id], CachedEmbedder(backend)
+            outputs = work(Unit(keys, track, unit_queries, cache, completions))
         except EgologError as exc:
             return {key: UnitFailure(key, str(exc)) for key in keys}
         _log_event(
@@ -174,10 +185,10 @@ def _run_units(
             completions = pools.enter_context(
                 ThreadPoolExecutor(limit * limit, thread_name_prefix="egolog-completion")
             )
-        by_key: dict[str, T | UnitFailure] = {}
-        for results in map_in_order(one, units, unit_pool):
+        by_key: dict = {}
+        for results in map_in_order(one, plan, unit_pool):
             by_key.update(results)
-    ordered = [by_key[key] for key in order if key in by_key]
+    ordered = [by_key[key] for key in order]
     failures = [r for r in ordered if isinstance(r, UnitFailure)]
     return [r for r in ordered if not isinstance(r, UnitFailure)], failures
 
@@ -200,15 +211,12 @@ def run_digest(
     if llm is None and config.digest.merge_mode is MergeMode.LLM:
         llm = build_llm(config)
 
-    def digest_video(
-        track: CaptionTrack, qs: list[Query], cache: CachedEmbedder, pool: Executor | None
-    ) -> dict:
-        return {track.video_id: digest(track, qs, cache, llm, config.digest, pool)}
+    def digest_video(unit: Unit) -> dict:
+        video = digest(unit.track, unit.queries, unit.cache, llm, config.digest, unit.pool)
+        return {unit.track.video_id: video}
 
-    by_video = _by_video(queries)
-    units = [([vid], vid, by_video.get(vid, [])) for vid in tracks]
     results, failures = _run_units(
-        "digest", config, tracks, units, digest_video, list(tracks), embedder
+        "digest", config, tracks, queries, digest_video, embedder, per_track=True
     )
     digested_tracks = {track.video_id: track for track, _ in results}
     stats_by_video = {track.video_id: stats for track, stats in results}
@@ -251,9 +259,8 @@ def run_ask(
         )
         return prediction_row(chosen)
 
-    def answer(
-        track: CaptionTrack, qs: list[Query], cache: CachedEmbedder, pool: Executor | None
-    ) -> dict[str, dict | UnitFailure]:
+    def answer(unit: Unit) -> dict[str, dict | UnitFailure]:
+        track, qs, cache = unit.track, unit.queries, unit.cache
         if len(qs) > 1:
             try:
                 cache.embed_texts([c.text for c in track.captions] + [q.text for q in qs])
@@ -268,21 +275,18 @@ def run_ask(
         asked, jobs = [], []
         for query in qs:
             try:
-                digested, _ = digest(track, [query], cache, llm, config.digest, pool)
+                digested, _ = digest(track, [query], cache, llm, config.digest, unit.pool)
             except EgologError as exc:
                 outcomes[query.qid] = UnitFailure(query.qid, str(exc))
                 continue
             asked.append(query)
             prompt = build_qa_prompt(digested, query)
             jobs.append((prompt, derive_seed(config.seed, "ask", query.qid)))
-        for query, replies in zip(asked, run(jobs, llm, config.runs, pool=pool)):
+        for query, replies in zip(asked, run(jobs, llm, config.runs, pool=unit.pool)):
             outcomes[query.qid] = vote(query, replies)
         return outcomes
 
-    units = [([q.qid for q in qs], vid, qs) for vid, qs in _by_video(queries).items()]
-    return _run_units(
-        "ask", config, tracks, units, answer, [q.qid for q in queries], embedder
-    )
+    return _run_units("ask", config, tracks, queries, answer, embedder)
 
 
 def run_localize(
@@ -296,16 +300,14 @@ def run_localize(
     if llm is None:
         llm = build_llm(config)
 
-    def localize(
-        track: CaptionTrack, qs: list[Query], cache: CachedEmbedder, pool: Executor | None
-    ) -> dict[str, dict]:
-        digested, _ = digest(track, qs, cache, llm, config.digest, pool)
+    def localize(unit: Unit) -> dict[str, dict]:
+        qs = unit.queries
+        digested, _ = digest(unit.track, qs, unit.cache, llm, config.digest, unit.pool)
         # one scorer per unit: it keeps the digested captions' embeddings
-        scorer = CaptionOverlapScorer(cache, config.digest.relevance_threshold)
+        scorer = CaptionOverlapScorer(unit.cache, config.digest.relevance_threshold)
         prompt = build_nlq_prompt(digested, qs)
-        ((reply,),) = run(
-            [(prompt, derive_seed(config.seed, "nlq", track.video_id))], llm, 1, pool=pool
-        )
+        seed = derive_seed(config.seed, "nlq", unit.track.video_id)
+        ((reply,),) = run([(prompt, seed)], llm, 1, pool=unit.pool)
         if isinstance(reply, EgologError):
             raise reply
         answers = parse_response(reply, QueryKind.NLQ, [q.qid for q in qs], digested.bounds)
@@ -315,10 +317,7 @@ def run_localize(
         ]
         return {q.qid: prediction_row(a, f) for q, a, f in zip(qs, answers, finals)}
 
-    units = [([q.qid for q in qs], vid, qs) for vid, qs in _by_video(queries).items()]
-    return _run_units(
-        "localize", config, tracks, units, localize, [q.qid for q in queries], embedder
-    )
+    return _run_units("localize", config, tracks, queries, localize, embedder)
 
 
 def run_gen_refine_data(config: PipelineConfig) -> list[dict]:
