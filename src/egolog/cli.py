@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: digest, ask, localize, eval, gen-refine-data. Every
+The subcommands, with their help, are the rows of _COMMANDS. Every
 subcommand takes --config plus optional --seed / --runs / --out
 shortcuts, and any config key can be overridden with its dotted name,
 for example --digest.relevance_threshold 0.4. Structured JSON event
@@ -19,7 +19,7 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .config import PipelineConfig, check_not_input, config_sha256, load_config, parse_override
 from .corpus import save_captions, write_json, write_jsonl
@@ -35,35 +35,6 @@ from .pipeline import (
 )
 
 logger = logging.getLogger(__name__)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="egolog",
-        description=(
-            "Answer questions and localize moments in long egocentric videos "
-            "represented by timestamped caption tracks."
-        ),
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="INI config file")
-    common.add_argument("--seed", type=int, help="override run.seed")
-    common.add_argument("--runs", type=int, help="override run.runs")
-    common.add_argument("--out", help="override paths.output (relative to cwd)")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("digest", parents=[common], help="compact caption tracks")
-    sub.add_parser("ask", parents=[common], help="answer multiple-choice questions")
-    sub.add_parser("localize", parents=[common], help="localize language queries")
-    evalp = sub.add_parser("eval", parents=[common], help="score a predictions file")
-    evalp.add_argument("--predictions", required=True, help="predictions JSONL")
-    evalp.add_argument("--task", required=True, choices=("qa", "nlq"))
-    sub.add_parser(
-        "gen-refine-data",
-        parents=[common],
-        help="jitter ground-truth windows into a labeled training set",
-    )
-    return parser
 
 
 def _split_overrides(extra: Sequence[str]) -> dict[str, str]:
@@ -124,14 +95,12 @@ def _finish(
     _write_manifest(out_path, command, config, counts, failures)
     summary = "   ".join(f"{k}: {v}" for k, v in counts.items())
     print(f"{command}: {summary} -> {out_path}", file=sys.stderr)
-    if failures:
-        for failure in failures:
-            print(f"  failed {failure.qid}: {failure.error}", file=sys.stderr)
-        return 2
-    return 0
+    for failure in failures:
+        print(f"  failed {failure.qid}: {failure.error}", file=sys.stderr)
+    return 2 if failures else 0
 
 
-def _cmd_digest(config: PipelineConfig, args: argparse.Namespace) -> int:
+def _cmd_digest(command: str, config: PipelineConfig, args: argparse.Namespace) -> int:
     out_path = _require_out(config)
     digested, stats, failures = run_digest(config)
     save_captions(digested, out_path)
@@ -140,60 +109,81 @@ def _cmd_digest(config: PipelineConfig, args: argparse.Namespace) -> int:
         {vid: stats[vid].as_dict() for vid in sorted(stats)},
     )
     counts = {"videos": len(digested) + len(failures), "digested": len(digested)}
-    return _finish("digest", config, out_path, counts, failures)
+    return _finish(command, config, out_path, counts, failures)
 
 
-def _cmd_ask(config: PipelineConfig, args: argparse.Namespace) -> int:
-    out_path = _require_out(config)
-    records, failures = run_ask(config)
-    write_jsonl(out_path, records)
-    counts = {"questions": len(records) + len(failures), "answered": len(records)}
-    return _finish("ask", config, out_path, counts, failures)
+def _rows(run: Callable[[PipelineConfig], tuple[list, list]], *nouns: str):
+    """A command writing the JSONL rows of run(config) -> (rows, failures).
+
+    Its counts are named by nouns: the rows and failures, then the rows.
+    """
+
+    def command_rows(command: str, config: PipelineConfig, args: argparse.Namespace) -> int:
+        out_path = _require_out(config)
+        records, failures = run(config)
+        write_jsonl(out_path, records)
+        counts = dict(zip(nouns, (len(records) + len(failures), len(records))))
+        return _finish(command, config, out_path, counts, failures)
+
+    return command_rows
 
 
-def _cmd_localize(config: PipelineConfig, args: argparse.Namespace) -> int:
-    out_path = _require_out(config)
-    records, failures = run_localize(config)
-    write_jsonl(out_path, records)
-    counts = {"queries": len(records) + len(failures), "localized": len(records)}
-    return _finish("localize", config, out_path, counts, failures)
-
-
-def _cmd_eval(config: PipelineConfig, args: argparse.Namespace) -> int:
+def _cmd_eval(command: str, config: PipelineConfig, args: argparse.Namespace) -> int:
     if config.output_path is not None:
         check_not_input(config.output_path, {"--predictions": Path(args.predictions)})
     report = run_eval(config, args.predictions, args.task)
     payload = report_as_dict(report)
     if config.output_path is not None:
         write_json(config.output_path, payload)
-        _write_manifest(
-            config.output_path,
-            "eval",
-            config,
-            {"queries": report.n_queries},
-            [],
-        )
+        _write_manifest(config.output_path, command, config, {"queries": report.n_queries}, [])
     else:
         print(json.dumps(payload, indent=2))
     print(report_to_text(report), file=sys.stderr)
     return 0
 
 
-def _cmd_gen_refine_data(config: PipelineConfig, args: argparse.Namespace) -> int:
-    out_path = _require_out(config)
-    records = run_gen_refine_data(config)
-    write_jsonl(out_path, records)
-    counts = {"samples": len(records)}
-    return _finish("gen-refine-data", config, out_path, counts, [])
-
-
+# name -> (help, handler(name, config, args)), in the order --help lists them.
+# The lambdas look run_* up in this module when they run, so a caller that
+# replaces a module attribute (a tracer, a test) sees its calls.
 _COMMANDS = {
-    "digest": _cmd_digest,
-    "ask": _cmd_ask,
-    "localize": _cmd_localize,
-    "eval": _cmd_eval,
-    "gen-refine-data": _cmd_gen_refine_data,
+    "digest": ("compact caption tracks", _cmd_digest),
+    "ask": (
+        "answer multiple-choice questions",
+        _rows(lambda config: run_ask(config), "questions", "answered"),
+    ),
+    "localize": (
+        "localize language queries",
+        _rows(lambda config: run_localize(config), "queries", "localized"),
+    ),
+    "eval": ("score a predictions file", _cmd_eval),
+    "gen-refine-data": (
+        "jitter ground-truth windows into a labeled training set",
+        _rows(lambda config: (run_gen_refine_data(config), []), "samples"),
+    ),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="egolog",
+        description=(
+            "Answer questions and localize moments in long egocentric videos "
+            "represented by timestamped caption tracks."
+        ),
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="INI config file")
+    common.add_argument("--seed", type=int, help="override run.seed")
+    common.add_argument("--runs", type=int, help="override run.runs")
+    common.add_argument("--out", help="override paths.output (relative to cwd)")
+
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
+    evalp = sub.choices["eval"]
+    evalp.add_argument("--predictions", required=True, help="predictions JSONL")
+    evalp.add_argument("--task", required=True, choices=("qa", "nlq"))
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -209,7 +199,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out is not None:
             overrides["paths.output"] = str(Path(args.out).absolute())
         config = load_config(args.config, overrides)
-        return _COMMANDS[args.command](config, args)
+        _, handler = _COMMANDS[args.command]
+        return handler(args.command, config, args)
     except EgologError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

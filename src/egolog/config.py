@@ -46,6 +46,9 @@ def _stage_keys(stage: type) -> dict:
     return {f.name: (_PARSERS[hints[f.name]], f.default) for f in fields(stage)}
 
 
+# section -> the stage config its keys build, held in PipelineConfig as that section
+_STAGES = {"digest": DigestConfig, "refine": RefineConfig}
+
 # section -> key -> (parser, default). A missing or blank value means the
 # default; None means unset. Stage keys and defaults come from the stage configs.
 _KEYS = {
@@ -58,8 +61,7 @@ _KEYS = {
         "auth_env": (str, None),
         "dim": (int, 64),
     },
-    "digest": _stage_keys(DigestConfig),
-    "refine": _stage_keys(RefineConfig),
+    **{section: _stage_keys(stage) for section, stage in _STAGES.items()},
 }
 
 # what a value that fails its parser should have been
@@ -210,7 +212,7 @@ def load_config(
     }
     # relative to the config file; joining an absolute path keeps it as is
     base = path.parent.resolve()
-    paths = {
+    paths = values["paths"] = {
         key: None if raw is None else base / raw for key, raw in values["paths"].items()
     }
     for key, p in paths.items():
@@ -224,28 +226,26 @@ def load_config(
         raise ConfigError("run.seed is required; runs are never seeded from the clock")
 
     try:
-        digest_cfg = DigestConfig(**values["digest"])
-        refine_cfg = RefineConfig(**values["refine"])
+        stages = {s: stage(**values.pop(s)) for s, stage in _STAGES.items()}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
     return PipelineConfig(
-        **{f"{key}_path": p for key, p in paths.items()},
-        **values["run"],
-        **{f"{s}_{key}": v for s in ("llm", "embedder") for key, v in values[s].items()},
-        digest=digest_cfg,
-        refine=refine_cfg,
+        **{_field(s, key): v for s, keys in values.items() for key, v in keys.items()},
+        **stages,
     )
+
+
+def _field(section: str, key: str) -> str:
+    """The field that holds section.key: of PipelineConfig, or of its stage config."""
+    if section == "paths":
+        return f"{key}_path"
+    return f"{section}_{key}" if section in ("llm", "embedder") else key
 
 
 def _held(config: PipelineConfig, section: str, key: str):
     """The value config holds for section.key, wherever load_config put it."""
-    if section == "paths":
-        return getattr(config, f"{key}_path")
-    if section in ("llm", "embedder"):
-        return getattr(config, f"{section}_{key}")
-    stage = getattr(config, section) if section in ("digest", "refine") else config
-    return getattr(stage, key)
+    holder = getattr(config, section) if section in _STAGES else config
+    return getattr(holder, _field(section, key))
 
 
 def _plain(value):

@@ -1,9 +1,9 @@
 """End-to-end orchestration: wire config, corpus, backends, and stages.
 
 digest, ask and localize share one unit runner. A Unit is one video: its
-keys (its id for digest, the qids of its queries in input order for ask
-and localize), its track, its queries, its own embedding cache and the
-command's completion pool. Units run on in_flight_limit threads. Every
+track, its queries, its own embedding cache and the command's completion
+pool. Its outputs and failures are keyed by its video id (digest) or by
+its qids (ask, localize). Units run on in_flight_limit threads. Every
 completion of the command (the runs of every question of a video, sent
 in one map by ask; the one localize prompt of a video; the LLM caption
 merges of a digest) runs on one completion pool of in_flight_limit
@@ -64,7 +64,6 @@ logger = logging.getLogger(__name__)
 class Unit:
     """One video's work, owned by the one thread that runs it: no lock."""
 
-    keys: list[str]
     track: CaptionTrack
     queries: list[Query]
     cache: CachedEmbedder
@@ -164,7 +163,7 @@ def _run_units(
             if video_id not in tracks:
                 raise ConfigError(f"no captions for video {video_id!r}")
             track, cache = tracks[video_id], CachedEmbedder(backend)
-            outputs = work(Unit(keys, track, unit_queries, cache, completions))
+            outputs = work(Unit(track, unit_queries, cache, completions))
         except EgologError as exc:
             return {key: UnitFailure(key, str(exc)) for key in keys}
         _log_event(

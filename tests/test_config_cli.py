@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from egolog import pipeline
+from egolog import cli, pipeline
 from egolog.cli import main
 from egolog.config import (
     PipelineConfig,
@@ -24,6 +24,8 @@ from egolog.config import (
 from egolog.digest import MergeMode
 from egolog.errors import ConfigError
 from egolog.llm import RecordingBackend
+from egolog.metrics import evaluate_qa
+from egolog.pipeline import UnitFailure
 
 from helpers import (
     UNREADABLE,
@@ -645,6 +647,43 @@ class TestCliAtomicWrites:
         assert link.is_symlink() and os.readlink(link) == "target.jsonl"
         rows = [json.loads(line) for line in target.read_text().splitlines()]
         assert rows and all(row["qid"] in ("n000", "n001") for row in rows)
+
+
+class TestCliCommands:
+    def test_help_lists_the_commands_in_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert out.startswith("usage: egolog [-h] {digest,ask,localize,eval,gen-refine-data}")
+
+    # command -> (the egolog.cli function it runs, what that returns, the counts)
+    RUNS = {
+        "digest": ("run_digest", ({}, {}, []), {"videos": 0, "digested": 0}),
+        "ask": (
+            "run_ask",
+            ([{"qid": "a"}], [UnitFailure("b", "lost")]),
+            {"questions": 2, "answered": 1},
+        ),
+        "localize": ("run_localize", ([{"qid": "a"}], []), {"queries": 1, "localized": 1}),
+        "eval": ("run_eval", evaluate_qa({}, {}), {"queries": 0}),
+        "gen-refine-data": ("run_gen_refine_data", [{"qid": "a"}], {"samples": 1}),
+    }
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_each_command_calls_the_run_function_in_force(self, tmp_path, command):
+        # a tracer replaces egolog.cli's run_* attributes after import
+        run, result, counts = self.RUNS[command]
+        config = write_config(tmp_path, MINIMAL)
+        out = tmp_path / "out.json"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if command == "eval":
+            argv += ["--predictions", str(config), "--task", "qa"]
+        with mock.patch.object(cli, run, return_value=result) as stub:
+            code = main(argv)
+        assert stub.call_count == 1
+        assert code == (2 if command == "ask" else 0)
+        manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
+        assert (manifest["command"], manifest["counts"]) == (command, counts)
 
 
 class TestCliErrors:
