@@ -237,7 +237,7 @@ def digest(
     stage1 = drop_uninformative(track.captions, cfg)
     stats.dropped_uninformative = len(track.captions) - len(stage1)
 
-    if queries and cfg.relevance_threshold > -1.0 and stage1:
+    if queries and cfg.relevance_threshold > -1.0:
         stage2 = filter_by_relevance(stage1, queries, backend, cfg)
     else:
         stage2 = stage1

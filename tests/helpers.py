@@ -1,5 +1,6 @@
-"""Shared test helpers: tracks, test runs on disk, reply rendering, scripted
-backends, a recording embedder and scorers, oracles, a record-shape probe.
+"""Shared test helpers: tracks, test runs and generated corpora on disk,
+reply rendering, scripted backends, a recording embedder and scorers,
+oracles, a record-shape probe.
 
 The scripted backends answer by reading the caption log serialized into
 the prompt, so synthetic benchmarks where captions literally determine
@@ -13,6 +14,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 import threading
 import time
 from collections.abc import Sequence
@@ -29,6 +31,9 @@ from egolog.corpus import Caption, CaptionTrack, Query, QueryKind, save_captions
 from egolog.errors import EgologError, TransportError
 from egolog.reasoner import CHOICE_LETTERS, LlmAnswer
 from egolog.similarity import MockEmbedder
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpus_gen  # noqa: E402
 
 
 # a regular file whose read fails (EIO), on Linux
@@ -296,6 +301,24 @@ def synth_qa_benchmark(n_items=50, captions_per_video=12, seed=123):
     return tracks, queries
 
 
+def questions_per_video(n_videos=3, per_video=4):
+    """Several QA questions per video, each with a text of its own."""
+    tracks, queries = synth_qa_benchmark(n_items=n_videos, captions_per_video=8)
+    many = [
+        Query(
+            qid=f"{q.qid}-{k}",
+            video_id=q.video_id,
+            kind=QueryKind.QA,
+            text=f"Which action does C perform in {q.video_id}, take {k}?",
+            choices=q.choices,
+            gt_answer_idx=q.gt_answer_idx,
+        )
+        for q in queries
+        for k in range(per_video)
+    ]
+    return tracks, many
+
+
 def synth_nlq_benchmark(n_items=50, captions_per_video=12, seed=321):
     """Localization queries whose answer is a single caption's interval."""
     rng = random.Random(seed)
@@ -370,6 +393,25 @@ def write_run(tmp_path, tracks=None, queries=None, sections="", extra_paths=""):
         write_queries(tmp_path / "queries.jsonl", queries)
         paths += "queries = queries.jsonl\n"
     return write_config(tmp_path, paths + extra_paths + sections)
+
+
+def write_generated(out: Path, generated) -> None:
+    """Write what a perfbench corpus_gen.gen_* returns as out's captions and queries files."""
+    videos, queries, _ = generated
+    tracks = {
+        v.video_id: make_track(v.video_id, v.texts, step=corpus_gen.STEP_S)
+        for v in videos
+    }
+    save_captions(tracks, out / "captions.jsonl")
+    with open(out / "queries.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(query) + "\n" for query in queries)
+
+
+# every pair of neighbouring captions merges, through the LLM
+PAIR_MERGES = (
+    "[digest]\nmerge_mode = llm\nrelevance_threshold = -1\n"
+    "adjacency_threshold = -1\nmax_merge_group = 2\n"
+)
 
 
 def disk_config(tmp_path, tracks, queries, extra="", extra_paths="", overrides=None):

@@ -749,8 +749,13 @@ class TestCliErrors:
     @pytest.mark.parametrize("section", ["llm", "embedder"])
     @pytest.mark.parametrize(
         "url",
-        ["localhost:8000/complete", "ftp://localhost:8000/complete", "http:///complete"],
-        ids=["no-scheme", "ftp", "no-host"],
+        [
+            "localhost:8000/complete",
+            "ftp://localhost:8000/complete",
+            "http:///complete",
+            "http://[::1",
+        ],
+        ids=["no-scheme", "ftp", "no-host", "malformed-ipv6"],
     )
     def test_endpoint_without_http_scheme_or_host_exits_1(
         self, tmp_path, capsys, section, url

@@ -205,6 +205,14 @@ class TestCaptionTrack:
         with pytest.raises(ValueError, match="not sorted"):
             CaptionTrack("v1", 0.0, 6.0, caps)
 
+    def test_empty_clip_bounds_rejected(self):
+        with pytest.raises(ValueError, match="invalid clip bounds"):
+            CaptionTrack("v1", 5.0, 5.0, ())
+
+    def test_build_without_captions_needs_bounds(self):
+        with pytest.raises(ValueError, match="cannot infer clip bounds"):
+            CaptionTrack.build("v1", [])
+
 
 class TestQuery:
     def test_qa_needs_five_choices(self):
@@ -225,6 +233,10 @@ class TestQuery:
     def test_nlq_rejects_choices(self):
         with pytest.raises(ValueError, match="choices"):
             Query("n1", "v1", QueryKind.NLQ, "when?", choices=("a",) * 5)
+
+    def test_nlq_rejects_answer_idx(self):
+        with pytest.raises(ValueError, match="cannot carry an answer index"):
+            Query("n1", "v1", QueryKind.NLQ, "when?", gt_answer_idx=0)
 
     def test_nlq_inverted_gt_rejected(self):
         with pytest.raises(ValueError, match="inverted"):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -31,12 +30,10 @@ from egolog.llm import RecordingBackend
 from helpers import (
     ScriptedNlqBackend,
     ScriptedQaBackend,
-    make_track,
+    corpus_gen,
+    write_generated,
     write_run,
 )
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import corpus_gen  # noqa: E402
 
 DIGESTS = Path(__file__).resolve().parent / "output_digests.json"
 REGENERATE = "PYTHONPATH=src:tests python tests/test_output_digests.py"
@@ -86,15 +83,10 @@ def run_commands(work: Path, pool: int) -> dict[str, tuple[str, str]]:
     for name, (generate, sections, commands) in CORPORA.items():
         out = work / name
         out.mkdir(parents=True)
-        videos, queries, _ = generate()
-        tracks = {
-            v.video_id: make_track(v.video_id, v.texts, step=corpus_gen.STEP_S)
-            for v in videos
-        }
-        with open(out / "queries.jsonl", "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(query) + "\n" for query in queries)
+        write_generated(out, generate())
         run = f"[run]\nseed = 7\nruns = 3\nin_flight_limit = {pool}\n"
-        config = write_run(out, tracks, None, run + sections, "queries = queries.jsonl\n")
+        paths = "captions = captions.jsonl\nqueries = queries.jsonl\n"
+        config = write_run(out, None, None, run + sections, paths)
         for command, args in commands:
             llm = RecordingBackend(
                 ScriptedNlqBackend() if command == "localize" else ScriptedQaBackend()

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from egolog.refine import gen_refinement_dataset
 from egolog.similarity import HttpEmbedder, MockEmbedder
 
 from helpers import (
+    PAIR_MERGES,
     CallableBackend,
     HashFailingBackend,
     OverlapBackend,
@@ -40,6 +40,7 @@ from helpers import (
     disk_config,
     known_key_rows,
     make_track,
+    questions_per_video,
     synth_nlq_benchmark,
     synth_qa_benchmark,
     write_run,
@@ -47,11 +48,6 @@ from helpers import (
 
 
 IDENTITY_DIGEST = "[digest]\nrelevance_threshold = -1\nadjacency_threshold = 2.0\n"
-# every pair of neighbouring captions merges, through the LLM
-PAIR_MERGES = (
-    "[digest]\nmerge_mode = llm\nrelevance_threshold = -1\n"
-    "adjacency_threshold = -1\nmax_merge_group = 2\n"
-)
 # a QA answer without a qid, which a one-question prompt accepts
 ANONYMOUS_ANSWER = '```json\n[{"answer": "B", "explanation": "x", "confidence": 2}]\n```'
 
@@ -206,24 +202,6 @@ class TestRunAsk:
         records_a, _ = run_ask(serial, llm=ScriptedQaBackend())
         records_b, _ = run_ask(pooled, llm=ScriptedQaBackend())
         assert records_a == records_b
-
-
-def questions_per_video(n_videos=3, per_video=4):
-    """Several QA questions per video, each with a text of its own."""
-    tracks, queries = synth_qa_benchmark(n_items=n_videos, captions_per_video=8)
-    many = [
-        Query(
-            qid=f"{q.qid}-{k}",
-            video_id=q.video_id,
-            kind=QueryKind.QA,
-            text=f"Which action does C perform in {q.video_id}, take {k}?",
-            choices=q.choices,
-            gt_answer_idx=q.gt_answer_idx,
-        )
-        for q in queries
-        for k in range(per_video)
-    ]
-    return tracks, many
 
 
 class TestSharedPools:
@@ -394,64 +372,6 @@ class TestSharedEmbeddingRequest:
         assert "zero embedding vector" in failures[0].error
         assert [r["qid"] for r in records] == [q.qid for q in queries if q is not bad]
         assert "shared embedding request" in caplog.text
-
-
-class CountingBackend:
-    """Passes completions to inner, recording each merge prompt and counting the rest."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.merges: list[str] = []
-        self.others = 0
-        self._lock = threading.Lock()
-
-    def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
-        with self._lock:
-            if system_text == MERGE_PROMPT:
-                self.merges.append(user_text)
-            else:
-                self.others += 1
-        return self.inner.complete(system_text, user_text, sampling_seed, run_index)
-
-
-class TestWorkCounts:
-    """The work each command sends to its backends, pinned at two pool sizes.
-
-    Each row is (merge completions, distinct merge prompts, other
-    completions, embedding calls, embedded texts). A change that moves a
-    count says so with the before and after: ask sends each merge prompt
-    once per question that keeps its group, 48 for 12 distinct prompts.
-    """
-
-    @pytest.mark.parametrize("limit", ["1", "8"])
-    def test_counts_independent_of_in_flight_limit(self, tmp_path, limit):
-        overrides = {"run.in_flight_limit": limit}
-        tracks, queries = questions_per_video()
-        qa = disk_config(tmp_path, tracks, queries, PAIR_MERGES, overrides=overrides)
-        tracks, queries = synth_nlq_benchmark(n_items=6, captions_per_video=8)
-        (tmp_path / "nlq").mkdir()
-        nlq = disk_config(tmp_path / "nlq", tracks, queries, overrides=overrides)
-        counts = {}
-        for name, command, config, inner in [
-            ("ask", run_ask, qa, ScriptedQaBackend()),
-            ("digest", run_digest, qa, ScriptedQaBackend()),
-            ("localize", run_localize, nlq, ScriptedNlqBackend()),
-        ]:
-            llm, embedder = CountingBackend(inner), RecordingEmbedder()
-            *_, failures = command(config, embedder=embedder, llm=llm)
-            assert failures == []
-            counts[name] = (
-                len(llm.merges),
-                len(set(llm.merges)),
-                llm.others,
-                len(embedder.calls),
-                sum(len(texts) for texts in embedder.calls),
-            )
-        assert counts == {
-            "ask": (48, 12, 36, 3, 36),
-            "digest": (12, 12, 0, 3, 24),
-            "localize": (0, 0, 6, 6, 54),
-        }
 
 
 class TestRunLocalize:

@@ -360,6 +360,10 @@ class TestParseQa:
         with pytest.raises(ParseError, match="no structured block"):
             parse_response("I refuse to answer in JSON.", QueryKind.QA, ["q1"])
 
+    def test_no_expected_qids_raises(self):
+        with pytest.raises(ValueError, match="expected_qids"):
+            parse_response(qa_block(), QueryKind.QA, [])
+
     @pytest.mark.parametrize(
         "value,expected",
         [

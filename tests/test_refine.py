@@ -479,6 +479,12 @@ class TestGenRefinementDataset:
                 [("q1", (10.0, 200.0), (0.0, 100.0))], RefineConfig(), seed=1
             )
 
+    def test_degenerate_clip_bounds_rejected(self):
+        with pytest.raises(RefineError, match="degenerate clip bounds"):
+            gen_refinement_dataset(
+                [("q1", (10.0, 20.0), (50.0, 50.0))], RefineConfig(), seed=1
+            )
+
     def test_example_iou_value(self):
         # windows (10, 20) and (14, 24): intersection 6, union 14
         assert oracle_iou((10.0, 20.0), (14.0, 24.0)) == Fraction(6, 14)

@@ -1,18 +1,21 @@
-"""The work of each command at the paper's scale, pinned as exact counts.
+"""The work of each command, pinned as exact counts, small and at the paper's scale.
 
 LifelongMemory reads the caption logs of hours-long videos. The
 benchmark's seeded generator (perfbench/corpus_gen.py) builds, in-process,
 one 14,400-caption video (8 h at 2 s a caption) with 10 NLQ queries, for
 `run_localize` and for `run_digest` with LLM merges, and one 3,600-caption
 video with 10 questions and 5 runs, for `run_ask` with concat and with
-LLM merges. The completions come from the scripted backends of
+LLM merges. Beside them run the small fixtures of tests/helpers.py, at
+seed 2024 and 3 runs: `run_ask` and `run_digest` with every neighbouring
+pair merged on 3 videos of 4 questions each, and `run_localize` on 6
+videos of 8 captions. The completions come from the scripted backends of
 tests/helpers.py and the embeddings from the mock embedder. Each run
 records:
 
 - its completions by kind (QA, NLQ, merge) and its distinct merge prompts;
 - the embedding calls and the texts they carry;
 - the `CaptionTrack.__post_init__` calls;
-- the captions in and out of each digest, in call order;
+- the captions in and out of each digest, by video, in call order within one;
 - the characters of every prompt sent, system and user text.
 
 Counts do not drift with the host, so a change to the work a command does
@@ -27,7 +30,6 @@ the file with
 from __future__ import annotations
 
 import json
-import sys
 import tempfile
 import threading
 from collections import Counter
@@ -44,24 +46,35 @@ from egolog.digest import MERGE_PROMPT
 from egolog.reasoner import NLQ_SYSTEM_PROMPT, QA_SYSTEM_PROMPT
 
 from helpers import (
+    PAIR_MERGES,
     RecordingEmbedder,
     ScriptedNlqBackend,
     ScriptedQaBackend,
-    make_track,
+    corpus_gen,
+    questions_per_video,
+    synth_nlq_benchmark,
+    write_generated,
     write_run,
 )
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import corpus_gen  # noqa: E402
 
 COUNTS = Path(__file__).resolve().parent / "scale_counts.json"
 REGENERATE = "PYTHONPATH=src:tests python tests/test_scale_counts.py"
 KINDS = {MERGE_PROMPT: "merge", QA_SYSTEM_PROMPT: "qa", NLQ_SYSTEM_PROMPT: "nlq"}
 
-# corpus name -> its one video and its queries
+PAPER_SCALE = "[run]\nseed = 1\nruns = 5\n"
+SMALL = "[run]\nseed = 2024\nruns = 3\n"
+# corpus name -> (writer of its captions and queries into a directory, run settings)
 CORPORA = {
-    "nlq": lambda: corpus_gen.gen_nlq(1, 1, 14_400, 10, run_share=0.3),
-    "qa": lambda: corpus_gen.gen_qa(1, 1, [3_600], 10),
+    "nlq": (
+        lambda out: write_generated(out, corpus_gen.gen_nlq(1, 1, 14_400, 10, run_share=0.3)),
+        PAPER_SCALE,
+    ),
+    "qa": (lambda out: write_generated(out, corpus_gen.gen_qa(1, 1, [3_600], 10)), PAPER_SCALE),
+    "nlq-small": (
+        lambda out: write_run(out, *synth_nlq_benchmark(n_items=6, captions_per_video=8)),
+        SMALL,
+    ),
+    "qa-small": (lambda out: write_run(out, *questions_per_video()), SMALL),
 }
 LLM_MERGES = "[digest]\nmerge_mode = llm\n"
 # run name -> (corpus, command, scripted backend, config sections)
@@ -70,6 +83,9 @@ RUNS = {
     "digest-llm": ("nlq", pipeline.run_digest, ScriptedQaBackend, LLM_MERGES),
     "ask-concat": ("qa", pipeline.run_ask, ScriptedQaBackend, ""),
     "ask-llm": ("qa", pipeline.run_ask, ScriptedQaBackend, LLM_MERGES),
+    "localize-small": ("nlq-small", pipeline.run_localize, ScriptedNlqBackend, ""),
+    "digest-pairs-small": ("qa-small", pipeline.run_digest, ScriptedQaBackend, PAIR_MERGES),
+    "ask-pairs-small": ("qa-small", pipeline.run_ask, ScriptedQaBackend, PAIR_MERGES),
 }
 
 
@@ -95,8 +111,8 @@ class CountingBackend:
 
 @contextmanager
 def counted_tracks_and_digests():
-    """Counts CaptionTrack.__post_init__ calls and records (in, out) of each digest."""
-    seen = {"post_init": 0, "digests": []}
+    """Counts CaptionTrack.__post_init__ calls and records (in, out) of each digest by video."""
+    seen = {"post_init": 0, "digests": {}}
     lock = threading.Lock()
     post_init, digest = CaptionTrack.__post_init__, pipeline.digest
 
@@ -108,7 +124,8 @@ def counted_tracks_and_digests():
     def recording_digest(*args, **kwargs):
         track, stats = digest(*args, **kwargs)
         with lock:
-            seen["digests"].append([stats.input_captions, stats.output_captions])
+            in_out = [stats.input_captions, stats.output_captions]
+            seen["digests"].setdefault(track.video_id, []).append(in_out)
         return track, stats
 
     with (
@@ -121,23 +138,16 @@ def counted_tracks_and_digests():
 def write_corpora(work: Path) -> dict[str, Path]:
     """Write each corpus's captions and queries under work/<corpus>; corpus -> its dir."""
     dirs = {}
-    for name, generate in CORPORA.items():
-        out = dirs[name] = work / name
-        out.mkdir(parents=True)
-        videos, queries, _ = generate()
-        tracks = {
-            v.video_id: make_track(v.video_id, v.texts, step=corpus_gen.STEP_S)
-            for v in videos
-        }
-        write_run(out, tracks)
-        with open(out / "queries.jsonl", "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(query) + "\n" for query in queries)
+    for name, (write, _) in CORPORA.items():
+        dirs[name] = work / name
+        dirs[name].mkdir(parents=True)
+        write(dirs[name])
     return dirs
 
 
 def count_run(dirs: dict[str, Path], name: str, limit: int) -> dict:
     corpus, command, backend, sections = RUNS[name]
-    run = f"[run]\nseed = 1\nruns = 5\nin_flight_limit = {limit}\n"
+    run = CORPORA[corpus][1] + f"in_flight_limit = {limit}\n"
     paths = "captions = captions.jsonl\nqueries = queries.jsonl\n"
     config = load_config(write_run(dirs[corpus], None, None, run + sections, paths))
     llm, embedder = CountingBackend(backend()), RecordingEmbedder()
@@ -150,7 +160,10 @@ def count_run(dirs: dict[str, Path], name: str, limit: int) -> dict:
         "embedding_calls": len(embedder.calls),
         "embedded_texts": sum(len(texts) for texts in embedder.calls),
         "post_init_calls": seen["post_init"],
-        "digest_captions_in_out": seen["digests"],
+        # the videos of one command run in any order, each one's digests in call order
+        "digest_captions_in_out": [
+            in_out for video in sorted(seen["digests"]) for in_out in seen["digests"][video]
+        ],
         "prompt_chars": llm.prompt_chars,
     }
 

@@ -115,6 +115,10 @@ class TestMockEmbedder:
         (vec,) = MockEmbedder(dim=16).embed_texts(["C slices an onion"])
         assert len(vec) == 16
 
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dim must be positive"):
+            MockEmbedder(dim=0)
+
     def test_similar_texts_score_higher_than_unrelated(self):
         backend = MockEmbedder(seed=0)
         texts = [
