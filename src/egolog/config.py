@@ -108,7 +108,10 @@ class PipelineConfig:
             raise ConfigError("embedder.kind is http but embedder.endpoint is not set")
         for key, url in (("llm", self.llm_endpoint), ("embedder", self.embedder_endpoint)):
             if url is not None and not _is_http_url(url):
-                raise ConfigError(f"{key}.endpoint must be an http(s) URL with a host: {url!r}")
+                raise ConfigError(
+                    f"{key}.endpoint must be an http(s) URL with a host, "
+                    f"in printable ASCII without spaces: {url!r}"
+                )
         if self.embedder_dim < 1:
             raise ConfigError("embedder.dim must be >= 1")
 
@@ -130,6 +133,9 @@ def _parse(cp: configparser.ConfigParser, section: str, key: str):
 
 
 def _is_http_url(url: str) -> bool:
+    # http.client refuses a space, a control or a non-ASCII character anywhere
+    if not (url.isascii() and url.isprintable()) or " " in url:
+        return False
     try:
         parts = urlsplit(url)
         return parts.scheme in ("http", "https") and bool(parts.hostname)

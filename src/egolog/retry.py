@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import time
@@ -23,6 +24,8 @@ def bearer_token(auth_env: str | None) -> str | None:
     token = os.environ.get(auth_env)
     if token is None:
         raise ConfigError(f"auth environment variable {auth_env!r} is not set")
+    if "\r" in token or "\n" in token:  # http.client refuses it in a header
+        raise ConfigError(f"auth environment variable {auth_env!r} holds a line break")
     return token
 
 
@@ -31,25 +34,38 @@ def post_json(
 ) -> Any:
     """POST body as JSON to the `what` endpoint and return the reply's field.
 
-    Unreachable or 5xx: TransportError, which call_with_retries retries.
-    Any other status but 200, or a reply not JSON or without field:
-    BackendProtocolError.
+    Unreachable, dropped, timed out or 5xx: TransportError, which
+    call_with_retries retries. Any other status but 200, or a reply not
+    JSON or without field: BackendProtocolError. Proxies come from the
+    environment, as urllib.request reads them; a 307 or 308 is not followed.
     """
-    import requests
+    import urllib.request
+    from http.client import HTTPException
+    from urllib.error import HTTPError
 
-    headers = {} if token is None else {"Authorization": f"Bearer {token}"}
+    headers = {"Content-Type": "application/json"}
+    if token is not None:
+        headers["Authorization"] = f"Bearer {token}"
     try:
-        resp = requests.post(endpoint, json=body, headers=headers, timeout=timeout_s)
-    except requests.RequestException as exc:
+        data = json.dumps(body, allow_nan=False).encode()
+        request = urllib.request.Request(endpoint, data=data, headers=headers)
+        if request.type not in ("http", "https"):  # urllib would also open file: URLs
+            raise ValueError(f"not an http(s) URL: {endpoint!r}")
+        try:
+            reply = urllib.request.urlopen(request, timeout=timeout_s)
+        except HTTPError as exc:  # urlopen raises every status it does not return
+            reply = exc
+        with reply:
+            status, raw = reply.status, reply.read()
+    except (OSError, HTTPException, ValueError) as exc:
         raise TransportError(f"{what} endpoint unreachable: {exc}") from exc
-    if resp.status_code >= 500:
-        raise TransportError(f"{what} endpoint returned {resp.status_code}")
-    if resp.status_code != 200:
-        raise BackendProtocolError(
-            f"{what} endpoint returned {resp.status_code}: {resp.text[:200]}"
-        )
+    if status >= 500:
+        raise TransportError(f"{what} endpoint returned {status}")
+    if status != 200:
+        text = raw.decode("utf-8", errors="replace")
+        raise BackendProtocolError(f"{what} endpoint returned {status}: {text[:200]}")
     try:
-        return resp.json()[field]
+        return json.loads(raw)[field]
     except (ValueError, KeyError, TypeError) as exc:
         raise BackendProtocolError(f"bad {what} response: {exc}") from exc
 

@@ -1,6 +1,6 @@
 """Shared test helpers: tracks, test runs and generated corpora on disk,
 reply rendering, scripted backends, a recording embedder and scorers,
-oracles, a record-shape probe.
+oracles, a record-shape probe, a CLI run in a fresh interpreter.
 
 The scripted backends answer by reading the caption log serialized into
 the prompt, so synthetic benchmarks where captions literally determine
@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -343,6 +345,44 @@ def synth_nlq_benchmark(n_items=50, captions_per_video=12, seed=321):
             )
         )
     return tracks, queries
+
+
+# Runs STEP in a fresh interpreter, then writes the exit code and the
+# modules loaded since start-up to the file named by argv[1].
+PROBE = """\
+import json, sys
+started = set(sys.modules)
+code = 0
+try:
+{step}
+except SystemExit as exc:
+    code = exc.code
+with open(sys.argv[1], "w") as fh:
+    json.dump({{"code": code, "loaded": sorted(set(sys.modules) - started)}}, fh)
+"""
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def in_fresh_interpreter(step: str, result: Path) -> tuple[int, list[str]]:
+    """The exit code of step and the modules it loaded, in a new interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE.format(step=step), str(result)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    outcome = json.loads(result.read_text())
+    return outcome["code"], outcome["loaded"]
+
+
+def main_step(argv: list[str]) -> str:
+    """A step for in_fresh_interpreter that runs the CLI on argv."""
+    return f"    from egolog.cli import main\n    code = main({argv!r})\n"
 
 
 def write_queries(path, queries):

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -28,6 +29,7 @@ from egolog.llm import (
     write_transcripts,
 )
 from egolog.pipeline import run_ask, run_localize
+from egolog.retry import call_with_retries
 from egolog.similarity import CachedEmbedder, HttpEmbedder, MockEmbedder, embed_batch
 
 from helpers import (
@@ -36,6 +38,8 @@ from helpers import (
     HashFailingBackend,
     ScriptedNlqBackend,
     ScriptedQaBackend,
+    in_fresh_interpreter,
+    main_step,
     needs_unreadable,
     synth_nlq_benchmark,
     synth_qa_benchmark,
@@ -195,9 +199,13 @@ class _Script:
     def __init__(self):
         self.fail_next = 0  # respond 503 this many times
         self.status = 200
-        self.body: dict | str = {}
+        self.body: dict | str | bytes = {}
         self.reply = None  # if set, maps a request payload to (status, body)
+        self.delay_s = 0.0  # wait this long before replying
+        self.cut_body = False  # promise 100 bytes more than sent, then close
+        self.reply_headers: dict[str, str] = {}
         self.requests: list[dict] = []
+        self.raw_requests: list[bytes] = []
         self.headers: list[dict] = []
         self.lock = threading.Lock()
 
@@ -206,9 +214,11 @@ def _make_handler(script: _Script):
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            raw_request = self.rfile.read(length)
+            payload = json.loads(raw_request or b"{}")
             with script.lock:
                 script.requests.append(payload)
+                script.raw_requests.append(raw_request)
                 script.headers.append(dict(self.headers))
                 if script.fail_next > 0:
                     script.fail_next -= 1
@@ -217,12 +227,19 @@ def _make_handler(script: _Script):
                     status, body = script.reply(payload)
                 else:
                     status, body = script.status, script.body
-            raw = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(raw)))
-            self.end_headers()
-            self.wfile.write(raw)
+            if not isinstance(body, bytes):
+                body = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
+            time.sleep(script.delay_s)
+            try:
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                for name, value in script.reply_headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(body) + 100 * script.cut_body))
+                self.end_headers()
+                self.wfile.write(body)
+            except OSError:  # the client gave up waiting
+                pass
 
         def log_message(self, fmt, *args):
             pass
@@ -234,7 +251,10 @@ def _make_handler(script: _Script):
 def http_script():
     script = _Script()
     server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(script))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval, so that shutdown at teardown returns quickly
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    )
     thread.start()
     script.endpoint = f"http://127.0.0.1:{server.server_address[1]}/"
     try:
@@ -455,3 +475,105 @@ class TestHttpLlmBackend:
         backend = HttpLlmBackend("http://127.0.0.1:9/")
         with pytest.raises(TransportError, match="unreachable"):
             backend.complete("s", "u")
+
+
+# quotes and non-ASCII, so the wire test also covers JSON's escapes
+WIRE_TEXT = 'C says "café" \u2615'
+
+
+def _send(kind: str, endpoint: str, auth_env: str | None = None, sleep=lambda s: None) -> dict:
+    """One request of kind, retried as a run retries it; returns its payload."""
+    if kind == "completion":
+        backend = HttpLlmBackend(endpoint, auth_env=auth_env)
+        call_with_retries(lambda: backend.complete("sys", WIRE_TEXT, sampling_seed=7), sleep=sleep)
+        return {"system": "sys", "user": WIRE_TEXT, "seed": 7}
+    HttpEmbedder(endpoint, auth_env=auth_env, sleep=sleep).embed_texts([WIRE_TEXT])
+    return {"texts": [WIRE_TEXT]}
+
+
+@pytest.mark.parametrize("kind", ["completion", "embedding"])
+class TestPostJson:
+    """retry.post_json, the one HTTP call of both clients."""
+
+    OK = {"text": "ok", "embeddings": [[1.0]]}
+
+    @pytest.mark.parametrize("auth_env", [None, "WIRE_TOKEN"])
+    def test_bytes_and_headers_on_the_wire(self, http_script, monkeypatch, kind, auth_env):
+        monkeypatch.setenv("WIRE_TOKEN", "sesame")
+        http_script.body = self.OK
+        payload = _send(kind, http_script.endpoint, auth_env)
+        # the body requests sent: json.dumps with its default separators and escapes
+        assert http_script.raw_requests == [json.dumps(payload).encode()]
+        (headers,) = http_script.headers
+        assert headers["Content-Type"] == "application/json"
+        assert headers.get("Authorization") == ("Bearer sesame" if auth_env else None)
+
+    def test_reply_slower_than_the_timeout_is_retried_then_raised(
+        self, http_script, monkeypatch, kind
+    ):
+        monkeypatch.setattr("egolog.llm.COMPLETION_TIMEOUT_S", 0.05)
+        monkeypatch.setattr("egolog.similarity.EMBED_TIMEOUT_S", 0.05)
+        http_script.body = self.OK
+        http_script.delay_s = 0.3
+        slept = []
+        with pytest.raises(TransportError, match="timed out"):
+            _send(kind, http_script.endpoint, sleep=slept.append)
+        # the server may not have read the last attempt yet, so count sleeps
+        assert slept == [1.0, 2.0]
+
+    def test_connection_closed_mid_body_is_retried_then_raised(self, http_script, kind):
+        http_script.body = self.OK
+        http_script.cut_body = True
+        with pytest.raises(TransportError, match="100 more expected"):
+            _send(kind, http_script.endpoint)
+        assert len(http_script.requests) == 3
+
+    @pytest.mark.parametrize("status", [204, 307])
+    def test_success_or_redirect_status_is_protocol_error(self, http_script, kind, status):
+        http_script.status = status
+        http_script.body = ""
+        http_script.reply_headers = {"Location": http_script.endpoint + "moved"}
+        with pytest.raises(BackendProtocolError, match=f"endpoint returned {status}"):
+            _send(kind, http_script.endpoint)
+        # neither retried nor followed
+        assert len(http_script.requests) == 1
+
+    def test_4xx_body_not_utf8_is_still_quoted(self, http_script, kind):
+        http_script.status = 422
+        http_script.body = b"\xff\xfe too long \xc3"
+        message = "endpoint returned 422: \ufffd\ufffd too long \ufffd$"
+        with pytest.raises(BackendProtocolError, match=message):
+            _send(kind, http_script.endpoint)
+
+    def test_url_urllib_would_open_as_a_file_is_transport_error(self, tmp_path, kind):
+        reply = tmp_path / "reply.json"
+        reply.write_text(json.dumps(self.OK), encoding="utf-8")
+        with pytest.raises(TransportError, match="not an http"):
+            _send(kind, reply.as_uri())
+
+
+def test_ask_over_http_never_imports_requests(http_script, tmp_path):
+    tracks, queries = synth_qa_benchmark(n_items=3)
+    mock = MockEmbedder(seed=0, dim=16)
+    qa = ScriptedQaBackend()
+
+    def reply(payload):
+        if "texts" in payload:
+            return 200, {"embeddings": mock.embed_texts(payload["texts"]).tolist()}
+        return 200, {"text": qa.complete(payload["system"], payload["user"])}
+
+    http_script.reply = reply
+    endpoint = http_script.endpoint
+    sections = (
+        f"[run]\nseed = 5\nruns = 2\n[llm]\nkind = http\nendpoint = {endpoint}\n"
+        f"[embedder]\nkind = http\nendpoint = {endpoint}\n"
+    )
+    config = write_run(tmp_path, tracks, queries, sections)
+    out = tmp_path / "answers.jsonl"
+    step = main_step(["ask", "--config", str(config), "--out", str(out)])
+    code, loaded = in_fresh_interpreter(step, tmp_path / "result.json")
+    assert code == 0
+    assert len(out.read_text().splitlines()) == len(queries)
+    assert qa.calls == 2 * len(queries)
+    assert any("texts" in r for r in http_script.requests)
+    assert [m for m in loaded if m == "requests" or m.startswith("requests.")] == []

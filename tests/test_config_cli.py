@@ -754,8 +754,13 @@ class TestCliErrors:
             "ftp://localhost:8000/complete",
             "http:///complete",
             "http://[::1",
+            # http.client raises InvalidURL or UnicodeEncodeError on these
+            "http://127.0.0.1:8000/com plete",
+            "http://127.0.0.1:8000/com\tplete",
+            "http://127.0.0.1:8000/complete\x7f",
+            "http://127.0.0.1:8000/compl\u00e8te",
         ],
-        ids=["no-scheme", "ftp", "no-host", "malformed-ipv6"],
+        ids=["no-scheme", "ftp", "no-host", "malformed-ipv6", "space", "tab", "delete", "non-ascii"],
     )
     def test_endpoint_without_http_scheme_or_host_exits_1(
         self, tmp_path, capsys, section, url
@@ -768,7 +773,10 @@ class TestCliErrors:
             code = main(["ask", "--config", str(config), "--out", str(tmp_path / "a.jsonl")])
         assert code == 1
         assert llm.calls == 0
-        message = f"error: {section}.endpoint must be an http(s) URL with a host: {url!r}\n"
+        message = (
+            f"error: {section}.endpoint must be an http(s) URL with a host, "
+            f"in printable ASCII without spaces: {url!r}\n"
+        )
         assert capsys.readouterr().err == message
 
     def test_fatal_config_error_exits_1(self, tmp_path, capsys):
@@ -890,6 +898,26 @@ class TestCliErrors:
         assert answered == [q.qid for q in queries[1:]]
         manifest = json.loads((tmp_path / "answers.jsonl.manifest.json").read_text())
         assert [f["qid"] for f in manifest["failures"]] == [lost.qid]
+
+    @pytest.mark.parametrize("section", ["llm", "embedder"])
+    @pytest.mark.parametrize(
+        "token", ["abc\ndef", "abc\r\nX-Injected: 1", "abc\r"], ids=["lf", "crlf-header", "cr"]
+    )
+    def test_auth_token_with_a_line_break_fails_at_load(
+        self, tmp_path, monkeypatch, capsys, section, token
+    ):
+        # http.client refuses it in a header with a bare ValueError
+        monkeypatch.setenv("EGO_TOKEN", token)
+        sections = "[run]\nseed = 3\n" + "".join(
+            f"[{name}]\nkind = http\nendpoint = http://127.0.0.1:1/\n"
+            + ("auth_env = EGO_TOKEN\n" if name == section else "")
+            for name in ("llm", "embedder")
+        )
+        config = write_run(tmp_path, *qa_fixture(), sections)
+        code = main(["ask", "--config", str(config), "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: auth environment variable 'EGO_TOKEN' holds a line break\n"
 
     def test_missing_auth_env_fails_fast(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("EGO_TOKEN", raising=False)

@@ -7,10 +7,6 @@ the step with those it started with (whatever a site hook imported).
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -22,26 +18,12 @@ from egolog.llm import RecordingBackend, write_transcripts
 
 from helpers import (
     ScriptedNlqBackend,
+    in_fresh_interpreter,
+    main_step,
     synth_nlq_benchmark,
     synth_qa_benchmark,
     write_run,
 )
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-# Runs STEP in a fresh interpreter, then writes the exit code and the
-# modules loaded since start-up to the file named by argv[1].
-PROBE = """\
-import json, sys
-started = set(sys.modules)
-code = 0
-try:
-{step}
-except SystemExit as exc:
-    code = exc.code
-with open(sys.argv[1], "w") as fh:
-    json.dump({{"code": code, "loaded": sorted(set(sys.modules) - started)}}, fh)
-"""
 
 SETUP_PROBE_STEPS = """\
     import egolog.cli
@@ -50,26 +32,6 @@ SETUP_PROBE_STEPS = """\
     load_captions(config.captions_path)
     load_queries(config.queries_path)
 """
-
-
-def in_fresh_interpreter(step: str, result: Path) -> tuple[int, list[str]]:
-    """The exit code of step and the modules it loaded, in a new interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run(
-        [sys.executable, "-c", PROBE.format(step=step), str(result)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr[-2000:]
-    outcome = json.loads(result.read_text())
-    return outcome["code"], outcome["loaded"]
-
-
-def main_step(argv: list[str]) -> str:
-    return f"    from egolog.cli import main\n    code = main({argv!r})\n"
 
 
 def is_numpy(name: str) -> bool:
