@@ -55,7 +55,7 @@ report = evaluate_nlq(preds, finals, gts)
 print(report_to_text(report))
 print()
 print("same numbers, machine-readable:")
-print(f"  na_ratio={report.na_ratio:.2f}  overlap={report.overlap:.2f}")
-for t in sorted(report.iou_star):
-    print(f"  iou_star@{t}={report.iou_star[t]:.3f}  r@1@{t}={report.recall_at_1[t]:.3f}")
-print(f"  mean r@1 = {report.r1_mean:.3f}")
+print(f"  na_ratio={report['na_ratio']:.2f}  overlap={report['overlap']:.2f}")
+for t, star in report["iou_star"].items():
+    print(f"  iou_star@{t}={star:.3f}  r@1@{t}={report['recall_at_1'][t]:.3f}")
+print(f"  mean r@1 = {report['r1_mean']:.3f}")

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from .config import PipelineConfig, check_not_input, config_sha256, load_config, parse_override
 from .corpus import save_captions, write_json, write_jsonl
 from .errors import ConfigError, EgologError
-from .metrics import report_as_dict, report_to_text
+from .metrics import report_to_text
 from .pipeline import (
     UnitFailure,
     run_ask,
@@ -132,12 +132,11 @@ def _cmd_eval(command: str, config: PipelineConfig, args: argparse.Namespace) ->
     if config.output_path is not None:
         check_not_input(config.output_path, {"--predictions": Path(args.predictions)})
     report = run_eval(config, args.predictions, args.task)
-    payload = report_as_dict(report)
     if config.output_path is not None:
-        write_json(config.output_path, payload)
-        _write_manifest(config.output_path, command, config, {"queries": report.n_queries}, [])
+        write_json(config.output_path, report)
+        _write_manifest(config.output_path, command, config, {"queries": report["n_queries"]}, [])
     else:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report, indent=2))
     print(report_to_text(report), file=sys.stderr)
     return 0
 

@@ -1,8 +1,16 @@
 """Evaluation metrics for temporal localization and multiple-choice QA.
 
-Each report is built in one pass: the inputs are validated once, every
-query is scored once into an outcome record, and the top report and each
-"confidence >= level" sub-report are counts over those records.
+evaluate_nlq and evaluate_qa each return the report that `egolog eval`
+writes, a JSON-ready dict built in one pass: the inputs are validated
+once, every query is scored once into an outcome record, and the report
+and each of its strata are counts over those records. Its keys, in order:
+task ("nlq" or "qa"), n_queries (every query scored), n_answered (its
+predictions that are not NA), n_missing (its queries without a
+prediction), na_ratio; for "nlq" then overlap, iou_star and recall_at_1
+(each keyed by threshold, "0.3" and "0.5") and r1_mean, the mean of
+recall_at_1; for "qa" qa_accuracy; then undefined_metrics, and last
+per_confidence, which maps each level "1" to "3" to a report of the same
+keys but per_confidence, over the predictions of that confidence or above.
 
 Every query of the task with ground truth is scored. A query without a
 prediction is unanswered: a miss, counted in n_missing and, for
@@ -10,17 +18,17 @@ localization, in the NA ratio; it sits in no confidence stratum.
 Localization is scored at the fixed IoU thresholds 0.3 and 0.5. NA ratio
 is computed over all queries, while Overlap and IoU*@t are computed over
 answered predictions only. R@1 IoU@t scores one final window per query
-over all queries. Threshold comparisons are strict (greater than).
-A metric whose denominator is zero is reported as 0 with its name listed
-in undefined_metrics rather than omitted, so reports stay schema-stable.
+over all queries. Threshold comparisons are strict (greater than). A QA
+report's na_ratio is always 0. A metric whose denominator is zero is
+reported as 0 with its name listed in undefined_metrics rather than
+omitted, so reports stay schema-stable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import (
     Query,
@@ -94,48 +102,6 @@ class _Outcome(NamedTuple):
 _MISSING = _Outcome(confidence=0, answered=False)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Every evaluation quantity for one prediction set.
-
-    Zero-denominator metrics are 0 and named in undefined_metrics.
-    n_queries counts every query scored, and n_missing those of them
-    without a prediction. per_confidence maps each minimum confidence
-    level to the sub-report over the predictions at or above it;
-    sub-reports do not nest further.
-    """
-
-    task: str
-    n_queries: int
-    n_answered: int
-    na_ratio: float
-    overlap: float
-    iou_star: dict[float, float]
-    recall_at_1: dict[float, float]
-    r1_mean: float
-    qa_accuracy: float | None
-    n_missing: int = 0
-    undefined_metrics: tuple[str, ...] = ()
-    per_confidence: dict[int, "EvalReport"] | None = None
-
-    def __post_init__(self) -> None:
-        if self.task not in ("qa", "nlq"):
-            raise MetricsError(f"unknown task {self.task!r}")
-        fractions = [self.na_ratio, self.overlap, self.r1_mean]
-        fractions.extend(self.iou_star.values())
-        fractions.extend(self.recall_at_1.values())
-        if self.qa_accuracy is not None:
-            fractions.append(self.qa_accuracy)
-        for value in fractions:
-            if not 0.0 <= value <= 1.0:
-                raise MetricsError(f"fraction out of range: {value}")
-        for threshold, value in self.iou_star.items():
-            if value > self.overlap:
-                raise MetricsError(
-                    f"iou_star@{threshold} = {value} exceeds overlap {self.overlap}"
-                )
-
-
 def _check_preds(preds: Mapping, gts: Mapping, kind: QueryKind, noun: str) -> None:
     missing = sorted(qid for qid in preds if qid not in gts)
     if missing:
@@ -149,48 +115,53 @@ def _share(hits: int, n: int) -> float:
     return hits / n if n else 0.0
 
 
-def _stratified(outcomes: list[_Outcome], count: Callable) -> EvalReport:
-    """count over all outcomes, with one sub-report per confidence level."""
-    strata = {
-        level: count([o for o in outcomes if o.confidence >= level])
-        for level in CONFIDENCE_LEVELS
-    }
-    report = count(outcomes)
-    return replace(report, n_missing=outcomes.count(_MISSING), per_confidence=strata)
-
-
-def _count_nlq(outcomes: list[_Outcome]) -> EvalReport:
+def _count(task: str, outcomes: list[_Outcome]) -> dict:
+    """The report of task over outcomes, without per_confidence."""
     n = len(outcomes)
     answered = [o for o in outcomes if o.answered]
     n_answered = len(answered)
-    thresholds = list(enumerate(DEFAULT_IOU_THRESHOLDS))
+    report = dict(
+        task=task, n_queries=n, n_answered=n_answered, n_missing=outcomes.count(_MISSING)
+    )
+    if task == "qa":
+        report["na_ratio"] = 0.0
+        report["qa_accuracy"] = _share(sum(o.correct for o in outcomes), n)
+        report["undefined_metrics"] = [] if n else ["qa_accuracy"]
+        return report
+    thresholds = [(i, str(t)) for i, t in enumerate(DEFAULT_IOU_THRESHOLDS)]
     recalls = {t: _share(sum(o.recall[i] for o in outcomes), n) for i, t in thresholds}
-    undefined = () if n_answered else ("overlap", "iou_star")
+    undefined = [] if n_answered else ["overlap", "iou_star"]
     if not n:
-        undefined = ("na_ratio", *undefined, "recall_at_1")
-    return EvalReport(
-        task="nlq",
-        n_queries=n,
-        n_answered=n_answered,
+        undefined = ["na_ratio", *undefined, "recall_at_1", "r1_mean"]
+    report.update(
         na_ratio=_share(n - n_answered, n),
         overlap=_share(sum(o.overlaps for o in answered), n_answered),
         iou_star={
-            t: _share(sum(o.iou_star[i] for o in answered), n_answered)
-            for i, t in thresholds
+            t: _share(sum(o.iou_star[i] for o in answered), n_answered) for i, t in thresholds
         },
         recall_at_1=recalls,
         r1_mean=sum(recalls.values()) / len(recalls),
-        qa_accuracy=None,
         undefined_metrics=undefined,
     )
+    return report
+
+
+def _stratified(task: str, outcomes: list[_Outcome]) -> dict:
+    """The report over all outcomes, with one sub-report per confidence level."""
+    report = _count(task, outcomes)
+    report["per_confidence"] = {
+        str(level): _count(task, [o for o in outcomes if o.confidence >= level])
+        for level in CONFIDENCE_LEVELS
+    }
+    return report
 
 
 def evaluate_nlq(
     preds: Mapping[str, LlmAnswer],
     finals: Mapping[str, Sequence[float]],
     gts: Mapping[str, Sequence[float]],
-) -> EvalReport:
-    """Full localization report over every qid of gts.
+) -> dict:
+    """The localization report over every qid of gts.
 
     preds are the parsed answers (candidates, possibly NA) and drive NA
     ratio, Overlap, and IoU*@t; finals are the one-window-per-query
@@ -221,31 +192,11 @@ def evaluate_nlq(
                 recall=tuple(final_iou > t for t in DEFAULT_IOU_THRESHOLDS),
             )
         )
-    return _stratified(outcomes, _count_nlq)
+    return _stratified("nlq", outcomes)
 
 
-def _count_qa(outcomes: list[_Outcome]) -> EvalReport:
-    n = len(outcomes)
-    n_answered = sum(o.answered for o in outcomes)
-    return EvalReport(
-        task="qa",
-        n_queries=n,
-        n_answered=n_answered,
-        na_ratio=0.0,
-        overlap=0.0,
-        iou_star={},
-        recall_at_1={},
-        r1_mean=0.0,
-        qa_accuracy=_share(sum(o.correct for o in outcomes), n),
-        undefined_metrics=() if n else ("qa_accuracy",),
-    )
-
-
-def evaluate_qa(preds: Mapping[str, LlmAnswer], gts: Mapping[str, int]) -> EvalReport:
-    """Full QA report over every qid of gts; localization fields are inert zeros.
-
-    A qid of gts without a prediction is scored as missing.
-    """
+def evaluate_qa(preds: Mapping[str, LlmAnswer], gts: Mapping[str, int]) -> dict:
+    """The QA report over every qid of gts; one without a prediction is a miss."""
     _check_preds(preds, gts, QueryKind.QA, "a QA")
     outcomes = [
         _Outcome(confidence=preds[qid].confidence, correct=preds[qid].choice_idx == gt)
@@ -253,7 +204,7 @@ def evaluate_qa(preds: Mapping[str, LlmAnswer], gts: Mapping[str, int]) -> EvalR
         else _MISSING
         for qid, gt in gts.items()
     ]
-    return _stratified(outcomes, _count_qa)
+    return _stratified("qa", outcomes)
 
 
 def prediction_row(answer: LlmAnswer, window: Sequence[float] | None = None) -> dict:
@@ -283,7 +234,8 @@ def load_predictions(
     text-field rule of load_queries, and a null value but qid's counts as
     absent. A row without a qid or the answer field of kind, with a key
     of the other task (see PREDICTION_SHAPES), a value of the wrong type,
-    or a repeated qid raises MetricsError naming the file and line. Before
+    an na other than the JSON bool candidates == [], or a repeated qid
+    raises MetricsError naming the file and line. Before
     any answer is read, MetricsError lists the qids that name no query of
     kind with ground truth in queries (keyed by qid).
     """
@@ -335,6 +287,9 @@ def load_predictions(
             candidates = row.get("candidates", [])
             if not isinstance(candidates, list):
                 raise ValueError("candidates must be a list")
+            na = candidates == []
+            if row.get("na", na) is not na:
+                raise ValueError(f"na must be {str(na).lower()} when candidates is {candidates}")
             intervals = tuple(
                 time_pair(c, "each candidate", finite_seconds) for c in candidates
             )
@@ -348,61 +303,30 @@ def load_predictions(
     return answers, finals
 
 
-def report_as_dict(report: EvalReport) -> dict:
-    out: dict = {
-        "task": report.task,
-        "n_queries": report.n_queries,
-        "n_answered": report.n_answered,
-        "n_missing": report.n_missing,
-        "na_ratio": report.na_ratio,
-    }
-    if report.task == "nlq":
-        out["overlap"] = report.overlap
-        out["iou_star"] = {str(t): v for t, v in report.iou_star.items()}
-        out["recall_at_1"] = {str(t): v for t, v in report.recall_at_1.items()}
-        out["r1_mean"] = report.r1_mean
-    else:
-        out["qa_accuracy"] = report.qa_accuracy
-    out["undefined_metrics"] = list(report.undefined_metrics)
-    if report.per_confidence is not None:
-        out["per_confidence"] = {
-            str(level): report_as_dict(sub)
-            for level, sub in sorted(report.per_confidence.items())
-        }
-    return out
+def _recall_text(report: dict) -> str:
+    return "   ".join(f"R@1 IoU@{t}: {v:.3f}" for t, v in report["recall_at_1"].items())
 
 
-def _recall_text(report: EvalReport) -> str:
-    return "   ".join(
-        f"R@1 IoU@{t:g}: {v:.3f}" for t, v in sorted(report.recall_at_1.items())
-    )
-
-
-def report_to_text(report: EvalReport) -> str:
+def report_to_text(report: dict) -> str:
     """Flat fixed-width summary for quick reading."""
     lines = [
-        f"task: {report.task}   queries: {report.n_queries}   "
-        f"answered: {report.n_answered}   missing: {report.n_missing}   "
-        f"NA ratio: {report.na_ratio:.3f}"
+        f"task: {report['task']}   queries: {report['n_queries']}   "
+        f"answered: {report['n_answered']}   missing: {report['n_missing']}   "
+        f"NA ratio: {report['na_ratio']:.3f}"
     ]
-    if report.task == "nlq":
-        lines.append(f"Overlap: {report.overlap:.3f}")
-        star = "   ".join(
-            f"IoU*@{t:g}: {v:.3f}" for t, v in sorted(report.iou_star.items())
-        )
-        if star:
-            lines.append(star)
-        if report.recall_at_1:
-            lines.append(f"{_recall_text(report)}   Mean: {report.r1_mean:.3f}")
+    if report["task"] == "nlq":
+        lines.append(f"Overlap: {report['overlap']:.3f}")
+        lines.append("   ".join(f"IoU*@{t}: {v:.3f}" for t, v in report["iou_star"].items()))
+        lines.append(f"{_recall_text(report)}   Mean: {report['r1_mean']:.3f}")
     else:
-        lines.append(f"accuracy: {report.qa_accuracy:.3f}")
-    if report.undefined_metrics:
-        lines.append("undefined: " + ", ".join(report.undefined_metrics))
-    for level, sub in sorted((report.per_confidence or {}).items()):
+        lines.append(f"accuracy: {report['qa_accuracy']:.3f}")
+    if report["undefined_metrics"]:
+        lines.append("undefined: " + ", ".join(report["undefined_metrics"]))
+    for level, sub in report["per_confidence"].items():
         score = (
-            f"Overlap: {sub.overlap:.3f}   {_recall_text(sub)}"
-            if sub.task == "nlq"
-            else f"accuracy: {sub.qa_accuracy:.3f}"
+            f"Overlap: {sub['overlap']:.3f}   {_recall_text(sub)}"
+            if sub["task"] == "nlq"
+            else f"accuracy: {sub['qa_accuracy']:.3f}"
         )
-        lines.append(f"confidence >= {level}: queries: {sub.n_queries}   {score}")
+        lines.append(f"confidence >= {level}: queries: {sub['n_queries']}   {score}")
     return "\n".join(lines)

@@ -50,7 +50,7 @@ from .digest import DigestStats, MergeMode, digest
 from .ensemble import AnswerPool, vote_by_confidence
 from .errors import ConfigError, EgologError, ParseError
 from .llm import HttpLlmBackend, LlmBackend, ReplayBackend
-from .metrics import EvalReport, evaluate_nlq, evaluate_qa, load_predictions, prediction_row
+from .metrics import evaluate_nlq, evaluate_qa, load_predictions, prediction_row
 from .reasoner import build_nlq_prompt, build_qa_prompt, parse_response, run
 from .refine import CaptionOverlapScorer, gen_refinement_dataset, select_candidate
 from .retry import map_in_order
@@ -342,7 +342,7 @@ def run_gen_refine_data(config: PipelineConfig) -> list[dict]:
     return records
 
 
-def run_eval(config: PipelineConfig, predictions_path, task: str) -> EvalReport:
+def run_eval(config: PipelineConfig, predictions_path, task: str) -> dict:
     """Score a predictions file against the ground truth in the queries file.
 
     Loads the queries, then the task's predictions checked against them

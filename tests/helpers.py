@@ -521,16 +521,16 @@ def oracle_nlq_report(preds, finals, gts, thresholds) -> dict:
 
 
 def assert_report_matches_oracle(report, preds, finals, gts, thresholds, tol=1e-9):
-    """Compare every field of an EvalReport against the recount oracle."""
+    """Compare every number of an NLQ report against the recount oracle."""
     oracle = oracle_nlq_report(preds, finals, gts, thresholds)
-    assert abs(report.na_ratio - oracle["na_ratio"]) <= tol
-    assert abs(report.overlap - oracle["overlap"]) <= tol
+    assert abs(report["na_ratio"] - oracle["na_ratio"]) <= tol
+    assert abs(report["overlap"] - oracle["overlap"]) <= tol
     for t in thresholds:
-        assert abs(report.iou_star[t] - oracle[("iou_star", t)]) <= tol
-        assert abs(report.recall_at_1[t] - oracle[("recall_at_1", t)]) <= tol
-    assert abs(report.r1_mean - oracle["r1_mean"]) <= tol
-    assert report.n_queries == len(preds)
-    assert report.n_answered == sum(1 for a in preds.values() if not a.is_na)
+        assert abs(report["iou_star"][str(t)] - oracle[("iou_star", t)]) <= tol
+        assert abs(report["recall_at_1"][str(t)] - oracle[("recall_at_1", t)]) <= tol
+    assert abs(report["r1_mean"] - oracle["r1_mean"]) <= tol
+    assert report["n_queries"] == len(preds)
+    assert report["n_answered"] == sum(1 for a in preds.values() if not a.is_na)
 
 
 def random_nlq_fixture(rng, n_queries, na_rate=0.25):

@@ -74,7 +74,7 @@ def test_gate_metric_oracle_equivalence():
             preds, gts = random_qa_fixture(rng, rng.randint(3, 12))
             report = evaluate_qa(preds, gts)
             correct = sum(1 for qid, a in preds.items() if a.choice_idx == gts[qid])
-            assert abs(report.qa_accuracy - Fraction(correct, len(preds))) <= 1e-9
+            assert abs(report["qa_accuracy"] - Fraction(correct, len(preds))) <= 1e-9
         a0 = rng.uniform(0.0, 100.0)
         b0 = rng.uniform(0.0, 100.0)
         a = (a0, a0 + rng.uniform(0.1, 50.0))
@@ -404,8 +404,8 @@ def test_gate_end_to_end_synthetic(tmp_path):
         "".join(json.dumps(r) + "\n" for r in records2), encoding="utf-8"
     )
     report = run_eval(config2, preds_path, "nlq")
-    assert report.na_ratio == 0.0
-    assert report.iou_star[0.3] == 1.0
+    assert report["na_ratio"] == 0.0
+    assert report["iou_star"]["0.3"] == 1.0
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"end-to-end sweep took {elapsed:.1f} s"
     _passline(
@@ -476,7 +476,7 @@ def test_gate_sanity_anchors():
             )
             for qid in gts
         }
-        total += evaluate_qa(preds, gts).qa_accuracy
+        total += evaluate_qa(preds, gts)["qa_accuracy"]
     mean = total / 1_000
     assert abs(mean - 0.20) <= 0.04, f"random-guess accuracy {mean:.4f}"
 

@@ -21,6 +21,7 @@ from egolog.config import (
     load_config,
     parse_override,
 )
+from egolog.corpus import Query, QueryKind
 from egolog.digest import MergeMode
 from egolog.errors import ConfigError
 from egolog.llm import RecordingBackend
@@ -347,6 +348,172 @@ def qa_fixture(n_items=4):
     return synth_qa_benchmark(n_items=n_items, captions_per_video=6)
 
 
+# a fixed run of each task for TestCliEval's pins: NLQ with a hit, a wide
+# candidate, an NA refusal and a miss; QA with a hit, a wrong choice and a miss
+PIN_QUERIES = {
+    "nlq": [
+        Query(f"n{i}", "v1", QueryKind.NLQ, "when?", gt_window=(10.0, 20.0))
+        for i in range(1, 5)
+    ],
+    "qa": [
+        Query(f"q{i}", "v1", QueryKind.QA, "what?", choices=tuple("abcde"), gt_answer_idx=i)
+        for i in range(1, 5)
+    ],
+}
+PIN_ROWS = {
+    "nlq": [
+        {"qid": "n1", "predicted_window": [11, 19], "candidates": [[11, 19]], "na": False,
+         "confidence": 3},
+        {"qid": "n2", "predicted_window": [14, 30], "candidates": [[14, 30], [40, 50]],
+         "na": False, "confidence": 2},
+        {"qid": "n3", "predicted_window": [0, 100], "candidates": [], "na": True,
+         "confidence": 1},
+    ],
+    "qa": [
+        {"qid": "q1", "choice": 1, "confidence": 3},
+        {"qid": "q2", "choice": 0, "confidence": 2},
+        {"qid": "q3", "choice": 3, "confidence": 1},
+    ],
+}
+# what eval prints for them: the report on stdout, its summary on stderr
+PIN_STDOUT = {
+    "nlq": """\
+{
+  "task": "nlq",
+  "n_queries": 4,
+  "n_answered": 2,
+  "n_missing": 1,
+  "na_ratio": 0.5,
+  "overlap": 1.0,
+  "iou_star": {
+    "0.3": 0.5,
+    "0.5": 0.5
+  },
+  "recall_at_1": {
+    "0.3": 0.25,
+    "0.5": 0.25
+  },
+  "r1_mean": 0.25,
+  "undefined_metrics": [],
+  "per_confidence": {
+    "1": {
+      "task": "nlq",
+      "n_queries": 3,
+      "n_answered": 2,
+      "n_missing": 0,
+      "na_ratio": 0.3333333333333333,
+      "overlap": 1.0,
+      "iou_star": {
+        "0.3": 0.5,
+        "0.5": 0.5
+      },
+      "recall_at_1": {
+        "0.3": 0.3333333333333333,
+        "0.5": 0.3333333333333333
+      },
+      "r1_mean": 0.3333333333333333,
+      "undefined_metrics": []
+    },
+    "2": {
+      "task": "nlq",
+      "n_queries": 2,
+      "n_answered": 2,
+      "n_missing": 0,
+      "na_ratio": 0.0,
+      "overlap": 1.0,
+      "iou_star": {
+        "0.3": 0.5,
+        "0.5": 0.5
+      },
+      "recall_at_1": {
+        "0.3": 0.5,
+        "0.5": 0.5
+      },
+      "r1_mean": 0.5,
+      "undefined_metrics": []
+    },
+    "3": {
+      "task": "nlq",
+      "n_queries": 1,
+      "n_answered": 1,
+      "n_missing": 0,
+      "na_ratio": 0.0,
+      "overlap": 1.0,
+      "iou_star": {
+        "0.3": 1.0,
+        "0.5": 1.0
+      },
+      "recall_at_1": {
+        "0.3": 1.0,
+        "0.5": 1.0
+      },
+      "r1_mean": 1.0,
+      "undefined_metrics": []
+    }
+  }
+}
+""",
+    "qa": """\
+{
+  "task": "qa",
+  "n_queries": 4,
+  "n_answered": 3,
+  "n_missing": 1,
+  "na_ratio": 0.0,
+  "qa_accuracy": 0.5,
+  "undefined_metrics": [],
+  "per_confidence": {
+    "1": {
+      "task": "qa",
+      "n_queries": 3,
+      "n_answered": 3,
+      "n_missing": 0,
+      "na_ratio": 0.0,
+      "qa_accuracy": 0.6666666666666666,
+      "undefined_metrics": []
+    },
+    "2": {
+      "task": "qa",
+      "n_queries": 2,
+      "n_answered": 2,
+      "n_missing": 0,
+      "na_ratio": 0.0,
+      "qa_accuracy": 0.5,
+      "undefined_metrics": []
+    },
+    "3": {
+      "task": "qa",
+      "n_queries": 1,
+      "n_answered": 1,
+      "n_missing": 0,
+      "na_ratio": 0.0,
+      "qa_accuracy": 1.0,
+      "undefined_metrics": []
+    }
+  }
+}
+""",
+}
+PIN_STDERR = {
+    "nlq": """\
+task: nlq   queries: 4   answered: 2   missing: 1   NA ratio: 0.500
+Overlap: 1.000
+IoU*@0.3: 0.500   IoU*@0.5: 0.500
+R@1 IoU@0.3: 0.250   R@1 IoU@0.5: 0.250   Mean: 0.250
+confidence >= 1: queries: 3   Overlap: 1.000   R@1 IoU@0.3: 0.333   R@1 IoU@0.5: 0.333
+confidence >= 2: queries: 2   Overlap: 1.000   R@1 IoU@0.3: 0.500   R@1 IoU@0.5: 0.500
+confidence >= 3: queries: 1   Overlap: 1.000   R@1 IoU@0.3: 1.000   R@1 IoU@0.5: 1.000
+""",
+    "qa": """\
+task: qa   queries: 4   answered: 3   missing: 1   NA ratio: 0.000
+accuracy: 0.500
+confidence >= 1: queries: 3   accuracy: 0.667
+confidence >= 2: queries: 2   accuracy: 0.500
+confidence >= 3: queries: 1   accuracy: 1.000
+""",
+}
+
+
 class TestCliDigest:
     def test_writes_track_stats_and_manifest(self, tmp_path, capsys):
         tracks, _ = qa_fixture()
@@ -469,6 +636,17 @@ class TestCliEval:
         assert code == 0
         out = capsys.readouterr().out
         assert json.loads(out)["qa_accuracy"] == 1.0
+
+    @pytest.mark.parametrize("task", ["nlq", "qa"])
+    def test_stdout_and_stderr_pinned(self, tmp_path, capsys, task):
+        config = write_run(tmp_path, queries=PIN_QUERIES[task], sections="[run]\nseed = 3\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(json.dumps(row) + "\n" for row in PIN_ROWS[task]))
+        argv = ["eval", "--config", str(config), "--predictions", str(preds), "--task", task]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == PIN_STDOUT[task]
+        assert err == PIN_STDERR[task]
 
     def test_missing_predictions_file(self, tmp_path, capsys):
         config = write_run(tmp_path, queries=qa_fixture()[1], sections="[run]\nseed = 3\n")

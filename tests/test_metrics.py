@@ -12,13 +12,11 @@ from egolog.corpus import CaptionTrack, Query, QueryKind, normalize_seconds, wri
 from egolog.errors import MetricsError
 from egolog.metrics import (
     DEFAULT_IOU_THRESHOLDS,
-    EvalReport,
     evaluate_nlq,
     evaluate_qa,
     iou,
     load_predictions,
     prediction_row,
-    report_as_dict,
     report_to_text,
 )
 from egolog.reasoner import LlmAnswer, parse_response
@@ -134,28 +132,28 @@ class TestOverlapRate:
         }
         gts = {q: (10.0, 20.0) for q in preds}
         report = nlq_report(preds, gts)
-        assert report.na_ratio == 0.5
-        assert report.overlap == 0.5
-        assert report.n_queries == 4
-        assert report.n_answered == 2
+        assert report["na_ratio"] == 0.5
+        assert report["overlap"] == 0.5
+        assert report["n_queries"] == 4
+        assert report["n_answered"] == 2
 
     def test_all_na(self):
         preds = {"a": nlq("a"), "b": nlq("b")}
         gts = {"a": (0.0, 1.0), "b": (0.0, 1.0)}
         report = nlq_report(preds, gts)
-        assert report.na_ratio == 1.0
-        assert report.overlap == 0.0
-        assert "overlap" in report.undefined_metrics
+        assert report["na_ratio"] == 1.0
+        assert report["overlap"] == 0.0
+        assert "overlap" in report["undefined_metrics"]
 
     def test_any_candidate_counts(self):
         preds = {"a": nlq("a", (50.0, 60.0), (12.0, 13.0))}
         report = nlq_report(preds, {"a": (10.0, 20.0)})
-        assert report.overlap == 1.0
+        assert report["overlap"] == 1.0
 
     def test_boundary_touch_does_not_overlap(self):
         preds = {"a": nlq("a", (0.0, 10.0))}
         report = nlq_report(preds, {"a": (10.0, 20.0)})
-        assert report.overlap == 0.0
+        assert report["overlap"] == 0.0
 
     def test_missing_gt_rejected(self):
         with pytest.raises(MetricsError, match="without ground truth"):
@@ -172,20 +170,20 @@ class TestIouStar:
         preds = {"a": nlq("a", (0.0, 3.0))}
         gts = {"a": (0.0, 10.0)}
         assert iou((0.0, 3.0), (0.0, 10.0)) == 0.3
-        assert nlq_report(preds, gts).iou_star[0.3] == 0.0
+        assert nlq_report(preds, gts)["iou_star"]["0.3"] == 0.0
         # the same candidate 1 ms wider clears 0.3
         wider = {"a": nlq("a", (0.0, 3.001))}
-        assert nlq_report(wider, gts).iou_star[0.3] == 1.0
+        assert nlq_report(wider, gts)["iou_star"]["0.3"] == 1.0
 
     def test_na_excluded_from_denominator(self):
         preds = {"a": nlq("a", (0.0, 10.0)), "b": nlq("b")}
         gts = {"a": (0.0, 10.0), "b": (0.0, 10.0)}
-        assert nlq_report(preds, gts).iou_star[0.5] == 1.0
+        assert nlq_report(preds, gts)["iou_star"]["0.5"] == 1.0
 
     def test_best_candidate_counts(self):
         preds = {"a": nlq("a", (90.0, 95.0), (0.0, 10.0))}
         gts = {"a": (0.0, 10.0)}
-        assert nlq_report(preds, gts).iou_star[0.5] == 1.0
+        assert nlq_report(preds, gts)["iou_star"]["0.5"] == 1.0
 
 
 class TestRecallAt1:
@@ -195,17 +193,17 @@ class TestRecallAt1:
     def test_contract_fixture(self):
         # per-query IoUs are exactly 0.35, 0.6, 0.1
         preds = {q: nlq(q) for q in self.FINALS}
-        recalls = nlq_report(preds, self.GTS, self.FINALS).recall_at_1
-        assert recalls[0.3] == pytest.approx(2 / 3)
-        assert recalls[0.5] == pytest.approx(1 / 3)
+        recalls = nlq_report(preds, self.GTS, self.FINALS)["recall_at_1"]
+        assert recalls["0.3"] == pytest.approx(2 / 3)
+        assert recalls["0.5"] == pytest.approx(1 / 3)
 
     def test_strict_at_exact_half(self):
         finals = {"a": (0.0, 1.0)}
         gts = {"a": (0.0, 2.0)}  # IoU exactly 0.5 in binary64
-        assert nlq_report({"a": nlq("a")}, gts, finals).recall_at_1[0.5] == 0.0
+        assert nlq_report({"a": nlq("a")}, gts, finals)["recall_at_1"]["0.5"] == 0.0
 
     def test_empty_is_zero(self):
-        assert evaluate_nlq({}, {}, {}).recall_at_1[0.5] == 0.0
+        assert evaluate_nlq({}, {}, {})["recall_at_1"]["0.5"] == 0.0
 
     def test_missing_gt_rejected(self):
         with pytest.raises(MetricsError, match="without ground truth"):
@@ -216,7 +214,7 @@ class TestQaAccuracy:
     def test_counts_matches(self):
         preds = {"a": qa("a", 0), "b": qa("b", 1), "c": qa("c", 2)}
         gts = {"a": 0, "b": 4, "c": 2}
-        assert evaluate_qa(preds, gts).qa_accuracy == pytest.approx(2 / 3)
+        assert evaluate_qa(preds, gts)["qa_accuracy"] == pytest.approx(2 / 3)
 
     def test_random_guessing_near_chance(self):
         # a uniform guesser over 5 options lands at 0.20 +/- 0.04
@@ -225,7 +223,7 @@ class TestQaAccuracy:
         trials = 1_000
         for _ in range(trials):
             preds, gts = random_qa_fixture(rng, 25)
-            total += evaluate_qa(preds, gts).qa_accuracy
+            total += evaluate_qa(preds, gts)["qa_accuracy"]
         assert abs(total / trials - 0.20) <= 0.04
 
     def test_nlq_answer_rejected(self):
@@ -240,22 +238,21 @@ class TestMissingPredictions:
         preds = {"a": nlq("a", (0.0, 35.0), confidence=3)}
         gts = {"a": (0.0, 35.0), "b": (0.0, 100.0)}
         report = evaluate_nlq(preds, {"a": (0.0, 35.0)}, gts)
-        assert (report.n_queries, report.n_answered, report.n_missing) == (2, 1, 1)
-        assert report.na_ratio == 0.5
-        assert report.overlap == 1.0
-        assert report.iou_star == {0.3: 1.0, 0.5: 1.0}
-        assert report.recall_at_1 == {0.3: 0.5, 0.5: 0.5}
+        assert (report["n_queries"], report["n_answered"], report["n_missing"]) == (2, 1, 1)
+        assert report["na_ratio"] == 0.5
+        assert report["overlap"] == 1.0
+        assert report["iou_star"] == {"0.3": 1.0, "0.5": 1.0}
+        assert report["recall_at_1"] == {"0.3": 0.5, "0.5": 0.5}
         # the per-answered view: a miss has confidence 0, in no stratum
-        answered = report.per_confidence[1]
-        assert (answered.n_queries, answered.n_missing) == (1, 0)
-        assert answered.recall_at_1 == {0.3: 1.0, 0.5: 1.0}
+        answered = report["per_confidence"]["1"]
+        assert (answered["n_queries"], answered["n_missing"]) == (1, 0)
+        assert answered["recall_at_1"] == {"0.3": 1.0, "0.5": 1.0}
 
     def test_qa_miss_is_a_wrong_answer(self):
         report = evaluate_qa({"a": qa("a", 2)}, {"a": 2, "b": 0, "c": 1})
-        assert (report.n_queries, report.n_answered, report.n_missing) == (3, 1, 2)
-        assert report.qa_accuracy == pytest.approx(1 / 3)
-        assert report.per_confidence[1].qa_accuracy == 1.0
-        assert report_as_dict(report)["n_missing"] == 2
+        assert (report["n_queries"], report["n_answered"], report["n_missing"]) == (3, 1, 2)
+        assert report["qa_accuracy"] == pytest.approx(1 / 3)
+        assert report["per_confidence"]["1"]["qa_accuracy"] == 1.0
 
 
 class TestEvaluateNlq:
@@ -272,19 +269,19 @@ class TestEvaluateNlq:
     def test_report_fields(self):
         preds, finals, gts = self.fixture()
         report = evaluate_nlq(preds, finals, gts)
-        assert report.task == "nlq"
-        assert report.n_queries == 3
-        assert report.n_answered == 2
-        assert report.na_ratio == pytest.approx(1 / 3)
-        assert report.overlap == 1.0
-        assert report.iou_star[0.3] == 1.0  # 0.35 and 0.6 both clear
-        assert report.iou_star[0.5] == pytest.approx(1 / 2)  # only 0.6 clears
+        assert report["task"] == "nlq"
+        assert report["n_queries"] == 3
+        assert report["n_answered"] == 2
+        assert report["na_ratio"] == pytest.approx(1 / 3)
+        assert report["overlap"] == 1.0
+        assert report["iou_star"]["0.3"] == 1.0  # 0.35 and 0.6 both clear
+        assert report["iou_star"]["0.5"] == pytest.approx(1 / 2)  # only 0.6 clears
         # finals: 0.35, 0.6, and the NA fallback scores IoU 1.0 on gt == clip
-        assert report.recall_at_1[0.3] == pytest.approx(3 / 3)
-        assert report.recall_at_1[0.5] == pytest.approx(2 / 3)
-        assert report.r1_mean == pytest.approx((1.0 + 2 / 3) / 2)
-        assert report.qa_accuracy is None
-        assert report.undefined_metrics == ()
+        assert report["recall_at_1"]["0.3"] == pytest.approx(3 / 3)
+        assert report["recall_at_1"]["0.5"] == pytest.approx(2 / 3)
+        assert report["r1_mean"] == pytest.approx((1.0 + 2 / 3) / 2)
+        assert "qa_accuracy" not in report
+        assert report["undefined_metrics"] == []
 
     def test_matches_recount_oracle(self):
         preds, finals, gts = self.fixture()
@@ -305,7 +302,7 @@ class TestEvaluateNlq:
         preds, finals, gts = random_nlq_fixture(rng, 80)
         report = evaluate_nlq(preds, finals, gts)
         for level in (1, 2, 3):
-            sub = report.per_confidence[level]
+            sub = report["per_confidence"][str(level)]
             kept = {q for q, a in preds.items() if a.confidence >= level}
             assert_report_matches_oracle(
                 sub,
@@ -314,7 +311,7 @@ class TestEvaluateNlq:
                 gts,
                 DEFAULT_IOU_THRESHOLDS,
             )
-            assert sub.per_confidence is None
+            assert "per_confidence" not in sub
 
     def test_all_max_confidence_yields_identical_strata(self):
         preds = {
@@ -324,7 +321,7 @@ class TestEvaluateNlq:
         finals = {"a": (0.0, 35.0), "b": (0.0, 60.0)}
         gts = {"a": (0.0, 100.0), "b": (0.0, 100.0)}
         report = evaluate_nlq(preds, finals, gts)
-        subs = list(report.per_confidence.values())
+        subs = list(report["per_confidence"].values())
         assert subs[0] == subs[1] == subs[2]
 
     def test_empty_stratum_flagged(self):
@@ -332,11 +329,12 @@ class TestEvaluateNlq:
         finals = {"a": (0.0, 35.0)}
         gts = {"a": (0.0, 100.0)}
         report = evaluate_nlq(preds, finals, gts)
-        level3 = report.per_confidence[3]
-        assert level3.n_queries == 0
-        assert "na_ratio" in level3.undefined_metrics
-        assert "overlap" in level3.undefined_metrics
-        assert "recall_at_1" in level3.undefined_metrics
+        level3 = report["per_confidence"]["3"]
+        assert level3["n_queries"] == 0
+        assert "na_ratio" in level3["undefined_metrics"]
+        assert "overlap" in level3["undefined_metrics"]
+        assert "recall_at_1" in level3["undefined_metrics"]
+        assert "r1_mean" in level3["undefined_metrics"]
 
     def test_qid_mismatch_rejected(self):
         preds, finals, gts = self.fixture()
@@ -349,81 +347,37 @@ class TestEvaluateNlq:
         for _ in range(10):
             preds, finals, gts = random_nlq_fixture(rng, 40)
             report = evaluate_nlq(preds, finals, gts)
-            for value in report.iou_star.values():
-                assert value <= report.overlap
+            for value in report["iou_star"].values():
+                assert value <= report["overlap"]
 
 
 class TestEvaluateQa:
     def test_report(self):
         preds = {"a": qa("a", 0, confidence=3), "b": qa("b", 1, confidence=1)}
         report = evaluate_qa(preds, {"a": 0, "b": 0})
-        assert report.task == "qa"
-        assert report.qa_accuracy == 0.5
-        assert report.n_queries == 2
-        assert report.per_confidence[3].qa_accuracy == 1.0
-        assert report.per_confidence[3].n_queries == 1
+        assert report["task"] == "qa"
+        assert report["qa_accuracy"] == 0.5
+        assert report["n_queries"] == 2
+        assert report["per_confidence"]["3"]["qa_accuracy"] == 1.0
+        assert report["per_confidence"]["3"]["n_queries"] == 1
 
     def test_empty_flagged(self):
         report = evaluate_qa({}, {})
-        assert report.qa_accuracy == 0.0
-        assert report.undefined_metrics == ("qa_accuracy",)
+        assert report["qa_accuracy"] == 0.0
+        assert report["undefined_metrics"] == ["qa_accuracy"]
 
     def test_stratify_helper_qa(self):
         preds = {"a": qa("a", 0, confidence=2)}
-        strata = evaluate_qa(preds, {"a": 0}).per_confidence
-        assert set(strata) == {1, 2, 3}
-        assert strata[3].n_queries == 0
+        strata = evaluate_qa(preds, {"a": 0})["per_confidence"]
+        assert set(strata) == {"1", "2", "3"}
+        assert strata["3"]["n_queries"] == 0
 
     def test_stratify_helper_nlq(self):
         preds = {"a": nlq("a", (0.0, 5.0), confidence=2)}
         report = evaluate_nlq(preds, {"a": (0.0, 5.0)}, {"a": (0.0, 10.0)})
-        strata = report.per_confidence
-        assert set(strata) == {1, 2, 3}
-        assert strata[1].n_queries == 1
-
-
-class TestEvalReportValidation:
-    def test_fraction_out_of_range(self):
-        with pytest.raises(MetricsError, match="fraction"):
-            EvalReport(
-                task="nlq",
-                n_queries=1,
-                n_answered=1,
-                na_ratio=1.5,
-                overlap=0.0,
-                iou_star={},
-                recall_at_1={},
-                r1_mean=0.0,
-                qa_accuracy=None,
-            )
-
-    def test_iou_star_above_overlap_rejected(self):
-        with pytest.raises(MetricsError, match="exceeds overlap"):
-            EvalReport(
-                task="nlq",
-                n_queries=1,
-                n_answered=1,
-                na_ratio=0.0,
-                overlap=0.2,
-                iou_star={0.3: 0.4},
-                recall_at_1={},
-                r1_mean=0.0,
-                qa_accuracy=None,
-            )
-
-    def test_unknown_task(self):
-        with pytest.raises(MetricsError, match="unknown task"):
-            EvalReport(
-                task="vqa",
-                n_queries=0,
-                n_answered=0,
-                na_ratio=0.0,
-                overlap=0.0,
-                iou_star={},
-                recall_at_1={},
-                r1_mean=0.0,
-                qa_accuracy=None,
-            )
+        strata = report["per_confidence"]
+        assert set(strata) == {"1", "2", "3"}
+        assert strata["1"]["n_queries"] == 1
 
 
 class TestReportSerialization:
@@ -434,7 +388,7 @@ class TestReportSerialization:
         return evaluate_nlq(preds, finals, gts)
 
     def test_dict_shape(self):
-        out = report_as_dict(self.report())
+        out = self.report()
         assert out["task"] == "nlq"
         assert set(out["iou_star"]) == {"0.3", "0.5"}
         assert set(out["per_confidence"]) == {"1", "2", "3"}
@@ -499,4 +453,4 @@ class TestPredictionRow:
         assert loaded == {a.qid: replace(a, intervals=tuple(map(ms, a.intervals))) for a in answers}
         assert loaded_finals == {a.qid: ms(f) for a, f in zip(answers, finals)}
         report = evaluate_nlq(loaded, loaded_finals, {q: (1.0, 2.0) for q in qids})
-        assert report.n_missing == 0
+        assert report["n_missing"] == 0

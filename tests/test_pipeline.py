@@ -15,7 +15,7 @@ from egolog.corpus import Query, QueryKind
 from egolog.digest import MERGE_PROMPT
 from egolog.errors import BackendProtocolError, ConfigError, CorpusError, MetricsError
 from egolog.llm import RecordingBackend, ReplayBackend, write_transcripts
-from egolog.metrics import load_predictions, report_as_dict
+from egolog.metrics import load_predictions
 from egolog.pipeline import (
     build_embedder,
     build_llm,
@@ -766,11 +766,11 @@ class TestRunEval:
     def test_nlq_round_trip_scores_perfectly(self, tmp_path):
         config, preds = self.localize_and_eval(tmp_path)
         report = run_eval(config, preds, "nlq")
-        assert report.task == "nlq"
-        assert report.na_ratio == 0.0
-        assert report.overlap == 1.0
-        assert report.recall_at_1[0.3] == 1.0
-        assert report.r1_mean == 1.0
+        assert report["task"] == "nlq"
+        assert report["na_ratio"] == 0.0
+        assert report["overlap"] == 1.0
+        assert report["recall_at_1"]["0.3"] == 1.0
+        assert report["r1_mean"] == 1.0
 
     def test_missing_predictions_file_is_named(self, tmp_path):
         tracks, queries = synth_nlq_benchmark(n_items=2, captions_per_video=4)
@@ -803,14 +803,14 @@ class TestRunEval:
         preds = tmp_path / "preds.jsonl"
         write_rows(preds, [{"qid": q.qid, **a} for q, a in zip(queries[:2], answers)])
         report = run_eval(config, preds, task)
-        assert report.n_queries == 4
-        assert (report.n_answered, report.n_missing) == (2, 2)
+        assert report["n_queries"] == 4
+        assert (report["n_answered"], report["n_missing"]) == (2, 2)
         if task == "nlq":
-            assert report.recall_at_1 == {0.3: 0.5, 0.5: 0.5}
-            assert report.per_confidence[1].recall_at_1 == {0.3: 1.0, 0.5: 1.0}
+            assert report["recall_at_1"] == {"0.3": 0.5, "0.5": 0.5}
+            assert report["per_confidence"]["1"]["recall_at_1"] == {"0.3": 1.0, "0.5": 1.0}
         else:
-            assert report.qa_accuracy == 0.5
-            assert report.per_confidence[1].qa_accuracy == 1.0
+            assert report["qa_accuracy"] == 0.5
+            assert report["per_confidence"]["1"]["qa_accuracy"] == 1.0
 
     def test_unknown_qids_rejected(self, tmp_path):
         config, preds = self.localize_and_eval(tmp_path)
@@ -833,9 +833,9 @@ class TestRunEval:
         row = {"qid": "wide", "predicted_window": [0, 1e308], "candidates": [[0, 1e308]]}
         write_rows(preds, [row])
         report = run_eval(config, preds, "nlq")
-        assert report.overlap == 1.0
-        assert report.iou_star == {0.3: 1.0, 0.5: 1.0}
-        assert report.recall_at_1 == {0.3: 1.0, 0.5: 1.0}
+        assert report["overlap"] == 1.0
+        assert report["iou_star"] == {"0.3": 1.0, "0.5": 1.0}
+        assert report["recall_at_1"] == {"0.3": 1.0, "0.5": 1.0}
 
     def test_query_without_ground_truth_rejected(self, tmp_path):
         tracks, _ = synth_nlq_benchmark(n_items=1)
@@ -957,6 +957,26 @@ class TestRunEval:
                 5,
                 "explanation must be a string or a number, got an object",
             ),
+            (
+                _at(1, lambda row: {**row, "na": "banana"}),
+                2,
+                re.escape("bad prediction for 'n001': na must be false when candidates is [["),
+            ),
+            (
+                _at(2, lambda row: {**row, "na": True}),
+                3,
+                re.escape("bad prediction for 'n002': na must be false when candidates is [["),
+            ),
+            (
+                _at(3, lambda row: {**row, "candidates": [], "na": False}),
+                4,
+                re.escape("bad prediction for 'n003': na must be true when candidates is []"),
+            ),
+            (
+                _at(0, lambda row: {**row, "candidates": [], "na": 1}),
+                1,
+                re.escape("bad prediction for 'n000': na must be true when candidates is []"),
+            ),
         ],
         ids=[
             "no-window",
@@ -984,6 +1004,10 @@ class TestRunEval:
             "list-explanation",
             "bool-explanation",
             "object-explanation",
+            "word-na",
+            "na-beside-candidates",
+            "not-na-without-candidates",
+            "number-na",
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, edit, line, message):
@@ -1071,8 +1095,8 @@ class TestRunEval:
             "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
         )
         report = run_eval(config, preds, "qa")
-        assert report.qa_accuracy == 1.0
-        assert report.per_confidence[3].qa_accuracy == 1.0
+        assert report["qa_accuracy"] == 1.0
+        assert report["per_confidence"]["3"]["qa_accuracy"] == 1.0
 
     def test_qa_predictions_scored_as_nlq_rejected(self, tmp_path):
         tracks, queries = synth_qa_benchmark(n_items=3, captions_per_video=6)
@@ -1192,9 +1216,9 @@ def test_eval_scores_independent_of_row_order(eval_corpus, task, data):
     config, qids, path = eval_corpus
     rows = list(data.draw(valid_rows(task, qids[task])))
     write_rows(path, rows)
-    before = json.dumps(report_as_dict(run_eval(config, path, task)))
+    before = json.dumps(run_eval(config, path, task))
     write_rows(path, data.draw(st.permutations(rows)))
-    assert json.dumps(report_as_dict(run_eval(config, path, task))) == before
+    assert json.dumps(run_eval(config, path, task)) == before
 
 
 # one query with ground truth per task, and the keys of each task's prediction

@@ -2,7 +2,8 @@
 
 The "Quick look" snippet runs in a fresh interpreter and prints what its
 comment says, the file-format examples load through the loaders, the
-table of record shapes is the loaders' own, and every
+table of record shapes is the loaders' own, the eval report's keys are
+the ones evaluate_nlq and evaluate_qa return, and every
 egolog.<module>.<name> it names exists.
 """
 
@@ -24,7 +25,13 @@ from egolog.corpus import (
     load_queries,
     write_jsonl,
 )
-from egolog.metrics import PREDICTION_SHAPES, load_predictions, prediction_row
+from egolog.metrics import (
+    PREDICTION_SHAPES,
+    evaluate_nlq,
+    evaluate_qa,
+    load_predictions,
+    prediction_row,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text("utf-8")
@@ -117,6 +124,21 @@ def test_record_shape_table_is_the_loaders_tables():
     assert [list(shapes) for shapes in documented.values()] == [
         list(table) for table in tables.values()
     ]
+
+
+def test_eval_report_keys_are_the_reports_keys():
+    text = " ".join(_section("File formats").split())
+    documented = {
+        task: re.findall(r"`(\w+)`", keys)
+        for task, keys in re.findall(r"An? `(\w+)` report has the keys (.*?), in this order", text)
+    }
+    reports = {"nlq": evaluate_nlq({}, {}, {}), "qa": evaluate_qa({}, {})}
+    assert documented == {task: list(report) for task, report in reports.items()}
+    entry = "an entry has every key of its task's report, in the same order, but `per_confidence`"
+    assert entry in text
+    for task, report in reports.items():
+        for entry in report["per_confidence"].values():
+            assert list(entry) == documented[task][:-1]
 
 
 def test_every_named_package_attribute_resolves():
