@@ -17,7 +17,8 @@ from pathlib import Path
 
 from egolog.cli import main as cli_main
 from egolog.config import load_config
-from egolog.llm import RecordingBackend, write_transcripts
+from egolog.corpus import write_json
+from egolog.llm import ReplayBackend
 from egolog.pipeline import run_ask
 
 OPTION = re.compile(r"^\(([A-E])\) (.*)$", re.MULTILINE)
@@ -80,11 +81,11 @@ with tempfile.TemporaryDirectory() as raw:
         encoding="utf-8",
     )
 
-    # pass one: the live stand-in answers, the recorder captures everything
-    recorder = RecordingBackend(LiveStandIn())
+    # pass one: an empty store sends every prompt to the live stand-in and keeps its replies
+    recorder = ReplayBackend({}, inner=LiveStandIn())
     records, failures = run_ask(load_config(root / "config.ini"), llm=recorder)
     assert not failures
-    write_transcripts(root / "transcripts.json", recorder.transcripts)
+    write_json(root / "transcripts.json", recorder.transcripts)
     print(f"recorded {sum(len(v) for v in recorder.transcripts.values())} completions")
 
     # replay passes: same config plus the transcripts path, no live model

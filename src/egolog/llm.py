@@ -1,11 +1,10 @@
 """LLM completion backends.
 
 The pipeline talks to any model through one call: complete(system_text,
-user_text, sampling_seed, run_index) -> raw text. Three implementations
-ship here: an HTTP client for a remote model, a replay backend that
-returns recorded transcripts keyed by (prompt digest, run index) for
-bit-exact reruns, and a recorder that wraps any backend and keeps its
-replies in that store.
+user_text, sampling_seed, run_index) -> raw text. Two implementations
+ship here: an HTTP client for a remote model, and a replay backend that
+returns transcripts keyed by (prompt digest, run index) for bit-exact
+reruns and, given an inner backend, records the replies to its misses.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import threading
 from pathlib import Path
 from typing import Mapping, Protocol
 
-from .corpus import write_json
 from .errors import BackendProtocolError, ReplayMissError
 from .retry import bearer_token, post_json
 
@@ -45,29 +43,29 @@ def prompt_sha256(system_text: str, user_text: str) -> str:
     return h.hexdigest()
 
 
-def run_key(run_index: int) -> str:
-    return f"run_{run_index}"
-
-
-def _store_keys(system_text: str, user_text: str, run_index: int) -> tuple[str, str]:
-    """Where a transcript store keeps a reply: (prompt digest, run key)."""
-    return prompt_sha256(system_text, user_text), run_key(run_index)
-
-
 class ReplayBackend:
-    """Returns recorded transcripts; raises ReplayMissError on unknown prompts.
+    """The transcript store: returns recorded replies and records misses.
 
-    The transcript store maps prompt digests to per-run texts:
-    ``{"<prompt_sha256>": {"run_0": text, "run_1": text, ...}}``.
-    Reads are lock-free; the store is never mutated after construction.
+    .transcripts maps prompt digests to per-run texts,
+    ``{"<prompt_sha256>": {"run_0": text, "run_1": text, ...}}``, as
+    corpus.write_json writes it and from_file reads it. A miss goes to
+    inner, and every request for a prompt and run, even two misses that
+    race, gets the first reply stored for it; so replaying .transcripts
+    gives back what each caller saw. A request that inner fails stores
+    nothing. With no inner a miss raises ReplayMissError. Safe to call
+    from the completion pool's threads.
     """
 
-    def __init__(self, transcripts: Mapping[str, Mapping[str, str]]):
-        self._transcripts = {k: dict(v) for k, v in transcripts.items()}
+    def __init__(
+        self, transcripts: Mapping[str, Mapping[str, str]], inner: LlmBackend | None = None
+    ):
+        self.transcripts = {k: dict(v) for k, v in transcripts.items()}
+        self.inner = inner
+        self._lock = threading.Lock()
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "ReplayBackend":
-        """Load a store written by write_transcripts.
+    def from_file(cls, path: str | Path, inner: LlmBackend | None = None) -> "ReplayBackend":
+        """Load a store that corpus.write_json wrote.
 
         A file that cannot be read or is malformed raises BackendProtocolError.
         """
@@ -88,7 +86,7 @@ class ReplayBackend:
                 raise BackendProtocolError(
                     f"transcripts file {path}: entry {digest!r} is not an object of strings"
                 )
-        return cls(data)
+        return cls(data, inner)
 
     def complete(
         self,
@@ -97,48 +95,18 @@ class ReplayBackend:
         sampling_seed: int | None = None,
         run_index: int = 0,
     ) -> str:
-        digest, run = _store_keys(system_text, user_text, run_index)
-        runs = self._transcripts.get(digest)
-        if runs is None:
-            raise ReplayMissError(f"no transcript recorded for prompt {digest[:12]}...")
-        text = runs.get(run)
-        if text is None:
-            raise ReplayMissError(
-                f"no transcript recorded for prompt {digest[:12]}... run {run_index}"
-            )
-        return text
-
-
-class RecordingBackend:
-    """Passes each completion to inner and keeps its reply in .transcripts.
-
-    .transcripts is the store write_transcripts writes and ReplayBackend
-    reads; a prompt and run answered twice keeps the later reply. Safe to
-    call from the completion pool's threads.
-    """
-
-    def __init__(self, inner: LlmBackend):
-        self.inner = inner
-        self.transcripts: dict[str, dict[str, str]] = {}
-        self._lock = threading.Lock()
-
-    def complete(
-        self,
-        system_text: str,
-        user_text: str,
-        sampling_seed: int | None = None,
-        run_index: int = 0,
-    ) -> str:
+        digest = prompt_sha256(system_text, user_text)
+        run = f"run_{run_index}"
+        runs = self.transcripts.get(digest)
+        text = None if runs is None else runs.get(run)
+        if text is not None:
+            return text
+        if self.inner is None:
+            where = "" if runs is None else f" run {run_index}"
+            raise ReplayMissError(f"no transcript recorded for prompt {digest[:12]}...{where}")
         text = self.inner.complete(system_text, user_text, sampling_seed, run_index)
-        digest, run = _store_keys(system_text, user_text, run_index)
         with self._lock:
-            self.transcripts.setdefault(digest, {})[run] = text
-        return text
-
-
-def write_transcripts(path: str | Path, transcripts: Mapping[str, Mapping[str, str]]) -> None:
-    """Write a replay transcript store as stable, sorted JSON, atomically."""
-    write_json(path, transcripts)
+            return self.transcripts.setdefault(digest, {}).setdefault(run, text)
 
 
 class HttpLlmBackend:

@@ -4,8 +4,8 @@ oracles, a record-shape probe, a CLI run in a fresh interpreter.
 
 The scripted backends answer by reading the caption log serialized into
 the prompt, so synthetic benchmarks where captions literally determine
-the answer are solvable without any model; egolog.llm.RecordingBackend
-wrapped around one records the transcripts of replay fixtures.
+the answer are solvable without any model; an egolog.llm.ReplayBackend
+with one as its inner backend records the transcripts of replay fixtures.
 """
 
 from __future__ import annotations

@@ -10,15 +10,19 @@ from __future__ import annotations
 import json
 import math
 import random
+import threading
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from egolog import pipeline
 from egolog.cli import main as cli_main
 from egolog.config import load_config
-from egolog.corpus import Caption, CaptionTrack, Query, QueryKind
+from egolog.corpus import Caption, CaptionTrack, Query, QueryKind, write_json
 from egolog.digest import (
+    MERGE_PROMPT,
     DigestConfig,
     digest,
     filter_by_relevance,
@@ -26,7 +30,7 @@ from egolog.digest import (
 )
 from egolog.ensemble import AnswerPool, vote_by_confidence
 from egolog.errors import ParseError
-from egolog.llm import RecordingBackend, write_transcripts
+from egolog.llm import ReplayBackend
 from egolog.metrics import evaluate_nlq, evaluate_qa, iou
 from egolog.pipeline import run_ask, run_eval, run_localize
 from egolog.reasoner import (
@@ -37,17 +41,21 @@ from egolog.refine import RefineConfig, gen_refinement_dataset, pad_interval
 from egolog.similarity import MockEmbedder
 
 from helpers import (
+    PAIR_MERGES,
     ScriptedNlqBackend,
     ScriptedQaBackend,
     assert_report_matches_oracle,
+    corpus_gen,
     disk_config,
     format_reference,
     make_track,
     oracle_iou,
+    questions_per_video,
     random_nlq_fixture,
     random_qa_fixture,
     synth_nlq_benchmark,
     synth_qa_benchmark,
+    write_generated,
     write_run,
 )
 
@@ -422,9 +430,9 @@ def test_gate_replay_reproducibility(tmp_path):
             run = f"[run]\nseed = 11\nruns = 3\nin_flight_limit = {pool}\n"
             return write_run(subdir, tracks, queries, run + IDENTITY_DIGEST, extra_paths)
 
-        recorder = RecordingBackend(scripted)
+        recorder = ReplayBackend({}, inner=scripted)
         runner(load_config(config(1)), llm=recorder)
-        write_transcripts(subdir / "transcripts.json", recorder.transcripts)
+        write_json(subdir / "transcripts.json", recorder.transcripts)
         replayed = "transcripts = transcripts.json\n"
         return {
             pool: config(pool, replayed).rename(subdir / f"config_pool{pool}.ini")
@@ -460,6 +468,62 @@ def test_gate_replay_reproducibility(tmp_path):
     pooled = replay("localize", nlq_cfg[8], tmp_path / "nlq" / "out_c.jsonl")
     assert first == again == pooled and first
     _passline("replayed ask and localize byte-identical across runs and pool sizes")
+
+
+class SamplingMerges:
+    """Answers as inner does, but numbers each merge reply by its call.
+
+    So a merge prompt sent twice gets two replies, as from a sampling model.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.merges = 0
+        self._lock = threading.Lock()
+
+    def complete(self, system_text, user_text, sampling_seed=None, run_index=0):
+        if system_text != MERGE_PROMPT:
+            return self.inner.complete(system_text, user_text, sampling_seed, run_index)
+        with self._lock:
+            self.merges += 1
+            return f"{user_text.splitlines()[0]} (merge {self.merges})"
+
+
+def test_gate_replay_of_sampled_merges_matches_the_live_run(tmp_path):
+    # each command sends some LLM merge prompt more than once; the store
+    # keeps the first reply, so replay writes what the live run wrote
+    qa = questions_per_video()
+    nlq = corpus_gen.gen_nlq(2, 1, 200, 2, run_share=0.7)
+    cases = {
+        "ask": (lambda d: write_run(d, *qa), ScriptedQaBackend),
+        "localize": (lambda d: write_generated(d, nlq), ScriptedNlqBackend),
+        "digest": (lambda d: write_generated(d, nlq), ScriptedQaBackend),
+    }
+    for command, (write_inputs, scripted) in cases.items():
+        for record_pool in (1, 8):
+            subdir = tmp_path / f"{command}_pool{record_pool}"
+            subdir.mkdir()
+            write_inputs(subdir)
+
+            def cli(pool, out, extra_paths=""):
+                run = f"[run]\nseed = 11\nruns = 3\nin_flight_limit = {pool}\n"
+                paths = "captions = captions.jsonl\nqueries = queries.jsonl\n" + extra_paths
+                config = write_run(subdir, None, None, run + PAIR_MERGES, paths)
+                argv = [command, "--config", str(config), "--out", str(subdir / out)]
+                assert cli_main(argv) == 0, f"{command} {out} at pool {pool}"
+                return (subdir / out).read_bytes()
+
+            recorder = ReplayBackend({}, inner=SamplingMerges(scripted()))
+            with mock.patch.object(pipeline, "build_llm", lambda config: recorder):
+                live = cli(record_pool, "live.jsonl")
+            write_json(subdir / "transcripts.json", recorder.transcripts)
+            for pool in (1, 8):
+                replayed = cli(pool, f"replay{pool}.jsonl", "transcripts = transcripts.json\n")
+                assert replayed == live, f"{command} recorded at pool {record_pool}"
+    _passline(
+        "replayed ask, localize and digest with sampled LLM merges byte-identical "
+        "to the live runs recorded at pools 1 and 8"
+    )
 
 
 def test_gate_sanity_anchors():

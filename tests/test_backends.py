@@ -14,20 +14,14 @@ import pytest
 from egolog import similarity
 from egolog.cli import main as cli_main
 from egolog.config import load_config
+from egolog.corpus import write_json
 from egolog.errors import (
     BackendProtocolError,
     ConfigError,
     ReplayMissError,
     TransportError,
 )
-from egolog.llm import (
-    HttpLlmBackend,
-    RecordingBackend,
-    ReplayBackend,
-    prompt_sha256,
-    run_key,
-    write_transcripts,
-)
+from egolog.llm import HttpLlmBackend, ReplayBackend, prompt_sha256
 from egolog.pipeline import run_ask, run_localize
 from egolog.retry import call_with_retries
 from egolog.similarity import CachedEmbedder, HttpEmbedder, MockEmbedder, embed_batch
@@ -54,10 +48,6 @@ class TestPromptDigest:
     def test_separator_prevents_boundary_collisions(self):
         assert prompt_sha256("ab", "c") != prompt_sha256("a", "bc")
 
-    def test_run_key(self):
-        assert run_key(0) == "run_0"
-        assert run_key(12) == "run_12"
-
 
 class TestReplayBackend:
     def test_hit(self):
@@ -80,9 +70,10 @@ class TestReplayBackend:
     def test_file_round_trip(self, tmp_path):
         store = {prompt_sha256("s", "u"): {"run_0": "recorded text"}}
         path = tmp_path / "transcripts.json"
-        write_transcripts(path, store)
-        loaded = ReplayBackend.from_file(path)
+        write_json(path, store)
+        loaded = ReplayBackend.from_file(path, inner=CallableBackend(lambda system, user: "live"))
         assert loaded.complete("s", "u") == "recorded text"
+        assert loaded.complete("s", "other") == "live"
 
     def test_file_not_an_object(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -123,7 +114,7 @@ class TestReplayBackend:
     def test_entry_not_an_object_of_strings_names_its_key(self, tmp_path, store):
         path = tmp_path / "bad.json"
         good = {prompt_sha256("s", "u"): {"run_0": "fine"}}
-        write_transcripts(path, {**good, **store})
+        write_json(path, {**good, **store})
         where = f"{re.escape(str(path))}: entry 'abc' is not an object of strings"
         with pytest.raises(BackendProtocolError, match=where):
             ReplayBackend.from_file(path)
@@ -151,17 +142,58 @@ class _ThreadNames:
 
 
 class TestRecordingBackend:
+    """A ReplayBackend with an inner backend records the replies to its misses."""
+
     def test_stores_replies_where_replay_reads_them(self):
         replies = iter(["first", "second", "third"])
-        recorder = RecordingBackend(CallableBackend(lambda system, user: next(replies)))
+        recorder = ReplayBackend({}, inner=CallableBackend(lambda system, user: next(replies)))
         assert recorder.complete("s", "u", sampling_seed=4) == "first"
         assert recorder.complete("s", "u", run_index=2) == "second"
-        # a prompt and run answered twice keeps the later reply
-        assert recorder.complete("s", "u") == "third"
+        # a prompt and run asked again gets the first reply kept; inner is not asked
+        assert recorder.complete("s", "u") == "first"
+        assert next(replies) == "third"
         digest = prompt_sha256("s", "u")
-        assert recorder.transcripts == {digest: {"run_0": "third", "run_2": "second"}}
+        assert recorder.transcripts == {digest: {"run_0": "first", "run_2": "second"}}
         replay = ReplayBackend(recorder.transcripts)
-        assert [replay.complete("s", "u", run_index=i) for i in (0, 2)] == ["third", "second"]
+        assert [replay.complete("s", "u", run_index=i) for i in (0, 2)] == ["first", "second"]
+
+    def test_failed_request_stores_nothing(self):
+        replies = iter([None, "up"])
+
+        def reply(system, user):
+            text = next(replies)
+            if text is None:
+                raise TransportError("down")
+            return text
+
+        recorder = ReplayBackend({}, inner=CallableBackend(reply))
+        with pytest.raises(TransportError):
+            recorder.complete("s", "u")
+        assert recorder.transcripts == {}
+        assert recorder.complete("s", "u") == "up"
+
+    def test_racing_misses_of_one_key_get_the_first_reply_kept(self):
+        # both misses are in inner at once, and each gets a reply of its own
+        meet = threading.Barrier(2, timeout=5)
+        replies = iter(["one", "two"])
+
+        def reply(system, user):
+            meet.wait()
+            return next(replies)
+
+        recorder = ReplayBackend({}, inner=CallableBackend(reply))
+        got = [None, None]
+
+        def ask(i):
+            got[i] = recorder.complete("s", "u")
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        (stored,) = recorder.transcripts[prompt_sha256("s", "u")].values()
+        assert got == [stored, stored]
 
     def test_store_recorded_on_64_completion_threads_replays_exactly(self, tmp_path):
         tracks, queries = synth_qa_benchmark(n_items=16, captions_per_video=6)
@@ -170,7 +202,7 @@ class TestRecordingBackend:
         for limit in (1, 8):
             # waits up to 5 ms per completion, so concurrent ones finish out of order
             threads = _ThreadNames(HashFailingBackend(fail_share=0, inner=ScriptedQaBackend()))
-            recorder = RecordingBackend(threads)
+            recorder = ReplayBackend({}, inner=threads)
             loaded = load_config(config, {"run.in_flight_limit": str(limit)})
             live[limit], failures = run_ask(loaded, llm=recorder)
             assert failures == []
@@ -181,7 +213,7 @@ class TestRecordingBackend:
         assert [len(runs) for runs in stores[1].values()] == [5] * 16
         assert live[8] == live[1]
 
-        write_transcripts(tmp_path / "transcripts.json", stores[8])
+        write_json(tmp_path / "transcripts.json", stores[8])
         replayed = []
         for limit in (1, 8):
             out = tmp_path / f"replayed_{limit}.jsonl"

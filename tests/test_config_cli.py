@@ -24,7 +24,7 @@ from egolog.config import (
 from egolog.corpus import Query, QueryKind
 from egolog.digest import MergeMode
 from egolog.errors import ConfigError
-from egolog.llm import RecordingBackend
+from egolog.llm import ReplayBackend
 from egolog.metrics import evaluate_qa
 from egolog.pipeline import UnitFailure
 
@@ -1030,7 +1030,7 @@ class TestCliErrors:
     def test_runs_flag_reaches_run_and_manifest(self, tmp_path):
         config = write_run(tmp_path, *qa_fixture(n_items=2), "[run]\nseed = 3\nruns = 1\n")
         out = tmp_path / "answers.jsonl"
-        llm = RecordingBackend(ScriptedQaBackend())
+        llm = ReplayBackend({}, inner=ScriptedQaBackend())
         with mock.patch.object(pipeline, "build_llm", lambda config: llm):
             code = main(["ask", "--config", str(config), "--runs", "3", "--out", str(out)])
         assert code == 0

@@ -19,10 +19,10 @@ from egolog.corpus import (
     load_queries,
     normalize_seconds,
     save_captions,
+    write_json,
     write_jsonl,
 )
 from egolog.errors import CorpusError
-from egolog.llm import write_transcripts
 from egolog.reasoner import caption_log_lines
 
 from helpers import (
@@ -407,8 +407,8 @@ class TestCaptionsIO:
 
     @pytest.mark.parametrize(
         "write",
-        [lambda p: save_captions({"v1": make_track("v1")}, p), lambda p: write_transcripts(p, {})],
-        ids=["save_captions", "write_transcripts"],
+        [lambda p: save_captions({"v1": make_track("v1")}, p), lambda p: write_json(p, {})],
+        ids=["save_captions", "write_json"],
     )
     def test_failed_write_is_a_corpus_error(self, tmp_path, write):
         blocker = tmp_path / "blocker"

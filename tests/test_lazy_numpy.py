@@ -14,7 +14,8 @@ import pytest
 
 from egolog import pipeline
 from egolog.cli import main
-from egolog.llm import RecordingBackend, write_transcripts
+from egolog.corpus import write_json
+from egolog.llm import ReplayBackend
 
 from helpers import (
     ScriptedNlqBackend,
@@ -45,11 +46,11 @@ def run_dir(tmp_path_factory) -> Path:
     tracks, queries = synth_nlq_benchmark(n_items=3, captions_per_video=8)
     (work / "transcripts.json").write_text("{}", encoding="utf-8")
     write_run(work, tracks, queries, "[run]\nseed = 11\n", "transcripts = transcripts.json\n")
-    llm = RecordingBackend(ScriptedNlqBackend())
+    llm = ReplayBackend({}, inner=ScriptedNlqBackend())
     argv = ["localize", "--config", str(work / "config.ini"), "--out", str(work / "preds.jsonl")]
     with mock.patch.object(pipeline, "build_llm", lambda config: llm):
         assert main(argv) == 0
-    write_transcripts(work / "transcripts.json", llm.transcripts)
+    write_json(work / "transcripts.json", llm.transcripts)
     return work
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 from unittest import mock
 
 from egolog import cli, pipeline
-from egolog.llm import RecordingBackend
+from egolog.llm import ReplayBackend
 
 from helpers import (
     ScriptedNlqBackend,
@@ -88,8 +88,8 @@ def run_commands(work: Path, pool: int) -> dict[str, tuple[str, str]]:
         paths = "captions = captions.jsonl\nqueries = queries.jsonl\n"
         config = write_run(out, None, None, run + sections, paths)
         for command, args in commands:
-            llm = RecordingBackend(
-                ScriptedNlqBackend() if command == "localize" else ScriptedQaBackend()
+            llm = ReplayBackend(
+                {}, inner=ScriptedNlqBackend() if command == "localize" else ScriptedQaBackend()
             )
             argv = [command, "--config", str(config)]
             argv += [str(out / a) if a.endswith((".jsonl", ".json")) else a for a in args]

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from egolog import corpus, pipeline
 from egolog.config import load_config
-from egolog.corpus import Query, QueryKind
+from egolog.corpus import Query, QueryKind, write_json
 from egolog.digest import MERGE_PROMPT
 from egolog.errors import BackendProtocolError, ConfigError, CorpusError, MetricsError
-from egolog.llm import RecordingBackend, ReplayBackend, write_transcripts
+from egolog.llm import ReplayBackend
 from egolog.metrics import load_predictions
 from egolog.pipeline import (
     build_embedder,
@@ -97,7 +97,7 @@ class TestBuildBackends:
     def test_replay_llm_from_file(self, tmp_path):
         tracks, queries = synth_qa_benchmark(n_items=1)
         transcripts = tmp_path / "transcripts.json"
-        write_transcripts(transcripts, {})
+        write_json(transcripts, {})
         config = disk_config(
             tmp_path, tracks, queries, extra_paths=f"transcripts = {transcripts.name}\n"
         )
@@ -596,11 +596,11 @@ class TestRunLocalize:
 
     def test_replay_round_trip_matches_live_run(self, tmp_path):
         tracks, queries = synth_nlq_benchmark(n_items=4, captions_per_video=8)
-        recorder = RecordingBackend(ScriptedNlqBackend())
+        recorder = ReplayBackend({}, inner=ScriptedNlqBackend())
         config = disk_config(tmp_path, tracks, queries)
         live_records, _ = run_localize(config, llm=recorder)
         transcripts = tmp_path / "transcripts.json"
-        write_transcripts(transcripts, recorder.transcripts)
+        write_json(transcripts, recorder.transcripts)
         replay_config = disk_config(
             tmp_path,
             tracks,

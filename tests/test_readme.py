@@ -143,7 +143,7 @@ def test_eval_report_keys_are_the_reports_keys():
 
 def test_every_named_package_attribute_resolves():
     named = set(re.findall(r"\begolog\.(\w+)\.(\w+)\b", README))
-    assert ("llm", "RecordingBackend") in named
+    assert ("llm", "ReplayBackend") in named
     missing = [
         f"egolog.{module}.{name}"
         for module, name in sorted(named)

@@ -1,4 +1,4 @@
-"""Every name a module of src/egolog imports is read in that module.
+"""Every name a module of src/egolog or a demo imports is read in that file.
 
 An ast scan in place of a linter's unused-import rule: a name is read
 where it is loaded (alone or as the root of an attribute chain),
@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "egolog"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "egolog"
+DEMOS = ROOT / "demos"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -47,7 +49,11 @@ def read_names(tree: ast.AST) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted(DEMOS.glob("*.py")),
+    ids=lambda path: path.name if path.parent == SRC else f"demos/{path.name}",
+)
 def test_every_imported_name_is_read(path):
     tree = ast.parse(path.read_text("utf-8"), filename=str(path))
     read = read_names(tree)
